@@ -6,7 +6,6 @@ brute-force full-Hilbert-space oracle, amplifier quality metrics, multi-stage
 schedules, and Monte Carlo sampling of heralding outcomes.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .dicke import (
     DickeVector,
     LadderDirection,
@@ -61,6 +60,9 @@ from .protocol import (
 )
 
 __version__ = "0.1.0"
+
+#: The oracle's bitmask kernels are NumPy; there is no compiled backend.
+KERNEL_BACKEND = "numpy"
 
 __all__ = [
     "AmplificationReport",

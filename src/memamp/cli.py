@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 usage/config error, 2 protocol
 failure, 3 resource/grid guard. Data files are deterministic for identical
-inputs (the manifest carries the only timestamp); numbers are written in
-shortest round-trip decimal form.
+inputs (the manifest carries the only timestamp and timings); numbers are
+written in shortest round-trip decimal form.
 """
 
 from __future__ import annotations
@@ -153,6 +153,8 @@ class RunManifest:
     seed: int | None
     config: dict | None
     outputs: list[str]
+    #: wall seconds of the run's parts; kept here, out of the data files
+    timings: dict[str, float] | None = None
 
     def write(self, out_dir: Path) -> Path:
         payload = {
@@ -164,6 +166,8 @@ class RunManifest:
             "config": self.config,
             "outputs": self.outputs,
         }
+        if self.timings is not None:
+            payload["timings"] = self.timings
         path = out_dir / "manifest.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
@@ -378,6 +382,9 @@ def cmd_oracle_check(n_max: int, out_dir: Path) -> int:
         seed=None,
         config={"n_max": n_max},
         outputs=[json_path.name],
+        timings={
+            f"verify_ladder_n{r.n_atoms}": r.elapsed_seconds for r in reports
+        },
     ).write(out_dir)
     for report in reports:
         status = "pass" if report.passed else "FAIL"

@@ -5,13 +5,15 @@ number, detected Stokes mode, detected anti-Stokes mode, and one lumped
 undetected mode c that absorbs the fraction of emission amplitude not coupled
 into the detected modes. The write process raises the atomic ladder while
 creating a photon in a/c; the read process lowers it while creating a photon
-in b/c. Evolution is either the first-order expansion of the process unitary
-(non-unitary at order p) or the exact exponential on the truncated space.
+in b/c. Both evolution orders apply one sparse ladder stencil, G psi: first
+order is psi + G psi (non-unitary at order p), exact order is exp(G) psi on the
+truncated space, summed as a Taylor series of stencil applications.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,15 +31,20 @@ from .metrics import DensityMatrix
 #: Total tensor dimension cap for any joint state.
 DIM_CAP = 2_000_000
 
-#: Dense-exponential guard: exact evolution eigendecomposes a D x D matrix.
-EXACT_DIM_CAP = 2048
-
 #: Population allowed on a truncated top level (per axis) before the result
 #: is considered untrustworthy.
 LEAK_TOL = 1e-8
 
 #: Norm drift allowed for the exact (unitary) evolution.
 UNITARY_TOL = 1e-10
+
+#: Exact evolution stops a Taylor series once a term falls below this
+#: fraction of the partial sum (the float64 unit roundoff).
+SERIES_TOL = 2.0**-53
+
+#: Terms allowed per substep; the substeps bound ||G/s|| by 1, so about 20
+#: terms reach SERIES_TOL and hitting the cap means the norm bound is wrong.
+SERIES_TERM_CAP = 60
 
 #: A heralded slice below this squared norm counts as a zero-probability event.
 ZERO_PROB_FLOOR = 1e-280
@@ -221,79 +228,106 @@ def _check_first_order_headroom(
             )
 
 
-def _first_order_apply(
+def _process_weights(
     joint: JointState, p: float, beta: float, process: str
-) -> np.ndarray:
-    psi = joint.amplitudes
-    n = joint.n_atoms
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """Stencil weights of one process and a bound on its generator's norm.
+
+    Returns the detected-mode and loss-mode weights (ladder coefficient times
+    the photon sqrt(n) factor and the coupling; ``None`` for a lossless
+    process) and an upper bound on the spectral norm of G = C - C^dagger,
+
+        ||G|| <= 2 max(ladder) (sqrt(p beta n_det) + sqrt(p (1 - beta) n_c)),
+
+    with n_det and n_c the cutoffs of the detected and the loss mode.
+    """
     trunc = joint.truncation
     k_top = trunc.atomic_k_max
     assert k_top is not None
-    lad = _ladder_coeffs(n, k_top).reshape(-1, 1, 1, 1)
-    sqa = np.sqrt(np.arange(1, trunc.fock_a_max + 1)).reshape(1, -1, 1, 1)
-    sqb = np.sqrt(np.arange(1, trunc.fock_b_max + 1)).reshape(1, 1, -1, 1)
+    lad = _ladder_coeffs(joint.n_atoms, k_top).reshape(-1, 1, 1, 1)
+    if process == "write":
+        n_det = trunc.fock_a_max
+        sq_det = np.sqrt(np.arange(1, n_det + 1)).reshape(1, -1, 1, 1)
+    else:
+        n_det = trunc.fock_b_max
+        sq_det = np.sqrt(np.arange(1, n_det + 1)).reshape(1, 1, -1, 1)
     sqc = np.sqrt(np.arange(1, trunc.fock_c_max + 1)).reshape(1, 1, 1, -1)
-    out = psi.copy()
     g_det = np.sqrt(p * beta)
     g_loss = np.sqrt(p * (1.0 - beta))
+    w_det = g_det * lad * sq_det
+    w_loss = g_loss * lad * sqc if g_loss > 0.0 else None
+    bound = 2.0 * float(lad.max()) * (
+        g_det * np.sqrt(n_det) + g_loss * np.sqrt(trunc.fock_c_max)
+    )
+    return w_det, w_loss, float(bound)
+
+
+def _add_generator(
+    out: np.ndarray,
+    psi: np.ndarray,
+    w_det: np.ndarray,
+    w_loss: np.ndarray | None,
+    process: str,
+) -> np.ndarray:
+    """Add G psi into ``out``, G the process's anti-Hermitian ladder generator.
+
+    Write couples (k, n_a, n_c) to (k+1, n_a+1, n_c) and (k+1, n_a, n_c+1);
+    read couples (k, n_b, n_c) to (k-1, n_b+1, n_c) and (k-1, n_b, n_c+1).
+    Entries no path reaches stay exactly zero.
+    """
     if process == "write":
-        out[1:, 1:] += g_det * lad * sqa * psi[:-1, :-1]
-        out[:-1, :-1] -= g_det * lad * sqa * psi[1:, 1:]
-        if g_loss > 0.0:
-            out[1:, :, :, 1:] += g_loss * lad * sqc * psi[:-1, :, :, :-1]
-            out[:-1, :, :, :-1] -= g_loss * lad * sqc * psi[1:, :, :, 1:]
+        out[1:, 1:] += w_det * psi[:-1, :-1]
+        out[:-1, :-1] -= w_det * psi[1:, 1:]
+        if w_loss is not None:
+            out[1:, :, :, 1:] += w_loss * psi[:-1, :, :, :-1]
+            out[:-1, :, :, :-1] -= w_loss * psi[1:, :, :, 1:]
     else:
-        out[:-1, :, 1:] += g_det * lad * sqb * psi[1:, :, :-1]
-        out[1:, :, :-1] -= g_det * lad * sqb * psi[:-1, :, 1:]
-        if g_loss > 0.0:
-            out[:-1, :, :, 1:] += g_loss * lad * sqc * psi[1:, :, :, :-1]
-            out[1:, :, :, :-1] -= g_loss * lad * sqc * psi[:-1, :, :, 1:]
+        out[:-1, :, 1:] += w_det * psi[1:, :, :-1]
+        out[1:, :, :-1] -= w_det * psi[:-1, :, 1:]
+        if w_loss is not None:
+            out[:-1, :, :, 1:] += w_loss * psi[1:, :, :, :-1]
+            out[1:, :, :, :-1] -= w_loss * psi[:-1, :, :, 1:]
     return out
 
 
-def _kron4(w, x, y, z):
-    return np.kron(np.kron(np.kron(w, x), y), z)
+def _exact_apply(
+    psi: np.ndarray,
+    w_det: np.ndarray,
+    w_loss: np.ndarray | None,
+    bound: float,
+    process: str,
+) -> np.ndarray:
+    """exp(G) psi as truncated Taylor series of the stencil, in substeps.
 
-
-def _exact_apply(joint: JointState, p: float, beta: float, process: str) -> np.ndarray:
-    trunc = joint.truncation
-    dim = trunc.total_dim()
-    if dim > EXACT_DIM_CAP:
-        raise ResourceGuardError(
-            f"exact evolution needs total dimension <= {EXACT_DIM_CAP}, got {dim}"
-        )
-    k_top = trunc.atomic_k_max
-    assert k_top is not None
-    s_up = np.diag(_ladder_coeffs(joint.n_atoms, k_top), k=-1)
-    a_dag = np.diag(np.sqrt(np.arange(1, trunc.fock_a_max + 1)), k=-1)
-    b_dag = np.diag(np.sqrt(np.arange(1, trunc.fock_b_max + 1)), k=-1)
-    c_dag = np.diag(np.sqrt(np.arange(1, trunc.fock_c_max + 1)), k=-1)
-    eye_a = np.eye(trunc.fock_a_max + 1)
-    eye_b = np.eye(trunc.fock_b_max + 1)
-    eye_c = np.eye(trunc.fock_c_max + 1)
-    g_det = np.sqrt(p * beta)
-    g_loss = np.sqrt(p * (1.0 - beta))
-    if process == "write":
-        create = g_det * _kron4(s_up, a_dag, eye_b, eye_c)
-        if g_loss > 0.0:
-            create = create + g_loss * _kron4(s_up, eye_a, eye_b, c_dag)
-    else:
-        s_low = s_up.T
-        create = g_det * _kron4(s_low, eye_a, b_dag, eye_c)
-        if g_loss > 0.0:
-            create = create + g_loss * _kron4(s_low, eye_a, eye_b, c_dag)
-    generator = create - create.T  # real, antisymmetric
-    hermitian = 1j * generator
-    w, v = np.linalg.eigh(hermitian)
-    flat = joint.amplitudes.reshape(-1)
-    evolved = v @ (np.exp(-1j * w) * (v.conj().T @ flat))
-    before = np.linalg.norm(flat)
-    after = np.linalg.norm(evolved)
+    ceil(bound) substeps of exp(G/s) keep ||G/s|| <= 1, so the terms
+    G^j psi / (s^j j!) fall at least factorially; each substep sums them
+    until one drops below SERIES_TOL of the partial sum (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33(2), 2011).
+    """
+    steps = math.ceil(bound)
+    w_det = w_det / steps
+    w_loss = None if w_loss is None else w_loss / steps
+    total = psi
+    for _ in range(steps):
+        term = total
+        total = total.copy()
+        for j in range(1, SERIES_TERM_CAP + 1):
+            term = _add_generator(np.zeros_like(term), term, w_det, w_loss, process)
+            term /= j
+            total += term
+            if np.linalg.norm(term) <= SERIES_TOL * np.linalg.norm(total):
+                break
+        else:
+            raise MemampError(
+                f"{process}: Taylor series did not converge in {SERIES_TERM_CAP} terms"
+            )
+    before = np.linalg.norm(psi)
+    after = np.linalg.norm(total)
     if abs(after - before) > UNITARY_TOL * max(1.0, before):
         raise MemampError(
             f"exact evolution drifted the norm by {abs(after - before):.3e}"
         )
-    return evolved.reshape(trunc.shape())
+    return total
 
 
 def _check_exact_leakage(out: np.ndarray, joint: JointState, process: str) -> None:
@@ -332,11 +366,13 @@ def _apply_process(
         raise ValueError("beta < 1 requires a loss mode (fock_c_max >= 1)")
     if p == 0.0:
         return joint
+    w_det, w_loss, bound = _process_weights(joint, p, beta, process)
+    psi = joint.amplitudes
     if order is EvolutionOrder.FIRST_ORDER:
         _check_first_order_headroom(joint, process, beta)
-        out = _first_order_apply(joint, p, beta, process)
+        out = _add_generator(psi.copy(), psi, w_det, w_loss, process)
     else:
-        out = _exact_apply(joint, p, beta, process)
+        out = _exact_apply(psi, w_det, w_loss, bound, process)
         _check_exact_leakage(out, joint, process)
     return JointState(joint.n_atoms, joint.truncation, out)
 

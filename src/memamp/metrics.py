@@ -88,13 +88,12 @@ def p_success_analytic(p_w: float, p_r: float) -> float:
 def p_success_numeric(config: "ProtocolConfig") -> float:
     """Simulated (1,1)-herald probability over the total outcome probability."""
     from . import joint as joint_mod
+    from . import protocol
     from .dicke import weak_coherent_atomic_state
 
     atomic = weak_coherent_atomic_state(config.alpha, config.n_atoms)
-    trunc = config.truncation.resolve(config.n_atoms)
-    state = joint_mod.build_joint(atomic, trunc)
-    state = joint_mod.apply_write(state, config.p_w, config.beta_w, config.order)
-    state = joint_mod.apply_read(state, config.p_r, config.beta_r, config.order)
+    kind = protocol.StageKind.WRITE_THEN_READ
+    state = protocol._evolve_stage(atomic, config, kind)
     outcomes = joint_mod.outcome_probabilities(state)
     detected = float(outcomes[1, 1, :].sum())
     total = state.total_probability()

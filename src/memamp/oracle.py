@@ -8,13 +8,13 @@ claim can be re-derived here, at exponential cost, for small atom counts.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .dicke import DickeVector, LadderDirection, ladder_coeff
 from .errors import ResourceGuardError
 
@@ -58,6 +58,43 @@ class FullStateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+@functools.lru_cache(maxsize=16)
+def popcounts(n_atoms: int) -> np.ndarray:
+    """Number of set bits for every bitmask in 0..2^n_atoms - 1, as uint8.
+
+    A pure function of the atom count; callers share one read-only array.
+    """
+    size = 1 << n_atoms
+    bits = (np.arange(size, dtype=np.uint32)[:, None] >> np.arange(n_atoms)) & 1
+    counts = bits.sum(axis=1).astype(np.uint8)
+    counts.flags.writeable = False
+    return counts
+
+
+def collective_apply(amps: np.ndarray, n_atoms: int, raising: bool) -> np.ndarray:
+    """Apply (1/sqrt(N)) * sum_i of single-atom flips to a 2^N state vector.
+
+    ``raising=True`` flips one atom g->s per term (bit 0 -> 1), else s->g.
+    Each atom's flip is a strided copy: splitting the index as
+    (high, bit_i, low) turns the bitmask arithmetic into axis slicing.
+    """
+    size = 1 << n_atoms
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.shape != (size,):
+        raise ValueError(f"expected shape ({size},), got {amps.shape}")
+    out = np.zeros(size, dtype=np.complex128)
+    for i in range(n_atoms):
+        shape = (1 << (n_atoms - 1 - i), 2, 1 << i)
+        source = amps.reshape(shape)
+        target = out.reshape(shape)
+        if raising:
+            target[:, 1, :] += source[:, 0, :]
+        else:
+            target[:, 0, :] += source[:, 1, :]
+    out /= np.sqrt(n_atoms)
+    return out
+
+
 def _dicke_weight(k: int, n_atoms: int) -> float:
     # sqrt(k!(N-k)!/N!) = 1/sqrt(C(N,k)); N <= 14 so exact integer arithmetic.
     return 1.0 / math.sqrt(math.comb(n_atoms, k))
@@ -71,7 +108,7 @@ def build_dicke_full(k: int, n_atoms: int) -> FullStateVector:
         raise ResourceGuardError(
             f"full-space oracle supports N <= {MAX_FULL_ATOMS}, got {n_atoms}"
         )
-    counts = _kernels.popcounts(n_atoms)
+    counts = popcounts(n_atoms)
     amps = np.where(counts == k, _dicke_weight(k, n_atoms), 0.0).astype(np.complex128)
     return FullStateVector(n_atoms, amps)
 
@@ -80,7 +117,7 @@ def apply_collective_full(
     direction: LadderDirection, state: FullStateVector
 ) -> FullStateVector:
     """Literal (1/sqrt(N)) sum of single-atom flips; output is unnormalized."""
-    out = _kernels.collective_apply(
+    out = collective_apply(
         state.amplitudes, state.n_atoms, direction is LadderDirection.RAISE
     )
     return FullStateVector(state.n_atoms, out)
@@ -93,7 +130,7 @@ def project_to_dicke(state: FullStateVector) -> tuple[DickeVector, float]:
     ``residual`` the norm of the part orthogonal to all symmetric states.
     """
     n = state.n_atoms
-    counts = _kernels.popcounts(n)
+    counts = popcounts(n)
     sums_re = np.bincount(counts, weights=state.amplitudes.real, minlength=n + 1)
     sums_im = np.bincount(counts, weights=state.amplitudes.imag, minlength=n + 1)
     weights = np.array([_dicke_weight(k, n) for k in range(n + 1)])
@@ -135,7 +172,6 @@ class VerificationReport:
             "max_deviation": self.max_deviation,
             "max_residual": self.max_residual,
             "passed": self.passed,
-            "elapsed_seconds": self.elapsed_seconds,
             "entries": [
                 {
                     "k": e.k,

@@ -226,6 +226,42 @@ def _evolve_stage(
     return jt
 
 
+def _run_stage(
+    state: DickeVector,
+    config: ProtocolConfig,
+    kind: StageKind,
+    stage_index: int,
+    cumulative_in: float,
+) -> tuple[StageReport, JointState]:
+    """One evolved and heralded stage, with the joint state it heralded."""
+    jt = _evolve_stage(state, config, kind)
+    pattern = STAGE_PATTERNS[kind]
+    conditional, raw = herald(jt, pattern)
+    if raw == 0.0:
+        report = StageReport(
+            stage_index=stage_index,
+            kind=kind,
+            pattern=pattern,
+            probability=0.0,
+            cumulative_probability=0.0,
+            state=None,
+            gain_so_far=float("nan"),
+            failed=True,
+        )
+        return report, jt
+    probability = raw / jt.total_probability()
+    report = StageReport(
+        stage_index=stage_index,
+        kind=kind,
+        pattern=pattern,
+        probability=probability,
+        cumulative_probability=cumulative_in * probability,
+        state=conditional,
+        gain_so_far=_gain_of(conditional, config.alpha),
+    )
+    return report, jt
+
+
 def run_stage(
     state: DickeVector,
     config: ProtocolConfig,
@@ -242,32 +278,7 @@ def run_stage(
     the density-matrix route, or `monte_carlo` which resolves the undetected
     mode).
     """
-    jt = _evolve_stage(state, config, kind)
-    total = jt.total_probability()
-    pattern = STAGE_PATTERNS[kind]
-    conditional, raw = herald(jt, pattern)
-    probability = raw / total
-    if raw == 0.0:
-        return StageReport(
-            stage_index=stage_index,
-            kind=kind,
-            pattern=pattern,
-            probability=0.0,
-            cumulative_probability=0.0,
-            state=None,
-            gain_so_far=float("nan"),
-            failed=True,
-        )
-    return StageReport(
-        stage_index=stage_index,
-        kind=kind,
-        pattern=pattern,
-        probability=probability,
-        cumulative_probability=cumulative_in * probability,
-        state=conditional,
-        gain_so_far=_gain_of(conditional, config.alpha),
-        failed=False,
-    )
+    return _run_stage(state, config, kind, stage_index, cumulative_in)[0]
 
 
 def _target_gain(config: ProtocolConfig) -> float:
@@ -324,22 +335,9 @@ def run_schedule(config: ProtocolConfig) -> AmplificationReport:
     cumulative = 1.0
     last_joint: JointState | None = None
     for index, kind in enumerate(plan):
-        jt = _evolve_stage(state, config, kind)
-        pattern = STAGE_PATTERNS[kind]
-        conditional, raw = herald(jt, pattern)
-        if raw == 0.0:
-            reports.append(
-                StageReport(
-                    stage_index=index,
-                    kind=kind,
-                    pattern=pattern,
-                    probability=0.0,
-                    cumulative_probability=0.0,
-                    state=None,
-                    gain_so_far=float("nan"),
-                    failed=True,
-                )
-            )
+        report, last_joint = _run_stage(state, config, kind, index, cumulative)
+        reports.append(report)
+        if report.failed:
             return AmplificationReport(
                 succeeded=False,
                 stage_reports=reports,
@@ -351,21 +349,9 @@ def run_schedule(config: ProtocolConfig) -> AmplificationReport:
                 quality=None,
                 failure_reason=f"zero-probability herald at stage {index}",
             )
-        probability = raw / jt.total_probability()
-        cumulative *= probability
-        reports.append(
-            StageReport(
-                stage_index=index,
-                kind=kind,
-                pattern=pattern,
-                probability=probability,
-                cumulative_probability=cumulative,
-                state=conditional,
-                gain_so_far=_gain_of(conditional, config.alpha),
-            )
-        )
-        state = conditional
-        last_joint = jt
+        assert report.state is not None
+        state = report.state
+        cumulative = report.cumulative_probability
     assert last_joint is not None
     final_gain = _gain_of(state, config.alpha)
     quality = _quality_report(
@@ -438,21 +424,22 @@ class _TrajectoryTree:
         self.plan = stage_plan(config)
         self.nodes: dict[tuple[int, ...], dict] = {}
 
+    def state_at(self, path: tuple[int, ...]) -> DickeVector:
+        """Atomic state entering stage len(path), after the heralds on path."""
+        if not path:
+            return weak_coherent_atomic_state(self.config.alpha, self.config.n_atoms)
+        parent = self.node(path[:-1])
+        pattern = STAGE_PATTERNS[self.plan[len(path) - 1]]
+        state, _ = conditional_on_counts(
+            parent["joint"], pattern.detect_a, pattern.detect_b, path[-1]
+        )
+        return state
+
     def node(self, path: tuple[int, ...]) -> dict:
         if path in self.nodes:
             return self.nodes[path]
-        if not path:
-            state = weak_coherent_atomic_state(
-                self.config.alpha, self.config.n_atoms
-            )
-        else:
-            parent = self.node(path[:-1])
-            pattern = STAGE_PATTERNS[self.plan[len(path) - 1]]
-            state, _ = conditional_on_counts(
-                parent["joint"], pattern.detect_a, pattern.detect_b, path[-1]
-            )
-        stage_index = len(path)
-        joint = _evolve_stage(state, self.config, self.plan[stage_index])
+        state = self.state_at(path)
+        joint = _evolve_stage(state, self.config, self.plan[len(path)])
         probs = outcome_probabilities(joint)
         flat = probs.reshape(-1) / joint.total_probability()
         cdf = np.cumsum(flat)
@@ -466,14 +453,6 @@ class _TrajectoryTree:
         }
         self.nodes[path] = entry
         return entry
-
-    def final_state(self, path: tuple[int, ...]) -> DickeVector:
-        parent = self.node(path[:-1])
-        pattern = STAGE_PATTERNS[self.plan[len(path) - 1]]
-        state, _ = conditional_on_counts(
-            parent["joint"], pattern.detect_a, pattern.detect_b, path[-1]
-        )
-        return state
 
     def success_probability(self, path: tuple[int, ...] = ()) -> float:
         """Total probability of completing every remaining herald."""
@@ -535,7 +514,7 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
     if successes > 0:
         gain_sum = 0.0
         for path, ids in alive.items():
-            gain_sum += ids.size * _gain_of(tree.final_state(path), config.alpha)
+            gain_sum += ids.size * _gain_of(tree.state_at(path), config.alpha)
         mean_gain = gain_sum / successes
     else:
         mean_gain = float("nan")

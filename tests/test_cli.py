@@ -257,6 +257,20 @@ class TestOracleCheckCommand:
         assert len(payload["reports"]) == 9
         assert "N=10" in capsys.readouterr().out
 
+    def test_rerun_is_byte_identical(self, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert main(["oracle-check", "--n-max", "8",
+                         "--out", str(out)]) == EXIT_OK
+        assert (out_a / "oracle_check.json").read_bytes() == (
+            out_b / "oracle_check.json"
+        ).read_bytes()
+        # the timings live in the manifest, one per ensemble size
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        assert sorted(manifest["timings"]) == sorted(
+            f"verify_ladder_n{n}" for n in range(2, 9)
+        )
+
     def test_smallest_ensemble(self, tmp_path):
         assert main(["oracle-check", "--n-max", "2",
                      "--out", str(tmp_path)]) == EXIT_OK

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memamp.dicke import (
@@ -214,10 +214,12 @@ class TestRelativeGain:
         n_atoms=st.integers(min_value=2, max_value=10**4),
     )
     @settings(max_examples=200)
+    @example(k=46, n_atoms=47)
     def test_gain_threshold(self, k, n_atoms):
+        # eta = (k+1)(1 - k/N) > 1 in exact integers; the float form rounds
+        # the boundary value 1 at N = k+1 up (k = 46, N = 47)
         k = min(k, n_atoms)
-        eta = (k + 1) * (1.0 - k / n_atoms)
-        assert (eta > 1.0) == (n_atoms >= k + 2)
+        assert ((k + 1) * (n_atoms - k) > n_atoms) == (n_atoms >= k + 2)
 
     def test_large_n_limit(self):
         n_atoms = 10**9

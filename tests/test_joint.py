@@ -1,10 +1,23 @@
 """Joint atom-photon evolution, heralding and conditional states."""
 
+import functools
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
-from memamp.dicke import basis_state, fidelity, weak_coherent_atomic_state
+from memamp import joint
+from memamp.dicke import (
+    LadderDirection,
+    basis_state,
+    fidelity,
+    ladder_coeff,
+    weak_coherent_atomic_state,
+)
 from memamp.errors import (
+    MemampError,
     MixedConditionalError,
     ResourceGuardError,
     TruncationLeakageError,
@@ -33,6 +46,48 @@ def evolve(atomic, p_w, p_r, order, beta_w=1.0, beta_r=1.0, trunc=LOSSLESS):
     state = build_joint(atomic, trunc)
     state = apply_write(state, p_w, beta_w, order)
     return apply_read(state, p_r, beta_r, order)
+
+
+def explicit_generator(n_atoms, trunc, p, beta, process):
+    """G = C - C^T of one process, built as a Kronecker product of axis operators."""
+    k_dim, a_dim, b_dim, c_dim = trunc.shape()
+    raise_k = scipy.sparse.diags(
+        [ladder_coeff(LadderDirection.RAISE, k, n_atoms) for k in range(k_dim - 1)],
+        -1,
+    )
+    atomic = raise_k if process == "write" else raise_k.T
+
+    def create(dim):
+        return scipy.sparse.diags(np.sqrt(np.arange(1.0, dim)), -1)
+
+    def kron(*ops):
+        return functools.reduce(scipy.sparse.kron, ops)
+
+    eye = scipy.sparse.identity
+    if process == "write":
+        detected = kron(atomic, create(a_dim), eye(b_dim), eye(c_dim))
+    else:
+        detected = kron(atomic, eye(a_dim), create(b_dim), eye(c_dim))
+    loss = kron(atomic, eye(a_dim), eye(b_dim), create(c_dim))
+    coupling = np.sqrt(p * beta) * detected + np.sqrt(p * (1.0 - beta)) * loss
+    return (coupling - coupling.T).tocsr()
+
+
+def expm_apply(generator, psi):
+    """scipy.linalg.expm(G) @ psi, one invariant block of G at a time.
+
+    G couples only the indices of one connected component of its sparsity
+    graph, so exp(G) is block diagonal over the components and each block is
+    the dense exponential of G restricted to it.
+    """
+    flat = psi.reshape(-1)
+    out = np.zeros_like(flat)
+    count, labels = connected_components(generator, directed=False)
+    for label in range(count):
+        idx = np.flatnonzero(labels == label)
+        block = generator[idx][:, idx].toarray()
+        out[idx] = scipy.linalg.expm(block) @ flat[idx]
+    return out.reshape(psi.shape)
 
 
 class TestModeTruncation:
@@ -138,6 +193,80 @@ class TestApplyWrite:
             apply_write(state, 1.5, 1.0, EvolutionOrder.FIRST_ORDER)
         with pytest.raises(ValueError):
             apply_write(state, 0.5, 0.0, EvolutionOrder.FIRST_ORDER)
+
+
+class TestExactSeries:
+    """Exact order is a Taylor series of the first-order stencil."""
+
+    CASES = [
+        # (n_atoms, p, beta, truncation); the last has dimension 2250 > 2048
+        (100, 1e-2, 1.0, ModeTruncation(5, 5, 0, 8)),
+        (30, 1.0, 1.0, ModeTruncation(3, 3, 0, 10)),
+        (40, 0.3, 0.6, ModeTruncation(3, 3, 2, 6)),
+        (20, 1.0, 0.5, ModeTruncation(4, 4, 3, 8)),
+        (200, 5e-2, 0.8, ModeTruncation(4, 4, 9, 8)),
+    ]
+
+    @pytest.mark.parametrize("process", ["write", "read"])
+    @pytest.mark.parametrize("n_atoms,p,beta,trunc", CASES)
+    def test_matches_expm_on_random_state(self, n_atoms, p, beta, trunc, process):
+        rng = np.random.default_rng(n_atoms)
+        shape = trunc.resolve(n_atoms).shape()
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        state = JointState(n_atoms, trunc.resolve(n_atoms), psi / np.linalg.norm(psi))
+        w_det, w_loss, bound = joint._process_weights(state, p, beta, process)
+        out = joint._exact_apply(state.amplitudes, w_det, w_loss, bound, process)
+        generator = explicit_generator(n_atoms, state.truncation, p, beta, process)
+        reference = expm_apply(generator, state.amplitudes)
+        assert np.max(np.abs(out - reference)) <= 1e-14
+
+    def test_write_read_above_old_dimension_cap(self):
+        n_atoms, p, beta = 200, 5e-2, 0.8
+        trunc = ModeTruncation(6, 6, 9, 8).resolve(n_atoms)
+        assert trunc.total_dim() == 4410
+        base = build_joint(weak_coherent_atomic_state(0.1, n_atoms), trunc)
+        written = apply_write(base, p, beta, EvolutionOrder.EXACT)
+        read = apply_read(written, p, beta, EvolutionOrder.EXACT)
+        expected = expm_apply(
+            explicit_generator(n_atoms, trunc, p, beta, "write"), base.amplitudes
+        )
+        assert np.max(np.abs(written.amplitudes - expected)) <= 1e-14
+        expected = expm_apply(
+            explicit_generator(n_atoms, trunc, p, beta, "read"), expected
+        )
+        assert np.max(np.abs(read.amplitudes - expected)) <= 1e-14
+
+    def test_first_order_is_one_stencil_step(self):
+        state = build_joint(weak_coherent_atomic_state(0.2, 50), ModeTruncation())
+        p, beta = 1e-3, 0.7
+        out = apply_write(state, p, beta, EvolutionOrder.FIRST_ORDER)
+        generator = explicit_generator(50, state.truncation, p, beta, "write")
+        flat = state.amplitudes.reshape(-1)
+        expected = (flat + generator @ flat).reshape(state.amplitudes.shape)
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-16
+
+    def test_structural_zeros_stay_exact(self):
+        # write conserves k - n_a: from k in {0, 1} at vacuum, (k=0, n_a=1)
+        # is unreachable and must come out as an exact zero, not rounding noise
+        trunc = ModeTruncation(5, 5, 0, 8)
+        base = build_joint(weak_coherent_atomic_state(0.1, 100), trunc)
+        out = apply_write(base, 1e-2, 1.0, EvolutionOrder.EXACT).amplitudes
+        vacuum_b = out[:, :, 0, 0]
+        k, n_a = np.indices(vacuum_b.shape)
+        reachable = (k - n_a == 0) | (k - n_a == 1)
+        assert np.all(vacuum_b[~reachable] == 0)
+        assert np.all(vacuum_b[reachable] != 0)
+        assert np.all(out[:, :, 1:] == 0)
+
+    def test_term_cap_raises(self):
+        # an understated norm bound (true bound 18.3) leaves one substep,
+        # too few for the series to converge within the term cap
+        trunc = ModeTruncation(12, 12, 0, 10).resolve(30)
+        psi = np.random.default_rng(0).normal(size=trunc.shape()) + 0j
+        state = JointState(30, trunc, psi / np.linalg.norm(psi))
+        w_det, w_loss, _ = joint._process_weights(state, 1.0, 1.0, "write")
+        with pytest.raises(MemampError, match="did not converge"):
+            joint._exact_apply(state.amplitudes, w_det, w_loss, 0.5, "write")
 
 
 class TestApplyRead:

@@ -9,11 +9,70 @@ from memamp.oracle import (
     FullStateVector,
     apply_collective_full,
     build_dicke_full,
+    collective_apply,
+    popcounts,
     project_to_dicke,
     verify_ladder,
 )
 
 TOL = 1e-12
+
+
+class TestKernels:
+    """The NumPy bitmask kernels against literal per-bit loops."""
+
+    def test_backend_is_numpy(self):
+        import memamp
+
+        assert memamp.KERNEL_BACKEND == "numpy"
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 10, 14])
+    def test_popcounts_match_bit_loop(self, n_atoms):
+        expected = [bin(m).count("1") for m in range(1 << n_atoms)]
+        counts = popcounts(n_atoms)
+        assert counts.dtype == np.uint8
+        assert counts.tolist() == expected
+
+    def test_popcounts_values(self):
+        counts = popcounts(4)
+        assert counts[0b0000] == 0
+        assert counts[0b1011] == 3
+        assert counts[0b1111] == 4
+
+    def test_popcounts_table_shared_and_read_only(self):
+        assert popcounts(6) is popcounts(6)
+        with pytest.raises(ValueError):
+            popcounts(6)[0] = 1
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 10])
+    @pytest.mark.parametrize("raising", [True, False])
+    def test_collective_apply_matches_flip_loop(self, n_atoms, raising):
+        rng = np.random.default_rng(1234 + n_atoms)
+        size = 1 << n_atoms
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        expected = np.zeros(size, dtype=complex)
+        for mask in range(size):
+            for atom in range(n_atoms):
+                bit = 1 << atom
+                if raising and not mask & bit:
+                    expected[mask | bit] += amps[mask]
+                elif not raising and mask & bit:
+                    expected[mask & ~bit] += amps[mask]
+        expected /= np.sqrt(n_atoms)
+        out = collective_apply(amps, n_atoms, raising)
+        assert np.max(np.abs(out - expected)) <= 1e-14
+
+    def test_collective_apply_single_flip(self):
+        # lowering |01> for two atoms gives |00> / sqrt(2)
+        amps = np.zeros(4, dtype=complex)
+        amps[0b01] = 1.0
+        out = collective_apply(amps, 2, raising=False)
+        assert out[0b00] == pytest.approx(1 / np.sqrt(2))
+        assert np.count_nonzero(out) == 1
+
+    def test_collective_apply_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            collective_apply(np.zeros(5, dtype=complex), 2, raising=True)
 
 
 class TestBuildDickeFull:

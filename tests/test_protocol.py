@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from memamp.dicke import Schedule, basis_state, fidelity, gain_eigenvalue
+from memamp.dicke import (
+    Schedule,
+    basis_state,
+    fidelity,
+    gain_eigenvalue,
+    weak_coherent_atomic_state,
+)
 from memamp.errors import ConfigError
 from memamp.joint import EvolutionOrder, ModeTruncation
 from memamp.protocol import (
@@ -128,6 +134,47 @@ class TestRunSchedule:
         assert len(report.stage_reports) == 6
         assert report.analytic_gain == pytest.approx(3.88, abs=TOL)
         assert report.discrepancy < 1e-9
+
+    @pytest.mark.parametrize("order", list(EvolutionOrder))
+    def test_type2_intermediate_gain_undefined(self, order):
+        # between the first write and the last read the heralded state has no
+        # k = 0 population; evolution must leave that amplitude exactly zero,
+        # so gain_so_far is NaN at either order, not a quotient of noise
+        config = ProtocolConfig(
+            n_atoms=200,
+            alpha=0.1,
+            p_w=1e-2,
+            p_r=5e-3,
+            schedule=Schedule.TYPE_II,
+            stages=2,
+            order=order,
+            truncation=ModeTruncation(6, 6, 0, 14),
+        )
+        report = run_schedule(config)
+        assert report.succeeded
+        *intermediate, last = report.stage_reports
+        for stage in intermediate:
+            assert stage.state.amplitudes[0] == 0
+            assert np.isnan(stage.gain_so_far)
+        assert last.gain_so_far == pytest.approx(report.analytic_gain, rel=2e-2)
+
+    def test_run_stage_chain_reproduces_schedule(self):
+        config = ProtocolConfig(
+            n_atoms=60, alpha=0.2, p_w=2e-3, p_r=1e-3, beta_w=0.7,
+            schedule=Schedule.TYPE_II, stages=2,
+        )
+        report = run_schedule(config)
+        state = weak_coherent_atomic_state(config.alpha, config.n_atoms)
+        cumulative = 1.0
+        for index, expected in enumerate(report.stage_reports):
+            stage = run_stage(
+                state, config, expected.kind,
+                stage_index=index, cumulative_in=cumulative,
+            )
+            # json text compares NaN gains equal
+            assert json.dumps(stage.to_row()) == json.dumps(expected.to_row())
+            assert np.array_equal(stage.state.amplitudes, expected.state.amplitudes)
+            state, cumulative = stage.state, stage.cumulative_probability
 
     def test_schedules_coincide_at_one_stage(self):
         common = dict(
