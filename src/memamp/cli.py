@@ -62,13 +62,18 @@ _TRUNCATION_KEYS = {"fock_a_max", "fock_b_max", "fock_c_max", "atomic_k_max"}
 _SWEEP_AXES = {"p_w", "p_r", "beta_w", "beta_r", "n_atoms", "stages", "alpha"}
 
 
+def _is_number(value) -> bool:
+    # JSON true/false parse as bool, a subclass of int; they are not numbers
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_alpha(value, key: str = "alpha") -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
+        and all(_is_number(v) for v in value)
     ):
         return complex(value[0], value[1])
     raise ConfigError(f"{key}: expected a number or [re, im] pair, got {value!r}")
@@ -97,7 +102,7 @@ def config_from_dict(data: dict) -> ProtocolConfig:
     for key in ("p_w", "p_r", "beta_w", "beta_r"):
         if key in data:
             value = data[key]
-            if not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"{key}: expected a number, got {value!r}")
             kwargs[key] = float(value)
     if "schedule" in data:
@@ -302,32 +307,33 @@ def _grid_points(base: dict, axes: dict) -> list[dict]:
     return points
 
 
+_QUALITY_KEYS = ["p_suc", "p_mode", "p_spon", "p_amp", "q_amp", "gain", "fidelity"]
+
+
 def _sweep_point(config: ProtocolConfig) -> dict:
-    report = run_schedule(config)
-    if report.succeeded and report.quality is not None:
-        row = report.quality.to_dict()
-        row["succeeded"] = True
+    """Quality row of one grid point; a run error is kept in its ``error`` cell."""
+    error = ""
+    try:
+        quality = run_schedule(config).quality
+    except MemampError as exc:
+        quality, error = None, f"{type(exc).__name__}: {exc}"
+    if quality is None:
+        row = {key: float("nan") for key in _QUALITY_KEYS}
     else:
-        row = {
-            key: float("nan")
-            for key in (
-                "p_suc",
-                "p_mode",
-                "p_spon",
-                "p_amp",
-                "q_amp",
-                "gain",
-                "fidelity",
-            )
-        }
-        row["succeeded"] = False
+        row = quality.to_dict()
+    row["succeeded"] = quality is not None
+    row["error"] = error
     return row
 
 
 def cmd_sweep(
     spec_path: str | Path, out_dir: Path, seed: int | None, jobs: int
 ) -> int:
-    """Grid evaluation of the quality metrics over swept config keys."""
+    """Grid evaluation of the quality metrics over swept config keys.
+
+    Every point is written; a point whose run raised gets NaN values and the
+    error in its ``error`` column, and the sweep then exits EXIT_PROTOCOL.
+    """
     base, axes = _load_sweep_spec(spec_path)
     points = _grid_points(base, axes)
     configs = []
@@ -341,14 +347,12 @@ def cmd_sweep(
             results = list(pool.map(_sweep_point, configs, chunksize=16))
     else:
         results = [_sweep_point(c) for c in configs]
-    quality_keys = ["p_suc", "p_mode", "p_spon", "p_amp", "q_amp", "gain", "fidelity"]
-    header = axis_keys + quality_keys + ["gain_squared", "succeeded"]
+    header = axis_keys + _QUALITY_KEYS + ["gain_squared", "succeeded", "error"]
     rows = []
     for point, row in zip(points, results):
         cells = [point[k] for k in axis_keys]
-        cells += [row[k] for k in quality_keys]
-        cells.append(row["gain"] ** 2)
-        cells.append(row["succeeded"])
+        cells += [row[k] for k in _QUALITY_KEYS]
+        cells += [row["gain"] ** 2, row["succeeded"], row["error"]]
         rows.append(cells)
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, header, rows)
@@ -358,6 +362,13 @@ def cmd_sweep(
         config={"base": base, "axes": axes},
         outputs=[csv_path.name],
     ).write(out_dir)
+    failed = sum(1 for row in results if row["error"])
+    if failed:
+        print(
+            f"sweep: {failed} of {len(results)} points failed; see the error column",
+            file=sys.stderr,
+        )
+        return EXIT_PROTOCOL
     return EXIT_OK
 
 

@@ -213,6 +213,9 @@ def weak_coherent_atomic_state(alpha: complex, n_atoms: int) -> DickeVector:
         amps[1] = alpha
     elif alpha != 0:
         raise ValueError("N=0-level allocation cannot carry alpha != 0")
+    # dividing by the largest real or imaginary part first keeps the norm of
+    # a huge alpha from overflowing; for |alpha| <= 1 it divides by 1.0
+    amps /= np.max(np.abs(amps.view(np.float64)))
     amps /= np.linalg.norm(amps)
     return DickeVector(n_atoms, amps, normalized=True)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +57,11 @@ PURITY_TOL = 1e-10
 DEFAULT_ATOMIC_K_MAX = 8
 
 
+def is_integer(value) -> bool:
+    """An integer count; bools (JSON true/false) are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class EvolutionOrder(enum.Enum):
     """First-order perturbative unitary vs exact matrix exponential."""
 
@@ -78,6 +84,10 @@ class ModeTruncation:
     atomic_k_max: int | None = None
 
     def __post_init__(self):
+        for name in ("fock_a_max", "fock_b_max", "fock_c_max", "atomic_k_max"):
+            value = getattr(self, name)
+            if not is_integer(value) and not (name == "atomic_k_max" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.fock_a_max < 1 or self.fock_b_max < 1:
             raise ValueError("fock_a_max and fock_b_max must be >= 1")
         if self.fock_c_max < 0:
@@ -165,24 +175,6 @@ def build_joint(atomic: DickeVector, truncation: ModeTruncation) -> JointState:
     amps = np.zeros(trunc.shape(), dtype=np.complex128)
     m = min(atomic.k_max, k_top) + 1
     amps[:m, 0, 0, 0] = atomic.amplitudes[:m]
-    return JointState(atomic.n_atoms, trunc, amps)
-
-
-def target_joint_state(
-    atomic: DickeVector, truncation: ModeTruncation, pattern: HeraldPattern
-) -> JointState:
-    """Atomic state combined with an exact photon pattern on modes a and b."""
-    trunc = truncation.resolve(atomic.n_atoms)
-    shape = trunc.shape()
-    if pattern.detect_a >= shape[1] or pattern.detect_b >= shape[2]:
-        raise ValueError(f"pattern {pattern} outside truncation {trunc}")
-    k_top = trunc.atomic_k_max
-    assert k_top is not None
-    if atomic.k_max > k_top and np.any(atomic.amplitudes[k_top + 1 :] != 0):
-        raise ValueError(f"atomic state populates k > {k_top}; enlarge atomic_k_max")
-    amps = np.zeros(shape, dtype=np.complex128)
-    m = min(atomic.k_max, k_top) + 1
-    amps[:m, pattern.detect_a, pattern.detect_b, 0] = atomic.amplitudes[:m]
     return JointState(atomic.n_atoms, trunc, amps)
 
 

@@ -1,10 +1,13 @@
 """Figures of merit for the heralded amplifier.
 
-The loss probabilities compare a final density matrix against the intended
-amplified state along two axes: photons detected but the wrong atomic mode
-created (mode mismatch), and the right atomic mode created but the photons
-undetected (spontaneous-emission loss). Their complements multiply the
-amplification probability into a single quality number.
+The loss probabilities compare the final joint amplitudes psi[k, n_a, n_b, n_c]
+against the intended amplified atomic state t along two axes: photons
+detected but the wrong atomic mode created (mode mismatch), and the right
+atomic mode created but the photons undetected (spontaneous-emission loss).
+Their complements multiply the amplification probability into a single
+quality number. Each is a ratio of squared norms of psi and of its projection
+o[n_a, n_b, n_c] = sum_k t_k^* psi[k, n_a, n_b, n_c]; no density matrix is
+built.
 """
 
 from __future__ import annotations
@@ -102,56 +105,13 @@ def p_success_numeric(config: "ProtocolConfig") -> float:
     return _checked_probability("p_success_numeric", detected / total)
 
 
-def _require_joint_dims(rho_f: DensityMatrix) -> tuple[int, int, int]:
-    if rho_f.dims is None or len(rho_f.dims) != 3:
-        raise ValueError("expected a density matrix with (k, n_a, n_b) dims")
-    return rho_f.dims  # type: ignore[return-value]
-
-
-def _target_photon_sector(target: "JointState") -> tuple[int, int, np.ndarray]:
-    """Extract the single (n_a, n_b) sector a pure target state occupies."""
-    amps = target.amplitudes
-    if np.any(amps[:, :, :, 1:] != 0):
-        raise ValueError("target state must keep the undetected mode in vacuum")
-    block = amps[:, :, :, 0]
-    pops = np.sum(np.abs(block) ** 2, axis=0)
-    hot = np.argwhere(pops > 1e-24 * max(pops.max(), 1e-300))
-    if hot.shape[0] != 1:
-        raise ValueError("target state must occupy exactly one photon sector")
-    n_a, n_b = (int(hot[0][0]), int(hot[0][1]))
-    return n_a, n_b, block
-
-
-def p_mode(rho_f: DensityMatrix, target: "JointState") -> float:
-    """Probability that detected photons come without the matched atomic mode.
-
-    1 - <target|rho|target> / P(photon sector of the target).
-    """
-    dims = _require_joint_dims(rho_f)
-    n_a, n_b, block = _target_photon_sector(target)
-    if block.shape != dims:
-        raise ValueError(f"target dims {block.shape} != density dims {dims}")
-    vec = block.reshape(-1)
-    nrm = np.linalg.norm(vec)
-    if nrm == 0.0:
-        raise ValueError("target state has zero norm")
-    numerator = rho_f.expectation(vec / nrm)
-    rho6 = rho_f.matrix.reshape(dims + dims)
-    denominator = float(np.trace(rho6[:, n_a, n_b, :, n_a, n_b]).real)
-    if denominator <= 0.0:
-        raise UndefinedMetricError(
-            f"no probability in photon sector ({n_a}, {n_b}); p_mode undefined"
-        )
-    return _checked_probability("p_mode", 1.0 - numerator / denominator)
-
-
 def _atomic_target_vector(target_atomic: DickeVector, k_dim: int) -> np.ndarray:
     t = np.zeros(k_dim, dtype=np.complex128)
     m = min(target_atomic.amplitudes.size, k_dim)
     if target_atomic.amplitudes.size > k_dim and np.any(
         target_atomic.amplitudes[k_dim:] != 0
     ):
-        raise ValueError("atomic target populates levels beyond the density matrix")
+        raise ValueError("atomic target populates levels beyond the joint state")
     t[:m] = target_atomic.amplitudes[:m]
     nrm = np.linalg.norm(t)
     if nrm == 0.0:
@@ -159,57 +119,75 @@ def _atomic_target_vector(target_atomic: DickeVector, k_dim: int) -> np.ndarray:
     return t / nrm
 
 
-def _atomic_sector_probability(
-    rho_f: DensityMatrix, target_atomic: DickeVector
+def _squared_norm(x: np.ndarray) -> float:
+    return float(np.vdot(x, x).real)
+
+
+def _target_projection(joint: "JointState", target_atomic: DickeVector) -> np.ndarray:
+    """o[n_a, n_b, n_c] = sum_k t_k^* psi[k, n_a, n_b, n_c], t the normalized target."""
+    t = _atomic_target_vector(target_atomic, joint.amplitudes.shape[0])
+    return np.tensordot(t.conj(), joint.amplitudes, axes=(0, 0))
+
+
+def _pattern_counts(
+    joint: "JointState", pattern: "HeraldPattern | None"
+) -> tuple[int, int]:
+    n_a = 1 if pattern is None else pattern.detect_a
+    n_b = 1 if pattern is None else pattern.detect_b
+    shape = joint.amplitudes.shape
+    if n_a >= shape[1] or n_b >= shape[2]:
+        raise ValueError(f"pattern ({n_a},{n_b}) outside joint shape {shape}")
+    return n_a, n_b
+
+
+def p_mode(
+    joint: "JointState",
+    target_atomic: DickeVector,
+    pattern: "HeraldPattern | None" = None,
 ) -> float:
-    dims = _require_joint_dims(rho_f)
-    t = _atomic_target_vector(target_atomic, dims[0])
-    rho6 = rho_f.matrix.reshape(dims + dims)
-    return float(
-        np.real(np.einsum("i,iabjab,j->", t.conj(), rho6, t, optimize=True))
-    )
+    """Probability that detected photons come without the matched atomic mode.
+
+    1 - ||o[n_a, n_b, :]||^2 / ||psi[:, n_a, n_b, :]||^2 for the ``pattern``
+    photon sector (one photon in each detected mode by default).
+    """
+    n_a, n_b = _pattern_counts(joint, pattern)
+    matched = _squared_norm(_target_projection(joint, target_atomic)[n_a, n_b])
+    sector = _squared_norm(joint.amplitudes[:, n_a, n_b])
+    if sector <= 0.0:
+        raise UndefinedMetricError(
+            f"no probability in photon sector ({n_a}, {n_b}); p_mode undefined"
+        )
+    return _checked_probability("p_mode", 1.0 - matched / sector)
 
 
 def p_spon(
-    rho_f: DensityMatrix,
+    joint: "JointState",
     target_atomic: DickeVector,
     pattern: "HeraldPattern | None" = None,
 ) -> float:
     """Probability that the matched atomic mode comes without detected photons.
 
-    1 - <target_full|rho|target_full> / P(atomic part matches the target),
-    with the full target placing the atomic target in the ``pattern`` photon
-    sector (one photon in each detected mode by default).
+    1 - ||o[n_a, n_b, :]||^2 / ||o||^2 for the ``pattern`` photon sector (one
+    photon in each detected mode by default).
     """
-    dims = _require_joint_dims(rho_f)
-    n_a = 1 if pattern is None else pattern.detect_a
-    n_b = 1 if pattern is None else pattern.detect_b
-    if n_a >= dims[1] or n_b >= dims[2]:
-        raise ValueError(f"pattern ({n_a},{n_b}) outside density dims {dims}")
-    t = _atomic_target_vector(target_atomic, dims[0])
-    full = np.zeros(dims, dtype=np.complex128)
-    full[:, n_a, n_b] = t
-    numerator = rho_f.expectation(full.reshape(-1))
-    denominator = _atomic_sector_probability(rho_f, target_atomic)
-    if denominator <= 0.0:
+    n_a, n_b = _pattern_counts(joint, pattern)
+    o = _target_projection(joint, target_atomic)
+    atomic = _squared_norm(o)
+    if atomic <= 0.0:
         raise UndefinedMetricError(
             "no probability on the target atomic mode; p_spon undefined"
         )
-    return _checked_probability("p_spon", 1.0 - numerator / denominator)
+    return _checked_probability("p_spon", 1.0 - _squared_norm(o[n_a, n_b]) / atomic)
 
 
-def p_amp(rho_f: DensityMatrix, target_atomic: DickeVector) -> float:
-    """Probability of finding the atomic part in the desired amplified state.
-
-    Accepts either an atomic-space density matrix or a joint one with dims,
-    in which case the photon sectors are summed over.
-    """
-    if rho_f.dims is None:
-        t = _atomic_target_vector(target_atomic, rho_f.dim)
-        return _checked_probability("p_amp", rho_f.expectation(t))
-    return _checked_probability(
-        "p_amp", _atomic_sector_probability(rho_f, target_atomic)
-    )
+def p_amp(joint: "JointState", target_atomic: DickeVector) -> float:
+    """Probability of finding the atomic part in the desired amplified state,
+    whatever the photons: ||o||^2 / ||psi||^2."""
+    total = _squared_norm(joint.amplitudes)
+    if total <= 0.0:
+        raise UndefinedMetricError("zero joint state; p_amp undefined")
+    o = _target_projection(joint, target_atomic)
+    return _checked_probability("p_amp", _squared_norm(o) / total)
 
 
 def quality(p_amp_value: float, p_spon_value: float, p_mode_value: float) -> float:

@@ -35,9 +35,8 @@ from .joint import (
     build_joint,
     conditional_on_counts,
     herald,
-    joint_density_traced,
+    is_integer,
     outcome_probabilities,
-    target_joint_state,
 )
 from .metrics import QualityReport
 from .metrics import p_amp as metric_p_amp
@@ -87,9 +86,9 @@ class ProtocolConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_atoms, int) or self.n_atoms < 1:
+        if not is_integer(self.n_atoms) or self.n_atoms < 1:
             raise ConfigError(f"n_atoms must be a positive integer, got {self.n_atoms}")
-        if not isinstance(self.stages, int) or self.stages < 1:
+        if not is_integer(self.stages) or self.stages < 1:
             raise ConfigError(f"stages must be a positive integer, got {self.stages}")
         if self.stages + 1 > self.n_atoms:
             raise ConfigError(
@@ -105,13 +104,23 @@ class ProtocolConfig:
             if not 0.0 < value <= 1.0:
                 raise ConfigError(f"{key} must be in (0, 1], got {value}")
         alpha = complex(self.alpha)
-        if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        if not np.isfinite(alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
         object.__setattr__(self, "alpha", alpha)
-        if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2**64:
+        if not is_integer(self.rng_seed) or not 0 <= self.rng_seed < 2**64:
             raise ConfigError(f"rng_seed must be a u64, got {self.rng_seed}")
         if not isinstance(self.truncation, ModeTruncation):
             raise ConfigError("truncation must be a ModeTruncation")
+        if min(self.beta_w, self.beta_r) < 1.0 and self.truncation.fock_c_max == 0:
+            raise ConfigError("beta_w or beta_r < 1 needs a loss mode (fock_c_max >= 1)")
+        try:
+            target = _target_gain(self) * alpha
+        except OverflowError as exc:
+            raise ConfigError(f"the target gain overflows: {exc}") from exc
+        if not np.isfinite(target):
+            raise ConfigError(
+                f"alpha = {alpha}: the target amplitude gain*alpha is not finite"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +219,9 @@ def _gain_of(state: DickeVector | None, alpha: complex) -> float:
     c0 = state.amplitudes[0]
     if c0 == 0:
         return float("nan")
-    return float((state.amplitudes[1] / c0 / alpha).real)
+    # c0 * alpha stays near 1 where c0 alone is tiny (|alpha| near overflow);
+    # Python's complex division, unlike NumPy's, stays finite for subnormals
+    return (complex(state.amplitudes[1]) / complex(c0 * alpha)).real
 
 
 def _evolve_stage(
@@ -296,18 +307,14 @@ def _quality_report(
     final_pattern: HeraldPattern,
     cumulative: float,
 ) -> QualityReport:
-    rho, _ = joint_density_traced(final_joint)
     target_atomic = weak_coherent_atomic_state(
         _target_gain(config) * config.alpha, config.n_atoms
     )
-    target_full = target_joint_state(
-        target_atomic, final_joint.truncation, final_pattern
-    )
     return QualityReport.build(
         p_suc=cumulative,
-        p_mode_value=metric_p_mode(rho, target_full),
-        p_spon_value=metric_p_spon(rho, target_atomic, final_pattern),
-        p_amp_value=metric_p_amp(rho, target_atomic),
+        p_mode_value=metric_p_mode(final_joint, target_atomic, final_pattern),
+        p_spon_value=metric_p_spon(final_joint, target_atomic, final_pattern),
+        p_amp_value=metric_p_amp(final_joint, target_atomic),
         gain=_gain_of(final_state, config.alpha),
         fidelity=dicke_fidelity(final_state, target_atomic),
     )

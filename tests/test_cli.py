@@ -2,8 +2,12 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from memamp.cli import (
     EXIT_CONFIG,
@@ -248,6 +252,31 @@ class TestSweepCommand:
         ).read_bytes()
 
 
+    def test_failed_point_keeps_the_grid(self, tmp_path):
+        # the p_w = 0.5 point leaks past the mode-a cutoff at exact order
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "base": {"n_atoms": 100, "alpha": 0.1, "order": "exact",
+                     "p_w": 0.01, "p_r": 0.01},
+            "axes": {"p_w": [0.001, 0.5]},
+        }))
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+        for jobs, out in outs.items():
+            assert main(["sweep", "--config", str(sweep), "--out", str(out),
+                         "--jobs", str(jobs)]) == EXIT_PROTOCOL
+            assert (out / "manifest.json").is_file()
+        assert (outs[1] / "sweep.csv").read_bytes() == (
+            outs[2] / "sweep.csv"
+        ).read_bytes()
+        header, rows = read_csv(outs[1] / "sweep.csv")
+        assert header[-1] == "error"
+        good, bad = (dict(zip(header, row)) for row in rows)
+        assert good["p_w"] == "0.001" and good["succeeded"] == "true"
+        assert good["error"] == "" and 0.0 < float(good["q_amp"]) < 1.0
+        assert bad["succeeded"] == "false" and bad["q_amp"] == "nan"
+        assert bad["error"].startswith("TruncationLeakageError")
+
+
 class TestOracleCheckCommand:
     def test_passes_up_to_ten(self, tmp_path, capsys):
         assert main(["oracle-check", "--n-max", "10",
@@ -309,3 +338,126 @@ class TestUsageErrors:
         monkeypatch.setenv("MEMAMP_OUT_DIR", str(tmp_path / "envout"))
         assert main(["gain", "--n-atoms", "10", "--n-max", "2"]) == EXIT_OK
         assert (tmp_path / "envout" / "gain.csv").is_file()
+
+
+def simulate_exit(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+class TestConfigTypes:
+    """Values of the wrong type are config errors, never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"truncation": {"fock_a_max": 1.5}},
+            {"p_w": True},
+            {"truncation": {"atomic_k_max": True}},
+            {"rng_seed": True},
+            {"n_atoms": True},
+            {"alpha": [True, 0.0]},
+            {"truncation": {"fock_c_max": "2"}},
+        ],
+        ids=["float_cutoff", "bool_coupling", "bool_atomic_cutoff", "bool_seed",
+             "bool_n_atoms", "bool_alpha_part", "string_cutoff"],
+    )
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, overrides):
+        data = {"n_atoms": 100, "alpha": 0.1, **overrides}
+        assert simulate_exit(tmp_path, data) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_null_atomic_cutoff_still_allowed(self, tmp_path):
+        data = {"n_atoms": 100, "truncation": {"atomic_k_max": None}}
+        assert simulate_exit(tmp_path, data) == EXIT_OK
+
+    def test_lossy_coupling_without_loss_mode_is_config_error(self, tmp_path, capsys):
+        data = {"n_atoms": 100, "beta_r": 0.5, "truncation": {"fock_c_max": 0}}
+        assert simulate_exit(tmp_path, data) == EXIT_CONFIG
+        assert "fock_c_max" in capsys.readouterr().err
+
+
+class TestLargeAlpha:
+    @pytest.mark.parametrize("alpha", [1e154, 1e200])
+    def test_huge_alpha_runs(self, tmp_path, alpha):
+        assert simulate_exit(tmp_path, {"n_atoms": 100, "alpha": alpha}) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["final_gain"] == pytest.approx(1.98, rel=1e-12)
+
+    def test_overflowing_target_is_config_error(self, tmp_path, capsys):
+        data = {"n_atoms": 100, "alpha": [1e308, 1e308]}
+        assert simulate_exit(tmp_path, data) == EXIT_CONFIG
+        assert "alpha" in capsys.readouterr().err
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 1e154, 1e-320, 0.5, 1.5, 2.0, 0.0]),
+    st.text(max_size=4),
+)
+#: a value of any JSON type, for a key whose valid value was replaced
+_ANY = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), st.fixed_dictionaries({}))
+
+_PROBABILITY = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=1e-4, max_value=1e-2)
+)
+_CUTOFF = st.integers(min_value=0, max_value=4)
+_TRUNCATION_KEYS = ["fock_a_max", "fock_b_max", "fock_c_max", "atomic_k_max"]
+#: configs of valid types with edge values; sizes stay small (N <= 40, cutoffs <= 4)
+_VALID = st.fixed_dictionaries(
+    {"n_atoms": st.integers(min_value=1, max_value=40)},
+    optional={
+        "alpha": st.one_of(
+            st.floats(min_value=-2.0, max_value=2.0),
+            st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=2, max_size=2),
+            st.sampled_from([1e154, 1e200, 1e308, [1e308, 1e308], [1e200, -1e200]]),
+        ),
+        "p_w": _PROBABILITY,
+        "p_r": _PROBABILITY,
+        "beta_w": _PROBABILITY,
+        "beta_r": _PROBABILITY,
+        "schedule": st.sampled_from(["type1", "type2"]),
+        "stages": st.integers(min_value=1, max_value=4),
+        "order": st.sampled_from(["first_order", "exact"]),
+        "truncation": st.fixed_dictionaries(
+            {}, optional={key: _CUTOFF for key in _TRUNCATION_KEYS}
+        ),
+        "gain_convention": st.sampled_from(["exact", "large_n"]),
+        "rng_seed": st.integers(min_value=0, max_value=2**64 - 1),
+    },
+)
+
+
+_VALID_KEYS = {
+    "n_atoms", "alpha", "p_w", "p_r", "beta_w", "beta_r", "schedule", "stages",
+    "order", "truncation", "gain_convention", "rng_seed",
+}
+
+
+@st.composite
+def simulate_configs(draw):
+    """A valid config with up to two keys, or truncation keys, given bad values."""
+    data = draw(_VALID)
+    keys = sorted(_VALID_KEYS) + ["unknown_key"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        data[key] = draw(_ANY)
+    if isinstance(data.get("truncation"), dict):
+        sub = _TRUNCATION_KEYS + ["fock_z_max"]
+        for key in draw(st.lists(st.sampled_from(sub), max_size=2, unique=True)):
+            data["truncation"][key] = draw(_ANY)
+    return data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=simulate_configs())
+def test_simulate_exit_code_contract(data):
+    """Any config JSON ends in exit code 0-3; an escaped exception fails here."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code = simulate_exit(Path(tmp), data)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_GUARD)

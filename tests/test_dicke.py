@@ -246,6 +246,19 @@ class TestWeakCoherentState:
         assert state.amplitudes[1] / state.amplitudes[0] == pytest.approx(alpha)
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=TOL)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, -0.3, 0.2 - 0.7j, 1.0, 1j])
+    def test_unit_alpha_unchanged_to_the_bit(self, alpha):
+        amps = np.array([1.0, alpha], dtype=complex)
+        expected = amps / np.linalg.norm(amps)
+        state = weak_coherent_atomic_state(alpha, 10)
+        assert np.array_equal(state.amplitudes[:2], expected)
+
+    @pytest.mark.parametrize("alpha", [1e154, 1e200, 1e308, 1e308 + 1e308j])
+    def test_huge_alpha_normalizes(self, alpha):
+        state = weak_coherent_atomic_state(alpha, 10)
+        assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=TOL)
+        assert state.amplitudes[1] == pytest.approx(alpha / abs(alpha), abs=TOL)
+
 
 class TestFidelity:
     def test_self_fidelity(self):

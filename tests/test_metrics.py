@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from memamp.dicke import basis_state, weak_coherent_atomic_state
+from memamp.dicke import DickeVector, basis_state, weak_coherent_atomic_state
 from memamp.errors import MetricRangeError, UndefinedMetricError
 from memamp.joint import (
     EvolutionOrder,
     HeraldPattern,
+    JointState,
     ModeTruncation,
     apply_read,
     apply_write,
     build_joint,
     joint_density_traced,
-    target_joint_state,
 )
 from memamp.metrics import (
     DensityMatrix,
@@ -30,14 +30,12 @@ from memamp.protocol import ProtocolConfig
 TOL = 1e-12
 
 
-def final_density(n_atoms, alpha, p, beta=1.0, order=EvolutionOrder.FIRST_ORDER,
-                  trunc=None):
+def final_joint(n_atoms, alpha, p, beta=1.0, order=EvolutionOrder.FIRST_ORDER,
+                trunc=None):
     trunc = trunc or ModeTruncation()
     state = build_joint(weak_coherent_atomic_state(alpha, n_atoms), trunc)
     state = apply_write(state, p, beta, order)
-    state = apply_read(state, p, beta, order)
-    rho, _ = joint_density_traced(state)
-    return rho, state.truncation
+    return apply_read(state, p, beta, order)
 
 
 class TestPSuccessAnalytic:
@@ -87,10 +85,10 @@ class TestPSuccessNumeric:
 class TestPMode:
     def test_lossless_first_order_vanishes(self):
         n_atoms, alpha, p = 100, 0.1, 1e-3
-        rho, trunc = final_density(n_atoms, alpha, p)
+        joint = final_joint(n_atoms, alpha, p)
         gain = 2 * (1 - 1 / n_atoms)
         target = weak_coherent_atomic_state(gain * alpha, n_atoms)
-        value = p_mode(rho, target_joint_state(target, trunc, HeraldPattern(1, 1)))
+        value = p_mode(joint, target, HeraldPattern(1, 1))
         assert abs(value) < 1e-10
 
     def test_orthogonal_atomic_mode_gives_one(self):
@@ -99,12 +97,11 @@ class TestPMode:
         )
         amps = np.zeros((2, 2, 2, 1), dtype=complex)
         amps[1, 1, 1, 0] = 1.0  # photons present, atomic part orthogonal to |0>
-        vec = amps[:, :, :, 0].reshape(-1)
-        rho = DensityMatrix(np.outer(vec, vec.conj()), normalized=True,
-                            dims=(2, 2, 2))
-        target = target_joint_state(basis_state(0, 5, k_alloc=1), trunc,
-                                    HeraldPattern(1, 1))
-        assert p_mode(rho, target) == pytest.approx(1.0, abs=TOL)
+        joint = JointState(5, trunc, amps)
+        target = basis_state(0, 5, k_alloc=1)
+        assert p_mode(joint, target, HeraldPattern(1, 1)) == pytest.approx(
+            1.0, abs=TOL
+        )
 
     def test_undefined_without_photons(self):
         trunc = ModeTruncation(
@@ -112,23 +109,19 @@ class TestPMode:
         )
         amps = np.zeros((2, 2, 2, 1), dtype=complex)
         amps[0, 0, 0, 0] = 1.0
-        vec = amps[:, :, :, 0].reshape(-1)
-        rho = DensityMatrix(np.outer(vec, vec.conj()), normalized=True,
-                            dims=(2, 2, 2))
-        target = target_joint_state(basis_state(0, 5, k_alloc=1), trunc,
-                                    HeraldPattern(1, 1))
+        joint = JointState(5, trunc, amps)
         with pytest.raises(UndefinedMetricError):
-            p_mode(rho, target)
+            p_mode(joint, basis_state(0, 5, k_alloc=1), HeraldPattern(1, 1))
 
     def test_lossy_exact_regression(self):
         # frozen after the first verified run of the loss-extended simulation
         trunc = ModeTruncation(fock_a_max=4, fock_b_max=4, fock_c_max=3,
                                atomic_k_max=8)
-        rho, _ = final_density(
+        joint = final_joint(
             100, 0.1, 1e-3, beta=0.7, order=EvolutionOrder.EXACT, trunc=trunc
         )
         target = weak_coherent_atomic_state(0.1 * 1.98, 100)
-        value = p_mode(rho, target_joint_state(target, trunc, HeraldPattern(1, 1)))
+        value = p_mode(joint, target, HeraldPattern(1, 1))
         assert 0.0 < value < 1.0
         assert value == pytest.approx(0.0010932098140604696, rel=1e-9)
 
@@ -137,12 +130,11 @@ class TestPSpon:
     def test_pure_target_density_gives_zero(self):
         trunc = ModeTruncation().resolve(100)
         target = weak_coherent_atomic_state(0.1998, 100)
-        full = target_joint_state(target, trunc, HeraldPattern(1, 1))
-        vec = full.amplitudes[:, :, :, 0].reshape(-1)
-        rho = DensityMatrix(np.outer(vec, vec.conj()), normalized=True,
-                            dims=full.truncation.shape()[:3])
-        assert abs(p_spon(rho, target, HeraldPattern(1, 1))) < TOL
-        assert abs(p_mode(rho, full)) < TOL
+        amps = np.zeros(trunc.shape(), dtype=complex)
+        amps[:, 1, 1, 0] = target.amplitudes[: trunc.shape()[0]]
+        full = JointState(100, trunc, amps)
+        assert abs(p_spon(full, target, HeraldPattern(1, 1))) < TOL
+        assert abs(p_mode(full, target, HeraldPattern(1, 1))) < TOL
 
     def test_tends_to_one_for_weak_coupling(self):
         n_atoms, alpha = 100, 0.1
@@ -150,8 +142,8 @@ class TestPSpon:
         target = weak_coherent_atomic_state(gain * alpha, n_atoms)
         values = []
         for p in (1e-3, 1e-4, 1e-5):
-            rho, _ = final_density(n_atoms, alpha, p)
-            value = p_spon(rho, target, HeraldPattern(1, 1))
+            joint = final_joint(n_atoms, alpha, p)
+            value = p_spon(joint, target, HeraldPattern(1, 1))
             assert value >= 1 - 10 * p
             values.append(value)
         assert values[0] < values[1] < values[2]
@@ -162,24 +154,20 @@ class TestPSpon:
         )
         amps = np.zeros((2, 2, 2, 1), dtype=complex)
         amps[1, 0, 0, 0] = 1.0
-        vec = amps[:, :, :, 0].reshape(-1)
-        rho = DensityMatrix(np.outer(vec, vec.conj()), normalized=True,
-                            dims=(2, 2, 2))
+        joint = JointState(5, trunc, amps)
         with pytest.raises(UndefinedMetricError):
-            p_spon(rho, basis_state(0, 5, k_alloc=1), HeraldPattern(1, 1))
+            p_spon(joint, basis_state(0, 5, k_alloc=1), HeraldPattern(1, 1))
 
 
 class TestPAmp:
     def test_target_projector_gives_one(self):
         target = weak_coherent_atomic_state(0.2, 30)
-        vec = target.amplitudes
-        rho = DensityMatrix(np.outer(vec, vec.conj()), normalized=True)
-        assert p_amp(rho, target) == pytest.approx(1.0, abs=TOL)
+        joint = build_joint(target, ModeTruncation())
+        assert p_amp(joint, target) == pytest.approx(1.0, abs=TOL)
 
     def test_orthogonal_state_gives_zero(self):
-        rho_vec = basis_state(2, 30, k_alloc=3).amplitudes
-        rho = DensityMatrix(np.outer(rho_vec, rho_vec.conj()), normalized=True)
-        assert p_amp(rho, basis_state(0, 30, k_alloc=3)) == pytest.approx(
+        joint = build_joint(basis_state(2, 30, k_alloc=3), ModeTruncation())
+        assert p_amp(joint, basis_state(0, 30, k_alloc=3)) == pytest.approx(
             0.0, abs=TOL
         )
 
@@ -187,16 +175,101 @@ class TestPAmp:
         # conditional state (1, 0.1998) against the N >> 1 target (1, 0.2):
         # the deficit is the 2*alpha vs 2*alpha*(1 - 1/N) mismatch
         conditional = weak_coherent_atomic_state(0.1998, 1000)
-        vec = conditional.amplitudes
-        rho = DensityMatrix(np.outer(vec, vec.conj()), normalized=True)
+        joint = build_joint(conditional, ModeTruncation())
         target = weak_coherent_atomic_state(0.2, 1000)
-        assert p_amp(rho, target) == pytest.approx(0.9999999630149079, abs=1e-12)
+        assert p_amp(joint, target) == pytest.approx(0.9999999630149079, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        rho = DensityMatrix(np.eye(3) / 3, normalized=True)
+        # the maximally mixed atomic state on k = 0..2, purified by mode c
+        trunc = ModeTruncation(
+            fock_a_max=1, fock_b_max=1, fock_c_max=2, atomic_k_max=2
+        )
+        amps = np.zeros((3, 2, 2, 3), dtype=complex)
+        for k in range(3):
+            amps[k, 0, 0, k] = 1 / np.sqrt(3)
+        joint = JointState(30, trunc, amps)
         target = basis_state(5, 30, k_alloc=5)
         with pytest.raises(ValueError):
-            p_amp(rho, target)
+            p_amp(joint, target)
+
+
+def reference_metrics(joint, target_atomic, pattern):
+    """p_mode, p_spon and p_amp read from the traced density matrix."""
+    rho, _ = joint_density_traced(joint)
+    dims = rho.dims
+    t = np.zeros(dims[0], dtype=complex)
+    m = min(dims[0], target_atomic.amplitudes.size)
+    t[:m] = target_atomic.amplitudes[:m]
+    t /= np.linalg.norm(t)
+    n_a, n_b = pattern.detect_a, pattern.detect_b
+    full = np.zeros(dims, dtype=complex)
+    full[:, n_a, n_b] = t
+    matched = rho.expectation(full.reshape(-1))
+    rho6 = rho.matrix.reshape(dims + dims)
+    sector = float(np.trace(rho6[:, n_a, n_b, :, n_a, n_b]).real)
+    atomic = float(np.real(np.einsum("i,iabjab,j->", t.conj(), rho6, t)))
+    return {
+        "p_mode": 1 - matched / sector,
+        "p_spon": 1 - matched / atomic,
+        "p_amp": atomic,
+    }
+
+
+def amplitude_metrics(joint, target_atomic, pattern):
+    return {
+        "p_mode": p_mode(joint, target_atomic, pattern),
+        "p_spon": p_spon(joint, target_atomic, pattern),
+        "p_amp": p_amp(joint, target_atomic),
+    }
+
+
+PATTERNS = [HeraldPattern(1, 1), HeraldPattern(1, 0), HeraldPattern(0, 1)]
+
+
+def pattern_id(pattern):
+    return f"{pattern.detect_a}{pattern.detect_b}"
+
+
+class TestAgainstDensityMatrix:
+    """The amplitude metrics equal the traced-density formulas they replace."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=pattern_id)
+    def test_random_complex_tensors(self, seed, pattern):
+        rng = np.random.default_rng(seed)
+        trunc = ModeTruncation(
+            fock_a_max=int(rng.integers(1, 4)),
+            fock_b_max=int(rng.integers(1, 4)),
+            fock_c_max=int(rng.integers(1, 4)),
+            atomic_k_max=int(rng.integers(1, 6)),
+        )
+        shape = trunc.shape()
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        joint = JointState(10, trunc, amps * float(rng.uniform(0.1, 3.0)))
+        k_alloc = int(rng.integers(0, shape[0]))
+        target_amps = rng.normal(size=k_alloc + 1) + 1j * rng.normal(size=k_alloc + 1)
+        target = DickeVector(10, target_amps)
+        new = amplitude_metrics(joint, target, pattern)
+        old = reference_metrics(joint, target, pattern)
+        for key in old:
+            assert abs(new[key] - old[key]) <= 1e-12, key
+
+    @pytest.mark.parametrize("order", list(EvolutionOrder), ids=lambda o: o.value)
+    @pytest.mark.parametrize("beta", [0.6, 1.0])
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=pattern_id)
+    def test_evolved_states(self, order, beta, pattern):
+        trunc = ModeTruncation(fock_a_max=4, fock_b_max=4, fock_c_max=3,
+                               atomic_k_max=8)
+        joint = build_joint(weak_coherent_atomic_state(0.3, 40), trunc)
+        if pattern.detect_a:
+            joint = apply_write(joint, 2e-3, beta, order)
+        if pattern.detect_b:
+            joint = apply_read(joint, 3e-3, beta, order)
+        target = weak_coherent_atomic_state(0.3 * 1.95, 40)
+        new = amplitude_metrics(joint, target, pattern)
+        old = reference_metrics(joint, target, pattern)
+        for key in old:
+            assert abs(new[key] - old[key]) <= 1e-12, key
 
 
 class TestQuality:

@@ -99,6 +99,19 @@ class TestRunStage:
 
 
 class TestRunSchedule:
+    @pytest.mark.parametrize("alpha", [1e-310, 1e200, 1e308, 1.5e308 + 1.5e308j])
+    def test_gain_finite_at_extreme_alpha(self, alpha):
+        # N = 2, type2: the target gain is 1, so even |alpha| ~ 1e308 is allowed
+        config = ProtocolConfig(n_atoms=2, alpha=alpha, schedule=Schedule.TYPE_II)
+        report = run_schedule(config)
+        assert report.final_gain == pytest.approx(1.0, rel=0.05)
+
+    def test_overflowing_target_rejected(self):
+        with pytest.raises(ConfigError, match="alpha"):
+            ProtocolConfig(n_atoms=100, alpha=1e308)
+        with pytest.raises(ConfigError, match="target gain"):
+            ProtocolConfig(n_atoms=3000, stages=1100)
+
     def test_type1_three_stages(self):
         config = ProtocolConfig(
             n_atoms=100,
