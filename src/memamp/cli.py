@@ -410,8 +410,8 @@ def cmd_oracle_check(n_max: int, out_dir: Path) -> int:
 
 def cmd_mc(config: ProtocolConfig, trials: int, out_dir: Path) -> int:
     """Seeded Monte Carlo over heralding outcomes."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials < 2**63:
+        raise ConfigError(f"trials must be in [1, 2**63 - 1], got {trials}")
     report = monte_carlo(config, trials)
     json_path = out_dir / "mc_report.json"
     _write_json(json_path, report.to_dict())
@@ -460,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="accepted for interface parity; sampling is vectorized in-process",
+        help="accepted and ignored; trial counts are split per tree node in-process",
     )
 
     return parser

@@ -26,6 +26,7 @@ from .dicke import (
 from .dicke import fidelity as dicke_fidelity
 from .errors import ConfigError
 from .joint import (
+    ZERO_PROB_FLOOR,
     EvolutionOrder,
     HeraldPattern,
     JointState,
@@ -429,50 +430,39 @@ class _TrajectoryTree:
     def __init__(self, config: ProtocolConfig):
         self.config = config
         self.plan = stage_plan(config)
-        self.nodes: dict[tuple[int, ...], dict] = {}
+        self.nodes: dict[tuple[int, ...], tuple[JointState, np.ndarray]] = {}
 
     def state_at(self, path: tuple[int, ...]) -> DickeVector:
         """Atomic state entering stage len(path), after the heralds on path."""
         if not path:
             return weak_coherent_atomic_state(self.config.alpha, self.config.n_atoms)
-        parent = self.node(path[:-1])
+        joint, _ = self.node(path[:-1])
         pattern = STAGE_PATTERNS[self.plan[len(path) - 1]]
         state, _ = conditional_on_counts(
-            parent["joint"], pattern.detect_a, pattern.detect_b, path[-1]
+            joint, pattern.detect_a, pattern.detect_b, path[-1]
         )
         return state
 
-    def node(self, path: tuple[int, ...]) -> dict:
-        if path in self.nodes:
-            return self.nodes[path]
-        state = self.state_at(path)
-        joint = _evolve_stage(state, self.config, self.plan[len(path)])
-        probs = outcome_probabilities(joint)
-        flat = probs.reshape(-1) / joint.total_probability()
-        cdf = np.cumsum(flat)
-        cdf[-1] = 1.0
-        entry = {
-            "state": state,
-            "joint": joint,
-            "shape": probs.shape,
-            "flat": flat,
-            "cdf": cdf,
-        }
-        self.nodes[path] = entry
-        return entry
+    def node(self, path: tuple[int, ...]) -> tuple[JointState, np.ndarray]:
+        """Evolved stage at path and its (n_a, n_b, n_c) distribution; outcomes at
+        or below ZERO_PROB_FLOOR are 0: `conditional_on_counts` has no state there."""
+        if path not in self.nodes:
+            state = self.state_at(path)
+            joint = _evolve_stage(state, self.config, self.plan[len(path)])
+            weights = outcome_probabilities(joint)
+            weights[weights <= ZERO_PROB_FLOOR] = 0.0
+            self.nodes[path] = (joint, weights / joint.total_probability())
+        return self.nodes[path]
 
     def success_probability(self, path: tuple[int, ...] = ()) -> float:
         """Total probability of completing every remaining herald."""
         if len(path) == len(self.plan):
             return 1.0
-        entry = self.node(path)
         pattern = STAGE_PATTERNS[self.plan[len(path)]]
-        probs = entry["flat"].reshape(entry["shape"])
+        hits = self.node(path)[1][pattern.detect_a, pattern.detect_b]
         total = 0.0
-        for n_c in range(entry["shape"][2]):
-            p = float(probs[pattern.detect_a, pattern.detect_b, n_c])
-            if p > 0.0:
-                total += p * self.success_probability(path + (n_c,))
+        for n_c in np.flatnonzero(hits):
+            total += float(hits[n_c]) * self.success_probability(path + (int(n_c),))
         return total
 
 
@@ -481,47 +471,40 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
 
     Photon counts are drawn per stage from the full (n_a, n_b, n_c) outcome
     distribution, so the undetected mode is resolved and every surviving
-    trajectory carries a pure state. Reproducible for a fixed config seed.
+    trajectory carries a pure state. One multinomial draw per tree node splits
+    the trials that reach it over its outcomes (the conditional-binomial method),
+    so time and memory grow with the tree, not with `trials`. Reproducible for a
+    fixed config seed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     tree = _TrajectoryTree(config)
-    plan = tree.plan
     rng = np.random.default_rng(config.rng_seed)
-    draws = rng.random((trials, len(plan)))
-    alive: dict[tuple[int, ...], np.ndarray] = {(): np.arange(trials)}
+    alive: dict[tuple[int, ...], int] = {(): trials}
     survival: list[int] = []
     first_stage_counts: list[list[int]] = []
-    for stage_index in range(len(plan)):
-        pattern = STAGE_PATTERNS[plan[stage_index]]
-        next_alive: dict[tuple[int, ...], list[np.ndarray]] = {}
-        for path in sorted(alive):
-            ids = alive[path]
-            entry = tree.node(path)
-            idx = np.searchsorted(entry["cdf"], draws[ids, stage_index], side="right")
-            idx = np.minimum(idx, entry["flat"].size - 1)
-            n_a, n_b, n_c = np.unravel_index(idx, entry["shape"])
+    for stage_index, kind in enumerate(tree.plan):
+        pattern = STAGE_PATTERNS[kind]
+        next_alive: dict[tuple[int, ...], int] = {}
+        for path, count in alive.items():
+            probs = tree.node(path)[1]
+            # over the support only: multinomial puts its rounding remainder last
+            support = np.flatnonzero(probs)
+            counts = np.zeros(probs.shape, dtype=np.int64)
+            counts.flat[support] = rng.multinomial(count, probs.flat[support])
             if stage_index == 0:
-                counts = np.bincount(idx, minlength=entry["flat"].size)
-                for flat_index in np.flatnonzero(counts):
-                    outcome = np.unravel_index(flat_index, entry["shape"])
-                    first_stage_counts.append(
-                        [int(outcome[0]), int(outcome[1]), int(outcome[2]),
-                         int(counts[flat_index])]
-                    )
-            ok = (n_a == pattern.detect_a) & (n_b == pattern.detect_b)
-            for c in np.unique(n_c[ok]):
-                child = path + (int(c),)
-                next_alive.setdefault(child, []).append(ids[ok & (n_c == c)])
-        alive = {
-            p: np.concatenate(chunks) for p, chunks in sorted(next_alive.items())
-        }
-        survival.append(sum(ids.size for ids in alive.values()))
-    successes = survival[-1] if survival else trials
+                rows = np.column_stack((np.argwhere(counts), counts[counts > 0]))
+                first_stage_counts = rows.tolist()
+            hits = counts[pattern.detect_a, pattern.detect_b]
+            for n_c in np.flatnonzero(hits):
+                next_alive[path + (int(n_c),)] = int(hits[n_c])
+        alive = next_alive
+        survival.append(sum(alive.values()))
+    successes = survival[-1]
     if successes > 0:
         gain_sum = 0.0
-        for path, ids in alive.items():
-            gain_sum += ids.size * _gain_of(tree.state_at(path), config.alpha)
+        for path, count in alive.items():
+            gain_sum += count * _gain_of(tree.state_at(path), config.alpha)
         mean_gain = gain_sum / successes
     else:
         mean_gain = float("nan")

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -324,6 +326,39 @@ class TestMCCommand:
         assert payload["trials"] == 5000
         assert payload["rng_seed"] == 17
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n_atoms": 26, "beta_w": 5.6041705077055884e-306,
+             "p_r": 0.007333077144292245, "p_w": 0.0040824298896638776,
+             "schedule": "type2", "stages": 1},
+            {"n_atoms": 100, "p_w": 2.2250738585072014e-308, "stages": 4},
+        ],
+        ids=["subnormal_beta", "subnormal_coupling"],
+    )
+    def test_floored_branch_is_a_clean_failure(self, tmp_path, data):
+        """Outcomes at or below the zero floor are not sampled, as in simulate."""
+        assert mc_exit(tmp_path, data, 1000) == EXIT_OK
+        payload = json.loads((tmp_path / "out" / "mc_report.json").read_text())
+        assert payload["successes"] == 0
+        assert payload["numeric_success_probability"] == 0.0
+        assert math.isnan(payload["mean_gain"])
+
+    @pytest.mark.parametrize("trials", [2**63, 10**30])
+    def test_trials_beyond_a_count_is_config_error(self, tmp_path, capsys, trials):
+        assert mc_exit(tmp_path, {"n_atoms": 100}, trials) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "trials" in err
+
+    def test_trial_count_sets_no_cost(self, tmp_path):
+        start = time.perf_counter()
+        assert mc_exit(tmp_path, {"n_atoms": 100}, 10**12) == EXIT_OK
+        # a per-trial sampler needs hours and terabytes for this count
+        assert time.perf_counter() - start < 5.0
+        payload = json.loads((tmp_path / "out" / "mc_report.json").read_text())
+        assert payload["trials"] == 10**12
+        assert sum(row[3] for row in payload["first_stage_outcomes"]) == 10**12
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -344,6 +379,13 @@ def simulate_exit(tmp_path, data):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def mc_exit(tmp_path, data, trials):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return main(["mc", "--config", str(path), "--trials", str(trials),
+                 "--out", str(tmp_path / "out")])
 
 
 class TestConfigTypes:
@@ -460,4 +502,21 @@ def test_simulate_exit_code_contract(data):
     """Any config JSON ends in exit code 0-3; an escaped exception fails here."""
     with tempfile.TemporaryDirectory() as tmp:
         code = simulate_exit(Path(tmp), data)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_GUARD)
+
+
+_TRIALS = st.one_of(
+    st.integers(min_value=-2, max_value=50),
+    st.integers(min_value=1, max_value=10**12),
+    st.sampled_from([2**63, 10**30]),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=simulate_configs(), trials=_TRIALS)
+def test_mc_exit_code_contract(data, trials):
+    """Any config JSON and trial count end in exit code 0-3, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code = mc_exit(Path(tmp), data, trials)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_GUARD)

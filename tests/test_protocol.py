@@ -435,6 +435,33 @@ class TestMonteCarlo:
         # undetected-mode occupations appear among first-stage outcomes
         assert any(row[2] > 0 for row in report.first_stage_outcomes)
 
+    def test_lossy_type2_ten_billion_trials(self):
+        """Counts split per tree node: 1e10 trials cost no per-trial memory."""
+        config = ProtocolConfig(
+            n_atoms=100,
+            alpha=0.1,
+            p_w=0.05,
+            p_r=0.05,
+            beta_w=0.8,
+            beta_r=0.8,
+            schedule=Schedule.TYPE_II,
+            stages=2,
+            rng_seed=7,
+        )
+        trials = 10**10
+        report = monte_carlo(config, trials)
+        first = report.first_stage_outcomes
+        assert sum(row[3] for row in first) == trials
+        # the first type-II stage is a write-only round, heralded on (1, 0)
+        assert report.stage_survival[0] == sum(
+            row[3] for row in first if (row[0], row[1]) == (1, 0)
+        )
+        survival = report.stage_survival
+        assert all(b <= a for a, b in zip(survival, survival[1:]))
+        p = run_schedule(config).success_probability
+        sigma = np.sqrt(trials * p * (1 - p))
+        assert abs(report.successes - trials * p) <= 5 * sigma
+
     def test_trials_validated(self):
         config = ProtocolConfig(n_atoms=10)
         with pytest.raises(ValueError):
