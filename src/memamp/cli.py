@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import enum
 import json
 import os
 import sys
@@ -22,10 +23,11 @@ from pathlib import Path
 from . import __version__
 from .dicke import Schedule, relative_gain
 from .errors import ConfigError, GridGuardError, MemampError, ResourceGuardError
-from .joint import EvolutionOrder, ModeTruncation
+from .joint import TRUNCATION_FIELDS, ModeTruncation, is_real
+from .metrics import QUALITY_FIELDS
 from .oracle import MAX_FULL_ATOMS, VERIFY_TOL, verify_ladder
 from .protocol import (
-    GainConvention,
+    CONFIG_FIELDS,
     ProtocolConfig,
     monte_carlo,
     run_schedule,
@@ -42,41 +44,23 @@ EXIT_CONFIG = 1
 EXIT_PROTOCOL = 2
 EXIT_GUARD = 3
 
-_CONFIG_KEYS = {
-    "n_atoms",
-    "alpha",
-    "p_w",
-    "p_r",
-    "beta_w",
-    "beta_r",
-    "schedule",
-    "stages",
-    "order",
-    "truncation",
-    "gain_convention",
-    "rng_seed",
-}
-
-_TRUNCATION_KEYS = {"fock_a_max", "fock_b_max", "fock_c_max", "atomic_k_max"}
-
 _SWEEP_AXES = {"p_w", "p_r", "beta_w", "beta_r", "n_atoms", "stages", "alpha"}
 
+#: Config keys whose JSON string names a member of their default's enum.
+_ENUM_KEYS = {
+    f.name: type(f.default)
+    for f in dataclasses.fields(ProtocolConfig)
+    if isinstance(f.default, enum.Enum)
+}
 
-def _is_number(value) -> bool:
-    # JSON true/false parse as bool, a subclass of int; they are not numbers
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-
-def _parse_alpha(value, key: str = "alpha") -> complex:
-    if _is_number(value):
+def _parse_alpha(value) -> complex:
+    if is_real(value):
         return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(_is_number(v) for v in value)
-    ):
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    if pair and all(map(is_real, value)):
         return complex(value[0], value[1])
-    raise ConfigError(f"{key}: expected a number or [re, im] pair, got {value!r}")
+    raise ConfigError(f"alpha: expected a number or [re, im] pair, got {value!r}")
 
 
 def _enum_from(enum_cls, value, key: str):
@@ -88,40 +72,29 @@ def _enum_from(enum_cls, value, key: str):
 
 
 def config_from_dict(data: dict) -> ProtocolConfig:
-    """Build a validated ProtocolConfig from parsed JSON, rejecting unknown keys."""
+    """Build a validated ProtocolConfig from parsed JSON, rejecting unknown keys.
+
+    Only the JSON forms are read here: enum names, the ``[re, im]`` alpha pair
+    and the truncation object. ProtocolConfig checks every value's type and range.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data).difference(CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     if "n_atoms" not in data:
         raise ConfigError("n_atoms: required key is missing")
-    kwargs: dict = {"n_atoms": data["n_atoms"]}
+    kwargs = dict(data)
     if "alpha" in data:
         kwargs["alpha"] = _parse_alpha(data["alpha"])
-    for key in ("p_w", "p_r", "beta_w", "beta_r"):
+    for key, enum_cls in _ENUM_KEYS.items():
         if key in data:
-            value = data[key]
-            if not _is_number(value):
-                raise ConfigError(f"{key}: expected a number, got {value!r}")
-            kwargs[key] = float(value)
-    if "schedule" in data:
-        kwargs["schedule"] = _enum_from(Schedule, data["schedule"], "schedule")
-    if "stages" in data:
-        kwargs["stages"] = data["stages"]
-    if "order" in data:
-        kwargs["order"] = _enum_from(EvolutionOrder, data["order"], "order")
-    if "gain_convention" in data:
-        kwargs["gain_convention"] = _enum_from(
-            GainConvention, data["gain_convention"], "gain_convention"
-        )
-    if "rng_seed" in data:
-        kwargs["rng_seed"] = data["rng_seed"]
+            kwargs[key] = _enum_from(enum_cls, data[key], key)
     if "truncation" in data:
         tdata = data["truncation"]
         if not isinstance(tdata, dict):
             raise ConfigError("truncation: expected an object")
-        unknown = set(tdata) - _TRUNCATION_KEYS
+        unknown = set(tdata).difference(TRUNCATION_FIELDS)
         if unknown:
             raise ConfigError(
                 f"unknown truncation key(s): {', '.join(sorted(unknown))}"
@@ -132,22 +105,23 @@ def config_from_dict(data: dict) -> ProtocolConfig:
             raise ConfigError(f"truncation: {exc}") from exc
     try:
         return ProtocolConfig(**kwargs)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_config(path: str | Path) -> ProtocolConfig:
-    """Load and validate a JSON run configuration."""
+def _read_json(path: str | Path):
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    return config_from_dict(data)
+
+
+def parse_config(path: str | Path) -> ProtocolConfig:
+    """Load and validate a JSON run configuration."""
+    return config_from_dict(_read_json(path))
 
 
 @dataclass(frozen=True)
@@ -161,21 +135,17 @@ class RunManifest:
     #: wall seconds of the run's parts; kept here, out of the data files
     timings: dict[str, float] | None = None
 
-    def write(self, out_dir: Path) -> Path:
-        payload = {
-            "tool": "memamp",
-            "version": __version__,
-            "command": self.command,
-            "seed": self.seed,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "config": self.config,
-            "outputs": self.outputs,
-        }
-        if self.timings is not None:
-            payload["timings"] = self.timings
-        path = out_dir / "manifest.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
+    def write(self, out_dir: Path) -> None:
+        payload = {name: getattr(self, name) for name in _MANIFEST_FIELDS}
+        if self.timings is None:
+            del payload["timings"]
+        payload["tool"] = "memamp"
+        payload["version"] = __version__
+        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+        _write_json(out_dir / "manifest.json", payload)
+
+
+_MANIFEST_FIELDS = tuple(f.name for f in dataclasses.fields(RunManifest))
 
 
 def _format_cell(value) -> str:
@@ -240,18 +210,8 @@ def cmd_simulate(config: ProtocolConfig, out_dir: Path) -> int:
     report_path = out_dir / "report.json"
     stages_path = out_dir / "stages.csv"
     _write_json(report_path, report.to_dict())
-    header = [
-        "stage",
-        "kind",
-        "detect_a",
-        "detect_b",
-        "probability",
-        "cumulative_probability",
-        "gain_so_far",
-        "failed",
-    ]
-    rows = [[r.to_row()[key] for key in header] for r in report.stage_reports]
-    _write_csv(stages_path, header, rows)
+    rows = [r.to_row() for r in report.stage_reports]
+    _write_csv(stages_path, list(rows[0]), [list(row.values()) for row in rows])
     RunManifest(
         command="simulate",
         seed=config.rng_seed,
@@ -265,13 +225,7 @@ def cmd_simulate(config: ProtocolConfig, out_dir: Path) -> int:
 
 
 def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or set(data) - {"base", "axes"}:
         raise ConfigError("sweep config must contain only 'base' and 'axes'")
     if "base" not in data or "axes" not in data:
@@ -307,23 +261,17 @@ def _grid_points(base: dict, axes: dict) -> list[dict]:
     return points
 
 
-_QUALITY_KEYS = ["p_suc", "p_mode", "p_spon", "p_amp", "q_amp", "gain", "fidelity"]
-
-
-def _sweep_point(config: ProtocolConfig) -> dict:
-    """Quality row of one grid point; a run error is kept in its ``error`` cell."""
+def _sweep_point(config: ProtocolConfig) -> list:
+    """Quality cells of one grid point, then gain_squared, succeeded and error;
+    a run error is kept in the ``error`` cell."""
     error = ""
     try:
         quality = run_schedule(config).quality
     except MemampError as exc:
         quality, error = None, f"{type(exc).__name__}: {exc}"
     if quality is None:
-        row = {key: float("nan") for key in _QUALITY_KEYS}
-    else:
-        row = quality.to_dict()
-    row["succeeded"] = quality is not None
-    row["error"] = error
-    return row
+        return [float("nan")] * (len(QUALITY_FIELDS) + 1) + [False, error]
+    return [*quality.to_dict().values(), quality.gain**2, True, error]
 
 
 def cmd_sweep(
@@ -334,6 +282,8 @@ def cmd_sweep(
     Every point is written; a point whose run raised gets NaN values and the
     error in its ``error`` column, and the sweep then exits EXIT_PROTOCOL.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     base, axes = _load_sweep_spec(spec_path)
     points = _grid_points(base, axes)
     configs = []
@@ -342,18 +292,15 @@ def cmd_sweep(
             point = dict(point, rng_seed=seed)
         configs.append(config_from_dict(point))
     axis_keys = list(axes)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool forks all its workers up front, however few points there are
+    workers = min(jobs, len(configs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, configs, chunksize=16))
     else:
         results = [_sweep_point(c) for c in configs]
-    header = axis_keys + _QUALITY_KEYS + ["gain_squared", "succeeded", "error"]
-    rows = []
-    for point, row in zip(points, results):
-        cells = [point[k] for k in axis_keys]
-        cells += [row[k] for k in _QUALITY_KEYS]
-        cells += [row["gain"] ** 2, row["succeeded"], row["error"]]
-        rows.append(cells)
+    header = axis_keys + list(QUALITY_FIELDS) + ["gain_squared", "succeeded", "error"]
+    rows = [[p[k] for k in axis_keys] + cells for p, cells in zip(points, results)]
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, header, rows)
     RunManifest(
@@ -362,7 +309,7 @@ def cmd_sweep(
         config={"base": base, "axes": axes},
         outputs=[csv_path.name],
     ).write(out_dir)
-    failed = sum(1 for row in results if row["error"])
+    failed = sum(1 for cells in results if cells[-1])
     if failed:
         print(
             f"sweep: {failed} of {len(results)} points failed; see the error column",
@@ -476,19 +423,16 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = _resolve_out_dir(getattr(args, "out", None))
         if args.command == "gain":
             return cmd_gain(args.n_atoms, args.n_max, out_dir)
-        if args.command == "simulate":
-            config = parse_config(args.config)
-            if args.seed is not None:
-                config = dataclasses.replace(config, rng_seed=args.seed)
-            return cmd_simulate(config, out_dir)
         if args.command == "sweep":
             return cmd_sweep(args.config, out_dir, args.seed, args.jobs)
         if args.command == "oracle-check":
             return cmd_oracle_check(args.n_max, out_dir)
-        if args.command == "mc":
+        if args.command in ("simulate", "mc"):
             config = parse_config(args.config)
             if args.seed is not None:
                 config = dataclasses.replace(config, rng_seed=args.seed)
+            if args.command == "simulate":
+                return cmd_simulate(config, out_dir)
             return cmd_mc(config, args.trials, out_dir)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:

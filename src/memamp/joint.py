@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,6 +62,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A real number; bools (JSON true/false) are not numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class EvolutionOrder(enum.Enum):
     """First-order perturbative unitary vs exact matrix exponential."""
 
@@ -84,7 +89,7 @@ class ModeTruncation:
     atomic_k_max: int | None = None
 
     def __post_init__(self):
-        for name in ("fock_a_max", "fock_b_max", "fock_c_max", "atomic_k_max"):
+        for name in TRUNCATION_FIELDS:
             value = getattr(self, name)
             if not is_integer(value) and not (name == "atomic_k_max" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -121,6 +126,10 @@ class ModeTruncation:
     def total_dim(self) -> int:
         s = self.shape()
         return s[0] * s[1] * s[2] * s[3]
+
+
+#: Field names in declaration order, read once: the truncation schema.
+TRUNCATION_FIELDS = tuple(f.name for f in fields(ModeTruncation))
 
 
 @dataclass(frozen=True)
@@ -209,9 +218,10 @@ def _check_first_order_headroom(
         if beta < 1.0:
             checks.append(("mode c", _slice_population(amps, 3, trunc.fock_c_max)))
         if k_top < joint.n_atoms:
-            # raising through the photon-absorption term needs n_b >= 1
-            pop = float(np.sum(np.abs(amps[k_top, :, 1:, :]) ** 2))
-            checks.append(("atomic k", pop))
+            # absorption raises k out of n_b >= 1, and out of n_c >= 1 if lossy
+            top = np.abs(amps[k_top]) ** 2
+            pop = top[:, 1:, :].sum() + (top[:, 0, 1:].sum() if beta < 1.0 else 0.0)
+            checks.append(("atomic k", float(pop)))
     for name, pop in checks:
         if pop > LEAK_TOL:
             raise TruncationOverflowError(

@@ -12,7 +12,7 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -214,14 +214,15 @@ class QualityReport:
     fidelity: float
 
     def __post_init__(self):
-        for name in ("p_suc", "p_mode", "p_spon", "p_amp", "q_amp", "fidelity"):
-            _checked_probability(name, getattr(self, name))
+        # every field but the gain (NaN when alpha = 0) is a probability
+        for name in QUALITY_FIELDS:
+            if name != "gain":
+                _checked_probability(name, getattr(self, name))
         expected = self.p_amp * (1.0 - self.p_spon) * (1.0 - self.p_mode)
         if abs(self.q_amp - expected) > MATRIX_TOL:
             raise ValueError(
                 f"q_amp {self.q_amp} breaks the product identity ({expected})"
             )
-        # gain is NaN for alpha = 0 runs (no reference amplitude); allow it
 
     @classmethod
     def build(
@@ -244,12 +245,8 @@ class QualityReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "p_suc": self.p_suc,
-            "p_mode": self.p_mode,
-            "p_spon": self.p_spon,
-            "p_amp": self.p_amp,
-            "q_amp": self.q_amp,
-            "gain": self.gain,
-            "fidelity": self.fidelity,
-        }
+        return {name: getattr(self, name) for name in QUALITY_FIELDS}
+
+
+#: Field names in declaration order, read once: report keys and sweep columns.
+QUALITY_FIELDS = tuple(f.name for f in fields(QualityReport))

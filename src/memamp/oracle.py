@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -167,24 +167,18 @@ class VerificationReport:
     entries: list[VerificationEntry] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n_atoms": self.n_atoms,
-            "max_deviation": self.max_deviation,
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-            "entries": [
-                {
-                    "k": e.k,
-                    "direction": e.direction,
-                    "expected": e.expected,
-                    "observed": e.observed,
-                    "deviation": e.deviation,
-                    "residual": e.residual,
-                    "passed": e.passed,
-                }
-                for e in self.entries
-            ],
-        }
+        """Data-file form; the timing goes to the run manifest instead."""
+        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
+        out["entries"] = [
+            {name: getattr(e, name) for name in _ENTRY_FIELDS} for e in self.entries
+        ]
+        return out
+
+
+_ENTRY_FIELDS = tuple(f.name for f in fields(VerificationEntry))
+_REPORT_FIELDS = tuple(
+    f.name for f in fields(VerificationReport) if f.name != "elapsed_seconds"
+)
 
 
 def verify_ladder(n_atoms: int) -> VerificationReport:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .dicke import (
 from .dicke import fidelity as dicke_fidelity
 from .errors import ConfigError
 from .joint import (
+    TRUNCATION_FIELDS,
     ZERO_PROB_FLOOR,
     EvolutionOrder,
     HeraldPattern,
@@ -37,6 +39,7 @@ from .joint import (
     conditional_on_counts,
     herald,
     is_integer,
+    is_real,
     outcome_probabilities,
 )
 from .metrics import QualityReport
@@ -87,6 +90,13 @@ class ProtocolConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for key in ("p_w", "p_r", "beta_w", "beta_r"):
+            value = getattr(self, key)
+            if not is_real(value):
+                raise ConfigError(f"{key}: expected a number, got {value!r}")
+            object.__setattr__(self, key, float(value))
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Complex):
+            raise ConfigError(f"alpha: expected a number, got {self.alpha!r}")
         if not is_integer(self.n_atoms) or self.n_atoms < 1:
             raise ConfigError(f"n_atoms must be a positive integer, got {self.n_atoms}")
         if not is_integer(self.stages) or self.stages < 1:
@@ -124,25 +134,22 @@ class ProtocolConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "n_atoms": self.n_atoms,
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "p_w": self.p_w,
-            "p_r": self.p_r,
-            "beta_w": self.beta_w,
-            "beta_r": self.beta_r,
-            "schedule": self.schedule.value,
-            "stages": self.stages,
-            "order": self.order.value,
-            "truncation": {
-                "fock_a_max": self.truncation.fock_a_max,
-                "fock_b_max": self.truncation.fock_b_max,
-                "fock_c_max": self.truncation.fock_c_max,
-                "atomic_k_max": self.truncation.atomic_k_max,
-            },
-            "gain_convention": self.gain_convention.value,
-            "rng_seed": self.rng_seed,
-        }
+        """JSON form: enums by value, alpha as [re, im], truncation as an object."""
+        out = {}
+        for name in CONFIG_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, enum.Enum):
+                value = value.value
+            elif isinstance(value, complex):
+                value = [value.real, value.imag]
+            elif isinstance(value, ModeTruncation):
+                value = {key: getattr(value, key) for key in TRUNCATION_FIELDS}
+            out[name] = value
+        return out
+
+
+#: Field names in declaration order, read once: the run-config schema.
+CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
 
 
 @dataclass(frozen=True)
@@ -394,18 +401,10 @@ class MCReport:
     first_stage_outcomes: list[list[int]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_frequency": self.success_frequency,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "mean_gain": self.mean_gain,
-            "numeric_success_probability": self.numeric_success_probability,
-            "rng_seed": self.rng_seed,
-            "stage_survival": self.stage_survival,
-            "first_stage_outcomes": self.first_stage_outcomes,
-        }
+        return {name: getattr(self, name) for name in _MC_FIELDS}
+
+
+_MC_FIELDS = tuple(f.name for f in fields(MCReport))
 
 
 def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:

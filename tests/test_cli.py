@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from memamp import cli
 from memamp.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -166,6 +167,16 @@ class TestSimulateCommand:
         assert written["success_probability"] == recomputed.success_probability
         assert written["quality"]["q_amp"] == recomputed.quality.q_amp
 
+    @pytest.mark.parametrize("k_max, code", [(2, EXIT_PROTOCOL), (3, EXIT_OK)])
+    def test_lossy_read_guard_at_atomic_cutoff(self, tmp_path, capsys, k_max, code):
+        """A lossy read raises k out of n_c >= 1 too; at k_max = 2 that population
+        (~1e-4) would fall off the truncation instead of failing the run."""
+        data = {"n_atoms": 100, "alpha": 0.1, "p_w": 0.01, "p_r": 0.01,
+                "beta_w": 0.5, "beta_r": 0.5, "truncation": {"atomic_k_max": k_max}}
+        assert simulate_exit(tmp_path, data) == code
+        if code == EXIT_PROTOCOL:
+            assert "read: population" in capsys.readouterr().err
+
     def test_manifest_references_outputs(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -175,6 +186,28 @@ class TestSimulateCommand:
         assert manifest["command"] == "simulate"
         assert set(manifest["outputs"]) == {"report.json", "stages.csv"}
         assert manifest["config"]["n_atoms"] == 100
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the sweep's process pool by an in-process map; lists max_workers."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestSweepCommand:
@@ -253,6 +286,36 @@ class TestSweepCommand:
             out_parallel / "sweep.csv"
         ).read_bytes()
 
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, pool_sizes, jobs):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"base": {"n_atoms": 100}, "axes": {"p_w": [0.01]}}))
+        assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw"),
+                     "--jobs", str(jobs)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "jobs" in err
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(100_000, 64, 3), (2, 64, 2), (100_000, 2, 2), (8, None, None), (1, 64, None)],
+    )
+    def test_workers_bounded_by_points_and_cpus(
+        self, tmp_path, monkeypatch, pool_sizes, jobs, cpus, workers
+    ):
+        """Never more workers than points or CPUs; one worker runs in-process."""
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "base": {"n_atoms": 100, "alpha": 0.1},
+            "axes": {"p_w": [0.001, 0.002, 0.003]},
+        }))
+        assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw"),
+                     "--jobs", str(jobs)]) == EXIT_OK
+        assert pool_sizes == ([] if workers is None else [workers])
+        _, rows = read_csv(tmp_path / "sw" / "sweep.csv")
+        assert [row[0] for row in rows] == ["0.001", "0.002", "0.003"]
 
     def test_failed_point_keeps_the_grid(self, tmp_path):
         # the p_w = 0.5 point leaks past the mode-a cutoff at exact order
@@ -358,6 +421,76 @@ class TestMCCommand:
         payload = json.loads((tmp_path / "out" / "mc_report.json").read_text())
         assert payload["trials"] == 10**12
         assert sum(row[3] for row in payload["first_stage_outcomes"]) == 10**12
+
+
+class TestOutputSchemas:
+    """Column orders and key sets of every data file, as literals."""
+
+    QUALITY = ["p_suc", "p_mode", "p_spon", "p_amp", "q_amp", "gain", "fidelity"]
+
+    def test_sweep_csv_header(self, tmp_path):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "base": {"n_atoms": 100},
+            "axes": {"beta_w": [1.0], "p_w": [0.01]},
+        }))
+        main(["sweep", "--config", str(sweep), "--out", str(tmp_path)])
+        header, _ = read_csv(tmp_path / "sweep.csv")
+        assert header == ["beta_w", "p_w", *self.QUALITY,
+                          "gain_squared", "succeeded", "error"]
+
+    def test_simulate_files(self, tmp_path):
+        config = write_config(tmp_path, beta_w=1, truncation={"fock_c_max": 1})
+        main(["simulate", "--config", str(config), "--out", str(tmp_path)])
+        stages = ["stage", "kind", "detect_a", "detect_b", "probability",
+                  "cumulative_probability", "gain_so_far", "failed"]
+        assert read_csv(tmp_path / "stages.csv")[0] == stages
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report) == {
+            "succeeded", "stages", "final_state", "final_gain", "final_gain_squared",
+            "analytic_gain", "discrepancy", "success_probability", "quality",
+            "failure_reason",
+        }
+        assert set(report["stages"][0]) == set(stages)
+        assert set(report["quality"]) == set(self.QUALITY)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest) == {
+            "tool", "version", "command", "seed", "timestamp", "config", "outputs"
+        }
+        assert manifest["config"] == {
+            "n_atoms": 100, "alpha": [0.1, 0.0], "p_w": 0.01, "p_r": 0.01,
+            "beta_w": 1.0, "beta_r": 1.0, "schedule": "type1", "stages": 1,
+            "order": "first_order", "gain_convention": "exact", "rng_seed": 0,
+            "truncation": {"fock_a_max": 3, "fock_b_max": 3, "fock_c_max": 1,
+                           "atomic_k_max": None},
+        }
+        # an integer coupling is written as the float the run used
+        assert '"beta_w": 1.0' in (tmp_path / "manifest.json").read_text()
+
+    def test_mc_report_keys(self, tmp_path):
+        assert mc_exit(tmp_path, {"n_atoms": 100}, 100) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "mc_report.json").read_text())
+        assert set(report) == {
+            "trials", "successes", "success_frequency", "ci_low", "ci_high",
+            "mean_gain", "numeric_success_probability", "rng_seed",
+            "stage_survival", "first_stage_outcomes",
+        }
+
+    def test_oracle_check_keys(self, tmp_path):
+        main(["oracle-check", "--n-max", "3", "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "oracle_check.json").read_text())
+        assert set(payload) == {"tolerance", "all_passed", "reports"}
+        report = payload["reports"][0]
+        # the timing goes to the manifest only
+        assert set(report) == {
+            "n_atoms", "max_deviation", "max_residual", "passed", "entries"
+        }
+        assert set(report["entries"][0]) == {
+            "k", "direction", "expected", "observed", "deviation", "residual",
+            "passed",
+        }
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest["timings"]) == ["verify_ladder_n2", "verify_ladder_n3"]
 
 
 class TestUsageErrors:

@@ -54,6 +54,25 @@ class TestProtocolConfig:
         with pytest.raises(ConfigError):
             ProtocolConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p_w", True), ("beta_r", True), ("alpha", True), ("p_r", "0.01"),
+         ("beta_w", None), ("alpha", "0.1"), ("alpha", [0.1, 0.0])],
+    )
+    def test_non_number_rejected(self, key, value):
+        """Bools are not numbers: p_w = True must not run as p_w = 1."""
+        with pytest.raises(ConfigError) as info:
+            ProtocolConfig(n_atoms=10, **{key: value})
+        assert str(info.value) == f"{key}: expected a number, got {value!r}"
+
+    def test_numbers_stored_as_python_floats(self):
+        config = ProtocolConfig(
+            n_atoms=10, p_w=0, p_r=np.float32(0.5), beta_w=1, alpha=np.complex64(1j)
+        )
+        assert [type(v) for v in (config.p_w, config.p_r, config.beta_w)] == [float] * 3
+        assert (config.p_w, config.p_r, config.beta_w) == (0.0, 0.5, 1.0)
+        assert config.alpha == 1j and type(config.alpha) is complex
+
     def test_headroom_checked_at_run(self):
         config = ProtocolConfig(
             n_atoms=100, schedule=Schedule.TYPE_II, stages=8
