@@ -56,7 +56,6 @@ from .protocol import (
     StageReport,
     monte_carlo,
     run_schedule,
-    run_stage,
 )
 
 __version__ = "0.1.0"
@@ -105,7 +104,6 @@ __all__ = [
     "reduced_conditional_density",
     "relative_gain",
     "run_schedule",
-    "run_stage",
     "verify_ladder",
     "weak_coherent_atomic_state",
 ]

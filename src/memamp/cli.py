@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import enum
+import functools
 import json
 import os
 import sys
@@ -23,14 +24,17 @@ from pathlib import Path
 from . import __version__
 from .dicke import Schedule, relative_gain
 from .errors import ConfigError, GridGuardError, MemampError, ResourceGuardError
-from .joint import TRUNCATION_FIELDS, ModeTruncation, is_real
+from .joint import TRUNCATION_FIELDS, EvolutionOrder, ModeTruncation, is_real
 from .metrics import QUALITY_FIELDS
 from .oracle import MAX_FULL_ATOMS, VERIFY_TOL, verify_ladder
 from .protocol import (
     CONFIG_FIELDS,
     ProtocolConfig,
+    batch_key,
     monte_carlo,
+    run_batch,
     run_schedule,
+    to_number,
 )
 
 #: Environment variable naming the default output directory.
@@ -38,6 +42,10 @@ OUT_DIR_ENV = "MEMAMP_OUT_DIR"
 
 #: Maximum number of sweep grid points.
 GRID_CAP = 1_000_000
+
+#: Joint-state bytes per sweep batch (4 points at the default shape); larger
+#: batches save little time and raise the peak heap.
+BATCH_BYTES = 32 * 1024
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,10 +64,10 @@ _ENUM_KEYS = {
 
 def _parse_alpha(value) -> complex:
     if is_real(value):
-        return complex(value)
+        return to_number("alpha", complex, value)
     pair = isinstance(value, (list, tuple)) and len(value) == 2
     if pair and all(map(is_real, value)):
-        return complex(value[0], value[1])
+        return complex(*[to_number("alpha", float, part) for part in value])
     raise ConfigError(f"alpha: expected a number or [re, im] pair, got {value!r}")
 
 
@@ -114,8 +122,8 @@ def _read_json(path: str | Path):
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
 
@@ -261,17 +269,44 @@ def _grid_points(base: dict, axes: dict) -> list[dict]:
     return points
 
 
-def _sweep_point(config: ProtocolConfig) -> list:
-    """Quality cells of one grid point, then gain_squared, succeeded and error;
-    a run error is kept in the ``error`` cell."""
-    error = ""
-    try:
-        quality = run_schedule(config).quality
-    except MemampError as exc:
-        quality, error = None, f"{type(exc).__name__}: {exc}"
-    if quality is None:
-        return [float("nan")] * (len(QUALITY_FIELDS) + 1) + [False, error]
-    return [*quality.to_dict().values(), quality.gain**2, True, error]
+def _sweep_batch(configs: list[ProtocolConfig]) -> list[list]:
+    """Quality cells of each point of a batch, then gain_squared, succeeded and
+    error; a run error is kept in the ``error`` cell."""
+    cells = []
+    for _, _, quality, error in run_batch(configs):
+        if quality is None:
+            message = "" if error is None else f"{type(error).__name__}: {error}"
+            cells.append([float("nan")] * (len(QUALITY_FIELDS) + 1) + [False, message])
+        else:
+            cells.append([*quality.to_dict().values(), quality.gain**2, True, ""])
+    return cells
+
+
+def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
+    """Every point's cells, in grid order. The points of one `batch_key` run in
+    batches of at most BATCH_BYTES of state tensor (exact order: one point)."""
+    groups: dict[tuple, list[int]] = {}
+    for index, config in enumerate(configs):
+        groups.setdefault(batch_key(config), []).append(index)
+    batches = []
+    for members in groups.values():
+        first = configs[members[0]]
+        size = BATCH_BYTES // (16 * first.truncation.resolve(first.n_atoms).total_dim())
+        size = 1 if first.order is EvolutionOrder.EXACT else max(1, size)
+        batches += [members[i : i + size] for i in range(0, len(members), size)]
+    work = [[configs[i] for i in batch] for batch in batches]
+    # a pool forks all its workers up front, however few points there are
+    workers = min(jobs, len(configs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_sweep_batch, work, chunksize=4))
+    else:
+        done = [_sweep_batch(batch) for batch in work]
+    cells = [[]] * len(configs)
+    for batch, rows in zip(batches, done):
+        for index, row in zip(batch, rows):
+            cells[index] = row
+    return cells
 
 
 def cmd_sweep(
@@ -292,13 +327,7 @@ def cmd_sweep(
             point = dict(point, rng_seed=seed)
         configs.append(config_from_dict(point))
     axis_keys = list(axes)
-    # a pool forks all its workers up front, however few points there are
-    workers = min(jobs, len(configs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, configs, chunksize=16))
-    else:
-        results = [_sweep_point(c) for c in configs]
+    results = _sweep_cells(configs, jobs)
     header = axis_keys + list(QUALITY_FIELDS) + ["gain_squared", "succeeded", "error"]
     rows = [[p[k] for k in axis_keys] + cells for p, cells in zip(points, results)]
     csv_path = out_dir / "sweep.csv"
@@ -371,6 +400,7 @@ def cmd_mc(config: ProtocolConfig, trials: int, out_dir: Path) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: a parser is a cycle gc collects late
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memamp",

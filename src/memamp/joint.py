@@ -13,13 +13,14 @@ truncated space, summed as a Taylor series of stencil applications.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dicke import DickeVector, LadderDirection, ladder_coeff
+from .dicke import DickeVector
 from .errors import (
     MemampError,
     MixedConditionalError,
@@ -27,7 +28,7 @@ from .errors import (
     TruncationLeakageError,
     TruncationOverflowError,
 )
-from .metrics import DensityMatrix
+from .metrics import DensityMatrix, row_norms
 
 #: Total tensor dimension cap for any joint state.
 DIM_CAP = 2_000_000
@@ -105,6 +106,7 @@ class ModeTruncation:
                     f"joint dimension {self.total_dim()} exceeds cap {DIM_CAP}"
                 )
 
+    @functools.lru_cache  # a sweep resolves a few truncations many times
     def resolve(self, n_atoms: int) -> "ModeTruncation":
         """Pin the atomic cutoff for a concrete ensemble size."""
         k_max = self.atomic_k_max
@@ -187,81 +189,77 @@ def build_joint(atomic: DickeVector, truncation: ModeTruncation) -> JointState:
     return JointState(atomic.n_atoms, trunc, amps)
 
 
-def _ladder_coeffs(n_atoms: int, k_top: int) -> np.ndarray:
-    # raise coefficient from level k, equal to the lower coefficient from k+1
-    return np.array(
-        [ladder_coeff(LadderDirection.RAISE, k, n_atoms) for k in range(k_top)]
-    )
+class Process:
+    """A write or read process over a batch: per row the ensemble size, the
+    coupling p and the mode overlap beta, on one resolved truncation."""
+
+    __slots__ = ("name", "truncation", "order", "n_atoms", "p", "beta")
+
+    def __init__(self, name, truncation, order, n_atoms, p, beta):
+        self.name, self.truncation, self.order = name, truncation, order
+        self.n_atoms, self.p, self.beta = n_atoms, p, beta
+
+    def rows(self, mask: np.ndarray) -> "Process":
+        return Process(self.name, self.truncation, self.order,
+                       self.n_atoms[mask], self.p[mask], self.beta[mask])
+
+    @property
+    def weights(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Detected- and loss-mode stencil weights (B, k_top, ...): ladder
+        coefficient x photon sqrt(n) x coupling, no loss weights if lossless;
+        and per row a bound on ||G||, G = C - C^dagger: 2 max(ladder)
+        (sqrt(p beta n_det) + sqrt(p (1 - beta) n_c)) with the two cutoffs."""
+        trunc, write = self.truncation, self.name == "write"
+        k = np.arange(trunc.atomic_k_max)
+        # raise coefficient from level k (the lower one from k+1), as ladder_coeff
+        ladder = np.sqrt((k + 1) * (1.0 - k / self.n_atoms[:, None]))
+        lad = ladder.reshape(ladder.shape + (1, 1, 1))
+        n_det = trunc.fock_a_max if write else trunc.fock_b_max
+        sq_det = np.sqrt(np.arange(1, n_det + 1))  # along n_a (write) or n_b (read)
+        sq_det = sq_det.reshape((-1, 1, 1) if write else (-1, 1))
+        g_det = np.sqrt(self.p * self.beta).reshape(-1, 1, 1, 1, 1)
+        g_loss = np.sqrt(self.p * (1.0 - self.beta)).reshape(-1, 1, 1, 1, 1)
+        sqc = np.sqrt(np.arange(1, trunc.fock_c_max + 1))
+        w_loss = g_loss * lad * sqc if g_loss.any() else None
+        bound = 2.0 * ladder.max(axis=1) * (
+            g_det * np.sqrt(n_det) + g_loss * np.sqrt(trunc.fock_c_max)
+        ).reshape(-1)
+        return g_det * lad * sq_det, w_loss, bound
 
 
-def _slice_population(amps: np.ndarray, axis: int, index: int) -> float:
-    return float(np.sum(np.abs(np.take(amps, index, axis=axis)) ** 2))
-
-
-def _check_first_order_headroom(
-    joint: JointState, process: str, beta: float
+def _check_boundaries(
+    psi: np.ndarray, proc: Process, errors: dict[int, Exception], exact: bool
 ) -> None:
-    """Reject inputs whose boundary population would flow past a cutoff."""
-    amps = joint.amplitudes
-    trunc = joint.truncation
-    k_top = trunc.atomic_k_max
-    assert k_top is not None
-    checks: list[tuple[str, float]] = []
-    if process == "write":
-        if k_top < joint.n_atoms:
-            checks.append(("atomic k", _slice_population(amps, 0, k_top)))
-        checks.append(("mode a", _slice_population(amps, 1, trunc.fock_a_max)))
-        if beta < 1.0:
-            checks.append(("mode c", _slice_population(amps, 3, trunc.fock_c_max)))
+    """Flag rows with over LEAK_TOL on a cutoff: before a first-order step,
+    population that would flow past it; after an exact step, population on it."""
+    trunc, k_top = proc.truncation, proc.truncation.atomic_k_max
+    active = proc.p > 0.0
+    below = active & (k_top < proc.n_atoms)
+    if proc.name == "write":
+        det = ("mode a", active, psi[:, :, trunc.fock_a_max])
     else:
-        checks.append(("mode b", _slice_population(amps, 2, trunc.fock_b_max)))
-        if beta < 1.0:
-            checks.append(("mode c", _slice_population(amps, 3, trunc.fock_c_max)))
-        if k_top < joint.n_atoms:
-            # absorption raises k out of n_b >= 1, and out of n_c >= 1 if lossy
-            top = np.abs(amps[k_top]) ** 2
-            pop = top[:, 1:, :].sum() + (top[:, 0, 1:].sum() if beta < 1.0 else 0.0)
-            checks.append(("atomic k", float(pop)))
-    for name, pop in checks:
-        if pop > LEAK_TOL:
-            raise TruncationOverflowError(
-                f"{process}: population {pop:.3e} at the {name} cutoff would "
-                f"overflow the truncation"
-            )
-
-
-def _process_weights(
-    joint: JointState, p: float, beta: float, process: str
-) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """Stencil weights of one process and a bound on its generator's norm.
-
-    Returns the detected-mode and loss-mode weights (ladder coefficient times
-    the photon sqrt(n) factor and the coupling; ``None`` for a lossless
-    process) and an upper bound on the spectral norm of G = C - C^dagger,
-
-        ||G|| <= 2 max(ladder) (sqrt(p beta n_det) + sqrt(p (1 - beta) n_c)),
-
-    with n_det and n_c the cutoffs of the detected and the loss mode.
-    """
-    trunc = joint.truncation
-    k_top = trunc.atomic_k_max
-    assert k_top is not None
-    lad = _ladder_coeffs(joint.n_atoms, k_top).reshape(-1, 1, 1, 1)
-    if process == "write":
-        n_det = trunc.fock_a_max
-        sq_det = np.sqrt(np.arange(1, n_det + 1)).reshape(1, -1, 1, 1)
+        det = ("mode b", active, psi[:, :, :, trunc.fock_b_max])
+    lossy = active & (trunc.fock_c_max > 0 if exact else proc.beta < 1.0)
+    checks = [det, ("mode c", lossy, psi[..., trunc.fock_c_max])]
+    split_k = not exact and proc.name == "read"
+    if split_k:  # absorption raises k out of n_b >= 1, and out of n_c >= 1 if lossy
+        checks.append(("atomic k", below, psi[:, k_top, :, 1:]))
     else:
-        n_det = trunc.fock_b_max
-        sq_det = np.sqrt(np.arange(1, n_det + 1)).reshape(1, 1, -1, 1)
-    sqc = np.sqrt(np.arange(1, trunc.fock_c_max + 1)).reshape(1, 1, 1, -1)
-    g_det = np.sqrt(p * beta)
-    g_loss = np.sqrt(p * (1.0 - beta))
-    w_det = g_det * lad * sq_det
-    w_loss = g_loss * lad * sqc if g_loss > 0.0 else None
-    bound = 2.0 * float(lad.max()) * (
-        g_det * np.sqrt(n_det) + g_loss * np.sqrt(trunc.fock_c_max)
+        checks.insert(0, ("atomic k", below, psi[:, k_top]))
+    error, message = (
+        (TruncationLeakageError, "{}: exact evolution left population {:.3e} on the "
+         f"{{}} cutoff (> {LEAK_TOL})") if exact else
+        (TruncationOverflowError, "{}: population {:.3e} at the {} cutoff would "
+         "overflow the truncation")
     )
-    return w_det, w_loss, float(bound)
+    for name, rows, slab in checks:
+        if not rows.any():
+            continue
+        pops = row_norms(slab)
+        if split_k and name == "atomic k" and lossy.any():
+            pops += np.where(lossy, row_norms(psi[:, k_top, :, 0, 1:]), 0.0)
+        for i in np.flatnonzero(rows & (pops > LEAK_TOL)):
+            errors.setdefault(i, error(message.format(proc.name, pops[i], name)))
 
 
 def _add_generator(
@@ -275,20 +273,21 @@ def _add_generator(
 
     Write couples (k, n_a, n_c) to (k+1, n_a+1, n_c) and (k+1, n_a, n_c+1);
     read couples (k, n_b, n_c) to (k-1, n_b+1, n_c) and (k-1, n_b, n_c+1).
-    Entries no path reaches stay exactly zero.
+    The four trailing axes are (k, n_a, n_b, n_c); any leading axes are batch
+    axes, matched by the weights'. Entries no path reaches stay exactly zero.
     """
     if process == "write":
-        out[1:, 1:] += w_det * psi[:-1, :-1]
-        out[:-1, :-1] -= w_det * psi[1:, 1:]
+        out[..., 1:, 1:, :, :] += w_det * psi[..., :-1, :-1, :, :]
+        out[..., :-1, :-1, :, :] -= w_det * psi[..., 1:, 1:, :, :]
         if w_loss is not None:
-            out[1:, :, :, 1:] += w_loss * psi[:-1, :, :, :-1]
-            out[:-1, :, :, :-1] -= w_loss * psi[1:, :, :, 1:]
+            out[..., 1:, :, :, 1:] += w_loss * psi[..., :-1, :, :, :-1]
+            out[..., :-1, :, :, :-1] -= w_loss * psi[..., 1:, :, :, 1:]
     else:
-        out[:-1, :, 1:] += w_det * psi[1:, :, :-1]
-        out[1:, :, :-1] -= w_det * psi[:-1, :, 1:]
+        out[..., :-1, :, 1:, :] += w_det * psi[..., 1:, :, :-1, :]
+        out[..., 1:, :, :-1, :] -= w_det * psi[..., :-1, :, 1:, :]
         if w_loss is not None:
-            out[:-1, :, :, 1:] += w_loss * psi[1:, :, :, :-1]
-            out[1:, :, :, :-1] -= w_loss * psi[:-1, :, :, 1:]
+            out[..., :-1, :, :, 1:] += w_loss * psi[..., 1:, :, :, :-1]
+            out[..., 1:, :, :, :-1] -= w_loss * psi[..., :-1, :, :, 1:]
     return out
 
 
@@ -332,33 +331,36 @@ def _exact_apply(
     return total
 
 
-def _check_exact_leakage(out: np.ndarray, joint: JointState, process: str) -> None:
-    trunc = joint.truncation
-    k_top = trunc.atomic_k_max
-    assert k_top is not None
-    checks = []
-    if k_top < joint.n_atoms:
-        checks.append(("atomic k", _slice_population(out, 0, k_top)))
-    if process == "write":
-        checks.append(("mode a", _slice_population(out, 1, trunc.fock_a_max)))
+def apply_process(
+    psi: np.ndarray, proc: Process, errors: dict[int, Exception]
+) -> np.ndarray:
+    """One process on a batch of joint tensors, shape (B, k, n_a, n_b, n_c),
+    row i with ``proc``'s row i. A row that trips a guard gets its exception
+    in ``errors`` (an earlier one is kept). Rows with p = 0 stay unguarded."""
+    active = proc.p > 0.0
+    if not active.any():
+        return psi
+    w_det, w_loss, bound = proc.weights
+    exact = proc.order is EvolutionOrder.EXACT
+    if not exact:
+        _check_boundaries(psi, proc, errors, exact)
+        out = _add_generator(psi.copy(), psi, w_det, w_loss, proc.name)
     else:
-        checks.append(("mode b", _slice_population(out, 2, trunc.fock_b_max)))
-    if trunc.fock_c_max > 0:
-        checks.append(("mode c", _slice_population(out, 3, trunc.fock_c_max)))
-    for name, pop in checks:
-        if pop > LEAK_TOL:
-            raise TruncationLeakageError(
-                f"{process}: exact evolution left population {pop:.3e} on the "
-                f"{name} cutoff (> {LEAK_TOL})"
-            )
+        out = psi.copy()
+        for i in np.flatnonzero(active):
+            try:
+                loss = None if w_loss is None else w_loss[i]
+                out[i] = _exact_apply(psi[i], w_det[i], loss, bound[i], proc.name)
+            except MemampError as exc:
+                errors.setdefault(i, exc)
+        _check_boundaries(out, proc, errors, exact)
+    for i in np.flatnonzero(~np.isfinite(out).reshape(len(out), -1).all(axis=1)):
+        errors.setdefault(i, ValueError("amplitudes must be finite"))
+    return out
 
 
-def _apply_process(
-    joint: JointState,
-    p: float,
-    beta: float,
-    order: EvolutionOrder,
-    process: str,
+def _apply_one(
+    joint: JointState, p: float, beta: float, order: EvolutionOrder, name: str
 ) -> JointState:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"coupling p must be in [0, 1], got {p}")
@@ -366,31 +368,27 @@ def _apply_process(
         raise ValueError(f"mode-overlap beta must be in (0, 1], got {beta}")
     if beta < 1.0 and joint.truncation.fock_c_max == 0:
         raise ValueError("beta < 1 requires a loss mode (fock_c_max >= 1)")
-    if p == 0.0:
-        return joint
-    w_det, w_loss, bound = _process_weights(joint, p, beta, process)
-    psi = joint.amplitudes
-    if order is EvolutionOrder.FIRST_ORDER:
-        _check_first_order_headroom(joint, process, beta)
-        out = _add_generator(psi.copy(), psi, w_det, w_loss, process)
-    else:
-        out = _exact_apply(psi, w_det, w_loss, bound, process)
-        _check_exact_leakage(out, joint, process)
-    return JointState(joint.n_atoms, joint.truncation, out)
+    n_atoms, p_row, beta_row = np.array([[joint.n_atoms], [p], [beta]], dtype=float)
+    proc = Process(name, joint.truncation, order, n_atoms, p_row, beta_row)
+    errors: dict[int, Exception] = {}
+    out = apply_process(joint.amplitudes[None], proc, errors)
+    if errors:
+        raise errors[0]
+    return JointState(joint.n_atoms, joint.truncation, out[0])
 
 
 def apply_write(
     joint: JointState, p_w: float, beta_w: float, order: EvolutionOrder
 ) -> JointState:
     """One write process: raises the atomic ladder, emitting into a (and c)."""
-    return _apply_process(joint, p_w, beta_w, order, "write")
+    return _apply_one(joint, p_w, beta_w, order, "write")
 
 
 def apply_read(
     joint: JointState, p_r: float, beta_r: float, order: EvolutionOrder
 ) -> JointState:
     """One read process: lowers the atomic ladder, emitting into b (and c)."""
-    return _apply_process(joint, p_r, beta_r, order, "read")
+    return _apply_one(joint, p_r, beta_r, order, "read")
 
 
 def _herald_slice(joint: JointState, pattern: HeraldPattern) -> np.ndarray:
@@ -399,6 +397,30 @@ def _herald_slice(joint: JointState, pattern: HeraldPattern) -> np.ndarray:
         raise ValueError(f"pattern {pattern} outside truncation {joint.truncation}")
     # columns indexed by the undetected-mode occupation
     return joint.amplitudes[:, pattern.detect_a, pattern.detect_b, :]
+
+
+def herald_rows(
+    psi: np.ndarray, pattern: HeraldPattern, errors: dict[int, Exception]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`herald` on each row of a batch: the conditional atomic states and raw
+    probabilities, 0 and a zero state at or below ZERO_PROB_FLOOR."""
+    block = psi[:, :, pattern.detect_a, pattern.detect_b]  # (B, k, n_c)
+    prob = row_norms(block)
+    live = prob > ZERO_PROB_FLOOR
+    prob[~live] = 0.0
+    col_pop = (np.abs(block) ** 2).sum(axis=1)
+    several = np.count_nonzero(col_pop > prob[:, None] * 1e-24, axis=1) > 1
+    for i in np.flatnonzero(several & live):
+        gram = block[i].conj().T @ block[i]
+        purity = float(np.sum(np.abs(gram) ** 2).real) / np.trace(gram).real ** 2
+        if 1.0 - purity > PURITY_TOL:
+            errors.setdefault(i, MixedConditionalError(
+                "conditional atomic state is mixed; use reduced_conditional_density"
+            ))
+    rows, best = np.arange(len(block)), col_pop.argmax(axis=1)
+    norms = np.sqrt(col_pop[rows, best])
+    norms[~live] = np.inf  # a zero state
+    return block[rows, :, best] / norms[:, None], prob
 
 
 def herald(
@@ -412,28 +434,14 @@ def herald(
     sector, or all sectors parallel); otherwise MixedConditionalError points
     the caller at `reduced_conditional_density`.
     """
-    block = _herald_slice(joint, pattern)
-    prob = float(np.sum(np.abs(block) ** 2))
-    k_dim = block.shape[0]
-    if prob <= ZERO_PROB_FLOOR:
-        zero = DickeVector(joint.n_atoms, np.zeros(k_dim, dtype=np.complex128))
-        return zero, 0.0
-    col_pop = np.sum(np.abs(block) ** 2, axis=0)
-    populated = np.flatnonzero(col_pop > prob * 1e-24)
-    if populated.size > 1:
-        gram = block.conj().T @ block
-        trace = np.trace(gram).real
-        purity = float(np.sum(np.abs(gram) ** 2).real) / trace**2
-        if 1.0 - purity > PURITY_TOL:
-            raise MixedConditionalError(
-                "conditional atomic state is mixed; use reduced_conditional_density"
-            )
-    best = int(np.argmax(col_pop))
-    column = block[:, best]
-    state = DickeVector(
-        joint.n_atoms, column / np.linalg.norm(column), normalized=True
-    )
-    return state, prob
+    _herald_slice(joint, pattern)  # checks the pattern against the truncation
+    errors: dict[int, Exception] = {}
+    states, prob = herald_rows(joint.amplitudes[None], pattern, errors)
+    if errors:
+        raise errors[0]
+    if prob[0] == 0.0:
+        return DickeVector(joint.n_atoms, states[0]), 0.0
+    return DickeVector(joint.n_atoms, states[0], normalized=True), float(prob[0])
 
 
 def reduced_conditional_density(

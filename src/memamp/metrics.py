@@ -12,6 +12,7 @@ built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -35,7 +36,7 @@ PSD_TOL = -1e-10
 
 
 def _checked_probability(name: str, value: float) -> float:
-    if not np.isfinite(value) or not -PROB_BAND <= value <= 1.0 + PROB_BAND:
+    if not math.isfinite(value) or not -PROB_BAND <= value <= 1.0 + PROB_BAND:
         raise MetricRangeError(f"{name} = {value!r} outside [0, 1] tolerance band")
     return float(value)
 
@@ -80,6 +81,14 @@ class DensityMatrix:
         return float(np.real(np.vdot(v, self.matrix @ v)))
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row (leading axis) over its trailing axes, summed
+    on its own in C order: no row's value depends on the other rows."""
+    sq = np.abs(x)
+    sq *= sq
+    return sq.reshape(len(sq), math.prod(sq.shape[1:])).sum(axis=1)
+
+
 def p_success_analytic(p_w: float, p_r: float) -> float:
     """Pair-detection probability to second order in the couplings:
     p_w p_r / (1 + p_w + p_r + p_w p_r)."""
@@ -96,7 +105,7 @@ def p_success_numeric(config: "ProtocolConfig") -> float:
 
     atomic = weak_coherent_atomic_state(config.alpha, config.n_atoms)
     kind = protocol.StageKind.WRITE_THEN_READ
-    state = protocol._evolve_stage(atomic, config, kind)
+    state = protocol._evolve_stage(atomic, protocol._Points([config]), kind)
     outcomes = joint_mod.outcome_probabilities(state)
     detected = float(outcomes[1, 1, :].sum())
     total = state.total_probability()
@@ -119,25 +128,48 @@ def _atomic_target_vector(target_atomic: DickeVector, k_dim: int) -> np.ndarray:
     return t / nrm
 
 
-def _squared_norm(x: np.ndarray) -> float:
-    return float(np.vdot(x, x).real)
+def sector_norms(psi: np.ndarray, t: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
+    """Rows ||psi[:, n_a, n_b]||^2, ||o[n_a, n_b]||^2, ||o||^2, ||psi||^2 of a
+    batch psi[B, k, ...] and targets t[B, k], o = sum_k conj(t_k) psi_k."""
+    o = (t.conj().reshape(t.shape + (1, 1, 1)) * psi).sum(axis=1)
+    return np.stack([row_norms(psi[:, :, n_a, n_b]), row_norms(o[:, n_a, n_b]),
+                     row_norms(o), row_norms(psi)])
 
 
-def _target_projection(joint: "JointState", target_atomic: DickeVector) -> np.ndarray:
-    """o[n_a, n_b, n_c] = sum_k t_k^* psi[k, n_a, n_b, n_c], t the normalized target."""
-    t = _atomic_target_vector(target_atomic, joint.amplitudes.shape[0])
-    return np.tensordot(t.conj(), joint.amplitudes, axes=(0, 0))
-
-
-def _pattern_counts(
-    joint: "JointState", pattern: "HeraldPattern | None"
-) -> tuple[int, int]:
+def _joint_norms(
+    joint: "JointState", target_atomic: DickeVector, pattern: "HeraldPattern | None"
+) -> list:
+    """`sector_norms` of one joint state, then the pattern's counts n_a, n_b."""
     n_a = 1 if pattern is None else pattern.detect_a
     n_b = 1 if pattern is None else pattern.detect_b
     shape = joint.amplitudes.shape
     if n_a >= shape[1] or n_b >= shape[2]:
         raise ValueError(f"pattern ({n_a},{n_b}) outside joint shape {shape}")
-    return n_a, n_b
+    t = _atomic_target_vector(target_atomic, shape[0])
+    norms = sector_norms(joint.amplitudes[None], t[None], n_a, n_b)[:, 0]
+    return norms.tolist() + [n_a, n_b]
+
+
+def checked_p_mode(sector: float, matched: float, n_a: int, n_b: int) -> float:
+    if sector <= 0.0:
+        raise UndefinedMetricError(
+            f"no probability in photon sector ({n_a}, {n_b}); p_mode undefined"
+        )
+    return _checked_probability("p_mode", 1.0 - matched / sector)
+
+
+def checked_p_spon(matched: float, atomic: float) -> float:
+    if atomic <= 0.0:
+        raise UndefinedMetricError(
+            "no probability on the target atomic mode; p_spon undefined"
+        )
+    return _checked_probability("p_spon", 1.0 - matched / atomic)
+
+
+def checked_p_amp(atomic: float, total: float) -> float:
+    if total <= 0.0:
+        raise UndefinedMetricError("zero joint state; p_amp undefined")
+    return _checked_probability("p_amp", atomic / total)
 
 
 def p_mode(
@@ -150,14 +182,8 @@ def p_mode(
     1 - ||o[n_a, n_b, :]||^2 / ||psi[:, n_a, n_b, :]||^2 for the ``pattern``
     photon sector (one photon in each detected mode by default).
     """
-    n_a, n_b = _pattern_counts(joint, pattern)
-    matched = _squared_norm(_target_projection(joint, target_atomic)[n_a, n_b])
-    sector = _squared_norm(joint.amplitudes[:, n_a, n_b])
-    if sector <= 0.0:
-        raise UndefinedMetricError(
-            f"no probability in photon sector ({n_a}, {n_b}); p_mode undefined"
-        )
-    return _checked_probability("p_mode", 1.0 - matched / sector)
+    sector, matched, _, _, n_a, n_b = _joint_norms(joint, target_atomic, pattern)
+    return checked_p_mode(sector, matched, n_a, n_b)
 
 
 def p_spon(
@@ -170,24 +196,15 @@ def p_spon(
     1 - ||o[n_a, n_b, :]||^2 / ||o||^2 for the ``pattern`` photon sector (one
     photon in each detected mode by default).
     """
-    n_a, n_b = _pattern_counts(joint, pattern)
-    o = _target_projection(joint, target_atomic)
-    atomic = _squared_norm(o)
-    if atomic <= 0.0:
-        raise UndefinedMetricError(
-            "no probability on the target atomic mode; p_spon undefined"
-        )
-    return _checked_probability("p_spon", 1.0 - _squared_norm(o[n_a, n_b]) / atomic)
+    _, matched, atomic, _, _, _ = _joint_norms(joint, target_atomic, pattern)
+    return checked_p_spon(matched, atomic)
 
 
 def p_amp(joint: "JointState", target_atomic: DickeVector) -> float:
     """Probability of finding the atomic part in the desired amplified state,
     whatever the photons: ||o||^2 / ||psi||^2."""
-    total = _squared_norm(joint.amplitudes)
-    if total <= 0.0:
-        raise UndefinedMetricError("zero joint state; p_amp undefined")
-    o = _target_projection(joint, target_atomic)
-    return _checked_probability("p_amp", _squared_norm(o) / total)
+    _, _, atomic, total, _, _ = _joint_norms(joint, target_atomic, None)
+    return checked_p_amp(atomic, total)
 
 
 def quality(p_amp_value: float, p_spon_value: float, p_mode_value: float) -> float:

@@ -23,9 +23,9 @@ from .dicke import (
     Schedule,
     relative_gain,
     weak_coherent_atomic_state,
+    weak_coherent_rows,
 )
-from .dicke import fidelity as dicke_fidelity
-from .errors import ConfigError
+from .errors import ConfigError, MemampError
 from .joint import (
     TRUNCATION_FIELDS,
     ZERO_PROB_FLOOR,
@@ -33,19 +33,23 @@ from .joint import (
     HeraldPattern,
     JointState,
     ModeTruncation,
-    apply_read,
-    apply_write,
+    Process,
+    apply_process,
     build_joint,
     conditional_on_counts,
-    herald,
+    herald_rows,
     is_integer,
     is_real,
     outcome_probabilities,
 )
-from .metrics import QualityReport
-from .metrics import p_amp as metric_p_amp
-from .metrics import p_mode as metric_p_mode
-from .metrics import p_spon as metric_p_spon
+from .metrics import (
+    QualityReport,
+    checked_p_amp,
+    checked_p_mode,
+    checked_p_spon,
+    row_norms,
+    sector_norms,
+)
 
 
 class StageKind(enum.Enum):
@@ -72,6 +76,14 @@ class GainConvention(enum.Enum):
     LARGE_N = "large_n"
 
 
+def to_number(key: str, convert, value):
+    """``convert(value)``; a JSON integer beyond the float range is a ConfigError."""
+    try:
+        return convert(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """All run parameters for a schedule, validated on construction."""
@@ -94,7 +106,7 @@ class ProtocolConfig:
             value = getattr(self, key)
             if not is_real(value):
                 raise ConfigError(f"{key}: expected a number, got {value!r}")
-            object.__setattr__(self, key, float(value))
+            object.__setattr__(self, key, to_number(key, float, value))
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Complex):
             raise ConfigError(f"alpha: expected a number, got {self.alpha!r}")
         if not is_integer(self.n_atoms) or self.n_atoms < 1:
@@ -114,7 +126,7 @@ class ProtocolConfig:
             value = getattr(self, key)
             if not 0.0 < value <= 1.0:
                 raise ConfigError(f"{key} must be in (0, 1], got {value}")
-        alpha = complex(self.alpha)
+        alpha = to_number("alpha", complex, self.alpha)
         if not np.isfinite(alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
         object.__setattr__(self, "alpha", alpha)
@@ -221,83 +233,76 @@ def stage_plan(config: ProtocolConfig) -> list[StageKind]:
     ] * config.stages
 
 
-def _gain_of(state: DickeVector | None, alpha: complex) -> float:
-    if state is None or alpha == 0 or state.amplitudes.size < 2:
+def _gain_of(amps: np.ndarray | None, alpha: complex) -> float:
+    if amps is None or alpha == 0 or amps.size < 2:
         return float("nan")
-    c0 = state.amplitudes[0]
+    c0 = amps[0]
     if c0 == 0:
         return float("nan")
     # c0 * alpha stays near 1 where c0 alone is tiny (|alpha| near overflow);
     # Python's complex division, unlike NumPy's, stays finite for subnormals
-    return (complex(state.amplitudes[1]) / complex(c0 * alpha)).real
+    return (complex(amps[1]) / complex(c0 * alpha)).real
 
 
-def _evolve_stage(
-    state: DickeVector, config: ProtocolConfig, kind: StageKind
-) -> JointState:
-    """Fresh-vacuum embedding followed by the stage's process(es)."""
+def batch_key(config: ProtocolConfig) -> tuple:
+    """Points with equal keys share a stage plan, a resolved truncation and an
+    evolution order: they can run as one batch."""
     trunc = config.truncation.resolve(config.n_atoms)
-    jt = build_joint(state if state.normalized else state.normalize(), trunc)
-    if kind in (StageKind.WRITE_THEN_READ, StageKind.WRITE_ONLY):
-        jt = apply_write(jt, config.p_w, config.beta_w, config.order)
-    if kind in (StageKind.WRITE_THEN_READ, StageKind.READ_ONLY):
-        jt = apply_read(jt, config.p_r, config.beta_r, config.order)
-    return jt
+    return config.schedule, config.stages, config.order, trunc
 
 
-def _run_stage(
-    state: DickeVector,
-    config: ProtocolConfig,
-    kind: StageKind,
-    stage_index: int,
-    cumulative_in: float,
-) -> tuple[StageReport, JointState]:
-    """One evolved and heralded stage, with the joint state it heralded."""
-    jt = _evolve_stage(state, config, kind)
-    pattern = STAGE_PATTERNS[kind]
-    conditional, raw = herald(jt, pattern)
-    if raw == 0.0:
-        report = StageReport(
-            stage_index=stage_index,
-            kind=kind,
-            pattern=pattern,
-            probability=0.0,
-            cumulative_probability=0.0,
-            state=None,
-            gain_so_far=float("nan"),
-            failed=True,
-        )
-        return report, jt
-    probability = raw / jt.total_probability()
-    report = StageReport(
-        stage_index=stage_index,
-        kind=kind,
-        pattern=pattern,
-        probability=probability,
-        cumulative_probability=cumulative_in * probability,
-        state=conditional,
-        gain_so_far=_gain_of(conditional, config.alpha),
-    )
-    return report, jt
+class _Points:
+    """The live rows of a batch: their write and read processes and, in the
+    stage loop, their positions and cumulative success probabilities."""
+
+    __slots__ = ("truncation", "write", "read", "index", "cumulative")
+
+    def __init__(self, configs: list[ProtocolConfig]):
+        self.truncation = configs[0].truncation.resolve(configs[0].n_atoms)
+        n_atoms = np.array([c.n_atoms for c in configs], dtype=float)
+        self.write, self.read = [
+            Process(name, self.truncation, configs[0].order, n_atoms,
+                    np.array([getattr(c, p) for c in configs]),
+                    np.array([getattr(c, beta) for c in configs]))
+            for name, p, beta in [("write", "p_w", "beta_w"), ("read", "p_r", "beta_r")]
+        ]
+
+    def keep(self, mask: np.ndarray) -> None:
+        if not mask.all():
+            self.write, self.read = self.write.rows(mask), self.read.rows(mask)
+            self.index, self.cumulative = self.index[mask], self.cumulative[mask]
+
+    def evolve(self, atomic: np.ndarray, kind: StageKind, errors: dict) -> np.ndarray:
+        """Atomic states (B, k) in fresh photon vacuum, through the stage's
+        process(es); each input tensor is freed as its process returns."""
+        psi = np.zeros((len(atomic),) + self.truncation.shape(), dtype=np.complex128)
+        psi[:, :, 0, 0, 0] = atomic
+        if kind is not StageKind.READ_ONLY:
+            psi = apply_process(psi, self.write, errors)
+        if kind is not StageKind.WRITE_ONLY:
+            psi = apply_process(psi, self.read, errors)
+        return psi
 
 
-def run_stage(
-    state: DickeVector,
-    config: ProtocolConfig,
-    kind: StageKind,
-    *,
-    stage_index: int = 0,
-    cumulative_in: float = 1.0,
+def _evolve_stage(state: DickeVector, points: _Points, kind: StageKind) -> JointState:
+    """Fresh-vacuum embedding followed by the stage's process(es), for one state."""
+    atomic = state if state.normalized else state.normalize()
+    rows = build_joint(atomic, points.truncation).amplitudes[None, :, 0, 0, 0].copy()
+    errors: dict[int, Exception] = {}
+    psi = points.evolve(rows, kind, errors)
+    if errors:
+        raise errors[0]
+    return JointState(state.n_atoms, points.truncation, psi[0])
+
+
+def _stage_report(
+    index: int, kind: StageKind, record: tuple, config: ProtocolConfig
 ) -> StageReport:
-    """Evolve one stage and herald its pattern.
-
-    A zero-probability herald is reported as a failed stage, not raised.
-    Exact evolution with beta < 1 can leave the conditional state mixed;
-    that case raises MixedConditionalError (use first-order evolution, or
-    the density-matrix route, or `monte_carlo` which resolves the undetected
-    mode).
-    """
-    return _run_stage(state, config, kind, stage_index, cumulative_in)[0]
+    """A `run_batch` stage record as a report; no amplitudes is a failed herald."""
+    probability, cumulative, amps = record
+    state = None if amps is None else DickeVector(config.n_atoms, amps, normalized=True)
+    return StageReport(index, kind, STAGE_PATTERNS[kind], probability, cumulative,
+                       state, _gain_of(amps, config.alpha), failed=amps is None)
 
 
 def _target_gain(config: ProtocolConfig) -> float:
@@ -306,26 +311,6 @@ def _target_gain(config: ProtocolConfig) -> float:
     if config.schedule is Schedule.TYPE_I:
         return float(2.0**config.stages)
     return float(config.stages + 1)
-
-
-def _quality_report(
-    config: ProtocolConfig,
-    final_joint: JointState,
-    final_state: DickeVector,
-    final_pattern: HeraldPattern,
-    cumulative: float,
-) -> QualityReport:
-    target_atomic = weak_coherent_atomic_state(
-        _target_gain(config) * config.alpha, config.n_atoms
-    )
-    return QualityReport.build(
-        p_suc=cumulative,
-        p_mode_value=metric_p_mode(final_joint, target_atomic, final_pattern),
-        p_spon_value=metric_p_spon(final_joint, target_atomic, final_pattern),
-        p_amp_value=metric_p_amp(final_joint, target_atomic),
-        gain=_gain_of(final_state, config.alpha),
-        fidelity=dicke_fidelity(final_state, target_atomic),
-    )
 
 
 def _check_headroom(config: ProtocolConfig) -> None:
@@ -340,47 +325,94 @@ def _check_headroom(config: ProtocolConfig) -> None:
         )
 
 
-def run_schedule(config: ProtocolConfig) -> AmplificationReport:
-    """Deterministic post-selected pipeline over the configured schedule."""
-    _check_headroom(config)
-    plan = stage_plan(config)
-    state = weak_coherent_atomic_state(config.alpha, config.n_atoms)
-    analytic = relative_gain(config.schedule, config.stages, config.n_atoms)
-    reports: list[StageReport] = []
-    cumulative = 1.0
-    last_joint: JointState | None = None
-    for index, kind in enumerate(plan):
-        report, last_joint = _run_stage(state, config, kind, index, cumulative)
-        reports.append(report)
-        if report.failed:
-            return AmplificationReport(
-                succeeded=False,
-                stage_reports=reports,
-                final_state=None,
-                final_gain=float("nan"),
-                analytic_gain=analytic,
-                discrepancy=float("nan"),
-                success_probability=0.0,
-                quality=None,
-                failure_reason=f"zero-probability herald at stage {index}",
+def run_batch(configs: list[ProtocolConfig]) -> list[tuple]:
+    """The stage loop: embed, evolve, herald and score points of one
+    `batch_key` as the rows of one (B, k, n_a, n_b, n_c) tensor. Reductions
+    stay within a row, so no row's values depend on the others. A row that
+    raises keeps the error and leaves the batch, as does a failed herald.
+    Returns per point (stage records, final amplitudes, QualityReport, error),
+    a stage record being (probability, cumulative probability, heralded
+    amplitudes or None for a zero-probability herald)."""
+    if len({batch_key(c) for c in configs}) != 1:
+        raise ValueError("a batch needs one stage plan, truncation shape and order")
+    count = len(configs)
+    stages: list[list[tuple]] = [[] for _ in range(count)]
+    finals: list[np.ndarray | None] = [None] * count
+    qualities: list[QualityReport | None] = [None] * count
+    errors: list[Exception | None] = [None] * count
+    for i, config in enumerate(configs):
+        try:
+            _check_headroom(config)
+        except ConfigError as exc:
+            errors[i] = exc
+    points = _Points(configs)
+    points.index, points.cumulative = np.arange(count), np.ones(count)
+    k_dim = points.truncation.atomic_k_max + 1
+    alphas = np.array([c.alpha for c in configs])
+    states = weak_coherent_rows(alphas, [c.n_atoms for c in configs], k_dim)
+    live = np.array([error is None for error in errors])
+    for kind in stage_plan(configs[0]):
+        points.keep(live)
+        states = states[live]
+        stage_errors: dict[int, Exception] = {}
+        psi = points.evolve(states, kind, stage_errors)
+        states, raw = herald_rows(psi, STAGE_PATTERNS[kind], stage_errors)
+        probability = raw / row_norms(psi)
+        points.cumulative = points.cumulative * probability
+        live = probability > 0.0
+        cumulative = points.cumulative.tolist()
+        for pos, (i, p) in enumerate(zip(points.index.tolist(), probability.tolist())):
+            if pos in stage_errors:
+                errors[i], live[pos] = stage_errors[pos], False
+            else:
+                stages[i].append((p, cumulative[pos], states[pos] if p else None))
+    # score the rows that heralded every stage
+    points.keep(live)
+    psi, states, index = psi[live], states[live], points.index.tolist()
+    counts = STAGE_PATTERNS[kind].detect_a, STAGE_PATTERNS[kind].detect_b
+    targets = np.array([_target_gain(configs[i]) * configs[i].alpha for i in index])
+    targets = weak_coherent_rows(targets, [configs[i].n_atoms for i in index], k_dim)
+    norms = sector_norms(psi, targets, *counts)
+    overlap = np.abs((states.conj() * targets).sum(axis=1)) ** 2
+    fidelity = overlap / (row_norms(states) * row_norms(targets))
+    for pos, (i, p_suc, fid, (sector, matched, atomic, total)) in enumerate(
+        zip(index, points.cumulative.tolist(), fidelity.tolist(), norms.T.tolist())
+    ):
+        try:  # the checks raise in this order: p_mode, p_spon, p_amp, q_amp
+            qualities[i] = QualityReport.build(
+                p_suc, checked_p_mode(sector, matched, *counts),
+                checked_p_spon(matched, atomic), checked_p_amp(atomic, total),
+                _gain_of(states[pos], configs[i].alpha), fid,
             )
-        assert report.state is not None
-        state = report.state
-        cumulative = report.cumulative_probability
-    assert last_joint is not None
-    final_gain = _gain_of(state, config.alpha)
-    quality = _quality_report(
-        config, last_joint, state, STAGE_PATTERNS[plan[-1]], cumulative
-    )
+            finals[i] = states[pos]
+        except (MemampError, ValueError) as exc:
+            errors[i] = exc
+    return list(zip(stages, finals, qualities, errors))
+
+
+def run_schedule(config: ProtocolConfig) -> AmplificationReport:
+    """Deterministic post-selected pipeline over the configured schedule:
+    `run_batch` on the batch of one, raising the point's error."""
+    stages, _, quality, error = run_batch([config])[0]
+    if error is not None:
+        raise error
+    plan = stage_plan(config)
+    reports = [_stage_report(i, plan[i], r, config) for i, r in enumerate(stages)]
+    analytic = relative_gain(config.schedule, config.stages, config.n_atoms)
+    gain = float("nan") if quality is None else quality.gain
     return AmplificationReport(
-        succeeded=True,
+        succeeded=quality is not None,
         stage_reports=reports,
-        final_state=state,
-        final_gain=final_gain,
+        final_state=reports[-1].state,
+        final_gain=gain,
         analytic_gain=analytic,
-        discrepancy=abs(final_gain - analytic),
-        success_probability=cumulative,
+        discrepancy=abs(gain - analytic),
+        success_probability=0.0 if quality is None else quality.p_suc,
         quality=quality,
+        failure_reason=(
+            None if quality is not None
+            else f"zero-probability herald at stage {len(reports) - 1}"
+        ),
     )
 
 
@@ -429,6 +461,7 @@ class _TrajectoryTree:
     def __init__(self, config: ProtocolConfig):
         self.config = config
         self.plan = stage_plan(config)
+        self.points = _Points([config])
         self.nodes: dict[tuple[int, ...], tuple[JointState, np.ndarray]] = {}
 
     def state_at(self, path: tuple[int, ...]) -> DickeVector:
@@ -447,7 +480,7 @@ class _TrajectoryTree:
         or below ZERO_PROB_FLOOR are 0: `conditional_on_counts` has no state there."""
         if path not in self.nodes:
             state = self.state_at(path)
-            joint = _evolve_stage(state, self.config, self.plan[len(path)])
+            joint = _evolve_stage(state, self.points, self.plan[len(path)])
             weights = outcome_probabilities(joint)
             weights[weights <= ZERO_PROB_FLOOR] = 0.0
             self.nodes[path] = (joint, weights / joint.total_probability())
@@ -503,7 +536,7 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
     if successes > 0:
         gain_sum = 0.0
         for path, count in alive.items():
-            gain_sum += count * _gain_of(tree.state_at(path), config.alpha)
+            gain_sum += count * _gain_of(tree.state_at(path).amplitudes, config.alpha)
         mean_gain = gain_sum / successes
     else:
         mean_gain = float("nan")

@@ -23,6 +23,7 @@ from memamp.cli import (
 from memamp.dicke import Schedule, relative_gain
 from memamp.errors import ConfigError
 from memamp.joint import EvolutionOrder
+from memamp.protocol import batch_key, run_batch, run_schedule
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -342,6 +343,135 @@ class TestSweepCommand:
         assert bad["error"].startswith("TruncationLeakageError")
 
 
+def sweep_csv(tmp_path, spec, name="sw", jobs=1):
+    """Run a sweep; returns (exit code, header, rows, raw bytes of sweep.csv)."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / name
+    code = main(["sweep", "--config", str(path), "--out", str(out), "--jobs", str(jobs)])
+    header, rows = read_csv(out / "sweep.csv")
+    return code, header, rows, (out / "sweep.csv").read_bytes()
+
+
+#: points of several batch keys (ensemble sizes with different atomic cutoffs,
+#: stage counts), lossy and lossless, and zero couplings that fail their herald
+MIXED_AXES = {
+    "n_atoms": [3, 20, 100],
+    "stages": [1, 2],
+    "beta_w": [0.6, 1.0],
+    "p_w": [0.0, 0.004, 0.01],
+}
+
+
+class TestSweepBatches:
+    """Batched sweeps: rows match `run_schedule`, whatever the batch."""
+
+    @pytest.mark.parametrize("schedule", ["type1", "type2"])
+    def test_rows_equal_run_schedule_bit_for_bit(self, tmp_path, schedule):
+        base = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8, "schedule": schedule}
+        _, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": MIXED_AXES})
+        keys = list(MIXED_AXES)
+        assert len(rows) == 36
+        for row in rows:
+            point = dict(base, **{k: json.loads(v) for k, v in zip(keys, row)})
+            report = run_schedule(cli.config_from_dict(point))
+            quality = report.quality
+            if quality is None:
+                expected = [math.nan] * (len(header) - len(keys) - 2) + [False, ""]
+            else:
+                expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
+            assert row[len(keys):] == [cli._format_cell(v) for v in expected]
+            assert (quality is None) == (point["p_w"] == 0.0)
+
+    def test_permuted_axes_give_identical_rows(self, tmp_path):
+        base = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8}
+        permuted = {k: v[::-1] for k, v in reversed(list(MIXED_AXES.items()))}
+        _, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": MIXED_AXES})
+        _, header2, rows2, _ = sweep_csv(
+            tmp_path, {"base": base, "axes": permuted}, name="perm"
+        )
+        keys = list(MIXED_AXES)
+
+        def keyed(head, table):
+            cols = [head.index(k) for k in keys]
+            return {tuple(r[c] for c in cols): r[len(keys):] for r in table}
+
+        assert keyed(header, rows) == keyed(header2, rows2)
+
+    def test_two_jobs_write_the_same_bytes(self, tmp_path):
+        base = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8, "schedule": "type2"}
+        spec = {"base": base, "axes": MIXED_AXES}
+        _, _, _, serial = sweep_csv(tmp_path, spec, name="j1")
+        _, _, _, parallel = sweep_csv(tmp_path, spec, name="j2", jobs=2)
+        assert serial == parallel
+
+    def test_failing_rows_leave_the_rest_of_their_batch(self, tmp_path, capsys):
+        base = {"n_atoms": 100, "alpha": 0.1, "p_r": 0.01, "beta_w": 0.5,
+                "truncation": {"atomic_k_max": 2}}
+        axes = {"beta_r": [1.0, 0.5, 0.9], "p_w": [0.0, 0.01]}
+        code, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": axes})
+        assert code == EXIT_PROTOCOL
+        overflow = ("TruncationOverflowError: read: population 9.802e-05 at the "
+                    "atomic k cutoff would overflow the truncation")
+        cells = {(r[0], r[1]): dict(zip(header, r)) for r in rows}
+        assert {k: (c["succeeded"], c["error"]) for k, c in cells.items()} == {
+            ("1.0", "0.0"): ("false", ""),
+            ("1.0", "0.01"): ("true", ""),
+            ("0.5", "0.0"): ("false", ""),
+            ("0.5", "0.01"): ("false", overflow),
+            ("0.9", "0.0"): ("false", ""),
+            ("0.9", "0.01"): ("false", overflow),
+        }
+        assert 0.0 < float(cells[("1.0", "0.01")]["q_amp"]) < 1.0
+        capsys.readouterr()
+        for (beta_r, p_w), cell in cells.items():
+            point = dict(base, beta_r=float(beta_r), p_w=float(p_w))
+            assert simulate_exit(tmp_path, point) == (
+                EXIT_OK if cell["succeeded"] == "true" else EXIT_PROTOCOL
+            )
+            err = capsys.readouterr().err
+            if cell["error"]:
+                assert err == f"run failed: {cell['error'].split(': ', 1)[1]}\n"
+            elif cell["succeeded"] == "false":
+                assert err == "simulation failed: zero-probability herald at stage 0\n"
+
+    def test_batches_are_capped_and_uniform(self, tmp_path, monkeypatch):
+        batches = []
+
+        def spy(configs):
+            batches.append(list(configs))
+            return run_batch(configs)
+
+        monkeypatch.setattr(cli, "run_batch", spy)
+        axes = {"p_w": [0.001 * (i + 1) for i in range(8)],
+                "p_r": [0.001 * (i + 1) for i in range(8)],
+                "stages": [1, 2], "n_atoms": [3, 20, 100]}
+        code, _, rows, _ = sweep_csv(tmp_path, {"base": {"alpha": 0.1}, "axes": axes})
+        assert code == EXIT_OK and len(rows) == 384
+        assert sum(len(batch) for batch in batches) == 384
+        capped = 0
+        for batch in batches:
+            first = batch[0]
+            dim = first.truncation.resolve(first.n_atoms).total_dim()
+            cap = cli.BATCH_BYTES // (16 * dim)
+            assert 1 <= len(batch) <= cap
+            assert {batch_key(c) for c in batch} == {batch_key(first)}
+            capped += len(batch) == cap
+        assert capped > len(batches) / 2
+
+    def test_exact_points_run_one_at_a_time(self, tmp_path, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            cli, "run_batch", lambda configs: sizes.append(len(configs)) or run_batch(configs)
+        )
+        base = {"n_atoms": 100, "alpha": 0.1, "order": "exact",
+                "truncation": {"fock_a_max": 5, "fock_b_max": 5}}
+        code, _, rows, _ = sweep_csv(
+            tmp_path, {"base": base, "axes": {"p_w": [0.001, 0.002, 0.003]}}
+        )
+        assert code == EXIT_OK and len(rows) == 3 and sizes == [1, 1, 1]
+
+
 class TestOracleCheckCommand:
     def test_passes_up_to_ten(self, tmp_path, capsys):
         assert main(["oracle-check", "--n-max", "10",
@@ -565,6 +695,51 @@ class TestLargeAlpha:
         data = {"n_atoms": 100, "alpha": [1e308, 1e308]}
         assert simulate_exit(tmp_path, data) == EXIT_CONFIG
         assert "alpha" in capsys.readouterr().err
+
+
+#: a JSON integer beyond the float range
+_HUGE = 10**400
+
+
+class TestUnreadableNumbersAndFiles:
+    """Integers beyond the float range and non-UTF-8 files are config errors."""
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("simulate", "p_w", _HUGE), ("simulate", "alpha", _HUGE),
+         ("simulate", "alpha", [_HUGE, 0]), ("mc", "beta_r", -_HUGE),
+         ("mc", "alpha", [0.0, _HUGE])],
+        ids=["simulate_p_w", "simulate_alpha", "simulate_alpha_pair", "mc_beta_r",
+             "mc_alpha_pair"],
+    )
+    def test_huge_integer_names_the_key(self, tmp_path, capsys, command, key, value):
+        data = {"n_atoms": 100, key: value}
+        if command == "simulate":
+            code = simulate_exit(tmp_path, data)
+        else:
+            code = mc_exit(tmp_path, data, 10)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}:") and "Traceback" not in err
+
+    def test_huge_integer_on_a_sweep_axis_names_the_key(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"base": {"n_atoms": 100},
+                                     "axes": {"p_r": [0.01, _HUGE]}}))
+        assert main(["sweep", "--config", str(sweep),
+                     "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: p_r:")
+
+    @pytest.mark.parametrize("command", ["simulate", "mc", "sweep"])
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"n_atoms": 100, "alpha": "\xff"}')
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "mc":
+            argv += ["--trials", "10"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config") and "Traceback" not in err
 
 
 _SCALARS = st.one_of(

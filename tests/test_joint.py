@@ -195,6 +195,16 @@ class TestApplyWrite:
             apply_write(state, 0.5, 0.0, EvolutionOrder.FIRST_ORDER)
 
 
+def one_row_weights(state, p, beta, process):
+    """Stencil weights and norm bound of one process on a single joint state."""
+    proc = joint.Process(
+        process, state.truncation, EvolutionOrder.EXACT,
+        np.array([float(state.n_atoms)]), np.array([p]), np.array([beta]),
+    )
+    w_det, w_loss, bound = proc.weights
+    return w_det[0], None if w_loss is None else w_loss[0], bound[0]
+
+
 class TestExactSeries:
     """Exact order is a Taylor series of the first-order stencil."""
 
@@ -214,7 +224,7 @@ class TestExactSeries:
         shape = trunc.resolve(n_atoms).shape()
         psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         state = JointState(n_atoms, trunc.resolve(n_atoms), psi / np.linalg.norm(psi))
-        w_det, w_loss, bound = joint._process_weights(state, p, beta, process)
+        w_det, w_loss, bound = one_row_weights(state, p, beta, process)
         out = joint._exact_apply(state.amplitudes, w_det, w_loss, bound, process)
         generator = explicit_generator(n_atoms, state.truncation, p, beta, process)
         reference = expm_apply(generator, state.amplitudes)
@@ -264,7 +274,7 @@ class TestExactSeries:
         trunc = ModeTruncation(12, 12, 0, 10).resolve(30)
         psi = np.random.default_rng(0).normal(size=trunc.shape()) + 0j
         state = JointState(30, trunc, psi / np.linalg.norm(psi))
-        w_det, w_loss, _ = joint._process_weights(state, 1.0, 1.0, "write")
+        w_det, w_loss, _ = one_row_weights(state, 1.0, 1.0, "write")
         with pytest.raises(MemampError, match="did not converge"):
             joint._exact_apply(state.amplitudes, w_det, w_loss, 0.5, "write")
 

