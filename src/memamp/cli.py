@@ -13,10 +13,12 @@ import csv
 import dataclasses
 import enum
 import functools
+import itertools
 import json
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,9 +45,9 @@ OUT_DIR_ENV = "MEMAMP_OUT_DIR"
 #: Maximum number of sweep grid points.
 GRID_CAP = 1_000_000
 
-#: Joint-state bytes per sweep batch (4 points at the default shape); larger
-#: batches save little time and raise the peak heap.
-BATCH_BYTES = 32 * 1024
+#: Joint-state bytes per sweep batch (9 points at the default shape). A batch
+#: peaks at 3 state tensors; larger ones save little time and raise the heap.
+BATCH_BYTES = 64 * 1024
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -164,7 +166,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -240,6 +242,8 @@ def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
         raise ConfigError("sweep config needs both 'base' and 'axes'")
     base = data["base"]
     axes = data["axes"]
+    if not isinstance(base, dict):
+        raise ConfigError("base: expected an object")
     if not isinstance(axes, dict) or not axes:
         raise ConfigError("axes: expected a nonempty object of key -> values")
     for key, values in axes.items():
@@ -254,19 +258,11 @@ def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
     return base, axes
 
 
-def _grid_points(base: dict, axes: dict) -> list[dict]:
-    points = [dict(base)]
-    for key, values in axes.items():  # file order; row-major expansion
-        expanded = []
-        for point in points:
-            for value in values:
-                nxt = dict(point)
-                nxt[key] = value
-                expanded.append(nxt)
-        points = expanded
-        if len(points) > GRID_CAP:
-            raise GridGuardError(f"sweep grid exceeds cap of {GRID_CAP} points")
-    return points
+def _grid_points(axes: dict) -> list[tuple]:
+    """Each grid point's axis values, row-major in the file's axis order."""
+    if math.prod(len(values) for values in axes.values()) > GRID_CAP:
+        raise GridGuardError(f"sweep grid exceeds cap of {GRID_CAP} points")
+    return list(itertools.product(*axes.values()))
 
 
 def _sweep_batch(configs: list[ProtocolConfig]) -> list[list]:
@@ -297,7 +293,8 @@ def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
     work = [[configs[i] for i in batch] for batch in batches]
     # a pool forks all its workers up front, however few points there are
     workers = min(jobs, len(configs), os.cpu_count() or 1)
-    if workers > 1:
+    if workers > 1:  # imported here: multiprocessing is slow to import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_batch, work, chunksize=4))
     else:
@@ -314,34 +311,34 @@ def cmd_sweep(
 ) -> int:
     """Grid evaluation of the quality metrics over swept config keys.
 
-    Every point is written; a point whose run raised gets NaN values and the
-    error in its ``error`` column, and the sweep then exits EXIT_PROTOCOL.
+    Every point is written. A point whose run raised gets NaN values and the
+    error in its ``error`` column; a point whose herald failed gets NaN values
+    and an empty ``error``. Either has ``succeeded`` false, and the sweep then
+    exits EXIT_PROTOCOL, as `simulate` of that point would.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     base, axes = _load_sweep_spec(spec_path)
-    points = _grid_points(base, axes)
-    configs = []
-    for point in points:
-        if seed is not None:
-            point = dict(point, rng_seed=seed)
-        configs.append(config_from_dict(point))
-    axis_keys = list(axes)
-    results = _sweep_cells(configs, jobs)
-    header = axis_keys + list(QUALITY_FIELDS) + ["gain_squared", "succeeded", "error"]
-    rows = [[p[k] for k in axis_keys] + cells for p, cells in zip(points, results)]
+    grid = _grid_points(axes)
+    seeded = base if seed is None else dict(base, rng_seed=seed)
+    results = _sweep_cells(
+        [config_from_dict({**seeded, **dict(zip(axes, values))}) for values in grid],
+        jobs,
+    )
+    header = list(axes) + list(QUALITY_FIELDS) + ["gain_squared", "succeeded", "error"]
     csv_path = out_dir / "sweep.csv"
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, header, ([*v, *cells] for v, cells in zip(grid, results)))
     RunManifest(
         command="sweep",
         seed=seed,
         config={"base": base, "axes": axes},
         outputs=[csv_path.name],
     ).write(out_dir)
-    failed = sum(1 for cells in results if cells[-1])
+    failed = sum(1 for cells in results if not cells[-2])  # succeeded false
     if failed:
         print(
-            f"sweep: {failed} of {len(results)} points failed; see the error column",
+            f"sweep: {failed} of {len(results)} points failed; see the succeeded "
+            "and error columns",
             file=sys.stderr,
         )
         return EXIT_PROTOCOL

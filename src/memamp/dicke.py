@@ -200,16 +200,17 @@ def relative_gain(schedule: Schedule, n_rounds: int, n_atoms: int) -> float:
     return float((n_rounds + 1) * (1.0 - n_rounds / n_atoms))
 
 
-def weak_coherent_rows(alpha: np.ndarray, n_atoms: list[int], size: int) -> np.ndarray:
-    """`weak_coherent_atomic_state` of each (alpha, N), as rows of ``size`` levels."""
-    amps = np.zeros((len(alpha), max(size, DEFAULT_K_MAX + 1)), dtype=np.complex128)
+def weak_coherent_rows(alpha: np.ndarray, size: int) -> np.ndarray:
+    """`weak_coherent_atomic_state` of each alpha, as rows of ``size`` levels."""
+    amps = np.zeros((len(alpha), max(size, 2)), dtype=np.complex128)
     amps[:, 0] = 1.0
     amps[:, 1] = alpha
     # dividing by the largest real or imaginary part first keeps the norm of
     # a huge alpha from overflowing; for |alpha| <= 1 it divides by 1.0
     amps /= np.abs(amps.view(np.float64)).max(axis=1, keepdims=True)
-    for row, n in zip(amps, n_atoms):  # each norm over the state's own allocation
-        row /= np.linalg.norm(row[: min(n, DEFAULT_K_MAX) + 1])
+    # only levels 0 and 1 are nonzero: np.linalg.norm's sum, in its order
+    re, im = amps.real[:, :2] ** 2, amps.imag[:, :2] ** 2
+    amps /= np.sqrt((re[:, 0] + re[:, 1]) + (im[:, 0] + im[:, 1]))[:, None]
     return amps[:, :size]
 
 
@@ -222,7 +223,7 @@ def weak_coherent_atomic_state(alpha: complex, n_atoms: int) -> DickeVector:
     k_alloc = min(n_atoms, DEFAULT_K_MAX)
     if k_alloc < 1 and alpha != 0:
         raise ValueError("N=0-level allocation cannot carry alpha != 0")
-    amps = weak_coherent_rows(np.array([alpha]), [n_atoms], k_alloc + 1)[0]
+    amps = weak_coherent_rows(np.array([alpha]), k_alloc + 1)[0]
     return DickeVector(n_atoms, amps, normalized=True)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     TruncationLeakageError,
     TruncationOverflowError,
 )
-from .metrics import DensityMatrix, row_norms
+from .metrics import DensityMatrix, row_sums
 
 #: Total tensor dimension cap for any joint state.
 DIM_CAP = 2_000_000
@@ -191,40 +191,43 @@ def build_joint(atomic: DickeVector, truncation: ModeTruncation) -> JointState:
 
 class Process:
     """A write or read process over a batch: per row the ensemble size, the
-    coupling p and the mode overlap beta, on one resolved truncation."""
+    coupling p and the mode overlap beta, on one resolved truncation; and its
+    ``weights``, built once here and sliced by `rows`: the detected- and
+    loss-mode stencil weights (B, k_top, ...), ladder coefficient x photon
+    sqrt(n) x coupling (no loss weights if lossless), and per row a bound on
+    ||G||, G = C - C^dagger: 2 max(ladder) (sqrt(p beta n_det) +
+    sqrt(p (1 - beta) n_c)) with the two cutoffs."""
 
-    __slots__ = ("name", "truncation", "order", "n_atoms", "p", "beta")
+    __slots__ = ("name", "truncation", "order", "n_atoms", "p", "beta", "weights")
 
     def __init__(self, name, truncation, order, n_atoms, p, beta):
         self.name, self.truncation, self.order = name, truncation, order
         self.n_atoms, self.p, self.beta = n_atoms, p, beta
-
-    def rows(self, mask: np.ndarray) -> "Process":
-        return Process(self.name, self.truncation, self.order,
-                       self.n_atoms[mask], self.p[mask], self.beta[mask])
-
-    @property
-    def weights(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """Detected- and loss-mode stencil weights (B, k_top, ...): ladder
-        coefficient x photon sqrt(n) x coupling, no loss weights if lossless;
-        and per row a bound on ||G||, G = C - C^dagger: 2 max(ladder)
-        (sqrt(p beta n_det) + sqrt(p (1 - beta) n_c)) with the two cutoffs."""
-        trunc, write = self.truncation, self.name == "write"
+        trunc, write = truncation, name == "write"
         k = np.arange(trunc.atomic_k_max)
         # raise coefficient from level k (the lower one from k+1), as ladder_coeff
-        ladder = np.sqrt((k + 1) * (1.0 - k / self.n_atoms[:, None]))
+        ladder = np.sqrt((k + 1) * (1.0 - k / n_atoms[:, None]))
         lad = ladder.reshape(ladder.shape + (1, 1, 1))
         n_det = trunc.fock_a_max if write else trunc.fock_b_max
         sq_det = np.sqrt(np.arange(1, n_det + 1))  # along n_a (write) or n_b (read)
         sq_det = sq_det.reshape((-1, 1, 1) if write else (-1, 1))
-        g_det = np.sqrt(self.p * self.beta).reshape(-1, 1, 1, 1, 1)
-        g_loss = np.sqrt(self.p * (1.0 - self.beta)).reshape(-1, 1, 1, 1, 1)
+        g_det = np.sqrt(p * beta).reshape(-1, 1, 1, 1, 1)
+        g_loss = np.sqrt(p * (1.0 - beta)).reshape(-1, 1, 1, 1, 1)
         sqc = np.sqrt(np.arange(1, trunc.fock_c_max + 1))
         w_loss = g_loss * lad * sqc if g_loss.any() else None
         bound = 2.0 * ladder.max(axis=1) * (
             g_det * np.sqrt(n_det) + g_loss * np.sqrt(trunc.fock_c_max)
         ).reshape(-1)
-        return g_det * lad * sq_det, w_loss, bound
+        self.weights = g_det * lad * sq_det, w_loss, bound
+
+    def rows(self, mask: np.ndarray) -> "Process":
+        out = object.__new__(Process)
+        out.name, out.truncation, out.order = self.name, self.truncation, self.order
+        out.n_atoms, out.p, out.beta = self.n_atoms[mask], self.p[mask], self.beta[mask]
+        w_det, w_loss, bound = self.weights
+        lossy = (out.p * (1.0 - out.beta)).any()  # as g_loss.any() in __init__
+        out.weights = w_det[mask], w_loss[mask] if lossy else None, bound[mask]
+        return out
 
 
 def _check_boundaries(
@@ -236,29 +239,30 @@ def _check_boundaries(
     active = proc.p > 0.0
     below = active & (k_top < proc.n_atoms)
     if proc.name == "write":
-        det = ("mode a", active, psi[:, :, trunc.fock_a_max])
+        det = ("mode a", active, np.s_[:, :, trunc.fock_a_max])
     else:
-        det = ("mode b", active, psi[:, :, :, trunc.fock_b_max])
+        det = ("mode b", active, np.s_[:, :, :, trunc.fock_b_max])
     lossy = active & (trunc.fock_c_max > 0 if exact else proc.beta < 1.0)
-    checks = [det, ("mode c", lossy, psi[..., trunc.fock_c_max])]
+    checks = [det, ("mode c", lossy, np.s_[..., trunc.fock_c_max])]
     split_k = not exact and proc.name == "read"
     if split_k:  # absorption raises k out of n_b >= 1, and out of n_c >= 1 if lossy
-        checks.append(("atomic k", below, psi[:, k_top, :, 1:]))
+        checks.append(("atomic k", below, np.s_[:, k_top, :, 1:]))
     else:
-        checks.insert(0, ("atomic k", below, psi[:, k_top]))
+        checks.insert(0, ("atomic k", below, np.s_[:, k_top]))
     error, message = (
         (TruncationLeakageError, "{}: exact evolution left population {:.3e} on the "
          f"{{}} cutoff (> {LEAK_TOL})") if exact else
         (TruncationOverflowError, "{}: population {:.3e} at the {} cutoff would "
          "overflow the truncation")
     )
+    sq = np.abs(psi) ** 2  # summed per slab: `row_norms` of the slab, one abs for all
     for name, rows, slab in checks:
         if not rows.any():
             continue
-        pops = row_norms(slab)
+        pops = row_sums(sq[slab])
         if split_k and name == "atomic k" and lossy.any():
-            pops += np.where(lossy, row_norms(psi[:, k_top, :, 0, 1:]), 0.0)
-        for i in np.flatnonzero(rows & (pops > LEAK_TOL)):
+            pops += np.where(lossy, row_sums(sq[:, k_top, :, 0, 1:]), 0.0)
+        for i in (rows & (pops > LEAK_TOL)).nonzero()[0]:
             errors.setdefault(i, error(message.format(proc.name, pops[i], name)))
 
 
@@ -275,19 +279,31 @@ def _add_generator(
     read couples (k, n_b, n_c) to (k-1, n_b+1, n_c) and (k-1, n_b, n_c+1).
     The four trailing axes are (k, n_a, n_b, n_c); any leading axes are batch
     axes, matched by the weights'. Entries no path reaches stay exactly zero.
+    A coupled pair lies a fixed distance apart in the flattened (C-contiguous)
+    arrays, so each term is a product of flat arrays, which numpy runs without
+    buffers; ``scratch`` holds the weights, 0 where a cutoff breaks a pair.
     """
-    if process == "write":
-        out[..., 1:, 1:, :, :] += w_det * psi[..., :-1, :-1, :, :]
-        out[..., :-1, :-1, :, :] -= w_det * psi[..., 1:, 1:, :, :]
-        if w_loss is not None:
-            out[..., 1:, :, :, 1:] += w_loss * psi[..., :-1, :, :, :-1]
-            out[..., :-1, :, :, :-1] -= w_loss * psi[..., 1:, :, :, 1:]
-    else:
-        out[..., :-1, :, 1:, :] += w_det * psi[..., 1:, :, :-1, :]
-        out[..., 1:, :, :-1, :] -= w_det * psi[..., :-1, :, 1:, :]
-        if w_loss is not None:
-            out[..., :-1, :, :, 1:] += w_loss * psi[..., 1:, :, :, :-1]
-            out[..., 1:, :, :, :-1] -= w_loss * psi[..., :-1, :, :, 1:]
+    _, a, b, c = psi.shape[-4:]
+    scratch = np.empty_like(psi)
+    w, flat_psi, flat_out = scratch.reshape(-1), psi.reshape(-1), out.reshape(-1)
+    if process == "write":  # raising: the upper entry (level k + 1) gains first
+        couplings = [(w_det, np.s_[..., :-1, :-1, :, :], (a + 1) * b * c),
+                     (w_loss, np.s_[..., :-1, :, :, :-1], a * b * c + 1)]
+    else:  # lowering: the lower entry (level k) gains first
+        couplings = [(w_det, np.s_[..., :-1, :, 1:, :], a * b * c - c),
+                     (w_loss, np.s_[..., :-1, :, :, 1:], a * b * c - 1)]
+    for weights, lower, shift in couplings:
+        if weights is None:
+            continue
+        n = w.size - shift
+        src, dst = np.s_[:n], np.s_[shift:]
+        if process != "write":
+            src, dst = dst, src
+        w[:] = 0.0
+        for frm, to, add in ((src, dst, np.add), (dst, src, np.subtract)):
+            scratch[lower] = weights
+            np.multiply(w[:n], flat_psi[frm], out=w[:n])
+            add(flat_out[to], w[:n], out=flat_out[to])
     return out
 
 
@@ -354,7 +370,7 @@ def apply_process(
             except MemampError as exc:
                 errors.setdefault(i, exc)
         _check_boundaries(out, proc, errors, exact)
-    for i in np.flatnonzero(~np.isfinite(out).reshape(len(out), -1).all(axis=1)):
+    for i in (~np.isfinite(out).reshape(len(out), -1).all(axis=1)).nonzero()[0]:
         errors.setdefault(i, ValueError("amplitudes must be finite"))
     return out
 
@@ -405,13 +421,16 @@ def herald_rows(
     """`herald` on each row of a batch: the conditional atomic states and raw
     probabilities, 0 and a zero state at or below ZERO_PROB_FLOOR."""
     block = psi[:, :, pattern.detect_a, pattern.detect_b]  # (B, k, n_c)
-    prob = row_norms(block)
+    sq = np.abs(block) ** 2
+    prob = row_sums(sq)  # row_norms(block)
     live = prob > ZERO_PROB_FLOOR
     prob[~live] = 0.0
-    col_pop = (np.abs(block) ** 2).sum(axis=1)
+    col_pop = sq.sum(axis=1)
     several = np.count_nonzero(col_pop > prob[:, None] * 1e-24, axis=1) > 1
-    for i in np.flatnonzero(several & live):
-        gram = block[i].conj().T @ block[i]
+    for i in (several & live).nonzero()[0]:  # scaled exactly, by 2^n, to order one:
+        # the Gram matrix of a tiny mixture would underflow to a 0/0 purity
+        scaled = block[i] * np.ldexp(1.0, -(np.frexp(prob[i])[1] // 2))
+        gram = scaled.conj().T @ scaled
         purity = float(np.sum(np.abs(gram) ** 2).real) / np.trace(gram).real ** 2
         if 1.0 - purity > PURITY_TOL:
             errors.setdefault(i, MixedConditionalError(

@@ -81,12 +81,17 @@ class DensityMatrix:
         return float(np.real(np.vdot(v, self.matrix @ v)))
 
 
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each row (leading axis) over its trailing axes, summed on its
+    own in C order: no row's value depends on the other rows."""
+    return x.reshape(len(x), math.prod(x.shape[1:])).sum(axis=1)
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each row (leading axis) over its trailing axes, summed
-    on its own in C order: no row's value depends on the other rows."""
+    """Squared norm of each row over its trailing axes, as `row_sums` sums."""
     sq = np.abs(x)
     sq *= sq
-    return sq.reshape(len(sq), math.prod(sq.shape[1:])).sum(axis=1)
+    return row_sums(sq)
 
 
 def p_success_analytic(p_w: float, p_r: float) -> float:
@@ -131,7 +136,11 @@ def _atomic_target_vector(target_atomic: DickeVector, k_dim: int) -> np.ndarray:
 def sector_norms(psi: np.ndarray, t: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
     """Rows ||psi[:, n_a, n_b]||^2, ||o[n_a, n_b]||^2, ||o||^2, ||psi||^2 of a
     batch psi[B, k, ...] and targets t[B, k], o = sum_k conj(t_k) psi_k."""
-    o = (t.conj().reshape(t.shape + (1, 1, 1)) * psi).sum(axis=1)
+    # summed over k as psi.sum(axis=1) sums, without a temporary the size of psi
+    t = t.conj().reshape(t.shape + (1, 1, 1))
+    o = t[:, 0] * psi[:, 0]
+    for k in range(1, psi.shape[1]):
+        o += t[:, k] * psi[:, k]
     return np.stack([row_norms(psi[:, :, n_a, n_b]), row_norms(o[:, n_a, n_b]),
                      row_norms(o), row_norms(psi)])
 

@@ -349,12 +349,13 @@ def run_batch(configs: list[ProtocolConfig]) -> list[tuple]:
     points.index, points.cumulative = np.arange(count), np.ones(count)
     k_dim = points.truncation.atomic_k_max + 1
     alphas = np.array([c.alpha for c in configs])
-    states = weak_coherent_rows(alphas, [c.n_atoms for c in configs], k_dim)
+    states = weak_coherent_rows(alphas, k_dim)
     live = np.array([error is None for error in errors])
     for kind in stage_plan(configs[0]):
         points.keep(live)
         states = states[live]
         stage_errors: dict[int, Exception] = {}
+        psi = None  # only the last stage's tensor is scored: free the previous one
         psi = points.evolve(states, kind, stage_errors)
         states, raw = herald_rows(psi, STAGE_PATTERNS[kind], stage_errors)
         probability = raw / row_norms(psi)
@@ -371,7 +372,7 @@ def run_batch(configs: list[ProtocolConfig]) -> list[tuple]:
     psi, states, index = psi[live], states[live], points.index.tolist()
     counts = STAGE_PATTERNS[kind].detect_a, STAGE_PATTERNS[kind].detect_b
     targets = np.array([_target_gain(configs[i]) * configs[i].alpha for i in index])
-    targets = weak_coherent_rows(targets, [configs[i].n_atoms for i in index], k_dim)
+    targets = weak_coherent_rows(targets, k_dim)
     norms = sector_norms(psi, targets, *counts)
     overlap = np.abs((states.conj() * targets).sum(axis=1)) ** 2
     fidelity = overlap / (row_norms(states) * row_norms(targets))

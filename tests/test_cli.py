@@ -1,5 +1,6 @@
 """CLI contract: config parsing, subcommands, exit codes, file round-trips."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from memamp import cli
+from memamp import cli, protocol
 from memamp.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -207,7 +208,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -263,6 +264,14 @@ class TestSweepCommand:
         }))
         assert main(["sweep", "--config", str(sweep),
                      "--out", str(tmp_path / "sw")]) == EXIT_GUARD
+
+    @pytest.mark.parametrize("base", [5, [["n_atoms", 100]], "n_atoms"])
+    def test_base_must_be_an_object(self, tmp_path, capsys, base):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"base": base, "axes": {"p_w": [0.01]}}))
+        assert main(["sweep", "--config", str(sweep),
+                     "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: base: expected an object\n"
 
     def test_unknown_axis_is_config_error(self, tmp_path):
         sweep = tmp_path / "sweep.json"
@@ -458,6 +467,34 @@ class TestSweepBatches:
             assert {batch_key(c) for c in batch} == {batch_key(first)}
             capped += len(batch) == cap
         assert capped > len(batches) / 2
+
+    def test_stencil_weights_are_built_once_per_batch(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(psi, proc, errors):
+            seen.append((proc.name, proc.weights[0]))  # keeps each array alive
+            return apply_process(psi, proc, errors)
+
+        apply_process = protocol.apply_process
+        monkeypatch.setattr(protocol, "apply_process", spy)
+        spec = {"base": {"n_atoms": 100, "alpha": 0.1, "stages": 3, "beta_w": 0.8},
+                "axes": {"p_w": [0.001, 0.002, 0.003]}}
+        code, _, rows, _ = sweep_csv(tmp_path, spec)
+        assert code == EXIT_OK and len(rows) == 3
+        for name in ("write", "read"):
+            weights = [w for n, w in seen if n == name]
+            assert len(weights) == 3  # one batch, three stages
+            assert all(w is weights[0] for w in weights)
+
+    def test_failed_heralds_exit_two(self, tmp_path, capsys):
+        base = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8}
+        code, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": MIXED_AXES})
+        cells = [dict(zip(header, row)) for row in rows]
+        failed = [c for c in cells if c["succeeded"] == "false"]
+        assert len(failed) == 12 and all(c["p_w"] == "0.0" for c in failed)
+        assert all(c["error"] == "" for c in cells)
+        assert code == EXIT_PROTOCOL
+        assert capsys.readouterr().err.startswith("sweep: 12 of 36 points failed")
 
     def test_exact_points_run_one_at_a_time(self, tmp_path, monkeypatch):
         sizes = []

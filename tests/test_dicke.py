@@ -17,8 +17,10 @@ from memamp.dicke import (
     ladder_coeff,
     relative_gain,
     weak_coherent_atomic_state,
+    weak_coherent_rows,
 )
 from memamp.errors import TruncationOverflowError, ZeroNormError
+from reference import weak_coherent_rows_per_row
 
 TOL = 1e-12
 
@@ -252,6 +254,27 @@ class TestWeakCoherentState:
         expected = amps / np.linalg.norm(amps)
         state = weak_coherent_atomic_state(alpha, 10)
         assert np.array_equal(state.amplitudes[:2], expected)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.complex_numbers(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, 1e-320, -1e308, 1e308 + 1e308j, 0.2 - 0.7j]),
+                ),
+                st.integers(min_value=1, max_value=40),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        size=st.integers(min_value=2, max_value=20),
+    )
+    @settings(max_examples=300)
+    def test_rows_match_the_per_row_norm_to_the_bit(self, rows, size):
+        alpha = np.array([a for a, _ in rows], dtype=complex)
+        n_atoms = [n for _, n in rows]
+        expected = weak_coherent_rows_per_row(alpha, n_atoms, size)
+        assert weak_coherent_rows(alpha, size).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("alpha", [1e154, 1e200, 1e308, 1e308 + 1e308j])
     def test_huge_alpha_normalizes(self, alpha):

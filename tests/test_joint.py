@@ -2,10 +2,14 @@
 
 import functools
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from memamp import joint
@@ -37,6 +41,7 @@ from memamp.joint import (
     outcome_probabilities,
     reduced_conditional_density,
 )
+from reference import add_generator_by_slices
 
 TOL = 1e-12
 LOSSLESS = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
@@ -203,6 +208,46 @@ def one_row_weights(state, p, beta, process):
     )
     w_det, w_loss, bound = proc.weights
     return w_det[0], None if w_loss is None else w_loss[0], bound[0]
+
+
+class TestStencil:
+    """The flattened stencil adds the same terms, in the same order, as one
+    shifted-slice update per coupling term."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.integers(min_value=1, max_value=6),
+        dims=st.tuples(*[st.integers(min_value=lo, max_value=5) for lo in (1, 1, 1, 0)]),
+        process=st.sampled_from(["write", "read"]),
+        batch_axis=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_slice_updates_to_the_bit(
+        self, seed, rows, dims, process, batch_axis
+    ):
+        rng = np.random.default_rng(seed)
+        trunc = ModeTruncation(dims[1], dims[2], dims[3], dims[0])
+        n_atoms = rng.integers(dims[0], 300, rows).astype(float)
+        p = np.where(rng.random(rows) < 0.8, rng.random(rows), 0.0)
+        beta = np.where(rng.random(rows) < 0.5, 1.0, rng.uniform(0.05, 1.0, rows))
+        if trunc.fock_c_max == 0:
+            beta[:] = 1.0
+        order = EvolutionOrder.FIRST_ORDER
+        proc = joint.Process(process, trunc, order, n_atoms, p, beta)
+        w_det, w_loss, _ = proc.weights
+        shape = (rows,) + trunc.shape()
+
+        def sparse_state():  # amplitudes with (positive) zeros, as runs have them
+            values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            return np.where(rng.random(shape) < 0.6, values, 0.0)
+
+        psi, out = sparse_state(), sparse_state()
+        if not batch_axis:  # one row, as the exact order applies it
+            psi, out, w_det = psi[0], out[0], w_det[0]
+            w_loss = None if w_loss is None else w_loss[0]
+        expected = add_generator_by_slices(out.copy(), psi, w_det, w_loss, process)
+        got = joint._add_generator(out.copy(), psi, w_det, w_loss, process)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestExactSeries:
@@ -420,6 +465,24 @@ class TestHerald:
         rho, prob = reduced_conditional_density(state, HeraldPattern(1, 1))
         assert prob == pytest.approx(1.0, abs=TOL)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=TOL)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-130])
+    def test_tiny_mixture_is_mixed(self, scale):
+        # herald probability 2 scale^2: the Gram matrix's squares underflow
+        trunc = ModeTruncation(
+            fock_a_max=1, fock_b_max=1, fock_c_max=1, atomic_k_max=1
+        )
+        amps = np.zeros((2, 2, 2, 2), dtype=complex)
+        amps[0, 1, 1, 0] = amps[1, 1, 1, 1] = scale
+        errors = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MixedConditionalError):
+                herald(JointState(5, trunc, amps), HeraldPattern(1, 1))
+            _, prob = joint.herald_rows(amps[None], HeraldPattern(1, 1), errors)
+        assert prob[0] == pytest.approx(2 * scale**2, rel=1e-15)
+        assert list(errors) == [0]
+        assert isinstance(errors[0], MixedConditionalError)
 
     def test_parallel_sectors_stay_pure(self):
         trunc = ModeTruncation(
