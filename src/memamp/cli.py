@@ -33,6 +33,7 @@ from .protocol import (
     CONFIG_FIELDS,
     ProtocolConfig,
     batch_key,
+    batch_rows,
     monte_carlo,
     run_batch,
     run_schedule,
@@ -44,10 +45,6 @@ OUT_DIR_ENV = "MEMAMP_OUT_DIR"
 
 #: Maximum number of sweep grid points.
 GRID_CAP = 1_000_000
-
-#: Joint-state bytes per sweep batch (9 points at the default shape). A batch
-#: peaks at 3 state tensors; larger ones save little time and raise the heap.
-BATCH_BYTES = 64 * 1024
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -158,12 +155,12 @@ class RunManifest:
 _MANIFEST_FIELDS = tuple(f.name for f in dataclasses.fields(RunManifest))
 
 
-def _format_cell(value) -> str:
+def _format_cell(value):
+    """A bool as JSON's true/false; the csv writer writes any other cell
+    itself, a float in its shortest round-trip form."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return value
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
@@ -280,15 +277,15 @@ def _sweep_batch(configs: list[ProtocolConfig]) -> list[list]:
 
 def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
     """Every point's cells, in grid order. The points of one `batch_key` run in
-    batches of at most BATCH_BYTES of state tensor (exact order: one point)."""
+    batches of `batch_rows` (exact order: one point)."""
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         groups.setdefault(batch_key(config), []).append(index)
     batches = []
     for members in groups.values():
         first = configs[members[0]]
-        size = BATCH_BYTES // (16 * first.truncation.resolve(first.n_atoms).total_dim())
-        size = 1 if first.order is EvolutionOrder.EXACT else max(1, size)
+        exact = first.order is EvolutionOrder.EXACT
+        size = 1 if exact else batch_rows(first.truncation.resolve(first.n_atoms))
         batches += [members[i : i + size] for i in range(0, len(members), size)]
     work = [[configs[i] for i in batch] for batch in batches]
     # a pool forks all its workers up front, however few points there are

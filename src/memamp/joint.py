@@ -475,26 +475,6 @@ def reduced_conditional_density(
     return DensityMatrix(rho / prob, normalized=True), prob
 
 
-def outcome_probabilities(joint: JointState) -> np.ndarray:
-    """Squared norms per (n_a, n_b, n_c) outcome; sums to the total probability."""
-    return np.sum(np.abs(joint.amplitudes) ** 2, axis=0)
-
-
-def conditional_on_counts(
-    joint: JointState, n_a: int, n_b: int, n_c: int
-) -> tuple[DickeVector, float]:
-    """Pure conditional state for a fully resolved photon-count outcome."""
-    column = joint.amplitudes[:, n_a, n_b, n_c]
-    prob = float(np.sum(np.abs(column) ** 2))
-    if prob <= ZERO_PROB_FLOOR:
-        zero = DickeVector(joint.n_atoms, np.zeros_like(column))
-        return zero, 0.0
-    state = DickeVector(
-        joint.n_atoms, column / np.linalg.norm(column), normalized=True
-    )
-    return state, prob
-
-
 def dump_amplitudes(joint: JointState, path) -> None:
     """Debug dump of nonzero tensor amplitudes, one entry per line.
 

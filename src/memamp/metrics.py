@@ -13,12 +13,12 @@ built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dicke import DickeVector
+from .dicke import DickeVector, Schedule
 from .errors import MetricRangeError, UndefinedMetricError
 
 if TYPE_CHECKING:
@@ -103,20 +103,12 @@ def p_success_analytic(p_w: float, p_r: float) -> float:
 
 
 def p_success_numeric(config: "ProtocolConfig") -> float:
-    """Simulated (1,1)-herald probability over the total outcome probability."""
-    from . import joint as joint_mod
-    from . import protocol
-    from .dicke import weak_coherent_atomic_state
+    """Success probability of a one-stage write-read trajectory tree: the
+    (1,1) herald, every undetected-mode count, over the total probability."""
+    from .protocol import _TrajectoryTree
 
-    atomic = weak_coherent_atomic_state(config.alpha, config.n_atoms)
-    kind = protocol.StageKind.WRITE_THEN_READ
-    state = protocol._evolve_stage(atomic, protocol._Points([config]), kind)
-    outcomes = joint_mod.outcome_probabilities(state)
-    detected = float(outcomes[1, 1, :].sum())
-    total = state.total_probability()
-    if total == 0.0:
-        raise UndefinedMetricError("evolved state has zero norm")
-    return _checked_probability("p_success_numeric", detected / total)
+    tree = _TrajectoryTree(replace(config, schedule=Schedule.TYPE_I, stages=1))
+    return _checked_probability("p_success_numeric", tree.success_probability())
 
 
 def _atomic_target_vector(target_atomic: DickeVector, k_dim: int) -> np.ndarray:
@@ -134,29 +126,31 @@ def _atomic_target_vector(target_atomic: DickeVector, k_dim: int) -> np.ndarray:
 
 
 def sector_norms(psi: np.ndarray, t: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
-    """Rows ||psi[:, n_a, n_b]||^2, ||o[n_a, n_b]||^2, ||o||^2, ||psi||^2 of a
-    batch psi[B, k, ...] and targets t[B, k], o = sum_k conj(t_k) psi_k."""
+    """Rows ||o[n_a, n_b]||^2 and ||o||^2 of a batch psi[B, k, ...] and targets
+    t[B, k], o = sum_k conj(t_k) psi_k."""
     # summed over k as psi.sum(axis=1) sums, without a temporary the size of psi
     t = t.conj().reshape(t.shape + (1, 1, 1))
     o = t[:, 0] * psi[:, 0]
     for k in range(1, psi.shape[1]):
         o += t[:, k] * psi[:, k]
-    return np.stack([row_norms(psi[:, :, n_a, n_b]), row_norms(o[:, n_a, n_b]),
-                     row_norms(o), row_norms(psi)])
+    return np.stack([row_norms(o[:, n_a, n_b]), row_norms(o)])
 
 
 def _joint_norms(
     joint: "JointState", target_atomic: DickeVector, pattern: "HeraldPattern | None"
 ) -> list:
-    """`sector_norms` of one joint state, then the pattern's counts n_a, n_b."""
+    """||psi[:, n_a, n_b]||^2, the `sector_norms` and ||psi||^2 of one joint
+    state, then the pattern's counts n_a, n_b."""
     n_a = 1 if pattern is None else pattern.detect_a
     n_b = 1 if pattern is None else pattern.detect_b
     shape = joint.amplitudes.shape
     if n_a >= shape[1] or n_b >= shape[2]:
         raise ValueError(f"pattern ({n_a},{n_b}) outside joint shape {shape}")
-    t = _atomic_target_vector(target_atomic, shape[0])
-    norms = sector_norms(joint.amplitudes[None], t[None], n_a, n_b)[:, 0]
-    return norms.tolist() + [n_a, n_b]
+    psi = joint.amplitudes[None]
+    t = _atomic_target_vector(target_atomic, shape[0])[None]
+    norms = [row_norms(psi[:, :, n_a, n_b]), *sector_norms(psi, t, n_a, n_b),
+             row_norms(psi)]
+    return [float(norm[0]) for norm in norms] + [n_a, n_b]
 
 
 def checked_p_mode(sector: float, matched: float, n_a: int, n_b: int) -> float:

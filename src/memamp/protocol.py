@@ -18,29 +18,19 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dicke import (
-    DickeVector,
-    Schedule,
-    relative_gain,
-    weak_coherent_atomic_state,
-    weak_coherent_rows,
-)
+from .dicke import DickeVector, Schedule, relative_gain, weak_coherent_rows
 from .errors import ConfigError, MemampError
 from .joint import (
     TRUNCATION_FIELDS,
     ZERO_PROB_FLOOR,
     EvolutionOrder,
     HeraldPattern,
-    JointState,
     ModeTruncation,
     Process,
     apply_process,
-    build_joint,
-    conditional_on_counts,
     herald_rows,
     is_integer,
     is_real,
-    outcome_probabilities,
 )
 from .metrics import (
     QualityReport,
@@ -48,6 +38,7 @@ from .metrics import (
     checked_p_mode,
     checked_p_spon,
     row_norms,
+    row_sums,
     sector_norms,
 )
 
@@ -244,6 +235,16 @@ def _gain_of(amps: np.ndarray | None, alpha: complex) -> float:
     return (complex(amps[1]) / complex(c0 * alpha)).real
 
 
+#: Joint-state bytes per batch (9 points at the default shape). A batch
+#: peaks at 3 state tensors; larger ones save little time and raise the heap.
+BATCH_BYTES = 64 * 1024
+
+
+def batch_rows(truncation: ModeTruncation) -> int:
+    """Rows of a batch on a resolved truncation: BATCH_BYTES of state, or one."""
+    return max(1, BATCH_BYTES // (16 * truncation.total_dim()))
+
+
 def batch_key(config: ProtocolConfig) -> tuple:
     """Points with equal keys share a stage plan, a resolved truncation and an
     evolution order: they can run as one batch."""
@@ -282,17 +283,6 @@ class _Points:
         if kind is not StageKind.WRITE_ONLY:
             psi = apply_process(psi, self.read, errors)
         return psi
-
-
-def _evolve_stage(state: DickeVector, points: _Points, kind: StageKind) -> JointState:
-    """Fresh-vacuum embedding followed by the stage's process(es), for one state."""
-    atomic = state if state.normalized else state.normalize()
-    rows = build_joint(atomic, points.truncation).amplitudes[None, :, 0, 0, 0].copy()
-    errors: dict[int, Exception] = {}
-    psi = points.evolve(rows, kind, errors)
-    if errors:
-        raise errors[0]
-    return JointState(state.n_atoms, points.truncation, psi[0])
 
 
 def _stage_report(
@@ -358,7 +348,8 @@ def run_batch(configs: list[ProtocolConfig]) -> list[tuple]:
         psi = None  # only the last stage's tensor is scored: free the previous one
         psi = points.evolve(states, kind, stage_errors)
         states, raw = herald_rows(psi, STAGE_PATTERNS[kind], stage_errors)
-        probability = raw / row_norms(psi)
+        totals = row_norms(psi)
+        probability = raw / totals
         points.cumulative = points.cumulative * probability
         live = probability > 0.0
         cumulative = points.cumulative.tolist()
@@ -373,7 +364,8 @@ def run_batch(configs: list[ProtocolConfig]) -> list[tuple]:
     counts = STAGE_PATTERNS[kind].detect_a, STAGE_PATTERNS[kind].detect_b
     targets = np.array([_target_gain(configs[i]) * configs[i].alpha for i in index])
     targets = weak_coherent_rows(targets, k_dim)
-    norms = sector_norms(psi, targets, *counts)
+    # the last herald's sector and total norms are those of the scored rows
+    norms = np.stack([raw[live], *sector_norms(psi, targets, *counts), totals[live]])
     overlap = np.abs((states.conj() * targets).sum(axis=1)) ** 2
     fidelity = overlap / (row_norms(states) * row_norms(targets))
     for pos, (i, p_suc, fid, (sector, matched, atomic, total)) in enumerate(
@@ -455,44 +447,52 @@ def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 class _TrajectoryTree:
-    """Lazily evolved tree of post-herald states, keyed by the undetected-mode
-    counts observed at each successful stage (the success branch is unique up
-    to that record)."""
+    """Post-herald states keyed by the undetected-mode counts observed at each
+    successful stage (the success branch is unique up to that record), built
+    one stage at a time: a level's nodes are evolved in batches of
+    `batch_rows`, as `run_batch` evolves points. ``states`` maps a path to the
+    atomic state entering stage len(path), ``outcomes`` a node's path to its
+    stage's (n_a, n_b, n_c) distribution, 0 at or below ZERO_PROB_FLOOR. The
+    first node in level order that trips a guard raises."""
 
     def __init__(self, config: ProtocolConfig):
-        self.config = config
         self.plan = stage_plan(config)
-        self.points = _Points([config])
-        self.nodes: dict[tuple[int, ...], tuple[JointState, np.ndarray]] = {}
+        trunc = config.truncation.resolve(config.n_atoms)
+        root = weak_coherent_rows(np.array([config.alpha]), trunc.atomic_k_max + 1)
+        self.states = {(): root[0]}
+        self.outcomes: dict[tuple[int, ...], np.ndarray] = {}
+        paths, size = [()], batch_rows(trunc)
+        for kind in self.plan:  # a level with no node ends the tree
+            chunks = [paths[i : i + size] for i in range(0, len(paths), size)]
+            paths = [c for chunk in chunks for c in self._grow(config, kind, chunk)]
 
-    def state_at(self, path: tuple[int, ...]) -> DickeVector:
-        """Atomic state entering stage len(path), after the heralds on path."""
-        if not path:
-            return weak_coherent_atomic_state(self.config.alpha, self.config.n_atoms)
-        joint, _ = self.node(path[:-1])
-        pattern = STAGE_PATTERNS[self.plan[len(path) - 1]]
-        state, _ = conditional_on_counts(
-            joint, pattern.detect_a, pattern.detect_b, path[-1]
-        )
-        return state
-
-    def node(self, path: tuple[int, ...]) -> tuple[JointState, np.ndarray]:
-        """Evolved stage at path and its (n_a, n_b, n_c) distribution; outcomes at
-        or below ZERO_PROB_FLOOR are 0: `conditional_on_counts` has no state there."""
-        if path not in self.nodes:
-            state = self.state_at(path)
-            joint = _evolve_stage(state, self.points, self.plan[len(path)])
-            weights = outcome_probabilities(joint)
-            weights[weights <= ZERO_PROB_FLOOR] = 0.0
-            self.nodes[path] = (joint, weights / joint.total_probability())
-        return self.nodes[path]
+    def _grow(self, config: ProtocolConfig, kind: StageKind, paths: list) -> list:
+        """Evolve the nodes at ``paths`` through a ``kind`` stage as one batch,
+        keep their outcome distributions and their children's states, and
+        return the children: the nonzero columns of each success slice."""
+        errors: dict[int, Exception] = {}
+        states = np.array([self.states[path] for path in paths])
+        psi = _Points([config] * len(paths)).evolve(states, kind, errors)
+        if errors:
+            raise errors[min(errors)]
+        sq = np.abs(psi) ** 2
+        probs = sq.sum(axis=1)
+        probs[probs <= ZERO_PROB_FLOOR] = 0.0
+        probs /= row_sums(sq)[:, None, None, None]
+        self.outcomes.update(zip(paths, probs))
+        n_a, n_b = STAGE_PATTERNS[kind].detect_a, STAGE_PATTERNS[kind].detect_b
+        rows, n_c = probs[:, n_a, n_b].nonzero()
+        children = [paths[r] + (c,) for r, c in zip(rows.tolist(), n_c.tolist())]
+        for child, column in zip(children, psi[rows, :, n_a, n_b, n_c]):
+            self.states[child] = column / np.linalg.norm(column)
+        return children
 
     def success_probability(self, path: tuple[int, ...] = ()) -> float:
         """Total probability of completing every remaining herald."""
         if len(path) == len(self.plan):
             return 1.0
         pattern = STAGE_PATTERNS[self.plan[len(path)]]
-        hits = self.node(path)[1][pattern.detect_a, pattern.detect_b]
+        hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
         total = 0.0
         for n_c in np.flatnonzero(hits):
             total += float(hits[n_c]) * self.success_probability(path + (int(n_c),))
@@ -520,7 +520,7 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
         pattern = STAGE_PATTERNS[kind]
         next_alive: dict[tuple[int, ...], int] = {}
         for path, count in alive.items():
-            probs = tree.node(path)[1]
+            probs = tree.outcomes[path]
             # over the support only: multinomial puts its rounding remainder last
             support = np.flatnonzero(probs)
             counts = np.zeros(probs.shape, dtype=np.int64)
@@ -537,7 +537,7 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
     if successes > 0:
         gain_sum = 0.0
         for path, count in alive.items():
-            gain_sum += count * _gain_of(tree.state_at(path).amplitudes, config.alpha)
+            gain_sum += count * _gain_of(tree.states[path], config.alpha)
         mean_gain = gain_sum / successes
     else:
         mean_gain = float("nan")

@@ -1,11 +1,25 @@
-"""Reference code that only the tests use: a stage built from the package's
-stage primitives, and the plain forms of vectorized package code."""
+"""Reference code that only the tests use: a stage and a trajectory tree
+built one state at a time from the package's stage primitives, and the plain
+forms of vectorized package code."""
 
 import numpy as np
 
-from memamp.dicke import DEFAULT_K_MAX
-from memamp.joint import herald
-from memamp.protocol import STAGE_PATTERNS, _evolve_stage, _Points, _stage_report
+from memamp.dicke import DEFAULT_K_MAX, DickeVector, weak_coherent_atomic_state
+from memamp.joint import ZERO_PROB_FLOOR, JointState, build_joint, herald
+from memamp.protocol import STAGE_PATTERNS, _Points, _stage_report, stage_plan
+
+
+def evolve_stage(state, config, kind):
+    """``state`` in fresh photon vacuum through the stage's process(es), as a
+    batch of one; the row's first guard error raises."""
+    points = _Points([config])
+    atomic = state if state.normalized else state.normalize()
+    rows = build_joint(atomic, points.truncation).amplitudes[None, :, 0, 0, 0].copy()
+    errors = {}
+    psi = points.evolve(rows, kind, errors)
+    if errors:
+        raise errors[0]
+    return JointState(state.n_atoms, points.truncation, psi[0])
 
 
 def run_stage(state, config, kind, *, stage_index=0, cumulative_in=1.0):
@@ -13,7 +27,7 @@ def run_stage(state, config, kind, *, stage_index=0, cumulative_in=1.0):
     `protocol.run_batch` does it; a zero-probability herald is a failed stage.
     Exact evolution with beta < 1 can leave the conditional state mixed, which
     raises MixedConditionalError."""
-    joint = _evolve_stage(state, _Points([config]), kind)
+    joint = evolve_stage(state, config, kind)
     conditional, raw = herald(joint, STAGE_PATTERNS[kind])
     p = raw / joint.total_probability()
     record = (p, cumulative_in * p, conditional.amplitudes if raw else None)
@@ -48,3 +62,42 @@ def add_generator_by_slices(out, psi, w_det, w_loss, process):
             out[..., :-1, :, :, 1:] += w_loss * psi[..., 1:, :, :, :-1]
             out[..., 1:, :, :, :-1] -= w_loss * psi[..., :-1, :, :, 1:]
     return out
+
+
+class TrajectoryTreePerNode:
+    """`protocol._TrajectoryTree` evolved one node at a time, depth first:
+    each node is its own `evolve_stage`, its outcome distribution the sum over
+    k of its |psi|^2 over the total, and each child the node's success column
+    for one undetected-mode count, divided by its norm."""
+
+    def __init__(self, config):
+        self.plan = stage_plan(config)
+        self.states, self.outcomes = {}, {}
+        self._grow((), weak_coherent_atomic_state(config.alpha, config.n_atoms), config)
+
+    def _grow(self, path, state, config):
+        k_dim = config.truncation.resolve(config.n_atoms).atomic_k_max + 1
+        self.states[path] = state.amplitudes[:k_dim]
+        if len(path) == len(self.plan):
+            return
+        joint = evolve_stage(state, config, self.plan[len(path)])
+        weights = np.sum(np.abs(joint.amplitudes) ** 2, axis=0)
+        weights[weights <= ZERO_PROB_FLOOR] = 0.0
+        self.outcomes[path] = weights / joint.total_probability()
+        pattern = STAGE_PATTERNS[self.plan[len(path)]]
+        hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
+        for n_c in np.flatnonzero(hits):
+            column = joint.amplitudes[:, pattern.detect_a, pattern.detect_b, n_c]
+            child = DickeVector(state.n_atoms, column / np.linalg.norm(column), True)
+            self._grow(path + (int(n_c),), child, config)
+
+    def success_probability(self, path=()):
+        """Total probability of completing every remaining herald."""
+        if len(path) == len(self.plan):
+            return 1.0
+        pattern = STAGE_PATTERNS[self.plan[len(path)]]
+        hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
+        total = 0.0
+        for n_c in np.flatnonzero(hits):
+            total += float(hits[n_c]) * self.success_probability(path + (int(n_c),))
+        return total

@@ -22,9 +22,9 @@ from memamp.cli import (
     parse_config,
 )
 from memamp.dicke import Schedule, relative_gain
-from memamp.errors import ConfigError
+from memamp.errors import ConfigError, TruncationLeakageError
 from memamp.joint import EvolutionOrder
-from memamp.protocol import batch_key, run_batch, run_schedule
+from memamp.protocol import batch_key, monte_carlo, run_batch, run_schedule
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -389,7 +389,7 @@ class TestSweepBatches:
                 expected = [math.nan] * (len(header) - len(keys) - 2) + [False, ""]
             else:
                 expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
-            assert row[len(keys):] == [cli._format_cell(v) for v in expected]
+            assert row[len(keys):] == [str(cli._format_cell(v)) for v in expected]
             assert (quality is None) == (point["p_w"] == 0.0)
 
     def test_permuted_axes_give_identical_rows(self, tmp_path):
@@ -462,7 +462,7 @@ class TestSweepBatches:
         for batch in batches:
             first = batch[0]
             dim = first.truncation.resolve(first.n_atoms).total_dim()
-            cap = cli.BATCH_BYTES // (16 * dim)
+            cap = protocol.BATCH_BYTES // (16 * dim)
             assert 1 <= len(batch) <= cap
             assert {batch_key(c) for c in batch} == {batch_key(first)}
             capped += len(batch) == cap
@@ -574,6 +574,22 @@ class TestMCCommand:
         assert payload["numeric_success_probability"] == 0.0
         assert math.isnan(payload["mean_gain"])
 
+    def test_guard_in_several_branches_raises_the_first_node_in_level_order(
+        self, tmp_path, capsys
+    ):
+        data = {"n_atoms": 30, "alpha": 0.1, "p_w": 0.003, "p_r": 0.003,
+                "beta_w": 0.7, "beta_r": 0.9, "order": "exact",
+                "schedule": "type2", "stages": 2,
+                "truncation": {"fock_a_max": 6, "fock_b_max": 6,
+                               "fock_c_max": 5, "atomic_k_max": 10}}
+        message = ("write: exact evolution left population 7.169e-08 on the "
+                   "atomic k cutoff (> 1e-08)")
+        assert mc_exit(tmp_path, data, 1000) == EXIT_PROTOCOL
+        assert capsys.readouterr().err == f"run failed: {message}\n"
+        with pytest.raises(TruncationLeakageError) as caught:
+            monte_carlo(cli.config_from_dict(data), 1000)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("trials", [2**63, 10**30])
     def test_trials_beyond_a_count_is_config_error(self, tmp_path, capsys, trials):
         assert mc_exit(tmp_path, {"n_atoms": 100}, trials) == EXIT_CONFIG
@@ -633,6 +649,14 @@ class TestOutputSchemas:
         }
         # an integer coupling is written as the float the run used
         assert '"beta_w": 1.0' in (tmp_path / "manifest.json").read_text()
+
+    def test_csv_cells_in_shortest_form(self, tmp_path):
+        import numpy as np
+
+        path = tmp_path / "cells.csv"
+        cli._write_csv(path, ["a", "b", "c", "d", "e"],
+                       [[0.1, np.float64(1 / 3), True, False, 7]])
+        assert path.read_text() == "a,b,c,d,e\n0.1,0.3333333333333333,true,false,7\n"
 
     def test_mc_report_keys(self, tmp_path):
         assert mc_exit(tmp_path, {"n_atoms": 100}, 100) == EXIT_OK

@@ -35,10 +35,8 @@ from memamp.joint import (
     apply_read,
     apply_write,
     build_joint,
-    conditional_on_counts,
     herald,
     joint_density_traced,
-    outcome_probabilities,
     reduced_conditional_density,
 )
 from reference import add_generator_by_slices
@@ -537,28 +535,6 @@ class TestReducedConditionalDensity:
 
 
 class TestHelpers:
-    def test_outcome_probabilities_shape_and_sum(self):
-        atomic = weak_coherent_atomic_state(0.1, 40)
-        out = evolve(atomic, 1e-3, 1e-3, EvolutionOrder.FIRST_ORDER)
-        probs = outcome_probabilities(out)
-        assert probs.shape == (4, 4, 1)
-        assert probs.sum() == pytest.approx(out.total_probability(), abs=1e-12)
-
-    def test_conditional_on_counts_pure(self):
-        atomic = weak_coherent_atomic_state(0.1, 40)
-        out = evolve(
-            atomic,
-            1e-3,
-            1e-3,
-            EvolutionOrder.FIRST_ORDER,
-            beta_w=0.8,
-            beta_r=0.8,
-            trunc=ModeTruncation(),
-        )
-        state, prob = conditional_on_counts(out, 1, 1, 0)
-        assert prob > 0
-        assert state.normalized
-
     def test_dump_amplitudes(self, tmp_path):
         from memamp.joint import dump_amplitudes
 

@@ -15,14 +15,16 @@ from memamp.dicke import (
 )
 from memamp.errors import ConfigError
 from memamp.joint import EvolutionOrder, ModeTruncation
+from memamp import protocol
 from memamp.protocol import (
     GainConvention,
     ProtocolConfig,
     StageKind,
+    _TrajectoryTree,
     monte_carlo,
     run_schedule,
 )
-from reference import run_stage
+from reference import TrajectoryTreePerNode, run_stage
 
 TOL = 1e-12
 LOSSLESS = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
@@ -403,7 +405,6 @@ class TestMonteCarlo:
         report = monte_carlo(config, trials)
         from memamp.dicke import weak_coherent_atomic_state
         from memamp.joint import apply_read, apply_write, build_joint
-        from memamp.joint import outcome_probabilities
 
         jt = build_joint(
             weak_coherent_atomic_state(0.1, 100),
@@ -411,7 +412,7 @@ class TestMonteCarlo:
         )
         jt = apply_write(jt, 0.01, 1.0, config.order)
         jt = apply_read(jt, 0.01, 1.0, config.order)
-        probs = outcome_probabilities(jt) / jt.total_probability()
+        probs = np.sum(np.abs(jt.amplitudes) ** 2, axis=0) / jt.total_probability()
         observed, expected = [], []
         for n_a, n_b, n_c, count in report.first_stage_outcomes:
             observed.append(count)
@@ -485,3 +486,107 @@ class TestMonteCarlo:
         config = ProtocolConfig(n_atoms=10)
         with pytest.raises(ValueError):
             monte_carlo(config, 0)
+
+
+#: Lossy multi-stage trees: one success column per first-order stage, one per
+#: undetected-mode count at exact order.
+LOSSY_TREES = {
+    "type1_first_order": dict(
+        n_atoms=60, alpha=0.2, p_w=0.02, p_r=0.03, beta_w=0.7, beta_r=0.8,
+        stages=3,
+    ),
+    "type2_first_order": dict(
+        n_atoms=60, alpha=0.2, p_w=0.02, p_r=0.03, beta_w=0.7, beta_r=0.8,
+        schedule=Schedule.TYPE_II, stages=3,
+    ),
+    "type1_exact": dict(
+        n_atoms=40, alpha=0.15, p_w=0.002, p_r=0.002, beta_w=0.9, beta_r=0.8,
+        stages=3, order=EvolutionOrder.EXACT, truncation=ModeTruncation(4, 4, 3, 14),
+    ),
+    "type2_exact": dict(
+        n_atoms=40, alpha=0.15, p_w=0.002, p_r=0.002, beta_w=0.9, beta_r=0.8,
+        schedule=Schedule.TYPE_II, stages=2, order=EvolutionOrder.EXACT,
+        truncation=ModeTruncation(4, 4, 3, 14),
+    ),
+}
+
+#: Trees with one success column per stage: first order, or exact and lossless.
+SINGLE_BRANCH = {
+    "type1_first_order": dict(
+        n_atoms=60, alpha=0.2, p_w=0.02, p_r=0.03, beta_w=0.7, beta_r=0.8,
+        stages=3,
+    ),
+    "type2_first_order": dict(
+        n_atoms=60, alpha=0.2, p_w=0.02, p_r=0.03, beta_w=0.7, beta_r=0.8,
+        schedule=Schedule.TYPE_II, stages=2,
+    ),
+    "type1_exact": dict(
+        n_atoms=50, alpha=0.2, p_w=0.005, p_r=0.01, stages=3,
+        order=EvolutionOrder.EXACT, truncation=ModeTruncation(5, 5, 0, 12),
+    ),
+    "type2_exact": dict(
+        n_atoms=200, alpha=0.1, p_w=0.01, p_r=0.005, schedule=Schedule.TYPE_II,
+        stages=2, order=EvolutionOrder.EXACT, truncation=ModeTruncation(6, 6, 0, 14),
+    ),
+}
+
+
+class TestTrajectoryTree:
+    """The tree evolves each level's nodes as one batch."""
+
+    def test_outcomes_sum_to_one_over_their_support(self):
+        for kwargs in LOSSY_TREES.values():
+            config = ProtocolConfig(**kwargs)
+            tree = _TrajectoryTree(config)
+            shape = config.truncation.resolve(config.n_atoms).shape()[1:]
+            for probs in tree.outcomes.values():
+                assert probs.shape == shape
+                assert np.all(probs >= 0.0)
+                assert probs[probs > 0].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_children_are_normalized(self):
+        for kwargs in LOSSY_TREES.values():
+            tree = _TrajectoryTree(ProtocolConfig(**kwargs))
+            assert len(tree.states) > 1
+            for path, state in tree.states.items():
+                assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-14)
+                if path:  # a child exists only for a nonzero success outcome
+                    parent = tree.outcomes[path[:-1]]
+                    pattern = protocol.STAGE_PATTERNS[tree.plan[len(path) - 1]]
+                    assert parent[pattern.detect_a, pattern.detect_b, path[-1]] > 0
+
+    @pytest.mark.parametrize("name", sorted(LOSSY_TREES))
+    def test_matches_the_per_node_tree_to_the_bit(self, name):
+        config = ProtocolConfig(**LOSSY_TREES[name])
+        tree, reference = _TrajectoryTree(config), TrajectoryTreePerNode(config)
+        assert set(tree.outcomes) == set(reference.outcomes)
+        assert set(tree.states) == set(reference.states)
+        for path, probs in reference.outcomes.items():
+            assert tree.outcomes[path].tobytes() == probs.tobytes(), path
+        for path, state in reference.states.items():
+            assert tree.states[path].tobytes() == state.tobytes(), path
+        assert tree.success_probability() == reference.success_probability()
+
+    @pytest.mark.parametrize("name", sorted(LOSSY_TREES))
+    def test_monte_carlo_matches_the_per_node_tree(self, name, monkeypatch):
+        config = ProtocolConfig(rng_seed=31, **LOSSY_TREES[name])
+        report = monte_carlo(config, 2**62)
+        monkeypatch.setattr(protocol, "_TrajectoryTree", TrajectoryTreePerNode)
+        expected = monte_carlo(config, 2**62)
+        assert report.successes > 0
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_BRANCH))
+    def test_success_leaf_matches_run_schedule(self, name):
+        config = ProtocolConfig(**SINGLE_BRANCH[name])
+        tree = _TrajectoryTree(config)
+        leaves = [p for p in tree.states if len(p) == len(tree.plan)]
+        assert len(leaves) == 1
+        leaf = tree.states[leaves[0]].view(np.float64)
+        report = run_schedule(config)
+        final = report.final_state.amplitudes.view(np.float64)
+        ulp = np.spacing(np.maximum(np.abs(leaf), np.abs(final)))
+        assert np.all(np.abs(leaf - final) <= 2 * ulp)
+        assert tree.success_probability() == pytest.approx(
+            report.success_probability, rel=1e-15, abs=0.0
+        )
