@@ -28,16 +28,13 @@ from .joint import (
     apply_write,
     build_joint,
     herald,
-    reduced_conditional_density,
 )
 from .metrics import (
-    DensityMatrix,
     QualityReport,
     p_amp,
     p_mode,
     p_spon,
     p_success_analytic,
-    p_success_numeric,
     quality,
 )
 from .oracle import (
@@ -65,7 +62,6 @@ KERNEL_BACKEND = "numpy"
 
 __all__ = [
     "AmplificationReport",
-    "DensityMatrix",
     "DickeVector",
     "EvolutionOrder",
     "FullStateVector",
@@ -98,10 +94,8 @@ __all__ = [
     "p_mode",
     "p_spon",
     "p_success_analytic",
-    "p_success_numeric",
     "project_to_dicke",
     "quality",
-    "reduced_conditional_density",
     "relative_gain",
     "run_schedule",
     "verify_ladder",

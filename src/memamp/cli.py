@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .dicke import Schedule, relative_gain
 from .errors import ConfigError, GridGuardError, MemampError, ResourceGuardError
-from .joint import TRUNCATION_FIELDS, EvolutionOrder, ModeTruncation, is_real
+from .joint import TRUNCATION_FIELDS, ModeTruncation, is_real
 from .metrics import QUALITY_FIELDS
 from .oracle import MAX_FULL_ATOMS, VERIFY_TOL, verify_ladder
 from .protocol import (
@@ -277,15 +277,14 @@ def _sweep_batch(configs: list[ProtocolConfig]) -> list[list]:
 
 def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
     """Every point's cells, in grid order. The points of one `batch_key` run in
-    batches of `batch_rows` (exact order: one point)."""
+    batches of `batch_rows`."""
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         groups.setdefault(batch_key(config), []).append(index)
     batches = []
     for members in groups.values():
         first = configs[members[0]]
-        exact = first.order is EvolutionOrder.EXACT
-        size = 1 if exact else batch_rows(first.truncation.resolve(first.n_atoms))
+        size = batch_rows(first.truncation.resolve(first.n_atoms))
         batches += [members[i : i + size] for i in range(0, len(members), size)]
     work = [[configs[i] for i in batch] for batch in batches]
     # a pool forks all its workers up front, however few points there are

@@ -28,7 +28,7 @@ from .errors import (
     TruncationLeakageError,
     TruncationOverflowError,
 )
-from .metrics import DensityMatrix, row_sums
+from .metrics import row_sums
 
 #: Total tensor dimension cap for any joint state.
 DIM_CAP = 2_000_000
@@ -407,14 +407,6 @@ def apply_read(
     return _apply_one(joint, p_r, beta_r, order, "read")
 
 
-def _herald_slice(joint: JointState, pattern: HeraldPattern) -> np.ndarray:
-    shape = joint.truncation.shape()
-    if pattern.detect_a >= shape[1] or pattern.detect_b >= shape[2]:
-        raise ValueError(f"pattern {pattern} outside truncation {joint.truncation}")
-    # columns indexed by the undetected-mode occupation
-    return joint.amplitudes[:, pattern.detect_a, pattern.detect_b, :]
-
-
 def herald_rows(
     psi: np.ndarray, pattern: HeraldPattern, errors: dict[int, Exception]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -434,7 +426,8 @@ def herald_rows(
         purity = float(np.sum(np.abs(gram) ** 2).real) / np.trace(gram).real ** 2
         if 1.0 - purity > PURITY_TOL:
             errors.setdefault(i, MixedConditionalError(
-                "conditional atomic state is mixed; use reduced_conditional_density"
+                "conditional atomic state is mixed: exact order with beta < 1 leaves "
+                "several undetected-mode sectors; use first order or beta = 1"
             ))
     rows, best = np.arange(len(block)), col_pop.argmax(axis=1)
     norms = np.sqrt(col_pop[rows, best])
@@ -450,10 +443,12 @@ def herald(
     The probability is the squared norm of the matching slice with the
     undetected mode summed incoherently. The conditional atomic state is
     returned as a pure vector only when one exists (single undetected-mode
-    sector, or all sectors parallel); otherwise MixedConditionalError points
-    the caller at `reduced_conditional_density`.
+    sector, or all sectors parallel). Exact order with beta < 1 can leave it
+    mixed, which raises MixedConditionalError; first order or beta = 1 cannot.
     """
-    _herald_slice(joint, pattern)  # checks the pattern against the truncation
+    shape = joint.truncation.shape()
+    if pattern.detect_a >= shape[1] or pattern.detect_b >= shape[2]:
+        raise ValueError(f"pattern {pattern} outside truncation {joint.truncation}")
     errors: dict[int, Exception] = {}
     states, prob = herald_rows(joint.amplitudes[None], pattern, errors)
     if errors:
@@ -461,48 +456,3 @@ def herald(
     if prob[0] == 0.0:
         return DickeVector(joint.n_atoms, states[0]), 0.0
     return DickeVector(joint.n_atoms, states[0], normalized=True), float(prob[0])
-
-
-def reduced_conditional_density(
-    joint: JointState, pattern: HeraldPattern
-) -> tuple[DensityMatrix, float]:
-    """Atomic density matrix conditioned on the pattern, loss mode traced out."""
-    block = _herald_slice(joint, pattern)
-    rho = block @ block.conj().T
-    prob = float(np.trace(rho).real)
-    if prob <= ZERO_PROB_FLOOR:
-        return DensityMatrix(np.zeros_like(rho)), 0.0
-    return DensityMatrix(rho / prob, normalized=True), prob
-
-
-def dump_amplitudes(joint: JointState, path) -> None:
-    """Debug dump of nonzero tensor amplitudes, one entry per line.
-
-    Format (not a stable interface): ``k n_a n_b n_c re im`` with shortest
-    round-trip decimals, indices in row-major order.
-    """
-    lines = [f"# n_atoms={joint.n_atoms} shape={joint.truncation.shape()}"]
-    for index in np.argwhere(joint.amplitudes != 0):
-        value = complex(joint.amplitudes[tuple(index)])
-        k, n_a, n_b, n_c = (int(i) for i in index)
-        lines.append(f"{k} {n_a} {n_b} {n_c} {value.real!r} {value.imag!r}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def joint_density_traced(joint: JointState) -> tuple[DensityMatrix, float]:
-    """Density matrix over (k, n_a, n_b) with the undetected mode traced out.
-
-    Returns the trace-normalized matrix plus the pre-normalization trace (the
-    total outcome probability of the underlying pure state).
-    """
-    shape = joint.truncation.shape()
-    block = joint.amplitudes.reshape(shape[0] * shape[1] * shape[2], shape[3])
-    rho = block @ block.conj().T
-    trace = float(np.trace(rho).real)
-    if trace <= ZERO_PROB_FLOOR:
-        raise MemampError("cannot build a density matrix from a zero state")
-    return (
-        DensityMatrix(rho / trace, normalized=True, dims=shape[:3]),
-        trace,
-    )

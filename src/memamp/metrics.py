@@ -13,72 +13,28 @@ built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dicke import DickeVector, Schedule
+from .dicke import DickeVector
 from .errors import MetricRangeError, UndefinedMetricError
 
 if TYPE_CHECKING:
     from .joint import HeraldPattern, JointState
-    from .protocol import ProtocolConfig
 
 #: Probabilities must land in [-PROB_BAND, 1 + PROB_BAND] without clamping.
 PROB_BAND = 1e-10
 
-#: Hermiticity / trace tolerance for density matrices.
+#: Largest departure of a `QualityReport`'s q_amp from its product identity.
 MATRIX_TOL = 1e-12
-
-#: Most-negative eigenvalue tolerated for positive semidefiniteness.
-PSD_TOL = -1e-10
 
 
 def _checked_probability(name: str, value: float) -> float:
     if not math.isfinite(value) or not -PROB_BAND <= value <= 1.0 + PROB_BAND:
         raise MetricRangeError(f"{name} = {value!r} outside [0, 1] tolerance band")
     return float(value)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian positive-semidefinite operator, optionally with tensor dims.
-
-    ``dims`` records the axis sizes when the matrix lives on a flattened
-    product space, e.g. (k, n_a, n_b) after tracing out the undetected mode.
-    """
-
-    matrix: np.ndarray
-    normalized: bool = False
-    dims: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128).copy()
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        scale = max(1.0, float(np.abs(np.trace(mat))))
-        if float(np.max(np.abs(mat - mat.conj().T))) > MATRIX_TOL * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.size and float(eigs[0]) < PSD_TOL * scale:
-            raise ValueError(f"matrix has negative eigenvalue {eigs[0]}")
-        if self.normalized and abs(float(np.trace(mat).real) - 1.0) > MATRIX_TOL:
-            raise ValueError("normalized flag set but trace != 1")
-        if self.dims is not None and int(np.prod(self.dims)) != mat.shape[0]:
-            raise ValueError(f"dims {self.dims} do not match dimension {mat.shape[0]}")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def expectation(self, vector: np.ndarray) -> float:
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        if v.size != self.dim:
-            raise ValueError(f"vector length {v.size} != dimension {self.dim}")
-        return float(np.real(np.vdot(v, self.matrix @ v)))
 
 
 def row_sums(x: np.ndarray) -> np.ndarray:
@@ -100,15 +56,6 @@ def p_success_analytic(p_w: float, p_r: float) -> float:
     if not 0.0 <= p_w <= 1.0 or not 0.0 <= p_r <= 1.0:
         raise ValueError("couplings must be in [0, 1]")
     return p_w * p_r / (1.0 + p_w + p_r + p_w * p_r)
-
-
-def p_success_numeric(config: "ProtocolConfig") -> float:
-    """Success probability of a one-stage write-read trajectory tree: the
-    (1,1) herald, every undetected-mode count, over the total probability."""
-    from .protocol import _TrajectoryTree
-
-    tree = _TrajectoryTree(replace(config, schedule=Schedule.TYPE_I, stages=1))
-    return _checked_probability("p_success_numeric", tree.success_probability())
 
 
 def _atomic_target_vector(target_atomic: DickeVector, k_dim: int) -> np.ndarray:

@@ -1,12 +1,44 @@
 """Reference code that only the tests use: a stage and a trajectory tree
-built one state at a time from the package's stage primitives, and the plain
-forms of vectorized package code."""
+built one state at a time from the package's stage primitives, the plain
+forms of vectorized package code, and the density matrices that the
+amplitude-only metrics and heralds replace."""
+
+from dataclasses import replace
 
 import numpy as np
 
-from memamp.dicke import DEFAULT_K_MAX, DickeVector, weak_coherent_atomic_state
+from memamp.dicke import DEFAULT_K_MAX, DickeVector, Schedule, weak_coherent_atomic_state
 from memamp.joint import ZERO_PROB_FLOOR, JointState, build_joint, herald
-from memamp.protocol import STAGE_PATTERNS, _Points, _stage_report, stage_plan
+from memamp.protocol import (
+    STAGE_PATTERNS, _Points, _stage_report, _TrajectoryTree, stage_plan,
+)
+
+
+def traced_density(joint):
+    """Density over (k, n_a, n_b), undetected mode traced out, as an array
+    (k, n_a, n_b, k, n_a, n_b) of trace 1; and the trace before normalizing."""
+    psi = joint.amplitudes
+    rho = np.einsum("kabc,lxyc->kablxy", psi, psi.conj())
+    trace = float(np.einsum("kabkab->", rho).real)
+    return rho / trace, trace
+
+
+def reduced_conditional_density(joint, pattern):
+    """Atomic density matrix of trace 1 conditioned on the pattern, undetected
+    mode traced out (zero if the pattern has no probability); and its probability."""
+    block = joint.amplitudes[:, pattern.detect_a, pattern.detect_b, :]
+    rho = block @ block.conj().T
+    prob = float(np.trace(rho).real)
+    if prob <= ZERO_PROB_FLOOR:
+        return np.zeros_like(rho), 0.0
+    return rho / prob, prob
+
+
+def p_success_numeric(config):
+    """Success probability of a one-stage write-read trajectory tree: the
+    (1,1) herald, every undetected-mode count, over the total probability."""
+    one_stage = replace(config, schedule=Schedule.TYPE_I, stages=1)
+    return _TrajectoryTree(one_stage).success_probability()
 
 
 def evolve_stage(state, config, kind):

@@ -29,13 +29,14 @@ from memamp.joint import (
     build_joint,
     herald,
 )
-from memamp.metrics import p_success_analytic, p_success_numeric
+from memamp.metrics import p_success_analytic
 from memamp.oracle import apply_collective_full, build_dicke_full, project_to_dicke
 from memamp.protocol import (
     ProtocolConfig,
     monte_carlo,
     run_schedule,
 )
+from reference import p_success_numeric
 
 
 @contextlib.contextmanager

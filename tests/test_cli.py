@@ -22,7 +22,7 @@ from memamp.cli import (
     parse_config,
 )
 from memamp.dicke import Schedule, relative_gain
-from memamp.errors import ConfigError, TruncationLeakageError
+from memamp.errors import ConfigError, MemampError, TruncationLeakageError
 from memamp.joint import EvolutionOrder
 from memamp.protocol import batch_key, monte_carlo, run_batch, run_schedule
 
@@ -372,25 +372,39 @@ MIXED_AXES = {
 }
 
 
+#: exact points in batches of 4: pure, mixed, leaking and failed heralds
+EXACT_GRID = ({"n_atoms": 100, "alpha": 0.1, "p_r": 0.006, "order": "exact",
+               "truncation": {"fock_a_max": 4, "fock_b_max": 4, "fock_c_max": 3}},
+              {"stages": [1, 2], "beta_w": [0.8, 1.0], "p_w": [0.0, 0.004, 0.2]})
+LOSSY_READ = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8}
+
+
 class TestSweepBatches:
     """Batched sweeps: rows match `run_schedule`, whatever the batch."""
 
-    @pytest.mark.parametrize("schedule", ["type1", "type2"])
-    def test_rows_equal_run_schedule_bit_for_bit(self, tmp_path, schedule):
-        base = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8, "schedule": schedule}
-        _, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": MIXED_AXES})
-        keys = list(MIXED_AXES)
-        assert len(rows) == 36
+    @pytest.mark.parametrize("base, axes", [
+        (dict(LOSSY_READ, schedule="type1"), MIXED_AXES),
+        (dict(LOSSY_READ, schedule="type2"), MIXED_AXES), EXACT_GRID,
+    ], ids=["type1", "type2", "exact"])
+    def test_rows_equal_run_schedule_bit_for_bit(self, tmp_path, base, axes):
+        _, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": axes})
+        keys = list(axes)
+        assert len(rows) == math.prod(len(v) for v in axes.values())
         for row in rows:
             point = dict(base, **{k: json.loads(v) for k, v in zip(keys, row)})
-            report = run_schedule(cli.config_from_dict(point))
-            quality = report.quality
+            try:
+                quality, message = run_schedule(cli.config_from_dict(point)).quality, ""
+            except MemampError as exc:
+                quality, message = None, f"{type(exc).__name__}: {exc}"
             if quality is None:
-                expected = [math.nan] * (len(header) - len(keys) - 2) + [False, ""]
+                expected = [math.nan] * (len(header) - len(keys) - 2) + [False, message]
             else:
                 expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
             assert row[len(keys):] == [str(cli._format_cell(v)) for v in expected]
-            assert (quality is None) == (point["p_w"] == 0.0)
+            assert (quality is None) == (point["p_w"] == 0.0 or message != "")
+        guards = {"MixedConditionalError", "TruncationLeakageError"}
+        errors = {row[-1].split(":")[0] for row in rows} - {""}
+        assert errors == (guards if "order" in base else set())
 
     def test_permuted_axes_give_identical_rows(self, tmp_path):
         base = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8}
@@ -496,7 +510,7 @@ class TestSweepBatches:
         assert code == EXIT_PROTOCOL
         assert capsys.readouterr().err.startswith("sweep: 12 of 36 points failed")
 
-    def test_exact_points_run_one_at_a_time(self, tmp_path, monkeypatch):
+    def test_exact_points_run_as_one_batch(self, tmp_path, monkeypatch):
         sizes = []
         monkeypatch.setattr(
             cli, "run_batch", lambda configs: sizes.append(len(configs)) or run_batch(configs)
@@ -506,7 +520,7 @@ class TestSweepBatches:
         code, _, rows, _ = sweep_csv(
             tmp_path, {"base": base, "axes": {"p_w": [0.001, 0.002, 0.003]}}
         )
-        assert code == EXIT_OK and len(rows) == 3 and sizes == [1, 1, 1]
+        assert code == EXIT_OK and len(rows) == 3 and sizes == [3]
 
 
 class TestOracleCheckCommand:

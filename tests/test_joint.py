@@ -36,10 +36,10 @@ from memamp.joint import (
     apply_write,
     build_joint,
     herald,
-    joint_density_traced,
-    reduced_conditional_density,
 )
-from reference import add_generator_by_slices
+from reference import (
+    add_generator_by_slices, reduced_conditional_density, traced_density,
+)
 
 TOL = 1e-12
 LOSSLESS = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
@@ -458,11 +458,19 @@ class TestHerald:
         amps[0, 1, 1, 0] = 0.6
         amps[1, 1, 1, 1] = 0.8
         state = JointState(5, trunc, amps)
-        with pytest.raises(MixedConditionalError):
+        with pytest.raises(MixedConditionalError, match=(
+            r"^conditional atomic state is mixed: exact order with beta < 1 leaves "
+            r"several undetected-mode sectors; use first order or beta = 1$"
+        )):
             herald(state, HeraldPattern(1, 1))
         rho, prob = reduced_conditional_density(state, HeraldPattern(1, 1))
         assert prob == pytest.approx(1.0, abs=TOL)
-        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=TOL)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=TOL)
+
+    def test_pattern_outside_truncation_raises(self):
+        state = build_joint(basis_state(0, 9, k_alloc=2), LOSSLESS)
+        with pytest.raises(ValueError, match="outside truncation"):
+            herald(state, HeraldPattern(detect_a=LOSSLESS.fock_a_max + 1))
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-130])
     def test_tiny_mixture_is_mixed(self, scale):
@@ -507,8 +515,8 @@ class TestReducedConditionalDensity:
         assert prob_rho == pytest.approx(prob_pure, rel=1e-12)
         vec = conditional.amplitudes
         projector = np.outer(vec, vec.conj())
-        assert np.allclose(rho.matrix, projector, atol=1e-12)
-        eigs = np.linalg.eigvalsh(rho.matrix)
+        assert np.allclose(rho, projector, atol=1e-12)
+        eigs = np.linalg.eigvalsh(rho)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_lossy_single_path_rank_one(self):
@@ -524,32 +532,17 @@ class TestReducedConditionalDensity:
         )
         rho, prob = reduced_conditional_density(out, HeraldPattern(1, 1))
         assert prob == pytest.approx(p * p * 0.25, rel=1e-12)
-        eigs = np.linalg.eigvalsh(rho.matrix)
+        eigs = np.linalg.eigvalsh(rho)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_probability(self):
         state = build_joint(basis_state(0, 9, k_alloc=2), LOSSLESS)
         rho, prob = reduced_conditional_density(state, HeraldPattern(1, 1))
         assert prob == 0.0
-        assert np.all(rho.matrix == 0)
+        assert np.all(rho == 0)
 
 
 class TestHelpers:
-    def test_dump_amplitudes(self, tmp_path):
-        from memamp.joint import dump_amplitudes
-
-        atomic = weak_coherent_atomic_state(0.1, 40)
-        out = evolve(atomic, 1e-3, 1e-3, EvolutionOrder.FIRST_ORDER)
-        path = tmp_path / "state.txt"
-        dump_amplitudes(out, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("#")
-        entries = [line.split() for line in lines[1:]]
-        assert len(entries) == np.count_nonzero(out.amplitudes)
-        k, n_a, n_b, n_c, re, im = entries[0]
-        value = out.amplitudes[int(k), int(n_a), int(n_b), int(n_c)]
-        assert complex(float(re), float(im)) == value
-
     def test_joint_density_traced(self):
         atomic = weak_coherent_atomic_state(0.1, 40)
         out = evolve(
@@ -561,7 +554,7 @@ class TestHelpers:
             beta_r=0.8,
             trunc=ModeTruncation(),
         )
-        rho, trace = joint_density_traced(out)
-        assert rho.dims == (9, 4, 4)
+        rho, trace = traced_density(out)
+        assert rho.shape == (9, 4, 4) * 2
         assert trace == pytest.approx(out.total_probability(), rel=1e-12)
-        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+        assert np.einsum("kabkab->", rho).real == pytest.approx(1.0, abs=1e-12)
