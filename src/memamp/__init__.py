@@ -19,24 +19,8 @@ from .dicke import (
     relative_gain,
     weak_coherent_atomic_state,
 )
-from .joint import (
-    EvolutionOrder,
-    HeraldPattern,
-    JointState,
-    ModeTruncation,
-    apply_read,
-    apply_write,
-    build_joint,
-    herald,
-)
-from .metrics import (
-    QualityReport,
-    p_amp,
-    p_mode,
-    p_spon,
-    p_success_analytic,
-    quality,
-)
+from .joint import EvolutionOrder, HeraldPattern, ModeTruncation
+from .metrics import QualityReport, p_success_analytic, quality
 from .oracle import (
     FullStateVector,
     apply_collective_full,
@@ -67,7 +51,6 @@ __all__ = [
     "FullStateVector",
     "GainConvention",
     "HeraldPattern",
-    "JointState",
     "KERNEL_BACKEND",
     "LadderDirection",
     "MCReport",
@@ -79,20 +62,13 @@ __all__ = [
     "StageReport",
     "apply_collective_full",
     "apply_ladder",
-    "apply_read",
     "apply_ss_dagger",
-    "apply_write",
     "basis_state",
     "build_dicke_full",
-    "build_joint",
     "fidelity",
     "gain_eigenvalue",
-    "herald",
     "ladder_coeff",
     "monte_carlo",
-    "p_amp",
-    "p_mode",
-    "p_spon",
     "p_success_analytic",
     "project_to_dicke",
     "quality",

@@ -262,14 +262,19 @@ def _grid_points(axes: dict) -> list[tuple]:
     return list(itertools.product(*axes.values()))
 
 
+def _failed_cells(error: Exception | None) -> list:
+    """NaN values, succeeded false and the error, if any, of a failed point."""
+    message = "" if error is None else f"{type(error).__name__}: {error}"
+    return [float("nan")] * (len(QUALITY_FIELDS) + 1) + [False, message]
+
+
 def _sweep_batch(configs: list[ProtocolConfig]) -> list[list]:
     """Quality cells of each point of a batch, then gain_squared, succeeded and
     error; a run error is kept in the ``error`` cell."""
     cells = []
     for _, _, quality, error in run_batch(configs):
         if quality is None:
-            message = "" if error is None else f"{type(error).__name__}: {error}"
-            cells.append([float("nan")] * (len(QUALITY_FIELDS) + 1) + [False, message])
+            cells.append(_failed_cells(error))
         else:
             cells.append([*quality.to_dict().values(), quality.gain**2, True, ""])
     return cells
@@ -277,10 +282,17 @@ def _sweep_batch(configs: list[ProtocolConfig]) -> list[list]:
 
 def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
     """Every point's cells, in grid order. The points of one `batch_key` run in
-    batches of `batch_rows`."""
+    batches of `batch_rows`; a point whose truncation is over the dimension
+    cap fails alone."""
+    cells = [[]] * len(configs)
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
-        groups.setdefault(batch_key(config), []).append(index)
+        try:
+            key = batch_key(config)
+        except ResourceGuardError as exc:
+            cells[index] = _failed_cells(exc)
+            continue
+        groups.setdefault(key, []).append(index)
     batches = []
     for members in groups.values():
         first = configs[members[0]]
@@ -295,7 +307,6 @@ def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
             done = list(pool.map(_sweep_batch, work, chunksize=4))
     else:
         done = [_sweep_batch(batch) for batch in work]
-    cells = [[]] * len(configs)
     for batch, rows in zip(batches, done):
         for index, row in zip(batch, rows):
             cells[index] = row

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dicke import DickeVector
 from .errors import (
     MemampError,
     MixedConditionalError,
@@ -144,49 +143,6 @@ class HeraldPattern:
     def __post_init__(self):
         if self.detect_a < 0 or self.detect_b < 0:
             raise ValueError("photon counts must be >= 0")
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Complex tensor over (k, n_a, n_b, n_c) for an N-atom ensemble."""
-
-    n_atoms: int
-    truncation: ModeTruncation
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).copy()
-        if amps.shape != self.truncation.shape():
-            raise ValueError(
-                f"amplitude shape {amps.shape} != truncation {self.truncation.shape()}"
-            )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-def build_joint(atomic: DickeVector, truncation: ModeTruncation) -> JointState:
-    """Embed an atomic state into the joint tensor with all modes in vacuum."""
-    trunc = truncation.resolve(atomic.n_atoms)
-    k_top = trunc.atomic_k_max
-    assert k_top is not None
-    if atomic.k_max > k_top:
-        tail = atomic.amplitudes[k_top + 1 :]
-        if np.any(tail != 0):
-            raise ValueError(
-                f"atomic state populates k > {k_top}; enlarge atomic_k_max"
-            )
-    amps = np.zeros(trunc.shape(), dtype=np.complex128)
-    m = min(atomic.k_max, k_top) + 1
-    amps[:m, 0, 0, 0] = atomic.amplitudes[:m]
-    return JointState(atomic.n_atoms, trunc, amps)
 
 
 class Process:
@@ -375,43 +331,18 @@ def apply_process(
     return out
 
 
-def _apply_one(
-    joint: JointState, p: float, beta: float, order: EvolutionOrder, name: str
-) -> JointState:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"coupling p must be in [0, 1], got {p}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"mode-overlap beta must be in (0, 1], got {beta}")
-    if beta < 1.0 and joint.truncation.fock_c_max == 0:
-        raise ValueError("beta < 1 requires a loss mode (fock_c_max >= 1)")
-    n_atoms, p_row, beta_row = np.array([[joint.n_atoms], [p], [beta]], dtype=float)
-    proc = Process(name, joint.truncation, order, n_atoms, p_row, beta_row)
-    errors: dict[int, Exception] = {}
-    out = apply_process(joint.amplitudes[None], proc, errors)
-    if errors:
-        raise errors[0]
-    return JointState(joint.n_atoms, joint.truncation, out[0])
-
-
-def apply_write(
-    joint: JointState, p_w: float, beta_w: float, order: EvolutionOrder
-) -> JointState:
-    """One write process: raises the atomic ladder, emitting into a (and c)."""
-    return _apply_one(joint, p_w, beta_w, order, "write")
-
-
-def apply_read(
-    joint: JointState, p_r: float, beta_r: float, order: EvolutionOrder
-) -> JointState:
-    """One read process: lowers the atomic ladder, emitting into b (and c)."""
-    return _apply_one(joint, p_r, beta_r, order, "read")
-
-
 def herald_rows(
     psi: np.ndarray, pattern: HeraldPattern, errors: dict[int, Exception]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`herald` on each row of a batch: the conditional atomic states and raw
-    probabilities, 0 and a zero state at or below ZERO_PROB_FLOOR."""
+    """Condition each row of a batch on exact photon counts: the conditional
+    atomic states (B, k), normalized, and the raw probabilities, each the
+    squared norm of the row's matching slice with the undetected mode summed
+    incoherently; 0 and a zero state at or below ZERO_PROB_FLOOR.
+
+    A conditional state is pure only with one undetected-mode sector, or all
+    sectors parallel. Exact order with beta < 1 can leave it mixed: that row
+    gets a MixedConditionalError in ``errors``; first order or beta = 1 cannot.
+    """
     block = psi[:, :, pattern.detect_a, pattern.detect_b]  # (B, k, n_c)
     sq = np.abs(block) ** 2
     prob = row_sums(sq)  # row_norms(block)
@@ -434,25 +365,3 @@ def herald_rows(
     norms[~live] = np.inf  # a zero state
     return block[rows, :, best] / norms[:, None], prob
 
-
-def herald(
-    joint: JointState, pattern: HeraldPattern
-) -> tuple[DickeVector, float]:
-    """Condition on exact photon counts; returns (atomic state, probability).
-
-    The probability is the squared norm of the matching slice with the
-    undetected mode summed incoherently. The conditional atomic state is
-    returned as a pure vector only when one exists (single undetected-mode
-    sector, or all sectors parallel). Exact order with beta < 1 can leave it
-    mixed, which raises MixedConditionalError; first order or beta = 1 cannot.
-    """
-    shape = joint.truncation.shape()
-    if pattern.detect_a >= shape[1] or pattern.detect_b >= shape[2]:
-        raise ValueError(f"pattern {pattern} outside truncation {joint.truncation}")
-    errors: dict[int, Exception] = {}
-    states, prob = herald_rows(joint.amplitudes[None], pattern, errors)
-    if errors:
-        raise errors[0]
-    if prob[0] == 0.0:
-        return DickeVector(joint.n_atoms, states[0]), 0.0
-    return DickeVector(joint.n_atoms, states[0], normalized=True), float(prob[0])

@@ -7,22 +7,23 @@ atomic mode created but the photons undetected (spontaneous-emission loss).
 Their complements multiply the amplification probability into a single
 quality number. Each is a ratio of squared norms of psi and of its projection
 o[n_a, n_b, n_c] = sum_k t_k^* psi[k, n_a, n_b, n_c]; no density matrix is
-built.
+built. `sector_norms` gives ||o[n_a, n_b]||^2 and ||o||^2 for each row of a
+batch, and `checked_p_mode`, `checked_p_spon` and `checked_p_amp` form the
+ratios and check their range:
+
+- p_mode = 1 - ||o[n_a, n_b]||^2 / ||psi[:, n_a, n_b]||^2;
+- p_spon = 1 - ||o[n_a, n_b]||^2 / ||o||^2;
+- p_amp = ||o||^2 / ||psi||^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dicke import DickeVector
 from .errors import MetricRangeError, UndefinedMetricError
-
-if TYPE_CHECKING:
-    from .joint import HeraldPattern, JointState
 
 #: Probabilities must land in [-PROB_BAND, 1 + PROB_BAND] without clamping.
 PROB_BAND = 1e-10
@@ -58,20 +59,6 @@ def p_success_analytic(p_w: float, p_r: float) -> float:
     return p_w * p_r / (1.0 + p_w + p_r + p_w * p_r)
 
 
-def _atomic_target_vector(target_atomic: DickeVector, k_dim: int) -> np.ndarray:
-    t = np.zeros(k_dim, dtype=np.complex128)
-    m = min(target_atomic.amplitudes.size, k_dim)
-    if target_atomic.amplitudes.size > k_dim and np.any(
-        target_atomic.amplitudes[k_dim:] != 0
-    ):
-        raise ValueError("atomic target populates levels beyond the joint state")
-    t[:m] = target_atomic.amplitudes[:m]
-    nrm = np.linalg.norm(t)
-    if nrm == 0.0:
-        raise ValueError("atomic target has zero norm")
-    return t / nrm
-
-
 def sector_norms(psi: np.ndarray, t: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
     """Rows ||o[n_a, n_b]||^2 and ||o||^2 of a batch psi[B, k, ...] and targets
     t[B, k], o = sum_k conj(t_k) psi_k."""
@@ -81,23 +68,6 @@ def sector_norms(psi: np.ndarray, t: np.ndarray, n_a: int, n_b: int) -> np.ndarr
     for k in range(1, psi.shape[1]):
         o += t[:, k] * psi[:, k]
     return np.stack([row_norms(o[:, n_a, n_b]), row_norms(o)])
-
-
-def _joint_norms(
-    joint: "JointState", target_atomic: DickeVector, pattern: "HeraldPattern | None"
-) -> list:
-    """||psi[:, n_a, n_b]||^2, the `sector_norms` and ||psi||^2 of one joint
-    state, then the pattern's counts n_a, n_b."""
-    n_a = 1 if pattern is None else pattern.detect_a
-    n_b = 1 if pattern is None else pattern.detect_b
-    shape = joint.amplitudes.shape
-    if n_a >= shape[1] or n_b >= shape[2]:
-        raise ValueError(f"pattern ({n_a},{n_b}) outside joint shape {shape}")
-    psi = joint.amplitudes[None]
-    t = _atomic_target_vector(target_atomic, shape[0])[None]
-    norms = [row_norms(psi[:, :, n_a, n_b]), *sector_norms(psi, t, n_a, n_b),
-             row_norms(psi)]
-    return [float(norm[0]) for norm in norms] + [n_a, n_b]
 
 
 def checked_p_mode(sector: float, matched: float, n_a: int, n_b: int) -> float:
@@ -120,41 +90,6 @@ def checked_p_amp(atomic: float, total: float) -> float:
     if total <= 0.0:
         raise UndefinedMetricError("zero joint state; p_amp undefined")
     return _checked_probability("p_amp", atomic / total)
-
-
-def p_mode(
-    joint: "JointState",
-    target_atomic: DickeVector,
-    pattern: "HeraldPattern | None" = None,
-) -> float:
-    """Probability that detected photons come without the matched atomic mode.
-
-    1 - ||o[n_a, n_b, :]||^2 / ||psi[:, n_a, n_b, :]||^2 for the ``pattern``
-    photon sector (one photon in each detected mode by default).
-    """
-    sector, matched, _, _, n_a, n_b = _joint_norms(joint, target_atomic, pattern)
-    return checked_p_mode(sector, matched, n_a, n_b)
-
-
-def p_spon(
-    joint: "JointState",
-    target_atomic: DickeVector,
-    pattern: "HeraldPattern | None" = None,
-) -> float:
-    """Probability that the matched atomic mode comes without detected photons.
-
-    1 - ||o[n_a, n_b, :]||^2 / ||o||^2 for the ``pattern`` photon sector (one
-    photon in each detected mode by default).
-    """
-    _, matched, atomic, _, _, _ = _joint_norms(joint, target_atomic, pattern)
-    return checked_p_spon(matched, atomic)
-
-
-def p_amp(joint: "JointState", target_atomic: DickeVector) -> float:
-    """Probability of finding the atomic part in the desired amplified state,
-    whatever the photons: ||o||^2 / ||psi||^2."""
-    _, _, atomic, total, _, _ = _joint_norms(joint, target_atomic, None)
-    return checked_p_amp(atomic, total)
 
 
 def quality(p_amp_value: float, p_spon_value: float, p_mode_value: float) -> float:

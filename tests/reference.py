@@ -8,25 +8,27 @@ from dataclasses import replace
 import numpy as np
 
 from memamp.dicke import DEFAULT_K_MAX, DickeVector, Schedule, weak_coherent_atomic_state
-from memamp.joint import ZERO_PROB_FLOOR, JointState, build_joint, herald
+from memamp.joint import ZERO_PROB_FLOOR, herald_rows
+from memamp.metrics import row_norms
 from memamp.protocol import (
-    STAGE_PATTERNS, _Points, _stage_report, _TrajectoryTree, stage_plan,
+    STAGE_PATTERNS, StageKind, _Points, _stage_report, _TrajectoryTree, stage_plan,
 )
 
 
-def traced_density(joint):
-    """Density over (k, n_a, n_b), undetected mode traced out, as an array
-    (k, n_a, n_b, k, n_a, n_b) of trace 1; and the trace before normalizing."""
-    psi = joint.amplitudes
+def traced_density(psi):
+    """Density over (k, n_a, n_b) of one joint tensor psi[k, n_a, n_b, n_c],
+    undetected mode traced out, as an array (k, n_a, n_b, k, n_a, n_b) of
+    trace 1; and the trace before normalizing."""
     rho = np.einsum("kabc,lxyc->kablxy", psi, psi.conj())
     trace = float(np.einsum("kabkab->", rho).real)
     return rho / trace, trace
 
 
-def reduced_conditional_density(joint, pattern):
-    """Atomic density matrix of trace 1 conditioned on the pattern, undetected
-    mode traced out (zero if the pattern has no probability); and its probability."""
-    block = joint.amplitudes[:, pattern.detect_a, pattern.detect_b, :]
+def reduced_conditional_density(psi, pattern):
+    """Atomic density matrix of trace 1 of one joint tensor psi[k, n_a, n_b,
+    n_c] conditioned on the pattern, undetected mode traced out (zero if the
+    pattern has no probability); and its probability."""
+    block = psi[:, pattern.detect_a, pattern.detect_b, :]
     rho = block @ block.conj().T
     prob = float(np.trace(rho).real)
     if prob <= ZERO_PROB_FLOOR:
@@ -41,17 +43,30 @@ def p_success_numeric(config):
     return _TrajectoryTree(one_stage).success_probability()
 
 
-def evolve_stage(state, config, kind):
-    """``state`` in fresh photon vacuum through the stage's process(es), as a
-    batch of one; the row's first guard error raises."""
+def evolve_stage(state, config, kind=StageKind.WRITE_THEN_READ):
+    """``state``, a DickeVector, in fresh photon vacuum through the stage's
+    process(es), as `protocol.run_batch` evolves a batch of one: the tensor
+    psi[1, k, n_a, n_b, n_c]. Levels above the atomic cutoff are dropped; the
+    row's first guard error raises."""
     points = _Points([config])
-    atomic = state if state.normalized else state.normalize()
-    rows = build_joint(atomic, points.truncation).amplitudes[None, :, 0, 0, 0].copy()
+    rows = np.zeros((1, points.truncation.atomic_k_max + 1), dtype=np.complex128)
+    amps = state.amplitudes[: rows.shape[1]]
+    rows[0, : amps.size] = amps
     errors = {}
     psi = points.evolve(rows, kind, errors)
     if errors:
         raise errors[0]
-    return JointState(state.n_atoms, points.truncation, psi[0])
+    return psi
+
+
+def heralded(psi, pattern):
+    """`joint.herald_rows` on a batch psi[B, k, n_a, n_b, n_c]: the conditional
+    states (B, k) and probabilities (B,); the lowest failing row's error raises."""
+    errors = {}
+    states, prob = herald_rows(psi, pattern, errors)
+    if errors:
+        raise errors[min(errors)]
+    return states, prob
 
 
 def run_stage(state, config, kind, *, stage_index=0, cumulative_in=1.0):
@@ -59,10 +74,10 @@ def run_stage(state, config, kind, *, stage_index=0, cumulative_in=1.0):
     `protocol.run_batch` does it; a zero-probability herald is a failed stage.
     Exact evolution with beta < 1 can leave the conditional state mixed, which
     raises MixedConditionalError."""
-    joint = evolve_stage(state, config, kind)
-    conditional, raw = herald(joint, STAGE_PATTERNS[kind])
-    p = raw / joint.total_probability()
-    record = (p, cumulative_in * p, conditional.amplitudes if raw else None)
+    psi = evolve_stage(state, config, kind)
+    states, raw = heralded(psi, STAGE_PATTERNS[kind])
+    p = float(raw[0] / row_norms(psi)[0])
+    record = (p, cumulative_in * p, states[0] if raw[0] else None)
     return _stage_report(stage_index, kind, record, config)
 
 
@@ -112,14 +127,15 @@ class TrajectoryTreePerNode:
         self.states[path] = state.amplitudes[:k_dim]
         if len(path) == len(self.plan):
             return
-        joint = evolve_stage(state, config, self.plan[len(path)])
-        weights = np.sum(np.abs(joint.amplitudes) ** 2, axis=0)
+        psi = evolve_stage(state, config, self.plan[len(path)])[0]
+        sq = np.abs(psi) ** 2
+        weights = np.sum(sq, axis=0)
         weights[weights <= ZERO_PROB_FLOOR] = 0.0
-        self.outcomes[path] = weights / joint.total_probability()
+        self.outcomes[path] = weights / float(np.sum(sq))
         pattern = STAGE_PATTERNS[self.plan[len(path)]]
         hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
         for n_c in np.flatnonzero(hits):
-            column = joint.amplitudes[:, pattern.detect_a, pattern.detect_b, n_c]
+            column = psi[:, pattern.detect_a, pattern.detect_b, n_c]
             child = DickeVector(state.n_atoms, column / np.linalg.norm(column), True)
             self._grow(path + (int(n_c),), child, config)
 

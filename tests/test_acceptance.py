@@ -13,6 +13,7 @@ import pytest
 
 from memamp.cli import main as cli_main
 from memamp.dicke import (
+    DickeVector,
     LadderDirection,
     Schedule,
     basis_state,
@@ -20,15 +21,7 @@ from memamp.dicke import (
     ladder_coeff,
     weak_coherent_atomic_state,
 )
-from memamp.joint import (
-    EvolutionOrder,
-    HeraldPattern,
-    ModeTruncation,
-    apply_read,
-    apply_write,
-    build_joint,
-    herald,
-)
+from memamp.joint import EvolutionOrder, HeraldPattern, ModeTruncation
 from memamp.metrics import p_success_analytic
 from memamp.oracle import apply_collective_full, build_dicke_full, project_to_dicke
 from memamp.protocol import (
@@ -36,7 +29,7 @@ from memamp.protocol import (
     monte_carlo,
     run_schedule,
 )
-from reference import p_success_numeric
+from reference import evolve_stage, heralded, p_success_numeric
 
 
 @contextlib.contextmanager
@@ -47,12 +40,6 @@ def criterion(number: int, name: str):
         print(f"[criterion {number}] {name}: FAIL")
         raise
     print(f"[criterion {number}] {name}: PASS")
-
-
-def evolve_first_order(atomic, p_w, p_r, trunc):
-    state = build_joint(atomic, trunc)
-    state = apply_write(state, p_w, 1.0, EvolutionOrder.FIRST_ORDER)
-    return apply_read(state, p_r, 1.0, EvolutionOrder.FIRST_ORDER)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -90,16 +77,16 @@ def test_criterion_2_heralded_gain_eq14():
         p = 1e-3
         for n_atoms in (3, 10, 100, 10**4):
             trunc = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
+            config = ProtocolConfig(n_atoms, p_w=p, p_r=p, truncation=trunc)
             for k in range(0, min(5, n_atoms) + 1):
                 atomic = basis_state(k, n_atoms, k_alloc=min(n_atoms, 7))
-                evolved = evolve_first_order(atomic, p, p, trunc)
-                conditional, raw = herald(evolved, HeraldPattern(1, 1))
-                factor = np.sqrt(raw) / p
+                states, raw = heralded(evolve_stage(atomic, config), HeraldPattern(1, 1))
+                factor = np.sqrt(raw[0]) / p
                 expected = (k + 1) * (1.0 - k / n_atoms)
                 assert abs(factor - expected) <= 1e-12
                 if expected > 0:
                     assert fidelity(
-                        conditional, basis_state(k, n_atoms)
+                        DickeVector(n_atoms, states[0]), basis_state(k, n_atoms)
                     ) == pytest.approx(1.0, abs=1e-12)
                 if k >= 1:
                     assert (factor > 1.0) == (n_atoms >= k + 2)
@@ -109,11 +96,10 @@ def test_criterion_3_eq15_single_stage():
     with criterion(3, "single-stage amplitude ratio 2*alpha*(1-1/N)"):
         alpha, n_atoms = 0.1, 1000
         trunc = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
-        evolved = evolve_first_order(
-            weak_coherent_atomic_state(alpha, n_atoms), 1e-3, 1e-3, trunc
-        )
-        conditional, _ = herald(evolved, HeraldPattern(1, 1))
-        ratio = (conditional.amplitudes[1] / conditional.amplitudes[0]).real
+        config = ProtocolConfig(n_atoms, p_w=1e-3, p_r=1e-3, truncation=trunc)
+        evolved = evolve_stage(weak_coherent_atomic_state(alpha, n_atoms), config)
+        states, _ = heralded(evolved, HeraldPattern(1, 1))
+        ratio = (states[0, 1] / states[0, 0]).real
         assert abs(ratio - 0.1998) <= 1e-12
         gain = ratio / alpha
         assert abs(gain - 2.0) / 2.0 <= 0.002
@@ -264,19 +250,10 @@ def test_criterion_9_first_order_vs_exact():
             p_w = float(10 ** rng.uniform(-4, -2))
             p_r = float(10 ** rng.uniform(-4, -2))
             atomic = weak_coherent_atomic_state(alpha, n_atoms)
-            base = build_joint(atomic, trunc)
-            first = apply_read(
-                apply_write(base, p_w, 1.0, EvolutionOrder.FIRST_ORDER),
-                p_r,
-                1.0,
-                EvolutionOrder.FIRST_ORDER,
-            )
-            exact = apply_read(
-                apply_write(base, p_w, 1.0, EvolutionOrder.EXACT),
-                p_r,
-                1.0,
-                EvolutionOrder.EXACT,
-            )
-            state_first, _ = herald(first, HeraldPattern(1, 1))
-            state_exact, _ = herald(exact, HeraldPattern(1, 1))
-            assert fidelity(state_first, state_exact) >= 1 - 10 * max(p_w, p_r)
+            states = []
+            for order in (EvolutionOrder.FIRST_ORDER, EvolutionOrder.EXACT):
+                config = ProtocolConfig(n_atoms, p_w=p_w, p_r=p_r, order=order,
+                                        truncation=trunc)
+                rows, _ = heralded(evolve_stage(atomic, config), HeraldPattern(1, 1))
+                states.append(DickeVector(n_atoms, rows[0]))
+            assert fidelity(*states) >= 1 - 10 * max(p_w, p_r)

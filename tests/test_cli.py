@@ -351,6 +351,25 @@ class TestSweepCommand:
         assert bad["succeeded"] == "false" and bad["q_amp"] == "nan"
         assert bad["error"].startswith("TruncationLeakageError")
 
+    def test_point_over_the_dimension_cap_keeps_the_grid(self, tmp_path):
+        # at N = 100 the truncation resolves to 9 x 20001 x 4 x 3 = 2160108
+        base = {"n_atoms": 100, "truncation": {"fock_a_max": 20000}}
+        guard = "ResourceGuardError: joint dimension 2160108 exceeds cap 2000000"
+        quality = run_schedule(cli.config_from_dict(dict(base, n_atoms=2))).quality
+        expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
+        for jobs in (1, 2):
+            spec = {"base": base, "axes": {"n_atoms": [2, 100]}}
+            code, _, rows, _ = sweep_csv(tmp_path, spec, name=f"j{jobs}", jobs=jobs)
+            assert code == EXIT_PROTOCOL
+            assert rows[0][1:] == [str(cli._format_cell(v)) for v in expected]
+            assert rows[1][-2:] == ["false", guard]
+        # a grid with every point over the cap still writes its rows
+        spec = {"base": base, "axes": {"n_atoms": [100, 200]}}
+        code, _, rows, _ = sweep_csv(tmp_path, spec, name="all")
+        assert code == EXIT_PROTOCOL
+        assert [row[-1] for row in rows] == [guard, guard]
+        assert simulate_exit(tmp_path, base) == EXIT_GUARD
+
 
 def sweep_csv(tmp_path, spec, name="sw", jobs=1):
     """Run a sweep; returns (exit code, header, rows, raw bytes of sweep.csv)."""

@@ -1,39 +1,27 @@
 """Success probability, loss probabilities and the quality identity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from memamp.dicke import DickeVector, basis_state, weak_coherent_atomic_state
+from memamp.dicke import basis_state, weak_coherent_atomic_state, weak_coherent_rows
 from memamp.errors import MetricRangeError, UndefinedMetricError
-from memamp.joint import (
-    EvolutionOrder,
-    HeraldPattern,
-    JointState,
-    ModeTruncation,
-    apply_read,
-    apply_write,
-    build_joint,
-)
+from memamp.joint import EvolutionOrder, HeraldPattern, ModeTruncation
 from memamp.metrics import (
     QualityReport,
-    p_amp,
-    p_mode,
-    p_spon,
+    checked_p_amp,
+    checked_p_mode,
+    checked_p_spon,
     p_success_analytic,
     quality,
+    row_norms,
+    sector_norms,
 )
-from memamp.protocol import ProtocolConfig
-from reference import p_success_numeric, traced_density
+from memamp.protocol import STAGE_PATTERNS, ProtocolConfig
+from reference import evolve_stage, p_success_numeric, traced_density
 
 TOL = 1e-12
-
-
-def final_joint(n_atoms, alpha, p, beta=1.0, order=EvolutionOrder.FIRST_ORDER,
-                trunc=None):
-    trunc = trunc or ModeTruncation()
-    state = build_joint(weak_coherent_atomic_state(alpha, n_atoms), trunc)
-    state = apply_write(state, p, beta, order)
-    return apply_read(state, p, beta, order)
 
 
 class TestPSuccessAnalytic:
@@ -83,121 +71,105 @@ class TestPSuccessNumeric:
 class TestPMode:
     def test_lossless_first_order_vanishes(self):
         n_atoms, alpha, p = 100, 0.1, 1e-3
-        joint = final_joint(n_atoms, alpha, p)
+        config = ProtocolConfig(n_atoms, p_w=p, p_r=p)
+        psi = evolve_stage(weak_coherent_atomic_state(alpha, n_atoms), config)
         gain = 2 * (1 - 1 / n_atoms)
-        target = weak_coherent_atomic_state(gain * alpha, n_atoms)
-        value = p_mode(joint, target, HeraldPattern(1, 1))
+        t = weak_coherent_rows(np.array([gain * alpha]), 9)
+        matched, _ = sector_norms(psi, t, 1, 1)
+        value = checked_p_mode(row_norms(psi[:, :, 1, 1])[0], matched[0], 1, 1)
         assert abs(value) < 1e-10
 
     def test_orthogonal_atomic_mode_gives_one(self):
-        trunc = ModeTruncation(
-            fock_a_max=1, fock_b_max=1, fock_c_max=0, atomic_k_max=1
-        )
-        amps = np.zeros((2, 2, 2, 1), dtype=complex)
-        amps[1, 1, 1, 0] = 1.0  # photons present, atomic part orthogonal to |0>
-        joint = JointState(5, trunc, amps)
-        target = basis_state(0, 5, k_alloc=1)
-        assert p_mode(joint, target, HeraldPattern(1, 1)) == pytest.approx(
-            1.0, abs=TOL
-        )
+        psi = np.zeros((1, 2, 2, 2, 1), dtype=complex)
+        psi[0, 1, 1, 1, 0] = 1.0  # photons present, atomic part orthogonal to |0>
+        matched, _ = sector_norms(psi, np.eye(2)[[0]], 1, 1)
+        value = checked_p_mode(row_norms(psi[:, :, 1, 1])[0], matched[0], 1, 1)
+        assert value == pytest.approx(1.0, abs=TOL)
 
     def test_undefined_without_photons(self):
-        trunc = ModeTruncation(
-            fock_a_max=1, fock_b_max=1, fock_c_max=0, atomic_k_max=1
-        )
-        amps = np.zeros((2, 2, 2, 1), dtype=complex)
-        amps[0, 0, 0, 0] = 1.0
-        joint = JointState(5, trunc, amps)
+        psi = np.zeros((1, 2, 2, 2, 1), dtype=complex)
+        psi[0, 0, 0, 0, 0] = 1.0
+        matched, _ = sector_norms(psi, np.eye(2)[[0]], 1, 1)
         with pytest.raises(UndefinedMetricError):
-            p_mode(joint, basis_state(0, 5, k_alloc=1), HeraldPattern(1, 1))
+            checked_p_mode(row_norms(psi[:, :, 1, 1])[0], matched[0], 1, 1)
 
     def test_lossy_exact_regression(self):
         # frozen after the first verified run of the loss-extended simulation
         trunc = ModeTruncation(fock_a_max=4, fock_b_max=4, fock_c_max=3,
                                atomic_k_max=8)
-        joint = final_joint(
-            100, 0.1, 1e-3, beta=0.7, order=EvolutionOrder.EXACT, trunc=trunc
-        )
-        target = weak_coherent_atomic_state(0.1 * 1.98, 100)
-        value = p_mode(joint, target, HeraldPattern(1, 1))
+        config = ProtocolConfig(100, p_w=1e-3, p_r=1e-3, beta_w=0.7, beta_r=0.7,
+                                order=EvolutionOrder.EXACT, truncation=trunc)
+        psi = evolve_stage(weak_coherent_atomic_state(0.1, 100), config)
+        t = weak_coherent_rows(np.array([0.1 * 1.98]), 9)
+        matched, _ = sector_norms(psi, t, 1, 1)
+        value = checked_p_mode(row_norms(psi[:, :, 1, 1])[0], matched[0], 1, 1)
         assert 0.0 < value < 1.0
         assert value == pytest.approx(0.0010932098140604696, rel=1e-9)
 
 
 class TestPSpon:
     def test_pure_target_density_gives_zero(self):
-        trunc = ModeTruncation().resolve(100)
-        target = weak_coherent_atomic_state(0.1998, 100)
-        amps = np.zeros(trunc.shape(), dtype=complex)
-        amps[:, 1, 1, 0] = target.amplitudes[: trunc.shape()[0]]
-        full = JointState(100, trunc, amps)
-        assert abs(p_spon(full, target, HeraldPattern(1, 1))) < TOL
-        assert abs(p_mode(full, target, HeraldPattern(1, 1))) < TOL
+        t = weak_coherent_rows(np.array([0.1998]), 9)
+        psi = np.zeros((1,) + ModeTruncation().resolve(100).shape(), dtype=complex)
+        psi[0, :, 1, 1, 0] = t[0]
+        (matched,), (atomic,) = sector_norms(psi, t, 1, 1)
+        assert abs(checked_p_spon(matched, atomic)) < TOL
+        sector = row_norms(psi[:, :, 1, 1])[0]
+        assert abs(checked_p_mode(sector, matched, 1, 1)) < TOL
 
     def test_tends_to_one_for_weak_coupling(self):
         n_atoms, alpha = 100, 0.1
         gain = 2 * (1 - 1 / n_atoms)
-        target = weak_coherent_atomic_state(gain * alpha, n_atoms)
+        t = weak_coherent_rows(np.array([gain * alpha]), 9)
         values = []
         for p in (1e-3, 1e-4, 1e-5):
-            joint = final_joint(n_atoms, alpha, p)
-            value = p_spon(joint, target, HeraldPattern(1, 1))
+            config = ProtocolConfig(n_atoms, p_w=p, p_r=p)
+            psi = evolve_stage(weak_coherent_atomic_state(alpha, n_atoms), config)
+            (matched,), (atomic,) = sector_norms(psi, t, 1, 1)
+            value = checked_p_spon(matched, atomic)
             assert value >= 1 - 10 * p
             values.append(value)
         assert values[0] < values[1] < values[2]
 
     def test_undefined_without_atomic_overlap(self):
-        trunc = ModeTruncation(
-            fock_a_max=1, fock_b_max=1, fock_c_max=0, atomic_k_max=1
-        )
-        amps = np.zeros((2, 2, 2, 1), dtype=complex)
-        amps[1, 0, 0, 0] = 1.0
-        joint = JointState(5, trunc, amps)
+        psi = np.zeros((1, 2, 2, 2, 1), dtype=complex)
+        psi[0, 1, 0, 0, 0] = 1.0
+        (matched,), (atomic,) = sector_norms(psi, np.eye(2)[[0]], 1, 1)
         with pytest.raises(UndefinedMetricError):
-            p_spon(joint, basis_state(0, 5, k_alloc=1), HeraldPattern(1, 1))
+            checked_p_spon(matched, atomic)
+
+
+#: no coupling: a stage leaves its atomic state in photon vacuum
+VACUUM = ProtocolConfig(30, p_w=0.0, p_r=0.0)
 
 
 class TestPAmp:
     def test_target_projector_gives_one(self):
-        target = weak_coherent_atomic_state(0.2, 30)
-        joint = build_joint(target, ModeTruncation())
-        assert p_amp(joint, target) == pytest.approx(1.0, abs=TOL)
+        psi = evolve_stage(weak_coherent_atomic_state(0.2, 30), VACUUM)
+        t = weak_coherent_rows(np.array([0.2]), 9)
+        _, (atomic,) = sector_norms(psi, t, 1, 1)
+        assert checked_p_amp(atomic, row_norms(psi)[0]) == pytest.approx(1.0, abs=TOL)
 
     def test_orthogonal_state_gives_zero(self):
-        joint = build_joint(basis_state(2, 30, k_alloc=3), ModeTruncation())
-        assert p_amp(joint, basis_state(0, 30, k_alloc=3)) == pytest.approx(
-            0.0, abs=TOL
-        )
+        psi = evolve_stage(basis_state(2, 30, k_alloc=3), VACUUM)
+        _, (atomic,) = sector_norms(psi, np.eye(9)[[0]], 1, 1)
+        assert checked_p_amp(atomic, row_norms(psi)[0]) == pytest.approx(0.0, abs=TOL)
 
     def test_heralded_run_against_large_n_target(self):
         # conditional state (1, 0.1998) against the N >> 1 target (1, 0.2):
         # the deficit is the 2*alpha vs 2*alpha*(1 - 1/N) mismatch
         conditional = weak_coherent_atomic_state(0.1998, 1000)
-        joint = build_joint(conditional, ModeTruncation())
-        target = weak_coherent_atomic_state(0.2, 1000)
-        assert p_amp(joint, target) == pytest.approx(0.9999999630149079, abs=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        # the maximally mixed atomic state on k = 0..2, purified by mode c
-        trunc = ModeTruncation(
-            fock_a_max=1, fock_b_max=1, fock_c_max=2, atomic_k_max=2
-        )
-        amps = np.zeros((3, 2, 2, 3), dtype=complex)
-        for k in range(3):
-            amps[k, 0, 0, k] = 1 / np.sqrt(3)
-        joint = JointState(30, trunc, amps)
-        target = basis_state(5, 30, k_alloc=5)
-        with pytest.raises(ValueError):
-            p_amp(joint, target)
+        psi = evolve_stage(conditional, replace(VACUUM, n_atoms=1000))
+        t = weak_coherent_rows(np.array([0.2]), 9)
+        _, (atomic,) = sector_norms(psi, t, 1, 1)
+        value = checked_p_amp(atomic, row_norms(psi)[0])
+        assert value == pytest.approx(0.9999999630149079, abs=1e-12)
 
 
-def reference_metrics(joint, target_atomic, pattern):
-    """p_mode, p_spon and p_amp read from the traced density matrix."""
-    rho, _ = traced_density(joint)
-    t = np.zeros(rho.shape[0], dtype=complex)
-    m = min(rho.shape[0], target_atomic.amplitudes.size)
-    t[:m] = target_atomic.amplitudes[:m]
-    t /= np.linalg.norm(t)
+def reference_metrics(psi, t, pattern):
+    """p_mode, p_spon and p_amp of row 0 read from the traced density matrix."""
+    rho, _ = traced_density(psi[0])
+    t = t[0]
     n_a, n_b = pattern.detect_a, pattern.detect_b
     block = rho[:, n_a, n_b, :, n_a, n_b]
     matched = float(np.real(np.vdot(t, block @ t)))
@@ -210,15 +182,20 @@ def reference_metrics(joint, target_atomic, pattern):
     }
 
 
-def amplitude_metrics(joint, target_atomic, pattern):
+def amplitude_metrics(psi, t, pattern):
+    """p_mode, p_spon and p_amp of row 0 as `run_batch` scores them."""
+    n_a, n_b = pattern.detect_a, pattern.detect_b
+    (matched,), (atomic,) = sector_norms(psi, t, n_a, n_b)
+    sector, total = row_norms(psi[:, :, n_a, n_b])[0], row_norms(psi)[0]
     return {
-        "p_mode": p_mode(joint, target_atomic, pattern),
-        "p_spon": p_spon(joint, target_atomic, pattern),
-        "p_amp": p_amp(joint, target_atomic),
+        "p_mode": checked_p_mode(sector, matched, n_a, n_b),
+        "p_spon": checked_p_spon(matched, atomic),
+        "p_amp": checked_p_amp(atomic, total),
     }
 
 
 PATTERNS = [HeraldPattern(1, 1), HeraldPattern(1, 0), HeraldPattern(0, 1)]
+KINDS = {pattern: kind for kind, pattern in STAGE_PATTERNS.items()}
 
 
 def pattern_id(pattern):
@@ -238,14 +215,16 @@ class TestAgainstDensityMatrix:
             fock_c_max=int(rng.integers(1, 4)),
             atomic_k_max=int(rng.integers(1, 6)),
         )
-        shape = trunc.shape()
-        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        joint = JointState(10, trunc, amps * float(rng.uniform(0.1, 3.0)))
-        k_alloc = int(rng.integers(0, shape[0]))
-        target_amps = rng.normal(size=k_alloc + 1) + 1j * rng.normal(size=k_alloc + 1)
-        target = DickeVector(10, target_amps)
-        new = amplitude_metrics(joint, target, pattern)
-        old = reference_metrics(joint, target, pattern)
+        shape = (1,) + trunc.shape()
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psi *= float(rng.uniform(0.1, 3.0))
+        k_alloc = int(rng.integers(0, shape[1]))
+        t = np.zeros((1, shape[1]), dtype=complex)
+        t[0, : k_alloc + 1] = rng.normal(size=k_alloc + 1)
+        t[0, : k_alloc + 1] += 1j * rng.normal(size=k_alloc + 1)
+        t /= np.linalg.norm(t)
+        new = amplitude_metrics(psi, t, pattern)
+        old = reference_metrics(psi, t, pattern)
         for key in old:
             assert abs(new[key] - old[key]) <= 1e-12, key
 
@@ -255,14 +234,12 @@ class TestAgainstDensityMatrix:
     def test_evolved_states(self, order, beta, pattern):
         trunc = ModeTruncation(fock_a_max=4, fock_b_max=4, fock_c_max=3,
                                atomic_k_max=8)
-        joint = build_joint(weak_coherent_atomic_state(0.3, 40), trunc)
-        if pattern.detect_a:
-            joint = apply_write(joint, 2e-3, beta, order)
-        if pattern.detect_b:
-            joint = apply_read(joint, 3e-3, beta, order)
-        target = weak_coherent_atomic_state(0.3 * 1.95, 40)
-        new = amplitude_metrics(joint, target, pattern)
-        old = reference_metrics(joint, target, pattern)
+        config = ProtocolConfig(40, p_w=2e-3, p_r=3e-3, beta_w=beta, beta_r=beta,
+                                order=order, truncation=trunc)
+        psi = evolve_stage(weak_coherent_atomic_state(0.3, 40), config, KINDS[pattern])
+        t = weak_coherent_rows(np.array([0.3 * 1.95]), 9)
+        new = amplitude_metrics(psi, t, pattern)
+        old = reference_metrics(psi, t, pattern)
         for key in old:
             assert abs(new[key] - old[key]) <= 1e-12, key
 
@@ -338,6 +315,9 @@ def test_public_surface():
 
     assert [name for name in memamp.__all__ if not hasattr(memamp, name)] == []
     for name in ["DensityMatrix", "PSD_TOL", "p_success_numeric", "dump_amplitudes",
-                 "reduced_conditional_density", "joint_density_traced", "_herald_slice"]:
+                 "reduced_conditional_density", "joint_density_traced", "_herald_slice",
+                 "JointState", "build_joint", "apply_write", "apply_read", "herald",
+                 "p_mode", "p_spon", "p_amp", "_apply_one", "_joint_norms",
+                 "_atomic_target_vector"]:
         for module in (memamp, joint, metrics):
             assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -24,7 +24,7 @@ from memamp.protocol import (
     monte_carlo,
     run_schedule,
 )
-from reference import TrajectoryTreePerNode, run_stage
+from reference import TrajectoryTreePerNode, evolve_stage, heralded, run_stage
 
 TOL = 1e-12
 LOSSLESS = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
@@ -248,7 +248,6 @@ class TestRunSchedule:
         # exact evolution is unitary, so chaining unnormalized conditionals
         # accumulates exactly the joint probability of the herald sequence
         from memamp.dicke import DickeVector, weak_coherent_atomic_state
-        from memamp.joint import apply_read, apply_write, build_joint, herald
         from memamp.protocol import STAGE_PATTERNS, stage_plan
 
         trunc = ModeTruncation(fock_a_max=4, fock_b_max=4, fock_c_max=0)
@@ -268,13 +267,11 @@ class TestRunSchedule:
         state = weak_coherent_atomic_state(0.1, 50)
         joint_probability = 1.0
         for kind in stage_plan(config):
-            jt = build_joint(state, trunc)
-            jt = apply_write(jt, config.p_w, 1.0, config.order)
-            jt = apply_read(jt, config.p_r, 1.0, config.order)
-            conditional, raw = herald(jt, STAGE_PATTERNS[kind])
+            psi = evolve_stage(state, config, kind)
+            conditional, raw = heralded(psi, STAGE_PATTERNS[kind])
             # carry the unnormalized conditional: its norm is the amplitude
-            state = DickeVector(50, conditional.amplitudes * np.sqrt(raw))
-            joint_probability = raw
+            state = DickeVector(50, conditional[0] * np.sqrt(raw[0]))
+            joint_probability = raw[0]
         assert report.success_probability == pytest.approx(
             joint_probability, rel=1e-10
         )
@@ -404,15 +401,9 @@ class TestMonteCarlo:
         trials = 100_000
         report = monte_carlo(config, trials)
         from memamp.dicke import weak_coherent_atomic_state
-        from memamp.joint import apply_read, apply_write, build_joint
 
-        jt = build_joint(
-            weak_coherent_atomic_state(0.1, 100),
-            config.truncation.resolve(100),
-        )
-        jt = apply_write(jt, 0.01, 1.0, config.order)
-        jt = apply_read(jt, 0.01, 1.0, config.order)
-        probs = np.sum(np.abs(jt.amplitudes) ** 2, axis=0) / jt.total_probability()
+        psi = evolve_stage(weak_coherent_atomic_state(0.1, 100), config)[0]
+        probs = np.sum(np.abs(psi) ** 2, axis=0) / np.sum(np.abs(psi) ** 2)
         observed, expected = [], []
         for n_a, n_b, n_c, count in report.first_stage_outcomes:
             observed.append(count)
