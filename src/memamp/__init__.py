@@ -6,28 +6,10 @@ brute-force full-Hilbert-space oracle, amplifier quality metrics, multi-stage
 schedules, and Monte Carlo sampling of heralding outcomes.
 """
 
-from .dicke import (
-    DickeVector,
-    LadderDirection,
-    Schedule,
-    apply_ladder,
-    apply_ss_dagger,
-    basis_state,
-    fidelity,
-    gain_eigenvalue,
-    ladder_coeff,
-    relative_gain,
-    weak_coherent_atomic_state,
-)
+from .dicke import LadderDirection, Schedule, ladder_coeff, relative_gain
 from .joint import EvolutionOrder, HeraldPattern, ModeTruncation
-from .metrics import QualityReport, p_success_analytic, quality
-from .oracle import (
-    FullStateVector,
-    apply_collective_full,
-    build_dicke_full,
-    project_to_dicke,
-    verify_ladder,
-)
+from .metrics import QualityReport, quality
+from .oracle import build_dicke_full, project_to_dicke, verify_ladder
 from .protocol import (
     AmplificationReport,
     GainConvention,
@@ -46,9 +28,7 @@ KERNEL_BACKEND = "numpy"
 
 __all__ = [
     "AmplificationReport",
-    "DickeVector",
     "EvolutionOrder",
-    "FullStateVector",
     "GainConvention",
     "HeraldPattern",
     "KERNEL_BACKEND",
@@ -60,20 +40,12 @@ __all__ = [
     "Schedule",
     "StageKind",
     "StageReport",
-    "apply_collective_full",
-    "apply_ladder",
-    "apply_ss_dagger",
-    "basis_state",
     "build_dicke_full",
-    "fidelity",
-    "gain_eigenvalue",
     "ladder_coeff",
     "monte_carlo",
-    "p_success_analytic",
     "project_to_dicke",
     "quality",
     "relative_gain",
     "run_schedule",
     "verify_ladder",
-    "weak_coherent_atomic_state",
 ]

@@ -108,7 +108,7 @@ def config_from_dict(data: dict) -> ProtocolConfig:
             )
         try:
             kwargs["truncation"] = ModeTruncation(**tdata)
-        except (ValueError, ResourceGuardError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"truncation: {exc}") from exc
     try:
         return ProtocolConfig(**kwargs)
@@ -299,8 +299,8 @@ def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
         size = batch_rows(first.truncation.resolve(first.n_atoms))
         batches += [members[i : i + size] for i in range(0, len(members), size)]
     work = [[configs[i] for i in batch] for batch in batches]
-    # a pool forks all its workers up front, however few points there are
-    workers = min(jobs, len(configs), os.cpu_count() or 1)
+    # a pool forks all its workers up front, however few batches there are
+    workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:  # imported here: multiprocessing is slow to import
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -21,10 +21,6 @@ class GridGuardError(ResourceGuardError):
     """Sweep grid is empty or larger than the configured cap."""
 
 
-class ZeroNormError(MemampError):
-    """An operation that needs a normalizable state received a zero vector."""
-
-
 class MixedConditionalError(MemampError):
     """Heralded conditional state is mixed and cannot be returned as a pure vector."""
 

@@ -97,22 +97,22 @@ class ModeTruncation:
             raise ValueError("fock_a_max and fock_b_max must be >= 1")
         if self.fock_c_max < 0:
             raise ValueError("fock_c_max must be >= 0")
-        if self.atomic_k_max is not None:
-            if self.atomic_k_max < 1:
-                raise ValueError("atomic_k_max must be >= 1")
-            if self.total_dim() > DIM_CAP:
-                raise ResourceGuardError(
-                    f"joint dimension {self.total_dim()} exceeds cap {DIM_CAP}"
-                )
+        if self.atomic_k_max is not None and self.atomic_k_max < 1:
+            raise ValueError("atomic_k_max must be >= 1")
 
     @functools.lru_cache  # a sweep resolves a few truncations many times
     def resolve(self, n_atoms: int) -> "ModeTruncation":
-        """Pin the atomic cutoff for a concrete ensemble size."""
+        """Pin the atomic cutoff for a concrete ensemble size, at most N; the
+        joint dimension cap applies to the result."""
         k_max = self.atomic_k_max
         if k_max is None:
-            k_max = min(n_atoms, DEFAULT_ATOMIC_K_MAX)
-        k_max = min(k_max, n_atoms)
-        return replace(self, atomic_k_max=k_max)
+            k_max = DEFAULT_ATOMIC_K_MAX
+        resolved = replace(self, atomic_k_max=min(k_max, n_atoms))
+        if resolved.total_dim() > DIM_CAP:
+            raise ResourceGuardError(
+                f"joint dimension {resolved.total_dim()} exceeds cap {DIM_CAP}"
+            )
+        return resolved
 
     def shape(self) -> tuple[int, int, int, int]:
         if self.atomic_k_max is None:

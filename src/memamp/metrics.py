@@ -51,14 +51,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return row_sums(sq)
 
 
-def p_success_analytic(p_w: float, p_r: float) -> float:
-    """Pair-detection probability to second order in the couplings:
-    p_w p_r / (1 + p_w + p_r + p_w p_r)."""
-    if not 0.0 <= p_w <= 1.0 or not 0.0 <= p_r <= 1.0:
-        raise ValueError("couplings must be in [0, 1]")
-    return p_w * p_r / (1.0 + p_w + p_r + p_w * p_r)
-
-
 def sector_norms(psi: np.ndarray, t: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
     """Rows ||o[n_a, n_b]||^2 and ||o||^2 of a batch psi[B, k, ...] and targets
     t[B, k], o = sum_k conj(t_k) psi_k."""

@@ -1,9 +1,11 @@
 """Brute-force cross-check of the collective-ladder algebra in the full 2^N space.
 
 Symmetric k-excitation states are built by explicit permutation sums over
-bitmasks (bit i set = atom i excited) and the collective operators are applied
-as literal sums of single-atom flips. Everything the closed forms in `dicke`
-claim can be re-derived here, at exponential cost, for small atom counts.
+bitmasks and the collective operators are applied as literal sums of
+single-atom flips. A state is a complex array of 2^N amplitudes; index m is a
+bitmask, little-endian: bit i set means atom i is excited. Everything the
+closed forms in `dicke` claim can be re-derived here, at exponential cost, for
+small atom counts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dicke import DickeVector, LadderDirection, ladder_coeff
+from .dicke import LadderDirection, ladder_coeff
 from .errors import ResourceGuardError
 
 #: Hard cap on the brute-force atom count; 2^14 amplitudes keeps every
@@ -27,35 +29,6 @@ VERIFY_TOL = 1e-10
 
 #: Residual outside the symmetric subspace must stay below this.
 RESIDUAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FullStateVector:
-    """State over the unsymmetrized product basis of N atoms.
-
-    Index m is a bitmask, little-endian: bit i set means atom i is excited.
-    """
-
-    n_atoms: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= self.n_atoms <= MAX_FULL_ATOMS:
-            raise ResourceGuardError(
-                f"full-space oracle supports 1 <= N <= {MAX_FULL_ATOMS}, got {self.n_atoms}"
-            )
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).copy()
-        if amps.shape != (1 << self.n_atoms,):
-            raise ValueError(
-                f"expected 2^{self.n_atoms} amplitudes, got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @functools.lru_cache(maxsize=16)
@@ -100,46 +73,36 @@ def _dicke_weight(k: int, n_atoms: int) -> float:
     return 1.0 / math.sqrt(math.comb(n_atoms, k))
 
 
-def build_dicke_full(k: int, n_atoms: int) -> FullStateVector:
-    """Symmetric k-excitation state as an equal-weight sum over bitmasks."""
+def build_dicke_full(k: int, n_atoms: int) -> np.ndarray:
+    """Symmetric k-excitation state as an equal-weight sum over bitmasks: a
+    2^N complex array, index m a bitmask as in the module docstring."""
     if not 0 <= k <= n_atoms:
         raise ValueError(f"need 0 <= k <= N, got k={k}, N={n_atoms}")
-    if n_atoms > MAX_FULL_ATOMS:
+    if not 1 <= n_atoms <= MAX_FULL_ATOMS:
         raise ResourceGuardError(
-            f"full-space oracle supports N <= {MAX_FULL_ATOMS}, got {n_atoms}"
+            f"full-space oracle supports 1 <= N <= {MAX_FULL_ATOMS}, got {n_atoms}"
         )
     counts = popcounts(n_atoms)
-    amps = np.where(counts == k, _dicke_weight(k, n_atoms), 0.0).astype(np.complex128)
-    return FullStateVector(n_atoms, amps)
+    return np.where(counts == k, _dicke_weight(k, n_atoms), 0.0).astype(np.complex128)
 
 
-def apply_collective_full(
-    direction: LadderDirection, state: FullStateVector
-) -> FullStateVector:
-    """Literal (1/sqrt(N)) sum of single-atom flips; output is unnormalized."""
-    out = collective_apply(
-        state.amplitudes, state.n_atoms, direction is LadderDirection.RAISE
-    )
-    return FullStateVector(state.n_atoms, out)
+def project_to_dicke(amps: np.ndarray, n_atoms: int) -> tuple[np.ndarray, float]:
+    """Components of a 2^N state along every symmetric level, plus the
+    leftover norm.
 
-
-def project_to_dicke(state: FullStateVector) -> tuple[DickeVector, float]:
-    """Components along every symmetric level plus the leftover norm.
-
-    Returns ``(d, residual)`` with ``d.amplitudes[k] = <k,N|state>`` and
+    Returns ``(coeffs, residual)`` with ``coeffs[k] = <k,N|amps>`` and
     ``residual`` the norm of the part orthogonal to all symmetric states.
     """
-    n = state.n_atoms
-    counts = popcounts(n)
-    sums_re = np.bincount(counts, weights=state.amplitudes.real, minlength=n + 1)
-    sums_im = np.bincount(counts, weights=state.amplitudes.imag, minlength=n + 1)
-    weights = np.array([_dicke_weight(k, n) for k in range(n + 1)])
+    counts = popcounts(n_atoms)
+    sums_re = np.bincount(counts, weights=amps.real, minlength=n_atoms + 1)
+    sums_im = np.bincount(counts, weights=amps.imag, minlength=n_atoms + 1)
+    weights = np.array([_dicke_weight(k, n_atoms) for k in range(n_atoms + 1)])
     coeffs = weights * (sums_re + 1j * sums_im)
     # residual from the explicit out-of-subspace component; a norm-difference
     # formula would lose half the working precision to cancellation
     projection = (coeffs * weights)[counts]
-    residual = float(np.linalg.norm(state.amplitudes - projection))
-    return DickeVector(n, coeffs, normalized=False), residual
+    residual = float(np.linalg.norm(amps - projection))
+    return coeffs, residual
 
 
 @dataclass(frozen=True)
@@ -198,11 +161,11 @@ def verify_ladder(n_atoms: int) -> VerificationReport:
     for k in range(n_atoms + 1):
         source = build_dicke_full(k, n_atoms)
         for direction in (LadderDirection.RAISE, LadderDirection.LOWER):
-            image = apply_collective_full(direction, source)
-            projected, residual = project_to_dicke(image)
-            target_k = k + 1 if direction is LadderDirection.RAISE else k - 1
+            raising = direction is LadderDirection.RAISE
+            image = collective_apply(source, n_atoms, raising)
+            coeffs, residual = project_to_dicke(image, n_atoms)
+            target_k = k + 1 if raising else k - 1
             expected = ladder_coeff(direction, k, n_atoms)
-            coeffs = projected.amplitudes.copy()
             if 0 <= target_k <= n_atoms:
                 observed = float(coeffs[target_k].real)
                 coeffs[target_k] = 0.0

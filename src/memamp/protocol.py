@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dicke import DickeVector, Schedule, relative_gain, weak_coherent_rows
+from .dicke import Schedule, relative_gain, weak_coherent_rows
 from .errors import ConfigError, MemampError
 from .joint import (
     TRUNCATION_FIELDS,
@@ -157,14 +157,15 @@ CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
 
 @dataclass(frozen=True)
 class StageReport:
-    """Outcome of one heralded stage of the pipeline."""
+    """Outcome of one heralded stage of the pipeline; ``state`` is the
+    heralded atomic state, a read-only array over k, or None if it failed."""
 
     stage_index: int
     kind: StageKind
     pattern: HeraldPattern
     probability: float
     cumulative_probability: float
-    state: DickeVector | None
+    state: np.ndarray | None
     gain_so_far: float
     failed: bool = False
 
@@ -187,7 +188,7 @@ class AmplificationReport:
 
     succeeded: bool
     stage_reports: list[StageReport]
-    final_state: DickeVector | None
+    final_state: np.ndarray | None
     final_gain: float
     analytic_gain: float
     discrepancy: float
@@ -198,9 +199,7 @@ class AmplificationReport:
     def to_dict(self) -> dict:
         final_amps = None
         if self.final_state is not None:
-            final_amps = [
-                [c.real, c.imag] for c in self.final_state.amplitudes.tolist()
-            ]
+            final_amps = [[c.real, c.imag] for c in self.final_state.tolist()]
         return {
             "succeeded": self.succeeded,
             "stages": [r.to_row() for r in self.stage_reports],
@@ -288,11 +287,14 @@ class _Points:
 def _stage_report(
     index: int, kind: StageKind, record: tuple, config: ProtocolConfig
 ) -> StageReport:
-    """A `run_batch` stage record as a report; no amplitudes is a failed herald."""
+    """A `run_batch` stage record as a report, holding a read-only copy of the
+    heralded amplitudes; no amplitudes is a failed herald."""
     probability, cumulative, amps = record
-    state = None if amps is None else DickeVector(config.n_atoms, amps, normalized=True)
+    if amps is not None:
+        amps = amps.copy()
+        amps.flags.writeable = False
     return StageReport(index, kind, STAGE_PATTERNS[kind], probability, cumulative,
-                       state, _gain_of(amps, config.alpha), failed=amps is None)
+                       amps, _gain_of(amps, config.alpha), failed=amps is None)
 
 
 def _target_gain(config: ProtocolConfig) -> float:

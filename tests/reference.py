@@ -1,13 +1,14 @@
 """Reference code that only the tests use: a stage and a trajectory tree
 built one state at a time from the package's stage primitives, the plain
-forms of vectorized package code, and the density matrices that the
-amplitude-only metrics and heralds replace."""
+forms of vectorized package code, the density matrices that the
+amplitude-only metrics and heralds replace, and the closed forms of the
+ladder algebra on plain arrays over the Dicke levels k."""
 
 from dataclasses import replace
 
 import numpy as np
 
-from memamp.dicke import DEFAULT_K_MAX, DickeVector, Schedule, weak_coherent_atomic_state
+from memamp.dicke import Schedule, weak_coherent_rows
 from memamp.joint import ZERO_PROB_FLOOR, herald_rows
 from memamp.metrics import row_norms
 from memamp.protocol import (
@@ -44,13 +45,13 @@ def p_success_numeric(config):
 
 
 def evolve_stage(state, config, kind=StageKind.WRITE_THEN_READ):
-    """``state``, a DickeVector, in fresh photon vacuum through the stage's
+    """``state``, an array over k, in fresh photon vacuum through the stage's
     process(es), as `protocol.run_batch` evolves a batch of one: the tensor
     psi[1, k, n_a, n_b, n_c]. Levels above the atomic cutoff are dropped; the
     row's first guard error raises."""
     points = _Points([config])
     rows = np.zeros((1, points.truncation.atomic_k_max + 1), dtype=np.complex128)
-    amps = state.amplitudes[: rows.shape[1]]
+    amps = state[: rows.shape[1]]
     rows[0, : amps.size] = amps
     errors = {}
     psi = points.evolve(rows, kind, errors)
@@ -81,17 +82,46 @@ def run_stage(state, config, kind, *, stage_index=0, cumulative_in=1.0):
     return _stage_report(stage_index, kind, record, config)
 
 
-def weak_coherent_rows_per_row(alpha, n_atoms, size):
+def weak_coherent_rows_per_row(alpha, size):
     """`dicke.weak_coherent_rows` as a loop: each row scaled by its largest
-    real or imaginary part, then divided by `np.linalg.norm` over the levels
-    the state allocates for its own N."""
-    amps = np.zeros((len(alpha), max(size, DEFAULT_K_MAX + 1)), dtype=np.complex128)
+    real or imaginary part, then divided by its `np.linalg.norm`."""
+    amps = np.zeros((len(alpha), max(size, 2)), dtype=np.complex128)
     amps[:, 0] = 1.0
     amps[:, 1] = alpha
     amps /= np.abs(amps.view(np.float64)).max(axis=1, keepdims=True)
-    for row, n in zip(amps, n_atoms):
-        row /= np.linalg.norm(row[: min(n, DEFAULT_K_MAX) + 1])
+    for row in amps:
+        row /= np.linalg.norm(row)
     return amps[:, :size]
+
+
+def ss_dagger_eigenvalues(n_atoms, levels):
+    """Eigenvalue (k+1)(1 - k/N) of raise-then-lower on each level k < levels."""
+    k = np.arange(levels)
+    return (k + 1) * (1.0 - k / n_atoms)
+
+
+def gain_eigenvalues(schedule, n_atoms, n_rounds, levels):
+    """Eigenvalue of the n-round amplification operator on each level k <
+    levels. TYPE_I: ((k+1)(1-k/N))^n. TYPE_II: prod_{h=k+1}^{k+n} h(1-(h-1)/N),
+    zero where k + n > N (the ladder tops out at N excitations)."""
+    if schedule is Schedule.TYPE_I:
+        return ss_dagger_eigenvalues(n_atoms, levels) ** n_rounds
+    k = np.arange(levels)
+    result = np.ones(levels)
+    for h in range(1, n_rounds + 1):
+        result *= (k + h) * (1.0 - (k + h - 1) / n_atoms)
+    return result
+
+
+def pair_probability(p_w, p_r):
+    """Pair-detection probability to second order in the couplings:
+    p_w p_r / (1 + p_w + p_r + p_w p_r)."""
+    return p_w * p_r / (1.0 + p_w + p_r + p_w * p_r)
+
+
+def fidelity(a, b):
+    """|<a|b>|^2 / (<a|a><b|b>) of two arrays over the same levels."""
+    return abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real)
 
 
 def add_generator_by_slices(out, psi, w_det, w_loss, process):
@@ -120,11 +150,11 @@ class TrajectoryTreePerNode:
     def __init__(self, config):
         self.plan = stage_plan(config)
         self.states, self.outcomes = {}, {}
-        self._grow((), weak_coherent_atomic_state(config.alpha, config.n_atoms), config)
+        k_dim = config.truncation.resolve(config.n_atoms).atomic_k_max + 1
+        self._grow((), weak_coherent_rows([config.alpha], k_dim)[0], config)
 
     def _grow(self, path, state, config):
-        k_dim = config.truncation.resolve(config.n_atoms).atomic_k_max + 1
-        self.states[path] = state.amplitudes[:k_dim]
+        self.states[path] = state
         if len(path) == len(self.plan):
             return
         psi = evolve_stage(state, config, self.plan[len(path)])[0]
@@ -136,8 +166,7 @@ class TrajectoryTreePerNode:
         hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
         for n_c in np.flatnonzero(hits):
             column = psi[:, pattern.detect_a, pattern.detect_b, n_c]
-            child = DickeVector(state.n_atoms, column / np.linalg.norm(column), True)
-            self._grow(path + (int(n_c),), child, config)
+            self._grow(path + (int(n_c),), column / np.linalg.norm(column), config)
 
     def success_probability(self, path=()):
         """Total probability of completing every remaining herald."""

@@ -283,10 +283,11 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
 
     def test_parallel_jobs_deterministic(self, tmp_path):
+        # two stage plans: two batches, so --jobs 2 runs a pool
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({
             "base": {"n_atoms": 100, "alpha": 0.1, "p_w": 0.001, "p_r": 0.001},
-            "axes": {"p_w": [0.001, 0.002], "beta_w": [0.5, 1.0]},
+            "axes": {"p_w": [0.001, 0.002], "beta_w": [0.5, 1.0], "stages": [1, 2]},
         }))
         out_serial, out_parallel = tmp_path / "s1", tmp_path / "s2"
         main(["sweep", "--config", str(sweep), "--out", str(out_serial)])
@@ -314,18 +315,28 @@ class TestSweepCommand:
     def test_workers_bounded_by_points_and_cpus(
         self, tmp_path, monkeypatch, pool_sizes, jobs, cpus, workers
     ):
-        """Never more workers than points or CPUs; one worker runs in-process."""
+        """Never more workers than batches or CPUs; one worker runs in-process."""
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         sweep = tmp_path / "sweep.json"
+        # three atomic cutoffs (min(N, 8)): three batches of one point
         sweep.write_text(json.dumps({
             "base": {"n_atoms": 100, "alpha": 0.1},
-            "axes": {"p_w": [0.001, 0.002, 0.003]},
+            "axes": {"n_atoms": [3, 5, 100]},
         }))
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "sw"),
                      "--jobs", str(jobs)]) == EXIT_OK
         assert pool_sizes == ([] if workers is None else [workers])
         _, rows = read_csv(tmp_path / "sw" / "sweep.csv")
-        assert [row[0] for row in rows] == ["0.001", "0.002", "0.003"]
+        assert [row[0] for row in rows] == ["3", "5", "100"]
+
+    def test_one_batch_runs_in_process(self, tmp_path, pool_sizes):
+        # three points of one batch key fill one batch: no pool, whatever --jobs
+        spec = {"base": {"n_atoms": 100, "alpha": 0.1},
+                "axes": {"p_w": [0.001, 0.002, 0.003]}}
+        _, _, _, serial = sweep_csv(tmp_path, spec, name="j1")
+        code, _, _, parallel = sweep_csv(tmp_path, spec, name="j2", jobs=2)
+        assert code == EXIT_OK and pool_sizes == []
+        assert serial == parallel
 
     def test_failed_point_keeps_the_grid(self, tmp_path):
         # the p_w = 0.5 point leaks past the mode-a cutoff at exact order
@@ -352,23 +363,30 @@ class TestSweepCommand:
         assert bad["error"].startswith("TruncationLeakageError")
 
     def test_point_over_the_dimension_cap_keeps_the_grid(self, tmp_path):
-        # at N = 100 the truncation resolves to 9 x 20001 x 4 x 3 = 2160108
-        base = {"n_atoms": 100, "truncation": {"fock_a_max": 20000}}
+        # at N = 100 the truncation resolves to 9 x 20001 x 4 x 3 = 2160108,
+        # whether the atomic cutoff is left null or spelled out; at N = 2 it
+        # resolves to 3 x 20001 x 4 x 3 = 720036, under the cap
         guard = "ResourceGuardError: joint dimension 2160108 exceeds cap 2000000"
-        quality = run_schedule(cli.config_from_dict(dict(base, n_atoms=2))).quality
-        expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
-        for jobs in (1, 2):
-            spec = {"base": base, "axes": {"n_atoms": [2, 100]}}
-            code, _, rows, _ = sweep_csv(tmp_path, spec, name=f"j{jobs}", jobs=jobs)
+        for atomic_k_max in (None, 8):
+            trunc = {"fock_a_max": 20000, "atomic_k_max": atomic_k_max}
+            base = {"n_atoms": 100, "truncation": trunc}
+            point = cli.config_from_dict(dict(base, n_atoms=2))
+            quality = run_schedule(point).quality
+            expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
+            for jobs in (1, 2):
+                spec = {"base": base, "axes": {"n_atoms": [2, 100]}}
+                name = f"k{atomic_k_max}j{jobs}"
+                code, _, rows, _ = sweep_csv(tmp_path, spec, name=name, jobs=jobs)
+                assert code == EXIT_PROTOCOL
+                assert rows[0][1:] == [str(cli._format_cell(v)) for v in expected]
+                assert rows[1][-2:] == ["false", guard]
+            # a grid with every point over the cap still writes its rows
+            spec = {"base": base, "axes": {"n_atoms": [100, 200]}}
+            code, _, rows, _ = sweep_csv(tmp_path, spec, name=f"k{atomic_k_max}all")
             assert code == EXIT_PROTOCOL
-            assert rows[0][1:] == [str(cli._format_cell(v)) for v in expected]
-            assert rows[1][-2:] == ["false", guard]
-        # a grid with every point over the cap still writes its rows
-        spec = {"base": base, "axes": {"n_atoms": [100, 200]}}
-        code, _, rows, _ = sweep_csv(tmp_path, spec, name="all")
-        assert code == EXIT_PROTOCOL
-        assert [row[-1] for row in rows] == [guard, guard]
-        assert simulate_exit(tmp_path, base) == EXIT_GUARD
+            assert [row[-1] for row in rows] == [guard, guard]
+            assert simulate_exit(tmp_path, base) == EXIT_GUARD
+            assert mc_exit(tmp_path, base, 10) == EXIT_GUARD
 
 
 def sweep_csv(tmp_path, spec, name="sw", jobs=1):

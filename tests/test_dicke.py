@@ -6,21 +6,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memamp.dicke import (
-    DickeVector,
     LadderDirection,
     Schedule,
-    apply_ladder,
-    apply_ss_dagger,
-    basis_state,
-    fidelity,
-    gain_eigenvalue,
     ladder_coeff,
     relative_gain,
-    weak_coherent_atomic_state,
     weak_coherent_rows,
 )
-from memamp.errors import TruncationOverflowError, ZeroNormError
-from reference import weak_coherent_rows_per_row
+from memamp.errors import ConfigError, TruncationOverflowError
+from memamp.joint import HeraldPattern, ModeTruncation, herald_rows
+from memamp.oracle import build_dicke_full, collective_apply, project_to_dicke
+from memamp.protocol import ProtocolConfig, StageKind, run_schedule
+from reference import (
+    evolve_stage,
+    fidelity,
+    gain_eigenvalues,
+    ss_dagger_eigenvalues,
+    weak_coherent_rows_per_row,
+)
 
 TOL = 1e-12
 
@@ -62,30 +64,45 @@ class TestLadderCoeff:
         assert abs(up - down) <= TOL
 
 
+def ladder_image(k, n_atoms, raising):
+    """The literal collective flip sum applied to the symmetric level k of the
+    2^N oracle, projected back onto the levels: (coefficients, residual)."""
+    image = collective_apply(build_dicke_full(k, n_atoms), n_atoms, raising)
+    return project_to_dicke(image, n_atoms)
+
+
 class TestApplyLadder:
+    """The ladder's action on states: the literal per-atom flips of the oracle
+    on small ensembles, and the write process on the truncated ladder."""
+
     def test_raise_ground(self):
-        out = apply_ladder(LadderDirection.RAISE, basis_state(0, 12))
-        assert out.amplitudes[1] == pytest.approx(1.0, abs=TOL)
-        assert np.sum(np.abs(out.amplitudes)) == pytest.approx(1.0, abs=TOL)
+        coeffs, residual = ladder_image(0, 12, raising=True)
+        assert coeffs[1] == pytest.approx(1.0, abs=TOL)
+        assert np.sum(np.abs(coeffs)) == pytest.approx(1.0, abs=TOL)
+        assert residual < TOL
 
     def test_lower_ground_is_zero(self):
-        out = apply_ladder(LadderDirection.LOWER, basis_state(0, 12))
-        assert out.norm() == 0.0
+        image = collective_apply(build_dicke_full(0, 12), 12, raising=False)
+        assert np.linalg.norm(image) == 0.0
 
     def test_raise_k1_n10(self):
-        out = apply_ladder(LadderDirection.RAISE, basis_state(1, 10))
-        assert out.amplitudes[2] == pytest.approx(1.3416407864998738, abs=TOL)
+        coeffs, _ = ladder_image(1, 10, raising=True)
+        assert coeffs[2] == pytest.approx(1.3416407864998738, abs=TOL)
 
     def test_raise_overflow_guard(self):
-        state = DickeVector(10, np.ones(3) / np.sqrt(3), normalized=True)
+        # amplitude on the top allocated level, still below k = N, would be
+        # raised past the truncation
+        trunc = ModeTruncation(fock_c_max=0, atomic_k_max=2)
+        config = ProtocolConfig(10, p_w=1e-3, truncation=trunc)
         with pytest.raises(TruncationOverflowError):
-            apply_ladder(LadderDirection.RAISE, state)
+            evolve_stage(np.ones(3) / np.sqrt(3), config, StageKind.WRITE_ONLY)
 
     def test_raise_at_physical_top_allowed(self):
         # k = N annihilates upward, so a populated top level is fine there
-        state = DickeVector(2, np.array([0, 0, 1.0]), normalized=True)
-        out = apply_ladder(LadderDirection.RAISE, state)
-        assert out.norm() == 0.0
+        config = ProtocolConfig(2, p_w=1e-3, truncation=ModeTruncation(fock_c_max=0))
+        out = evolve_stage(np.array([0, 0, 1.0]), config, StageKind.WRITE_ONLY)[0]
+        assert out[2, 0, 0, 0] == 1.0
+        assert np.count_nonzero(out) == 1
 
     @given(
         n_atoms=st.integers(min_value=1, max_value=40),
@@ -94,72 +111,75 @@ class TestApplyLadder:
     @settings(max_examples=100)
     def test_raise_then_lower_is_diagonal(self, n_atoms, k):
         k = min(k, n_atoms)
-        state = basis_state(k, n_atoms, k_alloc=min(n_atoms, k + 1))
-        round_trip = apply_ladder(
-            LadderDirection.LOWER, apply_ladder(LadderDirection.RAISE, state)
-        )
+        up = ladder_coeff(LadderDirection.RAISE, k, n_atoms)
+        down = ladder_coeff(LadderDirection.LOWER, k + 1, n_atoms) if k < n_atoms else 0
         expected = (k + 1) * (1.0 - k / n_atoms)
-        assert abs(round_trip.amplitudes[k] - expected) <= TOL
+        assert abs(up * down - expected) <= TOL
+        assert abs(up * down - ss_dagger_eigenvalues(n_atoms, k + 1)[k]) <= TOL
 
 
 class TestSSDagger:
     def test_ground_eigenvalue_one(self):
-        out = apply_ss_dagger(basis_state(0, 33))
-        assert out.amplitudes[0] == pytest.approx(1.0, abs=TOL)
+        assert ss_dagger_eigenvalues(33, 1)[0] == pytest.approx(1.0, abs=TOL)
 
     def test_k1_n100(self):
-        out = apply_ss_dagger(basis_state(1, 100))
-        assert out.amplitudes[1] == pytest.approx(1.98, abs=TOL)
+        assert ss_dagger_eigenvalues(100, 2)[1] == pytest.approx(1.98, abs=TOL)
 
     def test_k2_n4(self):
-        out = apply_ss_dagger(basis_state(2, 4))
-        assert out.amplitudes[2] == pytest.approx(1.5, abs=TOL)
+        assert ss_dagger_eigenvalues(4, 3)[2] == pytest.approx(1.5, abs=TOL)
 
     def test_matches_ladder_composition(self):
-        state = weak_coherent_atomic_state(0.3 + 0.1j, 17)
-        via_diag = apply_ss_dagger(state)
-        via_ladder = apply_ladder(
-            LadderDirection.LOWER, apply_ladder(LadderDirection.RAISE, state)
-        )
-        assert np.allclose(via_diag.amplitudes, via_ladder.amplitudes, atol=TOL)
+        # raise then lower by literal per-atom flips on a superposition of
+        # every level of N = 12 atoms
+        n_atoms = 12
+        rng = np.random.default_rng(17)
+        coeffs = rng.normal(size=n_atoms + 1) + 1j * rng.normal(size=n_atoms + 1)
+        coeffs /= np.linalg.norm(coeffs)
+        full = sum(c * build_dicke_full(k, n_atoms) for k, c in enumerate(coeffs))
+        image = collective_apply(collective_apply(full, n_atoms, True), n_atoms, False)
+        via_ladder, residual = project_to_dicke(image, n_atoms)
+        via_diag = ss_dagger_eigenvalues(n_atoms, n_atoms + 1) * coeffs
+        assert np.allclose(via_diag, via_ladder, atol=TOL)
+        assert residual < TOL
 
 
 class TestGainEigenvalue:
     def test_type1_k1_n100_three_rounds(self):
-        value = gain_eigenvalue(Schedule.TYPE_I, 1, 100, 3)
+        value = gain_eigenvalues(Schedule.TYPE_I, 100, 3, 2)[1]
         assert value == pytest.approx(7.762392, rel=1e-12)
 
     def test_type1_cross_check_with_ss_dagger(self):
-        state = basis_state(1, 100)
+        state = np.eye(2)[1]
         for _ in range(3):
-            state = apply_ss_dagger(state)
-        assert state.amplitudes[1] == pytest.approx(
-            gain_eigenvalue(Schedule.TYPE_I, 1, 100, 3), rel=1e-12
+            state = ss_dagger_eigenvalues(100, 2) * state
+        assert state[1] == pytest.approx(
+            gain_eigenvalues(Schedule.TYPE_I, 100, 3, 2)[1], rel=1e-12
         )
 
     def test_type2_k0_n100_two_rounds(self):
-        assert gain_eigenvalue(Schedule.TYPE_II, 0, 100, 2) == pytest.approx(
+        assert gain_eigenvalues(Schedule.TYPE_II, 100, 2, 1)[0] == pytest.approx(
             1.98, abs=TOL
         )
 
     def test_type2_cross_check_with_ladder_sequence(self):
-        state = basis_state(0, 100, k_alloc=2)
-        for _ in range(2):
-            state = apply_ladder(LadderDirection.RAISE, state)
-        for _ in range(2):
-            state = apply_ladder(LadderDirection.LOWER, state)
-        assert state.amplitudes[0] == pytest.approx(1.98, abs=TOL)
+        # two raises from the ground, then two lowerings back to it
+        up = [ladder_coeff(LadderDirection.RAISE, k, 100) for k in (0, 1)]
+        down = [ladder_coeff(LadderDirection.LOWER, k, 100) for k in (2, 1)]
+        assert np.prod(up + down) == pytest.approx(1.98, abs=TOL)
 
     def test_ground_type1_always_one(self):
-        assert gain_eigenvalue(Schedule.TYPE_I, 0, 50, 7) == 1.0
+        assert gain_eigenvalues(Schedule.TYPE_I, 50, 7, 1)[0] == 1.0
 
     def test_zero_rounds_is_identity(self):
         for schedule in Schedule:
-            assert gain_eigenvalue(schedule, 3, 20, 0) == 1.0
+            assert gain_eigenvalues(schedule, 20, 0, 4)[3] == 1.0
 
     def test_type2_overreach_rejected(self):
-        with pytest.raises(ValueError):
-            gain_eigenvalue(Schedule.TYPE_II, 2, 5, 4)
+        # type II at k = 1 needs n + 1 <= N excitations: a run refuses more
+        # stages, and the eigenvalue of a level raised past N vanishes
+        with pytest.raises(ConfigError):
+            ProtocolConfig(5, schedule=Schedule.TYPE_II, stages=5)
+        assert gain_eigenvalues(Schedule.TYPE_II, 5, 4, 3)[2] == 0.0
 
 
 class TestRelativeGain:
@@ -184,9 +204,8 @@ class TestRelativeGain:
     @settings(max_examples=200)
     def test_matches_eigenvalue_ratio(self, n_atoms, n_rounds, schedule):
         n_rounds = min(n_rounds, n_atoms - 1)
-        ratio = gain_eigenvalue(schedule, 1, n_atoms, n_rounds) / gain_eigenvalue(
-            schedule, 0, n_atoms, n_rounds
-        )
+        eig = gain_eigenvalues(schedule, n_atoms, n_rounds, 2)
+        ratio = eig[1] / eig[0]
         assert abs(relative_gain(schedule, n_rounds, n_atoms) - ratio) <= max(
             TOL, TOL * abs(ratio)
         )
@@ -232,37 +251,33 @@ class TestRelativeGain:
 
 class TestWeakCoherentState:
     def test_zero_alpha_is_ground(self):
-        state = weak_coherent_atomic_state(0.0, 5)
-        assert state.amplitudes[0] == 1.0
-        assert np.all(state.amplitudes[1:] == 0)
+        state = weak_coherent_rows([0.0], 6)[0]
+        assert state[0] == 1.0
+        assert np.all(state[1:] == 0)
 
     def test_small_alpha_normalization(self):
-        state = weak_coherent_atomic_state(0.1, 1000)
+        state = weak_coherent_rows([0.1], 17)[0]
         expected = 1.0 / np.sqrt(1.01)
-        assert state.amplitudes[0] == pytest.approx(expected, abs=TOL)
-        assert state.amplitudes[1] == pytest.approx(0.1 * expected, abs=TOL)
+        assert state[0] == pytest.approx(expected, abs=TOL)
+        assert state[1] == pytest.approx(0.1 * expected, abs=TOL)
 
     def test_complex_alpha_ratio_preserved(self):
         alpha = 0.5j
-        state = weak_coherent_atomic_state(alpha, 3)
-        assert state.amplitudes[1] / state.amplitudes[0] == pytest.approx(alpha)
-        assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=TOL)
+        state = weak_coherent_rows([alpha], 4)[0]
+        assert state[1] / state[0] == pytest.approx(alpha)
+        assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=TOL)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1, -0.3, 0.2 - 0.7j, 1.0, 1j])
     def test_unit_alpha_unchanged_to_the_bit(self, alpha):
         amps = np.array([1.0, alpha], dtype=complex)
         expected = amps / np.linalg.norm(amps)
-        state = weak_coherent_atomic_state(alpha, 10)
-        assert np.array_equal(state.amplitudes[:2], expected)
+        assert np.array_equal(weak_coherent_rows([alpha], 11)[0, :2], expected)
 
     @given(
-        rows=st.lists(
-            st.tuples(
-                st.one_of(
-                    st.complex_numbers(allow_nan=False, allow_infinity=False),
-                    st.sampled_from([0.0, 1e-320, -1e308, 1e308 + 1e308j, 0.2 - 0.7j]),
-                ),
-                st.integers(min_value=1, max_value=40),
+        alpha=st.lists(
+            st.one_of(
+                st.complex_numbers(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, 1e-320, -1e308, 1e308 + 1e308j, 0.2 - 0.7j]),
             ),
             min_size=1,
             max_size=8,
@@ -270,63 +285,66 @@ class TestWeakCoherentState:
         size=st.integers(min_value=2, max_value=20),
     )
     @settings(max_examples=300)
-    def test_rows_match_the_per_row_norm_to_the_bit(self, rows, size):
-        alpha = np.array([a for a, _ in rows], dtype=complex)
-        n_atoms = [n for _, n in rows]
-        expected = weak_coherent_rows_per_row(alpha, n_atoms, size)
+    def test_rows_match_the_per_row_norm_to_the_bit(self, alpha, size):
+        alpha = np.array(alpha, dtype=complex)
+        expected = weak_coherent_rows_per_row(alpha, size)
         assert weak_coherent_rows(alpha, size).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("alpha", [1e154, 1e200, 1e308, 1e308 + 1e308j])
     def test_huge_alpha_normalizes(self, alpha):
-        state = weak_coherent_atomic_state(alpha, 10)
-        assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=TOL)
-        assert state.amplitudes[1] == pytest.approx(alpha / abs(alpha), abs=TOL)
+        state = weak_coherent_rows([alpha], 11)[0]
+        assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=TOL)
+        assert state[1] == pytest.approx(alpha / abs(alpha), abs=TOL)
 
 
 class TestFidelity:
+    """`reference.fidelity`, the overlap the tests compare states with."""
+
     def test_self_fidelity(self):
-        state = weak_coherent_atomic_state(0.2 - 0.1j, 50)
+        state = weak_coherent_rows([0.2 - 0.1j], 17)[0]
         assert fidelity(state, state) == pytest.approx(1.0, abs=TOL)
 
     def test_orthogonal_levels(self):
-        assert fidelity(basis_state(0, 8), basis_state(1, 8)) == 0.0
+        assert fidelity(np.eye(9)[0], np.eye(9)[1]) == 0.0
 
     def test_nearby_coherent_states(self):
         # direct inner-product evaluation:
         # (1 + 0.2*0.1998)^2 / ((1 + 0.04)(1 + 0.1998^2)) = 0.9999999630149079
-        a = weak_coherent_atomic_state(0.2, 1000)
-        b = weak_coherent_atomic_state(0.1998, 1000)
+        a, b = weak_coherent_rows([0.2, 0.1998], 17)
         assert fidelity(a, b) == pytest.approx(0.9999999630149079, abs=1e-15)
 
     def test_unnormalized_inputs(self):
-        a = DickeVector(6, np.array([2.0, 0.0]))
-        b = DickeVector(6, np.array([0.5, 0.0]))
-        assert fidelity(a, b) == pytest.approx(1.0, abs=TOL)
-
-    def test_zero_norm_rejected(self):
-        zero = DickeVector(6, np.zeros(2))
-        with pytest.raises(ZeroNormError):
-            fidelity(zero, basis_state(0, 6))
-
-    def test_atom_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fidelity(basis_state(0, 6), basis_state(0, 7))
+        assert fidelity(np.array([2.0, 0.0]), np.array([0.5, 0.0])) == pytest.approx(
+            1.0, abs=TOL
+        )
 
 
 class TestDickeVectorInvariants:
-    def test_allocation_beyond_n_rejected(self):
-        with pytest.raises(ValueError):
-            DickeVector(2, np.zeros(4))
+    """Heralded atomic states are plain arrays over the Dicke levels: finite,
+    normalized and, in a report, read-only."""
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            DickeVector(4, np.array([np.nan, 0.0]))
+        config = ProtocolConfig(4, p_w=1e-3)
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            evolve_stage(np.array([np.nan, 0.0]), config, StageKind.WRITE_ONLY)
 
     def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError):
-            DickeVector(4, np.array([2.0, 0.0]), normalized=True)
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=(6, 5, 2, 2, 1)) + 1j * rng.normal(size=(6, 5, 2, 2, 1))
+        psi *= np.logspace(-120, 3, 6).reshape(-1, 1, 1, 1, 1)
+        states, prob = herald_rows(psi, HeraldPattern(1, 1), {})
+        assert np.all(prob > 0.0)
+        assert np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= TOL)
 
     def test_amplitudes_read_only(self):
-        state = basis_state(1, 4)
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 1.0
+        config = ProtocolConfig(50, p_w=2e-3, p_r=1e-3, schedule=Schedule.TYPE_II,
+                                stages=2)
+        report = run_schedule(config)
+        states = [stage.state for stage in report.stage_reports]
+        assert len(states) == 4
+        for state in states + [report.final_state]:
+            assert type(state) is np.ndarray and state.dtype == np.complex128
+            assert not state.flags.writeable
+            with pytest.raises(ValueError):
+                state[0] = 1.0
+        assert report.final_state is report.stage_reports[-1].state

@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from memamp import joint
-from memamp.dicke import (
-    DickeVector,
-    LadderDirection,
-    basis_state,
-    fidelity,
-    ladder_coeff,
-    weak_coherent_atomic_state,
-)
+from memamp.dicke import LadderDirection, ladder_coeff, weak_coherent_rows
 from memamp.errors import (
     MemampError,
     MixedConditionalError,
@@ -32,7 +25,8 @@ from memamp.joint import EvolutionOrder, HeraldPattern, ModeTruncation
 from memamp.metrics import row_norms
 from memamp.protocol import ProtocolConfig, StageKind
 from reference import (
-    add_generator_by_slices, evolve_stage, heralded, reduced_conditional_density,
+    add_generator_by_slices, evolve_stage, fidelity, heralded,
+    reduced_conditional_density,
 )
 
 TOL = 1e-12
@@ -90,6 +84,7 @@ class TestModeTruncation:
 
     def test_small_ensemble_clamps_atomic_axis(self):
         assert ModeTruncation().resolve(3).atomic_k_max == 3
+        assert ModeTruncation(atomic_k_max=8).resolve(3).atomic_k_max == 3
 
     def test_minimum_bounds(self):
         with pytest.raises(ValueError):
@@ -98,10 +93,11 @@ class TestModeTruncation:
             ModeTruncation(fock_c_max=-1)
 
     def test_dimension_cap(self):
-        with pytest.raises(ResourceGuardError):
-            ModeTruncation(
-                fock_a_max=200, fock_b_max=200, fock_c_max=200, atomic_k_max=200
-            )
+        # checked on the resolved truncation, whichever way the cutoff is spelled
+        huge = ModeTruncation(fock_a_max=200, fock_b_max=200, fock_c_max=200)
+        for trunc in (huge, replace(huge, atomic_k_max=200)):
+            with pytest.raises(ResourceGuardError, match="exceeds cap 2000000$"):
+                trunc.resolve(1000)
 
 
 class TestBuildJoint:
@@ -109,39 +105,39 @@ class TestBuildJoint:
 
     def test_ground_state_embedding(self):
         config = ProtocolConfig(10, p_w=0.0, p_r=0.0, truncation=LOSSLESS)
-        psi = evolve_stage(basis_state(0, 10, k_alloc=2), config)
+        psi = evolve_stage(np.eye(3)[0], config)
         assert psi[0, 0, 0, 0, 0] == 1.0
         assert row_norms(psi)[0] == pytest.approx(1.0, abs=TOL)
 
     def test_two_component_embedding(self):
         config = ProtocolConfig(50, p_w=0.0, p_r=0.0)
-        psi = evolve_stage(weak_coherent_atomic_state(0.2, 50), config)
+        psi = evolve_stage(weak_coherent_rows([0.2], 9)[0], config)
         assert np.argwhere(psi[0] != 0).tolist() == [[0, 0, 0, 0], [1, 0, 0, 0]]
 
     def test_norm_preserved(self):
-        atomic = weak_coherent_atomic_state(0.3j, 40)
+        atomic = weak_coherent_rows([0.3j], 9)[0]
         psi = evolve_stage(atomic, ProtocolConfig(40, p_w=0.0, p_r=0.0))
-        assert np.linalg.norm(psi) == pytest.approx(atomic.norm(), abs=TOL)
+        assert np.linalg.norm(psi) == pytest.approx(np.linalg.norm(atomic), abs=TOL)
 
 
 class TestApplyWrite:
     def test_zero_coupling_is_identity(self):
-        atomic = weak_coherent_atomic_state(0.1, 20)
+        atomic = weak_coherent_rows([0.1], 9)[0]
         config = ProtocolConfig(20, p_w=0.0, truncation=LOSSLESS)
         out = evolve_stage(atomic, config, WRITE)[0]
-        assert np.array_equal(out[:, 0, 0, 0], atomic.amplitudes[:9])
+        assert np.array_equal(out[:, 0, 0, 0], atomic)
         assert np.count_nonzero(out) == 2
 
     def test_first_order_on_ground(self):
         p_w = 4e-3
         config = ProtocolConfig(30, p_w=p_w, truncation=LOSSLESS)
-        out = evolve_stage(basis_state(0, 30, k_alloc=2), config, WRITE)[0]
+        out = evolve_stage(np.eye(3)[0], config, WRITE)[0]
         assert out[0, 0, 0, 0] == pytest.approx(1.0, abs=TOL)
         assert out[1, 1, 0, 0] == pytest.approx(np.sqrt(p_w), abs=TOL)
         assert np.count_nonzero(out) == 2
 
     def test_exact_close_to_first_order(self):
-        atomic = weak_coherent_atomic_state(0.1, 1000)
+        atomic = weak_coherent_rows([0.1], 9)[0]
         config = ProtocolConfig(1000, p_w=1e-4, p_r=1e-4, truncation=LOSSLESS)
         first = evolve_stage(atomic, config)
         exact = evolve_stage(atomic, replace(config, order=EXACT))
@@ -150,25 +146,25 @@ class TestApplyWrite:
     def test_exact_preserves_norm(self):
         config = ProtocolConfig(100, p_w=1e-3, p_r=1e-3, order=EXACT,
                                 truncation=LOSSLESS)
-        out = evolve_stage(weak_coherent_atomic_state(0.2, 100), config)
+        out = evolve_stage(weak_coherent_rows([0.2], 9)[0], config)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
     def test_exact_leak_guard(self):
         trunc = ModeTruncation(fock_a_max=1, fock_b_max=1, fock_c_max=0)
         config = ProtocolConfig(1000, p_w=1e-2, order=EXACT, truncation=trunc)
         with pytest.raises(TruncationLeakageError):
-            evolve_stage(weak_coherent_atomic_state(0.1, 1000), config, WRITE)
+            evolve_stage(weak_coherent_rows([0.1], 9)[0], config, WRITE)
 
     def test_first_order_overflow_guard(self):
         trunc = ModeTruncation(atomic_k_max=2, fock_c_max=0)
         config = ProtocolConfig(20, p_w=1e-3, truncation=trunc)
         with pytest.raises(TruncationOverflowError):
-            evolve_stage(basis_state(2, 20, k_alloc=2), config, WRITE)
+            evolve_stage(np.eye(3)[2], config, WRITE)
 
     def test_write_at_physical_top_annihilates(self):
         # k = N is a physical boundary, not a truncation: no guard, no flow
         config = ProtocolConfig(3, p_w=1e-3, truncation=ModeTruncation(fock_c_max=0))
-        out = evolve_stage(basis_state(3, 3), config, WRITE)[0]
+        out = evolve_stage(np.eye(4)[3], config, WRITE)[0]
         assert out[3, 0, 0, 0] == pytest.approx(1.0, abs=TOL)
         assert np.count_nonzero(out) == 1
 
@@ -251,7 +247,7 @@ class TestExactSeries:
         n_atoms, p, beta = 200, 5e-2, 0.8
         trunc = ModeTruncation(6, 6, 9, 8).resolve(n_atoms)
         assert trunc.total_dim() == 4410
-        atomic = weak_coherent_atomic_state(0.1, n_atoms)
+        atomic = weak_coherent_rows([0.1], 9)[0]
         config = ProtocolConfig(n_atoms, p_w=p, p_r=p, beta_w=beta, beta_r=beta,
                                 order=EXACT, truncation=trunc)
         base = evolve_stage(atomic, replace(config, p_w=0.0, p_r=0.0))[0]
@@ -267,7 +263,7 @@ class TestExactSeries:
         assert np.max(np.abs(read - expected)) <= 1e-14
 
     def test_first_order_is_one_stencil_step(self):
-        atomic = weak_coherent_atomic_state(0.2, 50)
+        atomic = weak_coherent_rows([0.2], 9)[0]
         p, beta = 1e-3, 0.7
         config = ProtocolConfig(50, p_w=p, beta_w=beta)
         base = evolve_stage(atomic, replace(config, p_w=0.0), WRITE)[0]
@@ -283,7 +279,7 @@ class TestExactSeries:
         # is unreachable and must come out as an exact zero, not rounding noise
         config = ProtocolConfig(100, p_w=1e-2, order=EXACT,
                                 truncation=ModeTruncation(5, 5, 0, 8))
-        out = evolve_stage(weak_coherent_atomic_state(0.1, 100), config, WRITE)[0]
+        out = evolve_stage(weak_coherent_rows([0.1], 9)[0], config, WRITE)[0]
         vacuum_b = out[:, :, 0, 0]
         k, n_a = np.indices(vacuum_b.shape)
         reachable = (k - n_a == 0) | (k - n_a == 1)
@@ -304,22 +300,22 @@ class TestExactSeries:
 
 class TestApplyRead:
     def test_zero_coupling_is_identity(self):
-        atomic = weak_coherent_atomic_state(0.1, 20)
+        atomic = weak_coherent_rows([0.1], 9)[0]
         config = ProtocolConfig(20, p_r=0.0, truncation=LOSSLESS)
         out = evolve_stage(atomic, config, READ)[0]
-        assert np.array_equal(out[:, 0, 0, 0], atomic.amplitudes[:9])
+        assert np.array_equal(out[:, 0, 0, 0], atomic)
         assert np.count_nonzero(out) == 2
 
     def test_ground_state_unchanged_at_first_order(self):
         config = ProtocolConfig(12, p_r=1e-3, truncation=LOSSLESS)
-        out = evolve_stage(basis_state(0, 12, k_alloc=2), config, READ)[0]
+        out = evolve_stage(np.eye(3)[0], config, READ)[0]
         assert out[0, 0, 0, 0] == 1.0
         assert np.count_nonzero(out) == 1
 
     def test_first_order_on_single_excitation(self):
         p_r = 9e-4
         config = ProtocolConfig(25, p_r=p_r, truncation=LOSSLESS)
-        out = evolve_stage(basis_state(1, 25, k_alloc=2), config, READ)[0]
+        out = evolve_stage(np.eye(3)[1], config, READ)[0]
         assert out[1, 0, 0, 0] == pytest.approx(1.0, abs=TOL)
         assert out[0, 0, 1, 0] == pytest.approx(np.sqrt(p_r), abs=TOL)
         assert np.count_nonzero(out) == 2
@@ -341,7 +337,7 @@ def two_sector_amplitudes(*values):
 class TestHerald:
     def test_eq15_amplitude_ratio(self):
         alpha = 0.1
-        psi = evolve_stage(weak_coherent_atomic_state(alpha, 1000), PAIR)
+        psi = evolve_stage(weak_coherent_rows([alpha], 9)[0], PAIR)
         states, prob = heralded(psi, P11)
         ratio = states[0, 1] / states[0, 0]
         assert ratio == pytest.approx(2 * alpha * (1 - 1 / 1000), abs=TOL)
@@ -350,22 +346,21 @@ class TestHerald:
     def test_complex_alpha_phases_preserved(self):
         alpha = 0.05 + 0.02j
         config = replace(PAIR, n_atoms=500)
-        psi = evolve_stage(weak_coherent_atomic_state(alpha, 500), config)
+        psi = evolve_stage(weak_coherent_rows([alpha], 9)[0], config)
         states, _ = heralded(psi, P11)
         ratio = complex(states[0, 1] / states[0, 0])
         assert ratio == pytest.approx(2 * alpha * (1 - 1 / 500), abs=1e-12)
 
     def test_vacuum_pattern_returns_input(self):
-        atomic = weak_coherent_atomic_state(0.1, 200)
+        atomic = weak_coherent_rows([0.1], 9)[0]
         psi = evolve_stage(atomic, replace(PAIR, n_atoms=200))
         states, prob = heralded(psi, HeraldPattern(0, 0))
-        conditional = DickeVector(200, states[0])
-        assert fidelity(conditional, atomic) == pytest.approx(1.0, abs=TOL)
+        assert fidelity(states[0], atomic) == pytest.approx(1.0, abs=TOL)
         assert prob[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_no_photons_without_evolution(self):
         config = ProtocolConfig(9, p_w=0.0, p_r=0.0, truncation=LOSSLESS)
-        psi = evolve_stage(basis_state(0, 9, k_alloc=2), config)
+        psi = evolve_stage(np.eye(3)[0], config)
         states, prob = heralded(psi, P11)
         assert prob[0] == 0.0
         assert np.linalg.norm(states[0]) == 0.0
@@ -373,26 +368,24 @@ class TestHerald:
     def test_eq14_on_dicke_level(self):
         k, n_atoms, p = 3, 100, 1e-3
         config = replace(PAIR, n_atoms=n_atoms)
-        psi = evolve_stage(basis_state(k, n_atoms, k_alloc=5), config)
+        psi = evolve_stage(np.eye(6)[k], config)
         states, prob = heralded(psi, P11)
         factor = np.sqrt(prob[0]) / p
         assert factor == pytest.approx((k + 1) * (1 - k / n_atoms), rel=1e-12)
-        assert fidelity(
-            DickeVector(n_atoms, states[0]), basis_state(k, n_atoms)
-        ) == pytest.approx(1.0, abs=TOL)
+        level = np.eye(states.shape[1])[k]
+        assert fidelity(states[0], level) == pytest.approx(1.0, abs=TOL)
 
     def test_order_consistency(self):
-        atomic = weak_coherent_atomic_state(0.15, 300)
+        atomic = weak_coherent_rows([0.15], 9)[0]
         p = 1e-2
         trunc = ModeTruncation(fock_a_max=5, fock_b_max=5, fock_c_max=0)
         config = ProtocolConfig(300, p_w=p, p_r=p, truncation=trunc)
         first, _ = heralded(evolve_stage(atomic, config), P11)
         exact, _ = heralded(evolve_stage(atomic, replace(config, order=EXACT)), P11)
-        first, exact = DickeVector(300, first[0]), DickeVector(300, exact[0])
-        assert fidelity(first, exact) >= 1 - 10 * p
+        assert fidelity(first[0], exact[0]) >= 1 - 10 * p
 
     def test_beta_scaling_of_pair_probability(self):
-        atomic = weak_coherent_atomic_state(0.1, 100)
+        atomic = weak_coherent_rows([0.1], 9)[0]
         config = ProtocolConfig(100, p_w=1e-3, p_r=1e-3)
         _, p_full = heralded(evolve_stage(atomic, config), P11)
         for beta_w, beta_r in ((0.5, 1.0), (0.8, 0.6), (0.25, 0.25)):
@@ -401,7 +394,7 @@ class TestHerald:
             assert p_lossy[0] / p_full[0] == pytest.approx(beta_w * beta_r, rel=1e-12)
 
     def test_pattern_probabilities_sum_to_total(self):
-        atomic = weak_coherent_atomic_state(0.2, 60)
+        atomic = weak_coherent_rows([0.2], 9)[0]
         config = ProtocolConfig(60, p_w=2e-3, p_r=3e-3, beta_w=0.7, beta_r=0.9)
         psi = evolve_stage(atomic, config)
         total = 0.0
@@ -445,7 +438,7 @@ class TestHerald:
 class TestReducedConditionalDensity:
     def test_lossless_matches_herald_projector(self):
         config = replace(PAIR, n_atoms=80)
-        psi = evolve_stage(weak_coherent_atomic_state(0.1, 80), config)
+        psi = evolve_stage(weak_coherent_rows([0.1], 9)[0], config)
         states, prob_pure = heralded(psi, P11)
         rho, prob_rho = reduced_conditional_density(psi[0], P11)
         assert prob_rho == pytest.approx(prob_pure[0], rel=1e-12)
@@ -457,7 +450,7 @@ class TestReducedConditionalDensity:
     def test_lossy_single_path_rank_one(self):
         p = 1e-2
         config = ProtocolConfig(50, p_w=p, p_r=p, beta_w=0.5, beta_r=0.5)
-        psi = evolve_stage(basis_state(0, 50, k_alloc=3), config)
+        psi = evolve_stage(np.eye(4)[0], config)
         rho, prob = reduced_conditional_density(psi[0], P11)
         assert prob == pytest.approx(p * p * 0.25, rel=1e-12)
         eigs = np.linalg.eigvalsh(rho)
@@ -465,7 +458,7 @@ class TestReducedConditionalDensity:
 
     def test_zero_probability(self):
         config = ProtocolConfig(9, p_w=0.0, p_r=0.0, truncation=LOSSLESS)
-        psi = evolve_stage(basis_state(0, 9, k_alloc=2), config)
+        psi = evolve_stage(np.eye(3)[0], config)
         rho, prob = reduced_conditional_density(psi[0], P11)
         assert prob == 0.0
         assert np.all(rho == 0)

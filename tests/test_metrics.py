@@ -5,42 +5,47 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from memamp.dicke import basis_state, weak_coherent_atomic_state, weak_coherent_rows
-from memamp.errors import MetricRangeError, UndefinedMetricError
+from memamp.dicke import weak_coherent_rows
+from memamp.errors import ConfigError, MetricRangeError, UndefinedMetricError
 from memamp.joint import EvolutionOrder, HeraldPattern, ModeTruncation
 from memamp.metrics import (
     QualityReport,
     checked_p_amp,
     checked_p_mode,
     checked_p_spon,
-    p_success_analytic,
     quality,
     row_norms,
     sector_norms,
 )
 from memamp.protocol import STAGE_PATTERNS, ProtocolConfig
-from reference import evolve_stage, p_success_numeric, traced_density
+from reference import (
+    evolve_stage, p_success_numeric, pair_probability, traced_density,
+)
 
 TOL = 1e-12
 
 
 class TestPSuccessAnalytic:
+    """`reference.pair_probability`, the closed form the numeric success
+    probabilities converge to."""
+
     def test_zero_write_coupling(self):
-        assert p_success_analytic(0.0, 0.5) == 0.0
+        assert pair_probability(0.0, 0.5) == 0.0
 
     def test_symmetric_percent_couplings(self):
-        assert p_success_analytic(0.01, 0.01) == pytest.approx(
+        assert pair_probability(0.01, 0.01) == pytest.approx(
             9.802960494069208e-05, rel=1e-14
         )
 
     def test_asymmetric_couplings(self):
-        assert p_success_analytic(0.1, 0.05) == pytest.approx(
+        assert pair_probability(0.1, 0.05) == pytest.approx(
             0.004329004329004329, rel=1e-14
         )
 
     def test_range_validated(self):
-        with pytest.raises(ValueError):
-            p_success_analytic(1.5, 0.1)
+        # a run takes couplings in [0, 1] only
+        with pytest.raises(ConfigError, match="^p_w must be in"):
+            ProtocolConfig(n_atoms=10, p_w=1.5, p_r=0.1)
 
 
 class TestPSuccessNumeric:
@@ -53,7 +58,7 @@ class TestPSuccessNumeric:
         for p in (1e-3, 1e-4, 1e-5):
             config = ProtocolConfig(n_atoms=100, alpha=0.0, p_w=p, p_r=p)
             numeric = p_success_numeric(config)
-            analytic = p_success_analytic(p, p)
+            analytic = pair_probability(p, p)
             errors.append(abs(numeric - analytic) / analytic)
             assert errors[-1] <= 10 * p
         assert errors[0] > errors[1] > errors[2]
@@ -72,7 +77,7 @@ class TestPMode:
     def test_lossless_first_order_vanishes(self):
         n_atoms, alpha, p = 100, 0.1, 1e-3
         config = ProtocolConfig(n_atoms, p_w=p, p_r=p)
-        psi = evolve_stage(weak_coherent_atomic_state(alpha, n_atoms), config)
+        psi = evolve_stage(weak_coherent_rows([alpha], 9)[0], config)
         gain = 2 * (1 - 1 / n_atoms)
         t = weak_coherent_rows(np.array([gain * alpha]), 9)
         matched, _ = sector_norms(psi, t, 1, 1)
@@ -99,7 +104,7 @@ class TestPMode:
                                atomic_k_max=8)
         config = ProtocolConfig(100, p_w=1e-3, p_r=1e-3, beta_w=0.7, beta_r=0.7,
                                 order=EvolutionOrder.EXACT, truncation=trunc)
-        psi = evolve_stage(weak_coherent_atomic_state(0.1, 100), config)
+        psi = evolve_stage(weak_coherent_rows([0.1], 9)[0], config)
         t = weak_coherent_rows(np.array([0.1 * 1.98]), 9)
         matched, _ = sector_norms(psi, t, 1, 1)
         value = checked_p_mode(row_norms(psi[:, :, 1, 1])[0], matched[0], 1, 1)
@@ -124,7 +129,7 @@ class TestPSpon:
         values = []
         for p in (1e-3, 1e-4, 1e-5):
             config = ProtocolConfig(n_atoms, p_w=p, p_r=p)
-            psi = evolve_stage(weak_coherent_atomic_state(alpha, n_atoms), config)
+            psi = evolve_stage(weak_coherent_rows([alpha], 9)[0], config)
             (matched,), (atomic,) = sector_norms(psi, t, 1, 1)
             value = checked_p_spon(matched, atomic)
             assert value >= 1 - 10 * p
@@ -145,20 +150,20 @@ VACUUM = ProtocolConfig(30, p_w=0.0, p_r=0.0)
 
 class TestPAmp:
     def test_target_projector_gives_one(self):
-        psi = evolve_stage(weak_coherent_atomic_state(0.2, 30), VACUUM)
+        psi = evolve_stage(weak_coherent_rows([0.2], 9)[0], VACUUM)
         t = weak_coherent_rows(np.array([0.2]), 9)
         _, (atomic,) = sector_norms(psi, t, 1, 1)
         assert checked_p_amp(atomic, row_norms(psi)[0]) == pytest.approx(1.0, abs=TOL)
 
     def test_orthogonal_state_gives_zero(self):
-        psi = evolve_stage(basis_state(2, 30, k_alloc=3), VACUUM)
+        psi = evolve_stage(np.eye(4)[2], VACUUM)
         _, (atomic,) = sector_norms(psi, np.eye(9)[[0]], 1, 1)
         assert checked_p_amp(atomic, row_norms(psi)[0]) == pytest.approx(0.0, abs=TOL)
 
     def test_heralded_run_against_large_n_target(self):
         # conditional state (1, 0.1998) against the N >> 1 target (1, 0.2):
         # the deficit is the 2*alpha vs 2*alpha*(1 - 1/N) mismatch
-        conditional = weak_coherent_atomic_state(0.1998, 1000)
+        conditional = weak_coherent_rows([0.1998], 9)[0]
         psi = evolve_stage(conditional, replace(VACUUM, n_atoms=1000))
         t = weak_coherent_rows(np.array([0.2]), 9)
         _, (atomic,) = sector_norms(psi, t, 1, 1)
@@ -236,7 +241,7 @@ class TestAgainstDensityMatrix:
                                atomic_k_max=8)
         config = ProtocolConfig(40, p_w=2e-3, p_r=3e-3, beta_w=beta, beta_r=beta,
                                 order=order, truncation=trunc)
-        psi = evolve_stage(weak_coherent_atomic_state(0.3, 40), config, KINDS[pattern])
+        psi = evolve_stage(weak_coherent_rows([0.3], 9)[0], config, KINDS[pattern])
         t = weak_coherent_rows(np.array([0.3 * 1.95]), 9)
         new = amplitude_metrics(psi, t, pattern)
         old = reference_metrics(psi, t, pattern)
@@ -311,7 +316,7 @@ class TestQualityReport:
 def test_public_surface():
     """Every exported name resolves; the test references are not in the package."""
     import memamp
-    from memamp import joint, metrics
+    from memamp import dicke, errors, joint, metrics, oracle
 
     assert [name for name in memamp.__all__ if not hasattr(memamp, name)] == []
     for name in ["DensityMatrix", "PSD_TOL", "p_success_numeric", "dump_amplitudes",
@@ -320,4 +325,11 @@ def test_public_surface():
                  "p_mode", "p_spon", "p_amp", "_apply_one", "_joint_norms",
                  "_atomic_target_vector"]:
         for module in (memamp, joint, metrics):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # the atomic state is a plain array everywhere: no wrapper classes
+    for name in ["DickeVector", "basis_state", "apply_ladder", "apply_ss_dagger",
+                 "gain_eigenvalue", "weak_coherent_atomic_state", "inner", "fidelity",
+                 "DEFAULT_K_MAX", "ALGEBRA_TOL", "FullStateVector",
+                 "apply_collective_full", "p_success_analytic", "ZeroNormError"]:
+        for module in (memamp, dicke, oracle, metrics, errors):
             assert not hasattr(module, name), f"{module.__name__}.{name}"

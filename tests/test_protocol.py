@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from memamp.dicke import (
-    Schedule,
-    basis_state,
-    fidelity,
-    gain_eigenvalue,
-    weak_coherent_atomic_state,
-)
+from memamp.dicke import Schedule, weak_coherent_rows
 from memamp.errors import ConfigError
 from memamp.joint import EvolutionOrder, ModeTruncation
 from memamp import protocol
@@ -24,7 +18,10 @@ from memamp.protocol import (
     monte_carlo,
     run_schedule,
 )
-from reference import TrajectoryTreePerNode, evolve_stage, heralded, run_stage
+from reference import (
+    TrajectoryTreePerNode, evolve_stage, fidelity, gain_eigenvalues, heralded,
+    run_stage,
+)
 
 TOL = 1e-12
 LOSSLESS = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
@@ -88,10 +85,8 @@ class TestRunStage:
         config = ProtocolConfig(
             n_atoms=1000, alpha=0.1, p_w=1e-3, p_r=1e-3, truncation=LOSSLESS
         )
-        from memamp.dicke import weak_coherent_atomic_state
-
         report = run_stage(
-            weak_coherent_atomic_state(0.1, 1000),
+            weak_coherent_rows([0.1], 9)[0],
             config,
             StageKind.WRITE_THEN_READ,
         )
@@ -102,9 +97,9 @@ class TestRunStage:
     def test_write_only_on_ground(self):
         p_w, beta_w = 2e-3, 0.8
         config = ProtocolConfig(n_atoms=100, alpha=0.0, p_w=p_w, beta_w=beta_w)
-        report = run_stage(basis_state(0, 100), config, StageKind.WRITE_ONLY)
+        report = run_stage(np.eye(9)[0], config, StageKind.WRITE_ONLY)
         assert not report.failed
-        assert fidelity(report.state, basis_state(1, 100)) == pytest.approx(
+        assert fidelity(report.state, np.eye(9)[1]) == pytest.approx(
             1.0, abs=TOL
         )
         assert report.probability == pytest.approx(
@@ -113,7 +108,7 @@ class TestRunStage:
 
     def test_read_only_on_ground_fails(self):
         config = ProtocolConfig(n_atoms=100, alpha=0.0, p_r=1e-3)
-        report = run_stage(basis_state(0, 100), config, StageKind.READ_ONLY)
+        report = run_stage(np.eye(9)[0], config, StageKind.READ_ONLY)
         assert report.failed
         assert report.probability == 0.0
         assert report.state is None
@@ -188,7 +183,7 @@ class TestRunSchedule:
         assert report.succeeded
         *intermediate, last = report.stage_reports
         for stage in intermediate:
-            assert stage.state.amplitudes[0] == 0
+            assert stage.state[0] == 0
             assert np.isnan(stage.gain_so_far)
         assert last.gain_so_far == pytest.approx(report.analytic_gain, rel=2e-2)
 
@@ -198,7 +193,7 @@ class TestRunSchedule:
             schedule=Schedule.TYPE_II, stages=2,
         )
         report = run_schedule(config)
-        state = weak_coherent_atomic_state(config.alpha, config.n_atoms)
+        state = weak_coherent_rows([config.alpha], 9)[0]
         cumulative = 1.0
         for index, expected in enumerate(report.stage_reports):
             stage = run_stage(
@@ -207,7 +202,7 @@ class TestRunSchedule:
             )
             # json text compares NaN gains equal
             assert json.dumps(stage.to_row()) == json.dumps(expected.to_row())
-            assert np.array_equal(stage.state.amplitudes, expected.state.amplitudes)
+            assert np.array_equal(stage.state, expected.state)
             state, cumulative = stage.state, stage.cumulative_probability
 
     def test_schedules_coincide_at_one_stage(self):
@@ -247,7 +242,6 @@ class TestRunSchedule:
     def test_markov_factorization_one_shot(self):
         # exact evolution is unitary, so chaining unnormalized conditionals
         # accumulates exactly the joint probability of the herald sequence
-        from memamp.dicke import DickeVector, weak_coherent_atomic_state
         from memamp.protocol import STAGE_PATTERNS, stage_plan
 
         trunc = ModeTruncation(fock_a_max=4, fock_b_max=4, fock_c_max=0)
@@ -264,13 +258,13 @@ class TestRunSchedule:
         report = run_schedule(config)
         assert report.succeeded
 
-        state = weak_coherent_atomic_state(0.1, 50)
+        state = weak_coherent_rows([0.1], 9)[0]
         joint_probability = 1.0
         for kind in stage_plan(config):
             psi = evolve_stage(state, config, kind)
             conditional, raw = heralded(psi, STAGE_PATTERNS[kind])
             # carry the unnormalized conditional: its norm is the amplitude
-            state = DickeVector(50, conditional[0] * np.sqrt(raw[0]))
+            state = conditional[0] * np.sqrt(raw[0])
             joint_probability = raw[0]
         assert report.success_probability == pytest.approx(
             joint_probability, rel=1e-10
@@ -292,7 +286,7 @@ class TestRunSchedule:
             truncation=LOSSLESS,
         )
         for k in (0, 1, 2):
-            state = basis_state(k, n_atoms, k_alloc=5)
+            state = np.eye(6)[k]
             raw_product = 1.0
             for kind in [StageKind.WRITE_ONLY] * 2 + [StageKind.READ_ONLY] * 2:
                 report = run_stage(state, config, kind)
@@ -300,7 +294,7 @@ class TestRunSchedule:
                 raw_product *= report.probability / (1 - report.probability)
                 state = report.state
             eigenvalue = np.sqrt(raw_product) / p**2
-            expected = gain_eigenvalue(Schedule.TYPE_II, k, n_atoms, 2)
+            expected = gain_eigenvalues(Schedule.TYPE_II, n_atoms, 2, k + 1)[k]
             assert eigenvalue == pytest.approx(expected, rel=1e-10)
 
     def test_gain_monotone_in_stage_count(self):
@@ -400,9 +394,7 @@ class TestMonteCarlo:
         )
         trials = 100_000
         report = monte_carlo(config, trials)
-        from memamp.dicke import weak_coherent_atomic_state
-
-        psi = evolve_stage(weak_coherent_atomic_state(0.1, 100), config)[0]
+        psi = evolve_stage(weak_coherent_rows([0.1], 9)[0], config)[0]
         probs = np.sum(np.abs(psi) ** 2, axis=0) / np.sum(np.abs(psi) ** 2)
         observed, expected = [], []
         for n_a, n_b, n_c, count in report.first_stage_outcomes:
@@ -575,7 +567,7 @@ class TestTrajectoryTree:
         assert len(leaves) == 1
         leaf = tree.states[leaves[0]].view(np.float64)
         report = run_schedule(config)
-        final = report.final_state.amplitudes.view(np.float64)
+        final = report.final_state.view(np.float64)
         ulp = np.spacing(np.maximum(np.abs(leaf), np.abs(final)))
         assert np.all(np.abs(leaf - final) <= 2 * ulp)
         assert tree.success_probability() == pytest.approx(
