@@ -268,11 +268,12 @@ def _failed_cells(error: Exception | None) -> list:
     return [float("nan")] * (len(QUALITY_FIELDS) + 1) + [False, message]
 
 
-def _sweep_batch(configs: list[ProtocolConfig]) -> list[list]:
-    """Quality cells of each point of a batch, then gain_squared, succeeded and
-    error; a run error is kept in the ``error`` cell."""
+def _sweep_batch(batch: tuple[list[ProtocolConfig], ModeTruncation]) -> list[list]:
+    """Quality cells of each point of a batch (its configs and the truncation
+    they evolve on), then gain_squared, succeeded and error; a run error is
+    kept in the ``error`` cell."""
     cells = []
-    for _, _, quality, error in run_batch(configs):
+    for _, _, quality, error in run_batch(*batch):
         if quality is None:
             cells.append(_failed_cells(error))
         else:
@@ -293,12 +294,13 @@ def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
             cells[index] = _failed_cells(exc)
             continue
         groups.setdefault(key, []).append(index)
-    batches = []
-    for members in groups.values():
-        first = configs[members[0]]
-        size = batch_rows(first.truncation.resolve(first.n_atoms))
-        batches += [members[i : i + size] for i in range(0, len(members), size)]
-    work = [[configs[i] for i in batch] for batch in batches]
+    batches, work = [], []
+    for key, members in groups.items():
+        truncation = key[-1]  # the one the batch evolves on
+        size = batch_rows(truncation)
+        for i in range(0, len(members), size):
+            batches.append(members[i : i + size])
+            work.append(([configs[j] for j in batches[-1]], truncation))
     # a pool forks all its workers up front, however few batches there are
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:  # imported here: multiprocessing is slow to import

@@ -56,15 +56,24 @@ PURITY_TOL = 1e-10
 #: Default atomic levels carried by the joint tensor when unspecified.
 DEFAULT_ATOMIC_K_MAX = 8
 
+#: Highest (n_a, n_b, n_c) a first-order stage reaches: it starts in photon
+#: vacuum and applies the write and the read generator once each.
+FIRST_ORDER_REACH = (1, 1, 2)
+
 
 def is_integer(value) -> bool:
     """An integer count; bools (JSON true/false) are not counts."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # the exact type first: an ABC isinstance check is slow
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def is_real(value) -> bool:
     """A real number; bools (JSON true/false) are not numbers."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
 
 
 class EvolutionOrder(enum.Enum):
@@ -114,6 +123,22 @@ class ModeTruncation:
             )
         return resolved
 
+    @functools.lru_cache
+    def evolved(self, n_atoms: int, order: EvolutionOrder) -> "ModeTruncation":
+        """The truncation a run evolves on: `resolve`'s, with each photon axis
+        cut to FIRST_ORDER_REACH at first order, where no amplitude lies beyond
+        it. The dimension cap applies to the resolved cutoffs."""
+        resolved = self.resolve(n_atoms)
+        if order is EvolutionOrder.EXACT:
+            return resolved
+        a, b, c = FIRST_ORDER_REACH
+        return replace(
+            resolved,
+            fock_a_max=min(resolved.fock_a_max, a),
+            fock_b_max=min(resolved.fock_b_max, b),
+            fock_c_max=min(resolved.fock_c_max, c),
+        )
+
     def shape(self) -> tuple[int, int, int, int]:
         if self.atomic_k_max is None:
             raise ValueError("truncation not resolved against an atom count")
@@ -147,7 +172,7 @@ class HeraldPattern:
 
 class Process:
     """A write or read process over a batch: per row the ensemble size, the
-    coupling p and the mode overlap beta, on one resolved truncation; and its
+    coupling p and the mode overlap beta, on one evolved truncation; and its
     ``weights``, built once here and sliced by `rows`: the detected- and
     loss-mode stencil weights (B, k_top, ...), ladder coefficient x photon
     sqrt(n) x coupling (no loss weights if lossless), and per row a bound on

@@ -98,7 +98,10 @@ class ProtocolConfig:
             if not is_real(value):
                 raise ConfigError(f"{key}: expected a number, got {value!r}")
             object.__setattr__(self, key, to_number(key, float, value))
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Complex):
+        alpha = self.alpha  # the exact type first: an ABC isinstance check is slow
+        if type(alpha) not in (complex, float, int) and (
+            isinstance(alpha, bool) or not isinstance(alpha, numbers.Complex)
+        ):
             raise ConfigError(f"alpha: expected a number, got {self.alpha!r}")
         if not is_integer(self.n_atoms) or self.n_atoms < 1:
             raise ConfigError(f"n_atoms must be a positive integer, got {self.n_atoms}")
@@ -234,31 +237,34 @@ def _gain_of(amps: np.ndarray | None, alpha: complex) -> float:
     return (complex(amps[1]) / complex(c0 * alpha)).real
 
 
-#: Joint-state bytes per batch (9 points at the default shape). A batch
-#: peaks at 3 state tensors; larger ones save little time and raise the heap.
-BATCH_BYTES = 64 * 1024
+#: Joint-state bytes per batch (23 points at the default shape, whose
+#: first-order block is 9x2x2x3). A batch peaks at 3 state tensors plus
+#: per-row temporaries; larger ones save little time and raise the heap.
+BATCH_BYTES = 40 * 1024
 
 
 def batch_rows(truncation: ModeTruncation) -> int:
-    """Rows of a batch on a resolved truncation: BATCH_BYTES of state, or one."""
+    """Rows of a batch on an evolved truncation: BATCH_BYTES of state, or one."""
     return max(1, BATCH_BYTES // (16 * truncation.total_dim()))
 
 
 def batch_key(config: ProtocolConfig) -> tuple:
-    """Points with equal keys share a stage plan, a resolved truncation and an
-    evolution order: they can run as one batch."""
-    trunc = config.truncation.resolve(config.n_atoms)
+    """Points with equal keys share a stage plan, an evolution order and the
+    truncation they evolve on (`ModeTruncation.evolved`, last): they can run
+    as one batch."""
+    trunc = config.truncation.evolved(config.n_atoms, config.order)
     return config.schedule, config.stages, config.order, trunc
 
 
 class _Points:
-    """The live rows of a batch: their write and read processes and, in the
-    stage loop, their positions and cumulative success probabilities."""
+    """The live rows of a batch on the truncation they evolve on: their write
+    and read processes and, in the stage loop, their positions and cumulative
+    success probabilities."""
 
     __slots__ = ("truncation", "write", "read", "index", "cumulative")
 
-    def __init__(self, configs: list[ProtocolConfig]):
-        self.truncation = configs[0].truncation.resolve(configs[0].n_atoms)
+    def __init__(self, configs: list[ProtocolConfig], truncation: ModeTruncation):
+        self.truncation = truncation
         n_atoms = np.array([c.n_atoms for c in configs], dtype=float)
         self.write, self.read = [
             Process(name, self.truncation, configs[0].order, n_atoms,
@@ -305,28 +311,28 @@ def _target_gain(config: ProtocolConfig) -> float:
     return float(config.stages + 1)
 
 
-def _check_headroom(config: ProtocolConfig) -> None:
-    trunc = config.truncation.resolve(config.n_atoms)
+def _check_headroom(config: ProtocolConfig, k_max: int) -> None:
     needed = config.stages + 1 if config.schedule is Schedule.TYPE_II else 2
     needed = min(needed, config.n_atoms)
-    assert trunc.atomic_k_max is not None
-    if trunc.atomic_k_max < needed:
+    if k_max < needed:
         raise ConfigError(
-            f"atomic_k_max = {trunc.atomic_k_max} below the schedule's "
+            f"atomic_k_max = {k_max} below the schedule's "
             f"excitation reach {needed}; enlarge the truncation"
         )
 
 
-def run_batch(configs: list[ProtocolConfig]) -> list[tuple]:
+def run_batch(
+    configs: list[ProtocolConfig], truncation: ModeTruncation
+) -> list[tuple]:
     """The stage loop: embed, evolve, herald and score points of one
-    `batch_key` as the rows of one (B, k, n_a, n_b, n_c) tensor. Reductions
-    stay within a row, so no row's values depend on the others. A row that
-    raises keeps the error and leaves the batch, as does a failed herald.
-    Returns per point (stage records, final amplitudes, QualityReport, error),
-    a stage record being (probability, cumulative probability, heralded
-    amplitudes or None for a zero-probability herald)."""
-    if len({batch_key(c) for c in configs}) != 1:
-        raise ValueError("a batch needs one stage plan, truncation shape and order")
+    `batch_key` as the rows of one (B, k, n_a, n_b, n_c) tensor on
+    ``truncation``, the key's last entry. The caller groups the points by key;
+    they are not counted again here. Reductions stay within a row, so no row's
+    values depend on the others. A row that raises keeps the error and leaves
+    the batch, as does a failed herald. Returns per point (stage records,
+    final amplitudes, QualityReport, error), a stage record being
+    (probability, cumulative probability, heralded amplitudes or None for a
+    zero-probability herald)."""
     count = len(configs)
     stages: list[list[tuple]] = [[] for _ in range(count)]
     finals: list[np.ndarray | None] = [None] * count
@@ -334,10 +340,10 @@ def run_batch(configs: list[ProtocolConfig]) -> list[tuple]:
     errors: list[Exception | None] = [None] * count
     for i, config in enumerate(configs):
         try:
-            _check_headroom(config)
+            _check_headroom(config, truncation.atomic_k_max)
         except ConfigError as exc:
             errors[i] = exc
-    points = _Points(configs)
+    points = _Points(configs, truncation)
     points.index, points.cumulative = np.arange(count), np.ones(count)
     k_dim = points.truncation.atomic_k_max + 1
     alphas = np.array([c.alpha for c in configs])
@@ -388,7 +394,7 @@ def run_batch(configs: list[ProtocolConfig]) -> list[tuple]:
 def run_schedule(config: ProtocolConfig) -> AmplificationReport:
     """Deterministic post-selected pipeline over the configured schedule:
     `run_batch` on the batch of one, raising the point's error."""
-    stages, _, quality, error = run_batch([config])[0]
+    stages, _, quality, error = run_batch([config], batch_key(config)[-1])[0]
     if error is not None:
         raise error
     plan = stage_plan(config)
@@ -452,14 +458,15 @@ class _TrajectoryTree:
     """Post-herald states keyed by the undetected-mode counts observed at each
     successful stage (the success branch is unique up to that record), built
     one stage at a time: a level's nodes are evolved in batches of
-    `batch_rows`, as `run_batch` evolves points. ``states`` maps a path to the
-    atomic state entering stage len(path), ``outcomes`` a node's path to its
-    stage's (n_a, n_b, n_c) distribution, 0 at or below ZERO_PROB_FLOOR. The
-    first node in level order that trips a guard raises."""
+    `batch_rows`, as `run_batch` evolves points, on the config's evolved
+    truncation. ``states`` maps a path to the atomic state entering stage
+    len(path), ``outcomes`` a node's path to its stage's (n_a, n_b, n_c)
+    distribution over the evolved photon axes, 0 at or below ZERO_PROB_FLOOR.
+    The first node in level order that trips a guard raises."""
 
     def __init__(self, config: ProtocolConfig):
         self.plan = stage_plan(config)
-        trunc = config.truncation.resolve(config.n_atoms)
+        self.truncation = trunc = batch_key(config)[-1]
         root = weak_coherent_rows(np.array([config.alpha]), trunc.atomic_k_max + 1)
         self.states = {(): root[0]}
         self.outcomes: dict[tuple[int, ...], np.ndarray] = {}
@@ -474,7 +481,8 @@ class _TrajectoryTree:
         return the children: the nonzero columns of each success slice."""
         errors: dict[int, Exception] = {}
         states = np.array([self.states[path] for path in paths])
-        psi = _Points([config] * len(paths)).evolve(states, kind, errors)
+        points = _Points([config] * len(paths), self.truncation)
+        psi = points.evolve(states, kind, errors)
         if errors:
             raise errors[min(errors)]
         sq = np.abs(psi) ** 2

@@ -1,8 +1,8 @@
 """Reference code that only the tests use: a stage and a trajectory tree
-built one state at a time from the package's stage primitives, the plain
-forms of vectorized package code, the density matrices that the
-amplitude-only metrics and heralds replace, and the closed forms of the
-ladder algebra on plain arrays over the Dicke levels k."""
+built one state at a time from the package's stage primitives, the whole
+configured tensor, the plain forms of vectorized package code, the density
+matrices that the amplitude-only metrics and heralds replace, and the closed
+forms of the ladder algebra on plain arrays over the Dicke levels k."""
 
 from dataclasses import replace
 
@@ -12,7 +12,8 @@ from memamp.dicke import Schedule, weak_coherent_rows
 from memamp.joint import ZERO_PROB_FLOOR, herald_rows
 from memamp.metrics import row_norms
 from memamp.protocol import (
-    STAGE_PATTERNS, StageKind, _Points, _stage_report, _TrajectoryTree, stage_plan,
+    STAGE_PATTERNS, StageKind, _Points, _stage_report, _TrajectoryTree, batch_key,
+    stage_plan,
 )
 
 
@@ -44,12 +45,19 @@ def p_success_numeric(config):
     return _TrajectoryTree(one_stage).success_probability()
 
 
+def configured_truncation(config):
+    """The truncation a config names, resolved against its atom count: the
+    whole tensor, on which `protocol.run_batch` is the reference for the
+    block a first-order run evolves on."""
+    return config.truncation.resolve(config.n_atoms)
+
+
 def evolve_stage(state, config, kind=StageKind.WRITE_THEN_READ):
     """``state``, an array over k, in fresh photon vacuum through the stage's
     process(es), as `protocol.run_batch` evolves a batch of one: the tensor
-    psi[1, k, n_a, n_b, n_c]. Levels above the atomic cutoff are dropped; the
-    row's first guard error raises."""
-    points = _Points([config])
+    psi[1, k, n_a, n_b, n_c] on the config's evolved truncation. Levels above
+    the atomic cutoff are dropped; the row's first guard error raises."""
+    points = _Points([config], batch_key(config)[-1])
     rows = np.zeros((1, points.truncation.atomic_k_max + 1), dtype=np.complex128)
     amps = state[: rows.shape[1]]
     rows[0, : amps.size] = amps
@@ -80,6 +88,14 @@ def run_stage(state, config, kind, *, stage_index=0, cumulative_in=1.0):
     p = float(raw[0] / row_norms(psi)[0])
     record = (p, cumulative_in * p, states[0] if raw[0] else None)
     return _stage_report(stage_index, kind, record, config)
+
+
+def zero_padded(psi, shape):
+    """``psi`` in the leading corner of a zero array of trailing ``shape``:
+    an evolved block in the configured tensor."""
+    out = np.zeros(psi.shape[: psi.ndim - len(shape)] + tuple(shape), psi.dtype)
+    out[tuple(np.s_[:n] for n in psi.shape)] = psi
+    return out
 
 
 def weak_coherent_rows_per_row(alpha, size):

@@ -498,9 +498,9 @@ class TestSweepBatches:
     def test_batches_are_capped_and_uniform(self, tmp_path, monkeypatch):
         batches = []
 
-        def spy(configs):
-            batches.append(list(configs))
-            return run_batch(configs)
+        def spy(configs, truncation):
+            batches.append((list(configs), truncation))
+            return run_batch(configs, truncation)
 
         monkeypatch.setattr(cli, "run_batch", spy)
         axes = {"p_w": [0.001 * (i + 1) for i in range(8)],
@@ -508,11 +508,13 @@ class TestSweepBatches:
                 "stages": [1, 2], "n_atoms": [3, 20, 100]}
         code, _, rows, _ = sweep_csv(tmp_path, {"base": {"alpha": 0.1}, "axes": axes})
         assert code == EXIT_OK and len(rows) == 384
-        assert sum(len(batch) for batch in batches) == 384
+        assert sum(len(batch) for batch, _ in batches) == 384
         capped = 0
-        for batch in batches:
+        for batch, truncation in batches:
             first = batch[0]
-            dim = first.truncation.resolve(first.n_atoms).total_dim()
+            # capped by the block the batch evolves on, not the configured shape
+            assert truncation == batch_key(first)[-1]
+            dim = truncation.total_dim()
             cap = protocol.BATCH_BYTES // (16 * dim)
             assert 1 <= len(batch) <= cap
             assert {batch_key(c) for c in batch} == {batch_key(first)}
@@ -549,15 +551,59 @@ class TestSweepBatches:
 
     def test_exact_points_run_as_one_batch(self, tmp_path, monkeypatch):
         sizes = []
-        monkeypatch.setattr(
-            cli, "run_batch", lambda configs: sizes.append(len(configs)) or run_batch(configs)
-        )
+        monkeypatch.setattr(cli, "run_batch", lambda configs, truncation: (
+            sizes.append(len(configs)) or run_batch(configs, truncation)
+        ))
+        # lossless, so no loss mode: three points fit one BATCH_BYTES batch
         base = {"n_atoms": 100, "alpha": 0.1, "order": "exact",
-                "truncation": {"fock_a_max": 5, "fock_b_max": 5}}
+                "truncation": {"fock_a_max": 5, "fock_b_max": 5, "fock_c_max": 0}}
         code, _, rows, _ = sweep_csv(
             tmp_path, {"base": base, "axes": {"p_w": [0.001, 0.002, 0.003]}}
         )
         assert code == EXIT_OK and len(rows) == 3 and sizes == [3]
+
+
+#: Photon cutoffs at, and above, what a first-order stage can reach.
+CUTOFFS_ABOVE_THE_REACH = [
+    {"fock_a_max": 1, "fock_b_max": 1, "fock_c_max": 2},
+    {},
+    {"fock_a_max": 6, "fock_b_max": 4, "fock_c_max": 5, "atomic_k_max": 8},
+]
+
+
+class TestReachableBlock:
+    """First order evolves only the photon block it can reach (n_a <= 1,
+    n_b <= 1, n_c <= 2), on which the joint-dimension cap does not read."""
+
+    def test_cutoffs_above_the_reach_write_the_same_bytes(self, tmp_path):
+        base = {"n_atoms": 60, "alpha": 0.2, "p_w": 0.02, "p_r": 0.03,
+                "beta_w": 0.7, "beta_r": 0.8, "schedule": "type2", "stages": 3}
+        axes = {"p_w": [0.001, 0.02], "beta_r": [0.5, 1.0], "stages": [1, 2]}
+        written = []
+        for i, truncation in enumerate(CUTOFFS_ABOVE_THE_REACH):
+            config = write_config(tmp_path, f"c{i}.json", **base, truncation=truncation)
+            sweep = tmp_path / f"s{i}.json"
+            sweep.write_text(json.dumps({"base": dict(base, truncation=truncation),
+                                         "axes": axes}))
+            out = tmp_path / f"out{i}"
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            assert main(["mc", "--config", str(config), "--trials", "1000000",
+                         "--out", str(out)]) == 0
+            assert main(["sweep", "--config", str(sweep), "--out", str(out)]) == 0
+            written.append([(out / name).read_bytes() for name in (
+                "report.json", "stages.csv", "mc_report.json", "sweep.csv"
+            )])
+        assert written[1] == written[0] and written[2] == written[0]
+
+    def test_dimension_cap_reads_the_configured_cutoffs(self, tmp_path, capsys):
+        # 9 x 20001 x 4 x 3 = 2160108 configured; first order evolves 9 x 2 x 2 x 3
+        data = {"n_atoms": 100, "truncation": {"fock_a_max": 20000}}
+        guard = "resource guard: joint dimension 2160108 exceeds cap 2000000\n"
+        assert cli.config_from_dict(data).order is EvolutionOrder.FIRST_ORDER
+        assert simulate_exit(tmp_path, data) == EXIT_GUARD
+        assert capsys.readouterr().err == guard
+        assert mc_exit(tmp_path, data, 10) == EXIT_GUARD
+        assert capsys.readouterr().err == guard
 
 
 class TestOracleCheckCommand:

@@ -1,6 +1,11 @@
 """Schedules, stage pipelines and Monte Carlo heralding statistics."""
 
+import itertools
 import json
+import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,19 +13,22 @@ from scipy import stats
 
 from memamp.dicke import Schedule, weak_coherent_rows
 from memamp.errors import ConfigError
-from memamp.joint import EvolutionOrder, ModeTruncation
+from memamp.joint import EvolutionOrder, ModeTruncation, is_integer, is_real
 from memamp import protocol
 from memamp.protocol import (
     GainConvention,
     ProtocolConfig,
     StageKind,
     _TrajectoryTree,
+    batch_key,
+    batch_rows,
     monte_carlo,
+    run_batch,
     run_schedule,
 )
 from reference import (
-    TrajectoryTreePerNode, evolve_stage, fidelity, gain_eigenvalues, heralded,
-    run_stage,
+    TrajectoryTreePerNode, configured_truncation, evolve_stage, fidelity,
+    gain_eigenvalues, heralded, run_stage,
 )
 
 TOL = 1e-12
@@ -71,6 +79,38 @@ class TestProtocolConfig:
         assert [type(v) for v in (config.p_w, config.p_r, config.beta_w)] == [float] * 3
         assert (config.p_w, config.p_r, config.beta_w) == (0.0, 0.5, 1.0)
         assert config.alpha == 1j and type(config.alpha) is complex
+
+    @pytest.mark.parametrize("value, integer, real, number", [
+        (3, True, True, True),
+        (0.5, False, True, True),
+        (True, False, False, False),
+        (np.float64(0.5), False, True, True),
+        (np.int64(3), True, True, True),
+        (np.bool_(True), False, False, False),
+        (Fraction(1, 2), False, True, True),
+        (Decimal("0.5"), False, False, False),
+    ], ids=["int", "float", "bool", "float64", "int64", "bool_", "Fraction", "Decimal"])
+    def test_number_checks_by_type(self, value, integer, real, number):
+        """The exact-type fast paths accept what the numbers ABCs accept,
+        bools rejected, numpy scalars accepted."""
+        not_bool = not isinstance(value, bool)
+        assert is_integer(value) is integer
+        assert integer == (isinstance(value, numbers.Integral) and not_bool)
+        assert is_real(value) is real
+        assert real == (isinstance(value, numbers.Real) and not_bool)
+        assert number == (isinstance(value, numbers.Complex) and not_bool)
+        for key, accepted, message in [
+            ("n_atoms", integer, f"n_atoms must be a positive integer, got {value}"),
+            ("p_r", real, f"p_r: expected a number, got {value!r}"),
+            ("alpha", number, f"alpha: expected a number, got {value!r}"),
+        ]:
+            try:
+                ProtocolConfig(**dict({"n_atoms": 10}, **{key: value}))
+                error = None
+            except ConfigError as exc:
+                error = str(exc)
+            # an accepted type may still be out of range (p_r = 3)
+            assert (error == message) is not accepted, (key, error)
 
     def test_headroom_checked_at_run(self):
         config = ProtocolConfig(
@@ -521,7 +561,8 @@ class TestTrajectoryTree:
         for kwargs in LOSSY_TREES.values():
             config = ProtocolConfig(**kwargs)
             tree = _TrajectoryTree(config)
-            shape = config.truncation.resolve(config.n_atoms).shape()[1:]
+            # over the photon axes the tree evolves on
+            shape = protocol.batch_key(config)[-1].shape()[1:]
             for probs in tree.outcomes.values():
                 assert probs.shape == shape
                 assert np.all(probs >= 0.0)
@@ -573,3 +614,90 @@ class TestTrajectoryTree:
         assert tree.success_probability() == pytest.approx(
             report.success_probability, rel=1e-15, abs=0.0
         )
+
+
+def _rows_by_batch(configs, key, truncation_of):
+    """Each point's `run_batch` row, the points grouped by ``key`` in order and
+    run in chunks of `batch_rows` on ``truncation_of`` their first point."""
+    groups, rows = {}, {}
+    for config in configs:
+        groups.setdefault(key(config), []).append(config)
+    for members in groups.values():
+        truncation = truncation_of(members[0])
+        size = batch_rows(truncation)
+        for i in range(0, len(members), size):
+            chunk = members[i : i + size]
+            rows.update(zip(map(id, chunk), run_batch(chunk, truncation)))
+    return [rows[id(config)] for config in configs]
+
+
+def _close(a, b, rel=1e-15):
+    """Elementwise |a - b| <= rel max(|a|, |b|), NaN matching NaN."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    both_nan = np.isnan(a) & np.isnan(b)
+    return bool(np.all(both_nan | (np.abs(a - b) <= rel * np.maximum(abs(a), abs(b)))))
+
+
+#: The headroom check, and the read's atomic-k and mode-c guards.
+GUARDS = ("excitation reach", "atomic k cutoff", "mode c cutoff")
+
+
+class TestReachableBlock:
+    """First order evolves only the photon block it can reach, n_a <= 1,
+    n_b <= 1, n_c <= 2; every row matches the whole configured tensor."""
+
+    GRID = [
+        ProtocolConfig(
+            n_atoms, alpha=0.3, p_w=p, p_r=p, beta_w=beta_w, beta_r=beta_r,
+            schedule=schedule, stages=stages,
+            truncation=ModeTruncation(fock_a, fock_b, fock_c, atomic_k_max),
+        )
+        for fock_a, fock_b, fock_c, beta_w, beta_r, p, schedule, n_atoms, stages,
+        atomic_k_max in itertools.product(
+            (1, 3), (1, 3), (1, 2, 4), (0.5, 1.0), (0.5, 1.0), (0.0, 0.01, 0.3, 1.0),
+            (Schedule.TYPE_I, Schedule.TYPE_II), (3, 100), (1, 2), (2, None),
+        )
+    ]
+
+    def test_evolved_truncation(self):
+        first, exact = EvolutionOrder.FIRST_ORDER, EvolutionOrder.EXACT
+        truncation = ModeTruncation(5, 4, 3, None)
+        assert truncation.evolved(100, first) == ModeTruncation(1, 1, 2, 8)
+        assert ModeTruncation(1, 3, 1).evolved(3, first) == ModeTruncation(1, 1, 1, 3)
+        assert truncation.evolved(100, exact) == truncation.resolve(100)
+
+    def test_rows_match_the_configured_shape(self):
+        rows = _rows_by_batch(self.GRID, batch_key, lambda c: batch_key(c)[-1])
+        expected = _rows_by_batch(
+            self.GRID, lambda c: (*batch_key(c)[:-1], configured_truncation(c)),
+            configured_truncation,
+        )
+        fired = set()
+        for config, row, reference in zip(self.GRID, rows, expected):
+            (stages, final, quality, error), (stages_ref, final_ref, quality_ref,
+                                              error_ref) = row, reference
+            assert (type(error), str(error)) == (type(error_ref), str(error_ref))
+            if error is not None:
+                fired.add(next(g for g in GUARDS if g in str(error)))
+            assert len(stages) == len(stages_ref)
+            for (p, cumulative, amps), (p_ref, cumulative_ref, amps_ref) in zip(
+                stages, stages_ref
+            ):
+                assert _close(p, p_ref) and _close(cumulative, cumulative_ref)
+                assert (amps is None) == (amps_ref is None)
+                assert amps is None or _close(amps, amps_ref)
+            assert (final is None) == (final_ref is None)
+            assert final is None or _close(final, final_ref)
+            assert (quality is None) == (quality_ref is None)
+            if quality is None:
+                continue
+            for name, value in quality.to_dict().items():
+                if name != "q_amp":
+                    assert _close(value, getattr(quality_ref, name)), (config, name)
+            # q_amp = p_amp (1 - p_spon) (1 - p_mode): the 1e-15 relative
+            # tolerance of its three factors, carried through the complements
+            q, ref = quality, quality_ref
+            spread = ref.p_amp * (ref.p_spon * (1.0 - ref.p_mode)
+                                  + (1.0 - ref.p_spon) * ref.p_mode)
+            assert abs(q.q_amp - ref.q_amp) <= 1e-15 * (abs(ref.q_amp) + spread)
+        assert fired == set(GUARDS)
