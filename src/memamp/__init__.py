@@ -9,7 +9,7 @@ schedules, and Monte Carlo sampling of heralding outcomes.
 from .dicke import LadderDirection, Schedule, ladder_coeff, relative_gain
 from .joint import EvolutionOrder, HeraldPattern, ModeTruncation
 from .metrics import QualityReport, quality
-from .oracle import build_dicke_full, project_to_dicke, verify_ladder
+from .oracle import project_to_dicke, verify_ladder
 from .protocol import (
     AmplificationReport,
     GainConvention,
@@ -40,7 +40,6 @@ __all__ = [
     "Schedule",
     "StageKind",
     "StageReport",
-    "build_dicke_full",
     "ladder_coeff",
     "monte_carlo",
     "project_to_dicke",

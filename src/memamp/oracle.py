@@ -20,8 +20,8 @@ import numpy as np
 from .dicke import LadderDirection, ladder_coeff
 from .errors import ResourceGuardError
 
-#: Hard cap on the brute-force atom count; 2^14 amplitudes keeps every
-#: operation well under a second. A guard, not a tunable.
+#: Hard cap on the brute-force atom count: a 2^14-amplitude state is 256 KiB
+#: and every N up to it verifies in milliseconds. A guard, not a tunable.
 MAX_FULL_ATOMS = 14
 
 #: Deviation threshold for a verification entry to count as passed.
@@ -37,9 +37,10 @@ def popcounts(n_atoms: int) -> np.ndarray:
 
     A pure function of the atom count; callers share one read-only array.
     """
-    size = 1 << n_atoms
-    bits = (np.arange(size, dtype=np.uint32)[:, None] >> np.arange(n_atoms)) & 1
-    counts = bits.sum(axis=1).astype(np.uint8)
+    # the top bit doubles the table: the upper half is the lower half plus one
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_atoms):
+        counts = np.concatenate((counts, counts + 1))
     counts.flags.writeable = False
     return counts
 
@@ -68,41 +69,31 @@ def collective_apply(amps: np.ndarray, n_atoms: int, raising: bool) -> np.ndarra
     return out
 
 
-def _dicke_weight(k: int, n_atoms: int) -> float:
-    # sqrt(k!(N-k)!/N!) = 1/sqrt(C(N,k)); N <= 14 so exact integer arithmetic.
-    return 1.0 / math.sqrt(math.comb(n_atoms, k))
+def _dicke_weights(n_atoms: int) -> np.ndarray:
+    """Amplitude per bitmask of every normalized level |k,N>, k = 0..N:
+    sqrt(k!(N-k)!/N!) = 1/sqrt(C(N,k)); N <= 14 so exact integer arithmetic."""
+    return 1.0 / np.sqrt([math.comb(n_atoms, k) for k in range(n_atoms + 1)])
 
 
-def build_dicke_full(k: int, n_atoms: int) -> np.ndarray:
-    """Symmetric k-excitation state as an equal-weight sum over bitmasks: a
-    2^N complex array, index m a bitmask as in the module docstring."""
-    if not 0 <= k <= n_atoms:
-        raise ValueError(f"need 0 <= k <= N, got k={k}, N={n_atoms}")
-    if not 1 <= n_atoms <= MAX_FULL_ATOMS:
-        raise ResourceGuardError(
-            f"full-space oracle supports 1 <= N <= {MAX_FULL_ATOMS}, got {n_atoms}"
-        )
-    counts = popcounts(n_atoms)
-    return np.where(counts == k, _dicke_weight(k, n_atoms), 0.0).astype(np.complex128)
+def project_to_dicke(amps: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Components of a 2^N state along every symmetric level, plus what each
+    popcount sector leaves outside it.
 
-
-def project_to_dicke(amps: np.ndarray, n_atoms: int) -> tuple[np.ndarray, float]:
-    """Components of a 2^N state along every symmetric level, plus the
-    leftover norm.
-
-    Returns ``(coeffs, residual)`` with ``coeffs[k] = <k,N|amps>`` and
-    ``residual`` the norm of the part orthogonal to all symmetric states.
+    Returns ``(coeffs, residuals)``, both of length N + 1: ``coeffs[k] =
+    <k,N|amps>`` and ``residuals[k]`` the norm of the part of sector k (the
+    bitmasks with k bits set) orthogonal to |k,N>.
     """
     counts = popcounts(n_atoms)
     sums_re = np.bincount(counts, weights=amps.real, minlength=n_atoms + 1)
     sums_im = np.bincount(counts, weights=amps.imag, minlength=n_atoms + 1)
-    weights = np.array([_dicke_weight(k, n_atoms) for k in range(n_atoms + 1)])
+    weights = _dicke_weights(n_atoms)
     coeffs = weights * (sums_re + 1j * sums_im)
-    # residual from the explicit out-of-subspace component; a norm-difference
+    # residuals from the explicit out-of-subspace component; a norm-difference
     # formula would lose half the working precision to cancellation
-    projection = (coeffs * weights)[counts]
-    residual = float(np.linalg.norm(amps - projection))
-    return coeffs, residual
+    outside = amps - (coeffs * weights)[counts]
+    squares = outside.real**2 + outside.imag**2
+    residuals = np.sqrt(np.bincount(counts, weights=squares, minlength=n_atoms + 1))
+    return coeffs, residuals
 
 
 @dataclass(frozen=True)
@@ -147,32 +138,42 @@ _REPORT_FIELDS = tuple(
 def verify_ladder(n_atoms: int) -> VerificationReport:
     """Compare brute-force ladder action against the closed-form coefficients.
 
-    For every level k and both directions, applies the literal atom-sum
-    operator to the permutation-built state, projects back onto the symmetric
-    subspace, and records the coefficient deviation and the residual leaking
-    outside the subspace.
+    The source is every normalized level at once: the levels live on disjoint
+    popcount sectors and a flip moves a bitmask's popcount by exactly one, so
+    sector k+1 (k-1) of one literal atom-sum pass per direction is level k's
+    own image. Each (level, direction) entry records its target's coefficient
+    deviation and the residual leaking outside the symmetric subspace; the
+    level no source reaches (0 raising, N lowering) must stay empty, and its
+    coefficient and residual go to the entry whose target is off the ladder.
     """
     if not 2 <= n_atoms <= MAX_FULL_ATOMS:
         raise ResourceGuardError(
             f"verify_ladder needs 2 <= N <= {MAX_FULL_ATOMS}, got {n_atoms}"
         )
     started = time.perf_counter()
+    source = _dicke_weights(n_atoms).astype(np.complex128)[popcounts(n_atoms)]
+    images = {
+        direction: project_to_dicke(
+            collective_apply(source, n_atoms, direction is LadderDirection.RAISE),
+            n_atoms,
+        )
+        for direction in (LadderDirection.RAISE, LadderDirection.LOWER)
+    }
     entries = []
     for k in range(n_atoms + 1):
-        source = build_dicke_full(k, n_atoms)
-        for direction in (LadderDirection.RAISE, LadderDirection.LOWER):
+        for direction, (coeffs, residuals) in images.items():
             raising = direction is LadderDirection.RAISE
-            image = collective_apply(source, n_atoms, raising)
-            coeffs, residual = project_to_dicke(image, n_atoms)
             target_k = k + 1 if raising else k - 1
             expected = ladder_coeff(direction, k, n_atoms)
             if 0 <= target_k <= n_atoms:
                 observed = float(coeffs[target_k].real)
-                coeffs[target_k] = 0.0
+                stray = 0.0
             else:
+                # off the ladder: the level no source reaches must stay empty
                 observed = 0.0
-            # Everything off the target level must vanish too.
-            stray = float(np.max(np.abs(coeffs)))
+                target_k = 0 if raising else n_atoms
+                stray = float(abs(coeffs[target_k]))
+            residual = float(residuals[target_k])
             deviation = max(abs(observed - expected), stray)
             entries.append(
                 VerificationEntry(

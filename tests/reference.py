@@ -1,16 +1,23 @@
 """Reference code that only the tests use: a stage and a trajectory tree
 built one state at a time from the package's stage primitives, the whole
 configured tensor, the plain forms of vectorized package code, the density
-matrices that the amplitude-only metrics and heralds replace, and the closed
-forms of the ladder algebra on plain arrays over the Dicke levels k."""
+matrices that the amplitude-only metrics and heralds replace, the closed
+forms of the ladder algebra on plain arrays over the Dicke levels k, and the
+2^N oracle's ladder check one level at a time."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from memamp.dicke import Schedule, weak_coherent_rows
+from memamp.dicke import LadderDirection, Schedule, ladder_coeff, weak_coherent_rows
+from memamp.errors import ResourceGuardError
 from memamp.joint import ZERO_PROB_FLOOR, herald_rows
 from memamp.metrics import row_norms
+from memamp.oracle import (
+    MAX_FULL_ATOMS, RESIDUAL_TOL, VERIFY_TOL, collective_apply, popcounts,
+    project_to_dicke,
+)
 from memamp.protocol import (
     STAGE_PATTERNS, StageKind, _Points, _stage_report, _TrajectoryTree, batch_key,
     stage_plan,
@@ -138,6 +145,57 @@ def pair_probability(p_w, p_r):
 def fidelity(a, b):
     """|<a|b>|^2 / (<a|a><b|b>) of two arrays over the same levels."""
     return abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real)
+
+
+def build_dicke_full(k, n_atoms):
+    """Symmetric k-excitation state as an equal-weight sum over bitmasks: a
+    2^N complex array, index m a bitmask as in `memamp.oracle`."""
+    if not 0 <= k <= n_atoms:
+        raise ValueError(f"need 0 <= k <= N, got k={k}, N={n_atoms}")
+    if not 1 <= n_atoms <= MAX_FULL_ATOMS:
+        raise ResourceGuardError(
+            f"full-space oracle supports 1 <= N <= {MAX_FULL_ATOMS}, got {n_atoms}"
+        )
+    weight = 1.0 / math.sqrt(math.comb(n_atoms, k))
+    return np.where(popcounts(n_atoms) == k, weight, 0.0).astype(np.complex128)
+
+
+def verify_ladder_per_level(n_atoms):
+    """`oracle.verify_ladder(n_atoms).to_dict()` one level at a time: 2(N+1)
+    literal flip passes, each on one level's own state. An entry's deviation
+    also counts every coefficient off its target and its residual is the norm
+    of its whole image outside the symmetric subspace."""
+    weights = [1.0 / math.sqrt(math.comb(n_atoms, k)) for k in range(n_atoms + 1)]
+    counts = popcounts(n_atoms)
+    entries = []
+    for k in range(n_atoms + 1):
+        source = build_dicke_full(k, n_atoms)
+        for direction in (LadderDirection.RAISE, LadderDirection.LOWER):
+            raising = direction is LadderDirection.RAISE
+            image = collective_apply(source, n_atoms, raising)
+            coeffs, _ = project_to_dicke(image, n_atoms)
+            projection = (coeffs * np.array(weights))[counts]
+            residual = float(np.linalg.norm(image - projection))
+            target_k = k + 1 if raising else k - 1
+            expected = ladder_coeff(direction, k, n_atoms)
+            if 0 <= target_k <= n_atoms:
+                observed = float(coeffs[target_k].real)
+                coeffs[target_k] = 0.0
+            else:
+                observed = 0.0
+            deviation = max(abs(observed - expected), float(np.max(np.abs(coeffs))))
+            entries.append({
+                "k": k, "direction": direction.value, "expected": expected,
+                "observed": observed, "deviation": deviation, "residual": residual,
+                "passed": deviation < VERIFY_TOL and residual < RESIDUAL_TOL,
+            })
+    return {
+        "n_atoms": n_atoms,
+        "max_deviation": max(e["deviation"] for e in entries),
+        "max_residual": max(e["residual"] for e in entries),
+        "passed": all(e["passed"] for e in entries),
+        "entries": entries,
+    }
 
 
 def add_generator_by_slices(out, psi, w_det, w_loss, process):

@@ -24,6 +24,7 @@ from memamp.cli import (
 from memamp.dicke import Schedule, relative_gain
 from memamp.errors import ConfigError, MemampError, TruncationLeakageError
 from memamp.joint import EvolutionOrder
+from memamp.oracle import MAX_FULL_ATOMS
 from memamp.protocol import batch_key, monte_carlo, run_batch, run_schedule
 
 
@@ -607,18 +608,18 @@ class TestReachableBlock:
 
 
 class TestOracleCheckCommand:
-    def test_passes_up_to_ten(self, tmp_path, capsys):
-        assert main(["oracle-check", "--n-max", "10",
+    def test_passes_up_to_the_cap(self, tmp_path, capsys):
+        assert main(["oracle-check", "--n-max", str(MAX_FULL_ATOMS),
                      "--out", str(tmp_path)]) == EXIT_OK
         payload = json.loads((tmp_path / "oracle_check.json").read_text())
         assert payload["all_passed"] is True
-        assert len(payload["reports"]) == 9
-        assert "N=10" in capsys.readouterr().out
+        assert len(payload["reports"]) == MAX_FULL_ATOMS - 1
+        assert f"N={MAX_FULL_ATOMS}:" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            assert main(["oracle-check", "--n-max", "8",
+            assert main(["oracle-check", "--n-max", str(MAX_FULL_ATOMS),
                          "--out", str(out)]) == EXIT_OK
         assert (out_a / "oracle_check.json").read_bytes() == (
             out_b / "oracle_check.json"
@@ -626,7 +627,7 @@ class TestOracleCheckCommand:
         # the timings live in the manifest, one per ensemble size
         manifest = json.loads((out_a / "manifest.json").read_text())
         assert sorted(manifest["timings"]) == sorted(
-            f"verify_ladder_n{n}" for n in range(2, 9)
+            f"verify_ladder_n{n}" for n in range(2, MAX_FULL_ATOMS + 1)
         )
 
     def test_smallest_ensemble(self, tmp_path):

@@ -319,6 +319,7 @@ def test_public_surface():
     from memamp import dicke, errors, joint, metrics, oracle
 
     assert [name for name in memamp.__all__ if not hasattr(memamp, name)] == []
+    assert "build_dicke_full" not in memamp.__all__
     for name in ["DensityMatrix", "PSD_TOL", "p_success_numeric", "dump_amplitudes",
                  "reduced_conditional_density", "joint_density_traced", "_herald_slice",
                  "JointState", "build_joint", "apply_write", "apply_read", "herald",
@@ -330,6 +331,7 @@ def test_public_surface():
     for name in ["DickeVector", "basis_state", "apply_ladder", "apply_ss_dagger",
                  "gain_eigenvalue", "weak_coherent_atomic_state", "inner", "fidelity",
                  "DEFAULT_K_MAX", "ALGEBRA_TOL", "FullStateVector",
-                 "apply_collective_full", "p_success_analytic", "ZeroNormError"]:
+                 "apply_collective_full", "p_success_analytic", "ZeroNormError",
+                 "build_dicke_full"]:
         for module in (memamp, dicke, oracle, metrics, errors):
             assert not hasattr(module, name), f"{module.__name__}.{name}"

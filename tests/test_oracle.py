@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from memamp import oracle
 from memamp.dicke import LadderDirection, ladder_coeff
 from memamp.errors import ResourceGuardError
 from memamp.oracle import (
-    build_dicke_full,
     collective_apply,
     popcounts,
     project_to_dicke,
     verify_ladder,
 )
+from reference import build_dicke_full, verify_ladder_per_level
 
 TOL = 1e-12
 
@@ -123,31 +124,45 @@ class TestCollectiveApply:
                     image = collective_apply(
                         build_dicke_full(k, n_atoms), n_atoms, raising
                     )
-                    _, residual = project_to_dicke(image, n_atoms)
-                    assert residual < TOL
+                    _, residuals = project_to_dicke(image, n_atoms)
+                    assert np.max(residuals) < TOL
 
 
 class TestProjectToDicke:
     def test_pure_dicke_state(self):
-        projected, residual = project_to_dicke(build_dicke_full(2, 5), 5)
+        projected, residuals = project_to_dicke(build_dicke_full(2, 5), 5)
         assert projected[2] == pytest.approx(1.0, abs=TOL)
         others = np.delete(projected, 2)
         assert np.max(np.abs(others)) < TOL
-        assert residual < TOL
+        assert np.max(residuals) < TOL
 
     def test_product_state_overlap_and_residual(self):
         # |sggg>: overlap 1/sqrt(4) with the symmetric single-excitation state,
-        # the rest of the norm lies outside the subspace
+        # the rest of the norm lies outside the subspace, all in sector 1
         amps = np.zeros(16, dtype=complex)
         amps[0b0001] = 1.0
-        projected, residual = project_to_dicke(amps, 4)
+        projected, residuals = project_to_dicke(amps, 4)
         assert projected[1] == pytest.approx(0.5, abs=TOL)
-        assert residual == pytest.approx(np.sqrt(3) / 2, abs=TOL)
+        assert residuals[1] == pytest.approx(np.sqrt(3) / 2, abs=TOL)
+        assert np.count_nonzero(residuals) == 1
+
+    def test_residuals_split_the_whole_residual(self):
+        # the popcount sectors are orthogonal: the per-sector residuals add in
+        # quadrature to the norm of everything outside the symmetric subspace
+        n_atoms = 6
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=1 << n_atoms) + 1j * rng.normal(size=1 << n_atoms)
+        projected, residuals = project_to_dicke(amps, n_atoms)
+        inside = sum(c * build_dicke_full(k, n_atoms) for k, c in enumerate(projected))
+        assert residuals.shape == (n_atoms + 1,)
+        assert np.linalg.norm(residuals) == pytest.approx(
+            np.linalg.norm(amps - inside), rel=TOL
+        )
 
     def test_zero_vector(self):
-        projected, residual = project_to_dicke(np.zeros(8, dtype=complex), 3)
+        projected, residuals = project_to_dicke(np.zeros(8, dtype=complex), 3)
         assert np.all(projected == 0)
-        assert residual == 0.0
+        assert np.all(residuals == 0.0)
 
 
 class TestCoefficientEquivalence:
@@ -158,12 +173,12 @@ class TestCoefficientEquivalence:
             for direction in LadderDirection:
                 raising = direction is LadderDirection.RAISE
                 image = collective_apply(source, n_atoms, raising)
-                projected, residual = project_to_dicke(image, n_atoms)
+                projected, residuals = project_to_dicke(image, n_atoms)
                 target_k = k + 1 if raising else k - 1
                 expected = ladder_coeff(direction, k, n_atoms)
                 observed = projected[target_k].real if 0 <= target_k <= n_atoms else 0.0
                 assert abs(observed - expected) < TOL
-                assert residual < TOL
+                assert np.max(residuals) < TOL
 
 
 class TestPathCounting:
@@ -209,3 +224,57 @@ class TestVerifyLadder:
         assert payload["n_atoms"] == 4
         assert payload["passed"] is True
         assert len(payload["entries"]) == 10
+
+    @pytest.mark.parametrize("n_atoms", range(2, oracle.MAX_FULL_ATOMS + 1))
+    def test_equals_per_level_reference(self, n_atoms):
+        # one flip pass per direction over every level gives each entry the
+        # numbers of its own level's pass, bit for bit
+        assert verify_ladder(n_atoms).to_dict() == verify_ladder_per_level(n_atoms)
+
+    def test_two_flip_passes_per_ensemble(self, monkeypatch):
+        calls = []
+
+        def counted(amps, n_atoms, raising):
+            calls.append(raising)
+            return collective_apply(amps, n_atoms, raising)
+
+        monkeypatch.setattr(oracle, "collective_apply", counted)
+        for n_atoms in (2, 9, 14):
+            calls.clear()
+            assert verify_ladder(n_atoms).passed
+            assert sorted(calls) == [False, True]
+
+
+def _scaled(amps, n_atoms, raising):
+    return collective_apply(amps, n_atoms, raising) * (1 + 1e-8)
+
+
+def _two_flip_leak(amps, n_atoms, raising):
+    # a small two-flip term: moves amplitude by two levels
+    once = collective_apply(amps, n_atoms, raising)
+    return once + 1e-6 * collective_apply(once, n_atoms, raising)
+
+
+def _swapped(amps, n_atoms, raising):
+    return collective_apply(amps, n_atoms, not raising)
+
+
+def _atom0_doubled(amps, n_atoms, raising):
+    # atom 0 flipped twice as strongly as the rest: no longer symmetric
+    out = collective_apply(amps, n_atoms, raising)
+    source, target = amps.reshape(-1, 2), out.reshape(-1, 2)
+    if raising:
+        target[:, 1] += source[:, 0] / np.sqrt(n_atoms)
+    else:
+        target[:, 0] += source[:, 1] / np.sqrt(n_atoms)
+    return out
+
+
+@pytest.mark.parametrize(
+    "faulty", [_scaled, _two_flip_leak, _swapped, _atom0_doubled],
+    ids=["scaled", "two_flip_leak", "swapped", "atom0_doubled"],
+)
+def test_faulty_flip_operator_fails(monkeypatch, faulty):
+    monkeypatch.setattr(oracle, "collective_apply", faulty)
+    for n_atoms in range(2, 11):
+        assert not verify_ladder(n_atoms).passed, n_atoms
