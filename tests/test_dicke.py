@@ -81,7 +81,7 @@ class TestApplyLadder:
         coeffs, residuals = ladder_image(0, 12, raising=True)
         assert coeffs[1] == pytest.approx(1.0, abs=TOL)
         assert np.sum(np.abs(coeffs)) == pytest.approx(1.0, abs=TOL)
-        assert np.max(residuals) < TOL
+        assert np.linalg.norm(residuals) < TOL
 
     def test_lower_ground_is_zero(self):
         image = collective_apply(build_dicke_full(0, 12), 12, raising=False)
@@ -142,7 +142,7 @@ class TestSSDagger:
         via_ladder, residuals = project_to_dicke(image, n_atoms)
         via_diag = ss_dagger_eigenvalues(n_atoms, n_atoms + 1) * coeffs
         assert np.allclose(via_diag, via_ladder, atol=TOL)
-        assert np.max(residuals) < TOL
+        assert np.linalg.norm(residuals) < TOL
 
 
 class TestGainEigenvalue:

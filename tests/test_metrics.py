@@ -319,7 +319,6 @@ def test_public_surface():
     from memamp import dicke, errors, joint, metrics, oracle
 
     assert [name for name in memamp.__all__ if not hasattr(memamp, name)] == []
-    assert "build_dicke_full" not in memamp.__all__
     for name in ["DensityMatrix", "PSD_TOL", "p_success_numeric", "dump_amplitudes",
                  "reduced_conditional_density", "joint_density_traced", "_herald_slice",
                  "JointState", "build_joint", "apply_write", "apply_read", "herald",

@@ -125,7 +125,7 @@ class TestCollectiveApply:
                         build_dicke_full(k, n_atoms), n_atoms, raising
                     )
                     _, residuals = project_to_dicke(image, n_atoms)
-                    assert np.max(residuals) < TOL
+                    assert np.linalg.norm(residuals) < TOL
 
 
 class TestProjectToDicke:
@@ -134,7 +134,7 @@ class TestProjectToDicke:
         assert projected[2] == pytest.approx(1.0, abs=TOL)
         others = np.delete(projected, 2)
         assert np.max(np.abs(others)) < TOL
-        assert np.max(residuals) < TOL
+        assert np.linalg.norm(residuals) < TOL
 
     def test_product_state_overlap_and_residual(self):
         # |sggg>: overlap 1/sqrt(4) with the symmetric single-excitation state,
@@ -178,7 +178,7 @@ class TestCoefficientEquivalence:
                 expected = ladder_coeff(direction, k, n_atoms)
                 observed = projected[target_k].real if 0 <= target_k <= n_atoms else 0.0
                 assert abs(observed - expected) < TOL
-                assert np.max(residuals) < TOL
+                assert np.linalg.norm(residuals) < TOL
 
 
 class TestPathCounting:
