@@ -8,7 +8,7 @@ schedules, and Monte Carlo sampling of heralding outcomes.
 
 from .dicke import LadderDirection, Schedule, ladder_coeff, relative_gain
 from .joint import EvolutionOrder, HeraldPattern, ModeTruncation
-from .metrics import QualityReport, quality
+from .metrics import QualityReport
 from .oracle import project_to_dicke, verify_ladder
 from .protocol import (
     AmplificationReport,
@@ -43,7 +43,6 @@ __all__ = [
     "ladder_coeff",
     "monte_carlo",
     "project_to_dicke",
-    "quality",
     "relative_gain",
     "run_schedule",
     "verify_ladder",

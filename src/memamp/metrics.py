@@ -8,8 +8,8 @@ Their complements multiply the amplification probability into a single
 quality number. Each is a ratio of squared norms of psi and of its projection
 o[n_a, n_b, n_c] = sum_k t_k^* psi[k, n_a, n_b, n_c]; no density matrix is
 built. `sector_norms` gives ||o[n_a, n_b]||^2 and ||o||^2 for each row of a
-batch, and `checked_p_mode`, `checked_p_spon` and `checked_p_amp` form the
-ratios and check their range:
+batch, and `QualityReport.from_norms` forms the ratios and the quality of one
+row, whose range the report checks once, on construction:
 
 - p_mode = 1 - ||o[n_a, n_b]||^2 / ||psi[:, n_a, n_b]||^2;
 - p_spon = 1 - ||o[n_a, n_b]||^2 / ||o||^2;
@@ -32,10 +32,9 @@ PROB_BAND = 1e-10
 MATRIX_TOL = 1e-12
 
 
-def _checked_probability(name: str, value: float) -> float:
+def _checked_probability(name: str, value: float) -> None:
     if not math.isfinite(value) or not -PROB_BAND <= value <= 1.0 + PROB_BAND:
         raise MetricRangeError(f"{name} = {value!r} outside [0, 1] tolerance band")
-    return float(value)
 
 
 def row_sums(x: np.ndarray) -> np.ndarray:
@@ -62,39 +61,6 @@ def sector_norms(psi: np.ndarray, t: np.ndarray, n_a: int, n_b: int) -> np.ndarr
     return np.stack([row_norms(o[:, n_a, n_b]), row_norms(o)])
 
 
-def checked_p_mode(sector: float, matched: float, n_a: int, n_b: int) -> float:
-    if sector <= 0.0:
-        raise UndefinedMetricError(
-            f"no probability in photon sector ({n_a}, {n_b}); p_mode undefined"
-        )
-    return _checked_probability("p_mode", 1.0 - matched / sector)
-
-
-def checked_p_spon(matched: float, atomic: float) -> float:
-    if atomic <= 0.0:
-        raise UndefinedMetricError(
-            "no probability on the target atomic mode; p_spon undefined"
-        )
-    return _checked_probability("p_spon", 1.0 - matched / atomic)
-
-
-def checked_p_amp(atomic: float, total: float) -> float:
-    if total <= 0.0:
-        raise UndefinedMetricError("zero joint state; p_amp undefined")
-    return _checked_probability("p_amp", atomic / total)
-
-
-def quality(p_amp_value: float, p_spon_value: float, p_mode_value: float) -> float:
-    """Amplifier quality: P_amp (1 - P_spon)(1 - P_mode)."""
-    for name, value in (
-        ("p_amp", p_amp_value),
-        ("p_spon", p_spon_value),
-        ("p_mode", p_mode_value),
-    ):
-        _checked_probability(name, value)
-    return p_amp_value * (1.0 - p_spon_value) * (1.0 - p_mode_value)
-
-
 @dataclass(frozen=True)
 class QualityReport:
     """Success probability, loss probabilities, gain and fidelity of one run."""
@@ -119,21 +85,39 @@ class QualityReport:
             )
 
     @classmethod
-    def build(
+    def from_norms(
         cls,
         p_suc: float,
-        p_mode_value: float,
-        p_spon_value: float,
-        p_amp_value: float,
+        norms: tuple[float, float, float, float],
+        counts: tuple[int, int],
         gain: float,
         fidelity: float,
     ) -> "QualityReport":
+        """Score a row from its squared norms (sector, matched, atomic, total),
+        ||psi[:, n_a, n_b]||^2, ||o[n_a, n_b]||^2, ||o||^2 and ||psi||^2, and
+        its herald counts (n_a, n_b). A zero denominator raises, checked for
+        p_mode, then p_spon, then p_amp; `__post_init__` checks the ranges."""
+        sector, matched, atomic, total = norms
+        if sector <= 0.0:
+            n_a, n_b = counts
+            raise UndefinedMetricError(
+                f"no probability in photon sector ({n_a}, {n_b}); p_mode undefined"
+            )
+        if atomic <= 0.0:
+            raise UndefinedMetricError(
+                "no probability on the target atomic mode; p_spon undefined"
+            )
+        if total <= 0.0:
+            raise UndefinedMetricError("zero joint state; p_amp undefined")
+        p_mode = 1.0 - matched / sector
+        p_spon = 1.0 - matched / atomic
+        p_amp = atomic / total
         return cls(
             p_suc=p_suc,
-            p_mode=p_mode_value,
-            p_spon=p_spon_value,
-            p_amp=p_amp_value,
-            q_amp=quality(p_amp_value, p_spon_value, p_mode_value),
+            p_mode=p_mode,
+            p_spon=p_spon,
+            p_amp=p_amp,
+            q_amp=p_amp * (1.0 - p_spon) * (1.0 - p_mode),
             gain=gain,
             fidelity=fidelity,
         )

@@ -34,9 +34,6 @@ from .joint import (
 )
 from .metrics import (
     QualityReport,
-    checked_p_amp,
-    checked_p_mode,
-    checked_p_spon,
     row_norms,
     row_sums,
     sector_norms,
@@ -313,7 +310,6 @@ def _target_gain(config: ProtocolConfig) -> float:
 
 def _check_headroom(config: ProtocolConfig, k_max: int) -> None:
     needed = config.stages + 1 if config.schedule is Schedule.TYPE_II else 2
-    needed = min(needed, config.n_atoms)
     if k_max < needed:
         raise ConfigError(
             f"atomic_k_max = {k_max} below the schedule's "
@@ -376,14 +372,12 @@ def run_batch(
     norms = np.stack([raw[live], *sector_norms(psi, targets, *counts), totals[live]])
     overlap = np.abs((states.conj() * targets).sum(axis=1)) ** 2
     fidelity = overlap / (row_norms(states) * row_norms(targets))
-    for pos, (i, p_suc, fid, (sector, matched, atomic, total)) in enumerate(
+    for pos, (i, p_suc, fid, row) in enumerate(
         zip(index, points.cumulative.tolist(), fidelity.tolist(), norms.T.tolist())
     ):
-        try:  # the checks raise in this order: p_mode, p_spon, p_amp, q_amp
-            qualities[i] = QualityReport.build(
-                p_suc, checked_p_mode(sector, matched, *counts),
-                checked_p_spon(matched, atomic), checked_p_amp(atomic, total),
-                _gain_of(states[pos], configs[i].alpha), fid,
+        try:
+            qualities[i] = QualityReport.from_norms(
+                p_suc, row, counts, _gain_of(states[pos], configs[i].alpha), fid
             )
             finals[i] = states[pos]
         except (MemampError, ValueError) as exc:
@@ -462,11 +456,13 @@ class _TrajectoryTree:
     truncation. ``states`` maps a path to the atomic state entering stage
     len(path), ``outcomes`` a node's path to its stage's (n_a, n_b, n_c)
     distribution over the evolved photon axes, 0 at or below ZERO_PROB_FLOOR.
-    The first node in level order that trips a guard raises."""
+    A truncation below the schedule's excitation reach is a ConfigError, as in
+    `run_batch`; the first node in level order that trips a guard raises."""
 
     def __init__(self, config: ProtocolConfig):
         self.plan = stage_plan(config)
         self.truncation = trunc = batch_key(config)[-1]
+        _check_headroom(config, trunc.atomic_k_max)
         root = weak_coherent_rows(np.array([config.alpha]), trunc.atomic_k_max + 1)
         self.states = {(): root[0]}
         self.outcomes: dict[tuple[int, ...], np.ndarray] = {}

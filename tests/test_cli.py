@@ -688,6 +688,25 @@ class TestMCCommand:
             monte_carlo(cli.config_from_dict(data), 1000)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "data, needed",
+        [
+            ({"n_atoms": 20, "schedule": "type2", "stages": 3,
+              "truncation": {"atomic_k_max": 2}}, 4),
+            ({"n_atoms": 20, "alpha": 0, "truncation": {"atomic_k_max": 1}}, 2),
+        ],
+        ids=["type2_overflows", "type1_vacuum_runs"],
+    )
+    def test_headroom_is_checked_as_in_simulate(self, tmp_path, capsys, data, needed):
+        k_max = data["truncation"]["atomic_k_max"]
+        message = (f"config error: atomic_k_max = {k_max} below the schedule's "
+                   f"excitation reach {needed}; enlarge the truncation\n")
+        assert simulate_exit(tmp_path, data) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert mc_exit(tmp_path, data, 1000) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out" / "mc_report.json").exists()
+
     @pytest.mark.parametrize("trials", [2**63, 10**30])
     def test_trials_beyond_a_count_is_config_error(self, tmp_path, capsys, trials):
         assert mc_exit(tmp_path, {"n_atoms": 100}, trials) == EXIT_CONFIG

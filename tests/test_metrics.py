@@ -5,24 +5,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from memamp import metrics
 from memamp.dicke import weak_coherent_rows
 from memamp.errors import ConfigError, MetricRangeError, UndefinedMetricError
 from memamp.joint import EvolutionOrder, HeraldPattern, ModeTruncation
-from memamp.metrics import (
-    QualityReport,
-    checked_p_amp,
-    checked_p_mode,
-    checked_p_spon,
-    quality,
-    row_norms,
-    sector_norms,
-)
-from memamp.protocol import STAGE_PATTERNS, ProtocolConfig
+from memamp.metrics import QualityReport, row_norms, sector_norms
+from memamp.protocol import STAGE_PATTERNS, ProtocolConfig, run_schedule
 from reference import (
     evolve_stage, p_success_numeric, pair_probability, traced_density,
 )
 
 TOL = 1e-12
+
+
+def score(psi, t, n_a=1, n_b=1):
+    """Row 0 of psi against the target row t, scored as `run_batch` scores it
+    on the (n_a, n_b) photon sector."""
+    (matched,), (atomic,) = sector_norms(psi, t, n_a, n_b)
+    norms = row_norms(psi[:, :, n_a, n_b])[0], matched, atomic, row_norms(psi)[0]
+    return QualityReport.from_norms(1.0, norms, (n_a, n_b), float("nan"), 1.0)
+
+
+def crafted(sector, matched, atomic, total, p_suc=0.5, counts=(1, 1)):
+    """A report scored from hand-picked squared norms."""
+    return QualityReport.from_norms(p_suc, (sector, matched, atomic, total), counts,
+                                    2.0, 1.0)
 
 
 class TestPSuccessAnalytic:
@@ -80,23 +87,19 @@ class TestPMode:
         psi = evolve_stage(weak_coherent_rows([alpha], 9)[0], config)
         gain = 2 * (1 - 1 / n_atoms)
         t = weak_coherent_rows(np.array([gain * alpha]), 9)
-        matched, _ = sector_norms(psi, t, 1, 1)
-        value = checked_p_mode(row_norms(psi[:, :, 1, 1])[0], matched[0], 1, 1)
-        assert abs(value) < 1e-10
+        assert abs(score(psi, t).p_mode) < 1e-10
 
     def test_orthogonal_atomic_mode_gives_one(self):
         psi = np.zeros((1, 2, 2, 2, 1), dtype=complex)
         psi[0, 1, 1, 1, 0] = 1.0  # photons present, atomic part orthogonal to |0>
-        matched, _ = sector_norms(psi, np.eye(2)[[0]], 1, 1)
-        value = checked_p_mode(row_norms(psi[:, :, 1, 1])[0], matched[0], 1, 1)
-        assert value == pytest.approx(1.0, abs=TOL)
+        psi[0, 0, 0, 0, 0] = 1.0  # the target mode, outside the photon sector
+        assert score(psi, np.eye(2)[[0]]).p_mode == pytest.approx(1.0, abs=TOL)
 
     def test_undefined_without_photons(self):
         psi = np.zeros((1, 2, 2, 2, 1), dtype=complex)
         psi[0, 0, 0, 0, 0] = 1.0
-        matched, _ = sector_norms(psi, np.eye(2)[[0]], 1, 1)
-        with pytest.raises(UndefinedMetricError):
-            checked_p_mode(row_norms(psi[:, :, 1, 1])[0], matched[0], 1, 1)
+        with pytest.raises(UndefinedMetricError, match="p_mode undefined$"):
+            score(psi, np.eye(2)[[0]])
 
     def test_lossy_exact_regression(self):
         # frozen after the first verified run of the loss-extended simulation
@@ -106,8 +109,7 @@ class TestPMode:
                                 order=EvolutionOrder.EXACT, truncation=trunc)
         psi = evolve_stage(weak_coherent_rows([0.1], 9)[0], config)
         t = weak_coherent_rows(np.array([0.1 * 1.98]), 9)
-        matched, _ = sector_norms(psi, t, 1, 1)
-        value = checked_p_mode(row_norms(psi[:, :, 1, 1])[0], matched[0], 1, 1)
+        value = score(psi, t).p_mode
         assert 0.0 < value < 1.0
         assert value == pytest.approx(0.0010932098140604696, rel=1e-9)
 
@@ -117,10 +119,9 @@ class TestPSpon:
         t = weak_coherent_rows(np.array([0.1998]), 9)
         psi = np.zeros((1,) + ModeTruncation().resolve(100).shape(), dtype=complex)
         psi[0, :, 1, 1, 0] = t[0]
-        (matched,), (atomic,) = sector_norms(psi, t, 1, 1)
-        assert abs(checked_p_spon(matched, atomic)) < TOL
-        sector = row_norms(psi[:, :, 1, 1])[0]
-        assert abs(checked_p_mode(sector, matched, 1, 1)) < TOL
+        report = score(psi, t)
+        assert abs(report.p_spon) < TOL
+        assert abs(report.p_mode) < TOL
 
     def test_tends_to_one_for_weak_coupling(self):
         n_atoms, alpha = 100, 0.1
@@ -130,18 +131,17 @@ class TestPSpon:
         for p in (1e-3, 1e-4, 1e-5):
             config = ProtocolConfig(n_atoms, p_w=p, p_r=p)
             psi = evolve_stage(weak_coherent_rows([alpha], 9)[0], config)
-            (matched,), (atomic,) = sector_norms(psi, t, 1, 1)
-            value = checked_p_spon(matched, atomic)
+            value = score(psi, t).p_spon
             assert value >= 1 - 10 * p
             values.append(value)
         assert values[0] < values[1] < values[2]
 
     def test_undefined_without_atomic_overlap(self):
+        # photons heralded, so p_mode = 1 is defined; nothing on the target mode
         psi = np.zeros((1, 2, 2, 2, 1), dtype=complex)
-        psi[0, 1, 0, 0, 0] = 1.0
-        (matched,), (atomic,) = sector_norms(psi, np.eye(2)[[0]], 1, 1)
-        with pytest.raises(UndefinedMetricError):
-            checked_p_spon(matched, atomic)
+        psi[0, 1, 1, 1, 0] = 1.0
+        with pytest.raises(UndefinedMetricError, match="p_spon undefined$"):
+            score(psi, np.eye(2)[[0]])
 
 
 #: no coupling: a stage leaves its atomic state in photon vacuum
@@ -149,16 +149,21 @@ VACUUM = ProtocolConfig(30, p_w=0.0, p_r=0.0)
 
 
 class TestPAmp:
+    """Uncoupled stages leave every row in the (0, 0) photon sector."""
+
     def test_target_projector_gives_one(self):
         psi = evolve_stage(weak_coherent_rows([0.2], 9)[0], VACUUM)
         t = weak_coherent_rows(np.array([0.2]), 9)
-        _, (atomic,) = sector_norms(psi, t, 1, 1)
-        assert checked_p_amp(atomic, row_norms(psi)[0]) == pytest.approx(1.0, abs=TOL)
+        assert score(psi, t, 0, 0).p_amp == pytest.approx(1.0, abs=TOL)
 
     def test_orthogonal_state_gives_zero(self):
+        near = np.eye(4)[2] + 1e-7 * np.eye(4)[0]
+        psi = evolve_stage(near / np.linalg.norm(near), VACUUM)
+        assert score(psi, np.eye(9)[[0]], 0, 0).p_amp == pytest.approx(0.0, abs=TOL)
+        # exactly orthogonal, p_spon is 0/0 before p_amp is formed
         psi = evolve_stage(np.eye(4)[2], VACUUM)
-        _, (atomic,) = sector_norms(psi, np.eye(9)[[0]], 1, 1)
-        assert checked_p_amp(atomic, row_norms(psi)[0]) == pytest.approx(0.0, abs=TOL)
+        with pytest.raises(UndefinedMetricError, match="p_spon undefined$"):
+            score(psi, np.eye(9)[[0]], 0, 0)
 
     def test_heralded_run_against_large_n_target(self):
         # conditional state (1, 0.1998) against the N >> 1 target (1, 0.2):
@@ -166,8 +171,7 @@ class TestPAmp:
         conditional = weak_coherent_rows([0.1998], 9)[0]
         psi = evolve_stage(conditional, replace(VACUUM, n_atoms=1000))
         t = weak_coherent_rows(np.array([0.2]), 9)
-        _, (atomic,) = sector_norms(psi, t, 1, 1)
-        value = checked_p_amp(atomic, row_norms(psi)[0])
+        value = score(psi, t, 0, 0).p_amp
         assert value == pytest.approx(0.9999999630149079, abs=1e-12)
 
 
@@ -189,14 +193,8 @@ def reference_metrics(psi, t, pattern):
 
 def amplitude_metrics(psi, t, pattern):
     """p_mode, p_spon and p_amp of row 0 as `run_batch` scores them."""
-    n_a, n_b = pattern.detect_a, pattern.detect_b
-    (matched,), (atomic,) = sector_norms(psi, t, n_a, n_b)
-    sector, total = row_norms(psi[:, :, n_a, n_b])[0], row_norms(psi)[0]
-    return {
-        "p_mode": checked_p_mode(sector, matched, n_a, n_b),
-        "p_spon": checked_p_spon(matched, atomic),
-        "p_amp": checked_p_amp(atomic, total),
-    }
+    report = score(psi, t, pattern.detect_a, pattern.detect_b)
+    return {"p_mode": report.p_mode, "p_spon": report.p_spon, "p_amp": report.p_amp}
 
 
 PATTERNS = [HeraldPattern(1, 1), HeraldPattern(1, 0), HeraldPattern(0, 1)]
@@ -250,55 +248,39 @@ class TestAgainstDensityMatrix:
 
 
 class TestQuality:
+    """q_amp = p_amp (1 - p_spon)(1 - p_mode), formed from crafted norms."""
+
     def test_perfect_amplifier(self):
-        assert quality(1.0, 0.0, 0.0) == 1.0
+        assert crafted(1.0, 1.0, 1.0, 1.0).q_amp == 1.0
 
     def test_mixed_case(self):
-        assert quality(0.5, 0.3, 0.3) == pytest.approx(0.245, abs=TOL)
+        report = crafted(1.0, 0.7, 1.0, 2.0)  # p_mode = p_spon = 0.3, p_amp = 0.5
+        assert report.q_amp == pytest.approx(0.245, abs=TOL)
 
     def test_total_spontaneous_loss(self):
-        assert quality(0.7, 1.0, 0.2) == 0.0
+        assert crafted(1.0, 0.0, 0.7, 1.0).q_amp == 0.0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(MetricRangeError):
-            quality(1.2, 0.0, 0.0)
+        with pytest.raises(MetricRangeError,
+                           match=r"^p_amp = 1\.2 outside \[0, 1\] tolerance band$"):
+            crafted(1.0, 1.0, 1.2, 1.0)
 
 
 class TestQualityReport:
     def test_product_identity_holds(self):
-        report = QualityReport.build(
-            p_suc=1e-4,
-            p_mode_value=0.1,
-            p_spon_value=0.4,
-            p_amp_value=0.9,
-            gain=1.98,
-            fidelity=0.99,
-        )
+        report = crafted(2.0, 1.8, 3.0, 10 / 3)  # p_mode 0.1, p_spon 0.4, p_amp 0.9
         assert report.q_amp == pytest.approx(
             report.p_amp * (1 - report.p_spon) * (1 - report.p_mode), abs=TOL
         )
 
     def test_band_edges_accepted(self):
-        report = QualityReport.build(
-            p_suc=-1e-11,
-            p_mode_value=0.0,
-            p_spon_value=0.0,
-            p_amp_value=1.0 + 1e-11,
-            gain=2.0,
-            fidelity=1.0,
-        )
+        report = crafted(1.0, 1.0 + 1e-11, 1.0 + 1e-11, 1.0, p_suc=-1e-11)
+        assert report.p_mode < 0.0
         assert report.p_amp > 1.0
 
     def test_out_of_band_rejected(self):
-        with pytest.raises(MetricRangeError):
-            QualityReport.build(
-                p_suc=0.5,
-                p_mode_value=-1e-3,
-                p_spon_value=0.0,
-                p_amp_value=1.0,
-                gain=2.0,
-                fidelity=1.0,
-            )
+        with pytest.raises(MetricRangeError, match="^p_mode = "):
+            crafted(1.0, 1.001, 1.001, 1.001)
 
     def test_broken_identity_rejected(self):
         with pytest.raises(ValueError):
@@ -323,7 +305,8 @@ def test_public_surface():
                  "reduced_conditional_density", "joint_density_traced", "_herald_slice",
                  "JointState", "build_joint", "apply_write", "apply_read", "herald",
                  "p_mode", "p_spon", "p_amp", "_apply_one", "_joint_norms",
-                 "_atomic_target_vector"]:
+                 "_atomic_target_vector", "checked_p_mode", "checked_p_spon",
+                 "checked_p_amp", "quality"]:
         for module in (memamp, joint, metrics):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     # the atomic state is a plain array everywhere: no wrapper classes
@@ -334,3 +317,40 @@ def test_public_surface():
                  "build_dicke_full"]:
         for module in (memamp, dicke, oracle, metrics, errors):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(QualityReport, "build")
+
+
+#: (sector, matched, atomic, total), herald counts, and what scoring raises
+FAILING_NORMS = {
+    "p_mode_undefined": ((0.0, 0.0, 1.0, 1.0), (1, 0), UndefinedMetricError,
+                         "no probability in photon sector (1, 0); p_mode undefined"),
+    "p_spon_undefined": ((1.0, 0.0, 0.0, 1.0), (1, 1), UndefinedMetricError,
+                         "no probability on the target atomic mode; p_spon undefined"),
+    "p_amp_undefined": ((1.0, 0.5, 1.0, 0.0), (1, 1), UndefinedMetricError,
+                        "zero joint state; p_amp undefined"),
+    "p_mode_out_of_band": ((1.0, 1.001, 1.001, 1.001), (1, 1), MetricRangeError,
+                           "p_mode = -0.0009999999999998899 outside [0, 1] "
+                           "tolerance band"),
+}
+
+
+class TestScoring:
+    @pytest.mark.parametrize("case", list(FAILING_NORMS))
+    def test_failing_norms_raise(self, case):
+        norms, counts, error, message = FAILING_NORMS[case]
+        with pytest.raises(error) as info:
+            crafted(*norms, counts=counts)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_one_range_check_per_probability(self, monkeypatch):
+        checked = []
+
+        def counting(name, value):
+            checked.append(name)
+            return original(name, value)
+
+        original = metrics._checked_probability
+        monkeypatch.setattr(metrics, "_checked_probability", counting)
+        assert run_schedule(ProtocolConfig(20)).quality is not None
+        assert checked == ["p_suc", "p_mode", "p_spon", "p_amp", "q_amp", "fidelity"]
