@@ -27,7 +27,7 @@ from .errors import (
     TruncationLeakageError,
     TruncationOverflowError,
 )
-from .metrics import row_sums
+from .metrics import norm, row_sums
 
 #: Total tensor dimension cap for any joint state.
 DIM_CAP = 2_000_000
@@ -247,43 +247,75 @@ def _check_boundaries(
             errors.setdefault(i, error(message.format(proc.name, pops[i], name)))
 
 
+def _stencil(
+    shape: tuple[int, ...],
+    w_det: np.ndarray,
+    w_loss: np.ndarray | None,
+    process: str,
+) -> list:
+    """G's couplings on tensors of ``shape``, one per weight array given: its
+    weights, the slice of lower entries (level k) they fill, and the distance
+    from a lower entry to the upper one it couples to, in the flattened
+    (C-contiguous) tensor. The four trailing axes are (k, n_a, n_b, n_c); any
+    leading axes are batch axes, matched by the weights'."""
+    _, a, b, c = shape[-4:]
+    if process == "write":
+        couplings = [(w_det, np.s_[..., :-1, :-1, :, :], (a + 1) * b * c),
+                     (w_loss, np.s_[..., :-1, :, :, :-1], a * b * c + 1)]
+    else:
+        couplings = [(w_det, np.s_[..., :-1, :, 1:, :], a * b * c - c),
+                     (w_loss, np.s_[..., :-1, :, :, 1:], a * b * c - 1)]
+    return [coupling for coupling in couplings if coupling[0] is not None]
+
+
+def _flat_stencil(
+    shape: tuple[int, ...],
+    w_det: np.ndarray,
+    w_loss: np.ndarray | None,
+    process: str,
+) -> list:
+    """`_stencil` with each coupling's weights broadcast once into a flat
+    array over its lower entries, 0 where a cutoff breaks a pair, in place of
+    the slice (None): for a series, which applies one stencil many times."""
+    stencil = []
+    for weights, lower, shift in _stencil(shape, w_det, w_loss, process):
+        w = np.zeros(shape, dtype=np.complex128)
+        w[lower] = weights
+        stencil.append((w.reshape(-1)[: w.size - shift], None, shift))
+    return stencil
+
+
 def _add_generator(
     out: np.ndarray,
     psi: np.ndarray,
-    w_det: np.ndarray,
-    w_loss: np.ndarray | None,
+    stencil: list,
+    scratch: np.ndarray,
     process: str,
 ) -> np.ndarray:
     """Add G psi into ``out``, G the process's anti-Hermitian ladder generator.
 
     Write couples (k, n_a, n_c) to (k+1, n_a+1, n_c) and (k+1, n_a, n_c+1);
     read couples (k, n_b, n_c) to (k-1, n_b+1, n_c) and (k-1, n_b, n_c+1).
-    The four trailing axes are (k, n_a, n_b, n_c); any leading axes are batch
-    axes, matched by the weights'. Entries no path reaches stay exactly zero.
-    A coupled pair lies a fixed distance apart in the flattened (C-contiguous)
-    arrays, so each term is a product of flat arrays, which numpy runs without
-    buffers; ``scratch`` holds the weights, 0 where a cutoff breaks a pair.
+    Entries no path reaches stay exactly zero. A coupled pair lies a fixed
+    distance apart in the flattened arrays, so each term is a product of flat
+    arrays, which numpy runs without buffers, into ``scratch``, an array like
+    ``psi``. ``stencil`` is `_stencil`'s, whose weights are broadcast into
+    ``scratch`` before each product (the product overwrites them), or
+    `_flat_stencil`'s, whose flat weights are read as they are.
     """
-    _, a, b, c = psi.shape[-4:]
-    scratch = np.empty_like(psi)
     w, flat_psi, flat_out = scratch.reshape(-1), psi.reshape(-1), out.reshape(-1)
-    if process == "write":  # raising: the upper entry (level k + 1) gains first
-        couplings = [(w_det, np.s_[..., :-1, :-1, :, :], (a + 1) * b * c),
-                     (w_loss, np.s_[..., :-1, :, :, :-1], a * b * c + 1)]
-    else:  # lowering: the lower entry (level k) gains first
-        couplings = [(w_det, np.s_[..., :-1, :, 1:, :], a * b * c - c),
-                     (w_loss, np.s_[..., :-1, :, :, 1:], a * b * c - 1)]
-    for weights, lower, shift in couplings:
-        if weights is None:
-            continue
+    for weights, lower, shift in stencil:
         n = w.size - shift
-        src, dst = np.s_[:n], np.s_[shift:]
-        if process != "write":
+        src, dst = np.s_[:n], np.s_[shift:]  # raising: the upper entry gains first
+        if process != "write":  # lowering: the lower entry (level k) gains first
             src, dst = dst, src
-        w[:] = 0.0
+        broadcast = lower is not None
+        if broadcast:
+            w[:] = 0.0
         for frm, to, add in ((src, dst, np.add), (dst, src, np.subtract)):
-            scratch[lower] = weights
-            np.multiply(w[:n], flat_psi[frm], out=w[:n])
+            if broadcast:
+                scratch[lower] = weights
+            np.multiply(w[:n] if broadcast else weights, flat_psi[frm], out=w[:n])
             add(flat_out[to], w[:n], out=flat_out[to])
     return out
 
@@ -300,30 +332,42 @@ def _exact_apply(
     ceil(bound) substeps of exp(G/s) keep ||G/s|| <= 1, so the terms
     G^j psi / (s^j j!) fall at least factorially; each substep sums them
     until one drops below SERIES_TOL of the partial sum (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33(2), 2011).
+    SIAM J. Sci. Comput. 33(2), 2011). The flat weights of G/s are built
+    once, for every term of every substep. Norms are `metrics.norm`'s; the
+    partial sum's is taken only once a term is small against ``reach``, an
+    upper bound on it, since no larger term can pass the test.
     """
     steps = math.ceil(bound)
     w_det = w_det / steps
     w_loss = None if w_loss is None else w_loss / steps
+    stencil = _flat_stencil(psi.shape, w_det, w_loss, process)
+    scratch = np.empty_like(psi)
+    terms = np.empty_like(psi), np.empty_like(psi)  # each term's, in turn
+    before = size = norm(psi)
     total = psi
     for _ in range(steps):
         term = total
         total = total.copy()
+        reach = size  # ||total|| <= the sum of its parts' norms
         for j in range(1, SERIES_TERM_CAP + 1):
-            term = _add_generator(np.zeros_like(term), term, w_det, w_loss, process)
+            out = terms[j % 2]
+            out.fill(0.0)
+            term = _add_generator(out, term, stencil, scratch, process)
             term /= j
             total += term
-            if np.linalg.norm(term) <= SERIES_TOL * np.linalg.norm(total):
-                break
+            small = norm(term)
+            reach += small
+            if small <= 2.0 * SERIES_TOL * reach:  # 2: whatever the rounding
+                size = norm(total)
+                if small <= SERIES_TOL * size:
+                    break
         else:
             raise MemampError(
                 f"{process}: Taylor series did not converge in {SERIES_TERM_CAP} terms"
             )
-    before = np.linalg.norm(psi)
-    after = np.linalg.norm(total)
-    if abs(after - before) > UNITARY_TOL * max(1.0, before):
+    if abs(size - before) > UNITARY_TOL * max(1.0, before):
         raise MemampError(
-            f"exact evolution drifted the norm by {abs(after - before):.3e}"
+            f"exact evolution drifted the norm by {abs(size - before):.3e}"
         )
     return total
 
@@ -341,7 +385,8 @@ def apply_process(
     exact = proc.order is EvolutionOrder.EXACT
     if not exact:
         _check_boundaries(psi, proc, errors, exact)
-        out = _add_generator(psi.copy(), psi, w_det, w_loss, proc.name)
+        stencil = _stencil(psi.shape, w_det, w_loss, proc.name)
+        out = _add_generator(psi.copy(), psi, stencil, np.empty_like(psi), proc.name)
     else:
         out = psi.copy()
         for i in np.flatnonzero(active):

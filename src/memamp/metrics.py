@@ -43,6 +43,14 @@ def row_sums(x: np.ndarray) -> np.ndarray:
     return x.reshape(len(x), math.prod(x.shape[1:])).sum(axis=1)
 
 
+def norm(x: np.ndarray) -> float:
+    """Euclidean norm of all of x's entries, from the float64 sums that
+    `np.linalg.norm` forms, so bit for bit its value, without its wrapper."""
+    flat = x.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Squared norm of each row over its trailing axes, as `row_sums` sums."""
     sq = np.abs(x)

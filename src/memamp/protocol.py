@@ -34,6 +34,7 @@ from .joint import (
 )
 from .metrics import (
     QualityReport,
+    norm,
     row_norms,
     row_sums,
     sector_norms,
@@ -490,7 +491,7 @@ class _TrajectoryTree:
         rows, n_c = probs[:, n_a, n_b].nonzero()
         children = [paths[r] + (c,) for r, c in zip(rows.tolist(), n_c.tolist())]
         for child, column in zip(children, psi[rows, :, n_a, n_b, n_c]):
-            self.states[child] = column / np.linalg.norm(column)
+            self.states[child] = column / norm(column)
         return children
 
     def success_probability(self, path: tuple[int, ...] = ()) -> float:

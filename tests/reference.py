@@ -11,8 +11,10 @@ from dataclasses import replace
 import numpy as np
 
 from memamp.dicke import LadderDirection, Schedule, ladder_coeff, weak_coherent_rows
-from memamp.errors import ResourceGuardError
-from memamp.joint import ZERO_PROB_FLOOR, herald_rows
+from memamp.errors import MemampError, ResourceGuardError
+from memamp.joint import (
+    SERIES_TERM_CAP, SERIES_TOL, UNITARY_TOL, ZERO_PROB_FLOOR, herald_rows,
+)
 from memamp.metrics import row_norms
 from memamp.oracle import (
     MAX_FULL_ATOMS, RESIDUAL_TOL, VERIFY_TOL, collective_apply, popcounts,
@@ -213,6 +215,37 @@ def add_generator_by_slices(out, psi, w_det, w_loss, process):
             out[..., :-1, :, :, 1:] += w_loss * psi[..., 1:, :, :, :-1]
             out[..., 1:, :, :, :-1] -= w_loss * psi[..., :-1, :, :, 1:]
     return out
+
+
+def exact_series_by_slices(psi, w_det, w_loss, bound, process):
+    """`joint._exact_apply` with each term a fresh `add_generator_by_slices`
+    on a zeroed buffer and `np.linalg.norm` in the stop test and the drift
+    check: ceil(bound) substeps of exp(G/s), each summed until a term falls
+    below SERIES_TOL of the partial sum."""
+    steps = math.ceil(bound)
+    w_det = w_det / steps
+    w_loss = None if w_loss is None else w_loss / steps
+    total = psi
+    for _ in range(steps):
+        term = total
+        total = total.copy()
+        for j in range(1, SERIES_TERM_CAP + 1):
+            term = add_generator_by_slices(np.zeros_like(term), term, w_det, w_loss,
+                                           process)
+            term /= j
+            total += term
+            if np.linalg.norm(term) <= SERIES_TOL * np.linalg.norm(total):
+                break
+        else:
+            raise MemampError(
+                f"{process}: Taylor series did not converge in {SERIES_TERM_CAP} terms"
+            )
+    before, after = np.linalg.norm(psi), np.linalg.norm(total)
+    if abs(after - before) > UNITARY_TOL * max(1.0, before):
+        raise MemampError(
+            f"exact evolution drifted the norm by {abs(after - before):.3e}"
+        )
+    return total
 
 
 class TrajectoryTreePerNode:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -25,7 +25,7 @@ from memamp.joint import EvolutionOrder, HeraldPattern, ModeTruncation
 from memamp.metrics import row_norms
 from memamp.protocol import ProtocolConfig, StageKind
 from reference import (
-    add_generator_by_slices, evolve_stage, fidelity, heralded,
+    add_generator_by_slices, evolve_stage, exact_series_by_slices, fidelity, heralded,
     reduced_conditional_density, zero_padded,
 )
 
@@ -183,7 +183,9 @@ def one_row_weights(n_atoms, trunc, p, beta, process):
 
 class TestStencil:
     """The flattened stencil adds the same terms, in the same order, as one
-    shifted-slice update per coupling term."""
+    shifted-slice update per coupling term: with its weights broadcast into
+    scratch on each product (first order) or built once as flat arrays (the
+    exact series)."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -191,10 +193,11 @@ class TestStencil:
         dims=st.tuples(*[st.integers(min_value=lo, max_value=5) for lo in (1, 1, 1, 0)]),
         process=st.sampled_from(["write", "read"]),
         batch_axis=st.booleans(),
+        flat=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_the_slice_updates_to_the_bit(
-        self, seed, rows, dims, process, batch_axis
+        self, seed, rows, dims, process, batch_axis, flat
     ):
         rng = np.random.default_rng(seed)
         trunc = ModeTruncation(dims[1], dims[2], dims[3], dims[0])
@@ -217,8 +220,14 @@ class TestStencil:
             psi, out, w_det = psi[0], out[0], w_det[0]
             w_loss = None if w_loss is None else w_loss[0]
         expected = add_generator_by_slices(out.copy(), psi, w_det, w_loss, process)
-        got = joint._add_generator(out.copy(), psi, w_det, w_loss, process)
+        build = joint._flat_stencil if flat else joint._stencil
+        stencil = build(psi.shape, w_det, w_loss, process)
+        scratch = np.empty_like(psi)
+        got = joint._add_generator(out.copy(), psi, stencil, scratch, process)
         assert got.tobytes() == expected.tobytes()
+        if flat:  # the flat weights survive the call, for the next term
+            again = joint._add_generator(out.copy(), psi, stencil, scratch, process)
+            assert again.tobytes() == expected.tobytes()
 
 
 class TestExactSeries:
@@ -290,6 +299,42 @@ class TestExactSeries:
         assert np.all(vacuum_b[~reachable] == 0)
         assert np.all(vacuum_b[reachable] != 0)
         assert np.all(out[:, :, 1:] == 0)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dims=st.tuples(*[st.integers(min_value=lo, max_value=5) for lo in (1, 1, 1, 0)]),
+        process=st.sampled_from(["write", "read"]),
+        p=st.floats(min_value=1e-4, max_value=2.0),
+        lossy=st.booleans(),
+    )
+    # a lossy and a lossless row whose bounds need several substeps
+    @example(seed=0, dims=(5, 5, 5, 5), process="write", p=2.0, lossy=True)
+    @example(seed=1, dims=(4, 3, 3, 0), process="read", p=0.5, lossy=False)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_slice_series_to_the_bit(self, seed, dims, process, p, lossy):
+        rng = np.random.default_rng(seed)
+        trunc = ModeTruncation(dims[1], dims[2], dims[3], dims[0])
+        n_atoms = int(rng.integers(dims[0], 300))
+        beta = rng.uniform(0.05, 1.0) if lossy and trunc.fock_c_max else 1.0
+        w_det, w_loss, bound = one_row_weights(n_atoms, trunc, p, beta, process)
+        shape = trunc.shape()
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psi = np.where(rng.random(shape) < 0.6, psi, 0.0)
+        psi /= np.linalg.norm(psi) or 1.0
+        expected = exact_series_by_slices(psi, w_det, w_loss, bound, process)
+        got = joint._exact_apply(psi, w_det, w_loss, bound, process)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_drift_guard_raises(self):
+        # imaginary weights make G = C - C^T Hermitian, not anti-Hermitian,
+        # so exp(G) changes the norm. An understated bound drifts far less:
+        # a series large enough to drift by 1e-10 hits the term cap first
+        trunc = ModeTruncation(3, 3, 0, 4).resolve(20)
+        psi = np.random.default_rng(0).normal(size=trunc.shape()) + 0j
+        psi /= np.linalg.norm(psi)
+        w_det, _, bound = one_row_weights(20, trunc, 1e-2, 1.0, "write")
+        with pytest.raises(MemampError, match="exact evolution drifted the norm by"):
+            joint._exact_apply(psi, 1j * w_det, None, bound, "write")
 
     def test_term_cap_raises(self):
         # an understated norm bound (true bound 18.3) leaves one substep,
