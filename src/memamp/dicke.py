@@ -1,15 +1,16 @@
 """Closed forms of the permutation-symmetric subspace of N two-level atoms.
 
 States with k excited atoms out of N form an (N+1)-dimensional ladder; the
-collective raising/lowering operators act tridiagonally on it with closed-form
-coefficients, valid for arbitrarily large N (no factorials are ever
-evaluated). A state on the ladder is a plain complex array over the levels
-k = 0..k_max, or a batch of them as rows.
+collective raising/lowering operators act tridiagonally on it. Every
+coefficient and gain derives from one closed form, the `ladder_eigenvalue`
+eta = (k+1)(N-k)/N, valid for arbitrarily large N. A state on the ladder is a
+plain complex array over the levels k = 0..k_max, or a batch of them as rows.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -32,40 +33,37 @@ class Schedule(enum.Enum):
     TYPE_II = "type2"
 
 
-def ladder_coeff(direction: LadderDirection, k: int, n_atoms: int) -> float:
-    """Matrix element of the collective ladder operator between neighbor levels.
+def ladder_eigenvalue(k, n_atoms):
+    """eta = (k+1)(N-k)/N, the eigenvalue of raise-then-lower on level k: above
+    1 exactly when N >= k + 2, 0 at k = N and k = -1. It rounds once, so it is
+    correctly rounded on Python ints at any N (numpy ints would wrap) and on
+    floats or arrays while (k+1)(N-k) is exact."""
+    return (k + 1) * (n_atoms - k) / n_atoms
 
-    Raising from k gives sqrt((k+1)(1 - k/N)); lowering from k gives
-    sqrt(k(1 - (k-1)/N)). Both vanish exactly at the physical boundaries
-    (raising from k = N, lowering from k = 0).
-    """
+
+def ladder_coeff(direction: LadderDirection, k: int, n_atoms: int) -> float:
+    """Matrix element of the collective ladder operator between neighbor
+    levels: sqrt(eta(k)) raising from k and sqrt(eta(k-1)) lowering from k,
+    eta the `ladder_eigenvalue`; so 0 raising from N and lowering from 0."""
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
     if not 0 <= k <= n_atoms:
         raise ValueError(f"k={k} outside 0..{n_atoms}")
-    if direction is LadderDirection.RAISE:
-        if k == n_atoms:
-            return 0.0
-        return float(np.sqrt((k + 1) * (1.0 - k / n_atoms)))
-    if k == 0:
-        return 0.0
-    return float(np.sqrt(k * (1.0 - (k - 1) / n_atoms)))
+    below = k if direction is LadderDirection.RAISE else k - 1
+    return math.sqrt(ladder_eigenvalue(int(below), int(n_atoms)))
 
 
 def relative_gain(schedule: Schedule, n_rounds: int, n_atoms: int) -> float:
-    """Amplitude gain of the single-excitation component after n rounds.
-
-    TYPE_I: 2^n (1 - 1/N)^n, TYPE_II: (n+1)(1 - n/N); both equal the ratio of
-    the k=1 and k=0 eigenvalues of the n-round operator, ((k+1)(1-k/N))^n for
-    TYPE_I and prod_{h=k+1}^{k+n} h(1-(h-1)/N) for TYPE_II.
-    """
+    """Amplitude gain of the single-excitation component after n rounds, the
+    k=1 over k=0 eigenvalue of the n-round operator (eta the `ladder_eigenvalue`):
+    eta(1)^n for TYPE_I, eta(1)...eta(n) / eta(0)...eta(n-1) = eta(n) for TYPE_II."""
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
     if schedule is Schedule.TYPE_I:
-        return float((2.0 * (1.0 - 1.0 / n_atoms)) ** n_rounds)
-    return float((n_rounds + 1) * (1.0 - n_rounds / n_atoms))
+        return ladder_eigenvalue(1, int(n_atoms)) ** int(n_rounds)
+    return ladder_eigenvalue(int(n_rounds), int(n_atoms))
 
 
 def weak_coherent_rows(alpha: np.ndarray, size: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .dicke import ladder_eigenvalue
 from .errors import (
     MemampError,
     MixedConditionalError,
@@ -186,8 +187,8 @@ class Process:
         self.n_atoms, self.p, self.beta = n_atoms, p, beta
         trunc, write = truncation, name == "write"
         k = np.arange(trunc.atomic_k_max)
-        # raise coefficient from level k (the lower one from k+1), as ladder_coeff
-        ladder = np.sqrt((k + 1) * (1.0 - k / n_atoms[:, None]))
+        # ladder_coeff raising k; N capped where eta is k+1 so (k+1)(N-k) stays finite
+        ladder = np.sqrt(ladder_eigenvalue(k, np.minimum(n_atoms, 2.0**1000)[:, None]))
         lad = ladder.reshape(ladder.shape + (1, 1, 1))
         n_det = trunc.fock_a_max if write else trunc.fock_b_max
         sq_det = np.sqrt(np.arange(1, n_det + 1))  # along n_a (write) or n_b (read)

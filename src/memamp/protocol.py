@@ -103,6 +103,7 @@ class ProtocolConfig:
             raise ConfigError(f"alpha: expected a number, got {self.alpha!r}")
         if not is_integer(self.n_atoms) or self.n_atoms < 1:
             raise ConfigError(f"n_atoms must be a positive integer, got {self.n_atoms}")
+        to_number("n_atoms", float, self.n_atoms)  # a run holds N as a float
         if not is_integer(self.stages) or self.stages < 1:
             raise ConfigError(f"stages must be a positive integer, got {self.stages}")
         if self.stages + 1 > self.n_atoms:

@@ -7,6 +7,7 @@ forms of the ladder algebra on plain arrays over the Dicke levels k, and the
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -119,23 +120,30 @@ def weak_coherent_rows_per_row(alpha, size):
     return amps[:, :size]
 
 
+def exact_eta(k, n_atoms):
+    """The ladder eigenvalue (k+1)(N-k)/N as an exact Fraction."""
+    return Fraction((k + 1) * (n_atoms - k), n_atoms)
+
+
 def ss_dagger_eigenvalues(n_atoms, levels):
-    """Eigenvalue (k+1)(1 - k/N) of raise-then-lower on each level k < levels."""
-    k = np.arange(levels)
-    return (k + 1) * (1.0 - k / n_atoms)
+    """Eigenvalue (k+1)(N-k)/N of raise-then-lower on each level k < levels,
+    exact and rounded once."""
+    return np.array([float(exact_eta(k, n_atoms)) for k in range(levels)])
 
 
 def gain_eigenvalues(schedule, n_atoms, n_rounds, levels):
     """Eigenvalue of the n-round amplification operator on each level k <
-    levels. TYPE_I: ((k+1)(1-k/N))^n. TYPE_II: prod_{h=k+1}^{k+n} h(1-(h-1)/N),
-    zero where k + n > N (the ladder tops out at N excitations)."""
-    if schedule is Schedule.TYPE_I:
-        return ss_dagger_eigenvalues(n_atoms, levels) ** n_rounds
-    k = np.arange(levels)
-    result = np.ones(levels)
-    for h in range(1, n_rounds + 1):
-        result *= (k + h) * (1.0 - (k + h - 1) / n_atoms)
-    return result
+    levels, exact and rounded once, with eta(h) = (h+1)(N-h)/N. TYPE_I:
+    eta(k)^n. TYPE_II: prod_{h=k}^{k+n-1} eta(h), zero where k + n > N (the
+    ladder tops out at N excitations, where eta(N) = 0)."""
+    exact = []
+    for k in range(levels):
+        if schedule is Schedule.TYPE_I:
+            exact.append(exact_eta(k, n_atoms) ** n_rounds)
+        else:
+            etas = [exact_eta(h, n_atoms) for h in range(k, k + n_rounds)]
+            exact.append(math.prod(etas))
+    return np.array([float(value) for value in exact])
 
 
 def pair_probability(p_w, p_r):

@@ -6,7 +6,9 @@ checklist (`pytest -s tests/test_acceptance.py`).
 
 import contextlib
 import json
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from memamp.protocol import (
     run_schedule,
 )
 from reference import (
-    evolve_stage, fidelity, heralded, p_success_numeric, pair_probability,
-    verify_ladder_per_level,
+    evolve_stage, exact_eta, fidelity, heralded, p_success_numeric, pair_probability,
+    ss_dagger_eigenvalues, verify_ladder_per_level,
 )
 
 
@@ -46,7 +48,7 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_heralded_gain_eq14():
-    with criterion(2, "heralded gain factor (k+1)(1-k/N)"):
+    with criterion(2, "heralded gain factor (k+1)(N-k)/N"):
         p = 1e-3
         for n_atoms in (3, 10, 100, 10**4):
             trunc = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
@@ -55,7 +57,7 @@ def test_criterion_2_heralded_gain_eq14():
                 atomic = np.eye(min(n_atoms, 7) + 1)[k]
                 states, raw = heralded(evolve_stage(atomic, config), HeraldPattern(1, 1))
                 factor = np.sqrt(raw[0]) / p
-                expected = (k + 1) * (1.0 - k / n_atoms)
+                expected = ss_dagger_eigenvalues(n_atoms, k + 1)[k]
                 assert abs(factor - expected) <= 1e-12
                 if expected > 0:
                     level = np.eye(states.shape[1])[k]
@@ -88,8 +90,10 @@ def test_criterion_4_gain_table(tmp_path):
         type1 = [float(row[1]) for row in rows]
         type2 = [float(row[2]) for row in rows]
         for n in range(11):
-            assert type1[n] == (2.0 * (1.0 - 1.0 / 100)) ** n
-            assert type2[n] == (n + 1) * (1.0 - n / 100)
+            exact = exact_eta(1, 100) ** n
+            assert abs(Fraction(type1[n]) - exact) <= (n + 1) * Fraction(
+                math.ulp(float(exact)))
+            assert type2[n] == float(exact_eta(n, 100))
         assert type1[1] == type2[1]
         for n in range(2, 11):
             assert type1[n] > type2[n]

@@ -113,6 +113,17 @@ class TestGainCommand:
         gain = float(rows[10][1])
         assert abs(gain - 1024) / 1024 < 1e-5
 
+    def test_ensemble_beyond_the_float_range(self, tmp_path, capsys):
+        # 2^n and n+1 exactly: at N = 10^400, (2(N-1)/N)^n and (n+1)(N-n)/N
+        # round to them, with N kept an integer
+        assert main(["gain", "--n-atoms", str(10**400), "--n-max", "10",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows = read_csv(tmp_path / "gain.csv")
+        assert [row[1:] for row in rows] == [
+            [repr(2.0**n), repr(n + 1.0)] for n in range(11)
+        ]
+
     def test_headroom_guard(self, tmp_path):
         assert main(["gain", "--n-atoms", "4", "--n-max", "3",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -886,9 +897,10 @@ class TestUnreadableNumbersAndFiles:
         "command, key, value",
         [("simulate", "p_w", _HUGE), ("simulate", "alpha", _HUGE),
          ("simulate", "alpha", [_HUGE, 0]), ("mc", "beta_r", -_HUGE),
-         ("mc", "alpha", [0.0, _HUGE])],
+         ("mc", "alpha", [0.0, _HUGE]), ("simulate", "n_atoms", _HUGE),
+         ("mc", "n_atoms", _HUGE)],
         ids=["simulate_p_w", "simulate_alpha", "simulate_alpha_pair", "mc_beta_r",
-             "mc_alpha_pair"],
+             "mc_alpha_pair", "simulate_n_atoms", "mc_n_atoms"],
     )
     def test_huge_integer_names_the_key(self, tmp_path, capsys, command, key, value):
         data = {"n_atoms": 100, key: value}
@@ -902,11 +914,12 @@ class TestUnreadableNumbersAndFiles:
 
     def test_huge_integer_on_a_sweep_axis_names_the_key(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"
-        sweep.write_text(json.dumps({"base": {"n_atoms": 100},
-                                     "axes": {"p_r": [0.01, _HUGE]}}))
-        assert main(["sweep", "--config", str(sweep),
-                     "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: p_r:")
+        for key, values in [("p_r", [0.01, _HUGE]), ("n_atoms", [100, _HUGE])]:
+            sweep.write_text(json.dumps({"base": {"n_atoms": 100},
+                                         "axes": {key: values}}))
+            assert main(["sweep", "--config", str(sweep),
+                         "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
     @pytest.mark.parametrize("command", ["simulate", "mc", "sweep"])
     def test_config_not_utf8_is_config_error(self, tmp_path, capsys, command):

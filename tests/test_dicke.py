@@ -1,5 +1,8 @@
 """Closed-form ladder algebra, gain formulas and state helpers."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,16 +12,20 @@ from memamp.dicke import (
     LadderDirection,
     Schedule,
     ladder_coeff,
+    ladder_eigenvalue,
     relative_gain,
     weak_coherent_rows,
 )
 from memamp.errors import ConfigError, TruncationOverflowError
-from memamp.joint import HeraldPattern, ModeTruncation, herald_rows
+from memamp.joint import (
+    EvolutionOrder, HeraldPattern, ModeTruncation, Process, herald_rows,
+)
 from memamp.oracle import collective_apply, project_to_dicke
 from memamp.protocol import ProtocolConfig, StageKind, run_schedule
 from reference import (
     build_dicke_full,
     evolve_stage,
+    exact_eta,
     fidelity,
     gain_eigenvalues,
     ss_dagger_eigenvalues,
@@ -115,9 +122,64 @@ class TestApplyLadder:
         k = min(k, n_atoms)
         up = ladder_coeff(LadderDirection.RAISE, k, n_atoms)
         down = ladder_coeff(LadderDirection.LOWER, k + 1, n_atoms) if k < n_atoms else 0
-        expected = (k + 1) * (1.0 - k / n_atoms)
-        assert abs(up * down - expected) <= TOL
         assert abs(up * down - ss_dagger_eigenvalues(n_atoms, k + 1)[k]) <= TOL
+
+
+class TestLadderRoundedOnce:
+    """Every form of eta = (k+1)(N-k)/N against exact rational arithmetic on
+    all k < N < 400."""
+
+    PAIRS = [(k, n) for n in range(1, 400) for k in range(n)]
+
+    def test_eta_and_type2_gain_are_correctly_rounded(self):
+        for k, n_atoms in self.PAIRS:
+            exact = float(exact_eta(k, n_atoms))
+            assert ladder_eigenvalue(k, n_atoms) == exact, (k, n_atoms)
+            assert relative_gain(Schedule.TYPE_II, k, n_atoms) == exact, (k, n_atoms)
+
+    def test_ladder_coeff_is_the_root_of_eta(self):
+        for k, n_atoms in self.PAIRS:
+            root = math.sqrt(float(exact_eta(k, n_atoms)))
+            assert ladder_coeff(LadderDirection.RAISE, k, n_atoms) == root, (k, n_atoms)
+            assert ladder_coeff(LadderDirection.LOWER, k + 1, n_atoms) == root, (
+                k, n_atoms)
+
+    def test_process_ladder_rows(self):
+        # p = beta = 1: the detected weight at n_a = 0 is the ladder coefficient
+        for n_atoms in range(1, 400):
+            trunc = ModeTruncation(1, 1, 0, atomic_k_max=n_atoms)
+            ones = np.ones(1)
+            process = Process("write", trunc, EvolutionOrder.FIRST_ORDER,
+                              np.array([float(n_atoms)]), ones, ones)
+            roots = [math.sqrt(float(exact_eta(k, n_atoms))) for k in range(n_atoms)]
+            assert process.weights[0][0, :, 0, 0, 0].tolist() == roots, n_atoms
+
+    def test_type1_gain_within_n_plus_one_ulp(self):
+        for n_rounds, n_atoms in self.PAIRS:
+            exact = exact_eta(1, n_atoms) ** n_rounds
+            gain = relative_gain(Schedule.TYPE_I, n_rounds, n_atoms)
+            ulp = math.ulp(float(exact))
+            assert abs(Fraction(gain) - exact) <= (n_rounds + 1) * Fraction(ulp), (
+                n_rounds, n_atoms)
+
+    def test_numpy_integers_do_not_wrap(self):
+        # (k+1)(N-k) is about 1e19 here, beyond int64
+        k, n_atoms = 10**4, 10**15
+        big_k, big_n = np.int64(k), np.int64(n_atoms)
+        exact = float(exact_eta(k, n_atoms))
+        assert relative_gain(Schedule.TYPE_II, big_k, big_n) == exact
+        assert relative_gain(Schedule.TYPE_I, 1, big_n) == float(exact_eta(1, n_atoms))
+        assert ladder_coeff(LadderDirection.RAISE, big_k, big_n) == math.sqrt(exact)
+        assert ladder_coeff(LadderDirection.LOWER, big_k + 1, big_n) == math.sqrt(exact)
+
+    def test_huge_float_rows_stay_finite(self):
+        # eta is k+1 once N - k rounds to N; (k+1)(N-k) alone would overflow
+        trunc = ModeTruncation(1, 1, 0, atomic_k_max=8)
+        n_atoms = np.array([1e308, float(2**1000), 2.0**1000 * 3])
+        process = Process("write", trunc, EvolutionOrder.FIRST_ORDER, n_atoms,
+                          np.ones(3), np.ones(3))
+        expected = np.sqrt(np.arange(1.0, 9.0))
+        assert np.array_equal(process.weights[0][:, :, 0, 0, 0], [expected] * 3)
 
 
 class TestSSDagger:
@@ -239,10 +301,10 @@ class TestRelativeGain:
     @settings(max_examples=200)
     @example(k=46, n_atoms=47)
     def test_gain_threshold(self, k, n_atoms):
-        # eta = (k+1)(1 - k/N) > 1 in exact integers; the float form rounds
-        # the boundary value 1 at N = k+1 up (k = 46, N = 47)
+        # eta(k) = (k+1)(N-k)/N is exactly 1 at N = k+1; a form that rounds
+        # twice put it above 1 there (k = 46, N = 47)
         k = min(k, n_atoms)
-        assert ((k + 1) * (n_atoms - k) > n_atoms) == (n_atoms >= k + 2)
+        assert (relative_gain(Schedule.TYPE_II, k, n_atoms) > 1.0) == (n_atoms >= k + 2)
 
     def test_large_n_limit(self):
         n_atoms = 10**9

@@ -26,7 +26,7 @@ from memamp.metrics import row_norms
 from memamp.protocol import ProtocolConfig, StageKind
 from reference import (
     add_generator_by_slices, evolve_stage, exact_series_by_slices, fidelity, heralded,
-    reduced_conditional_density, zero_padded,
+    reduced_conditional_density, ss_dagger_eigenvalues, zero_padded,
 )
 
 TOL = 1e-12
@@ -420,7 +420,8 @@ class TestHerald:
         psi = evolve_stage(np.eye(6)[k], config)
         states, prob = heralded(psi, P11)
         factor = np.sqrt(prob[0]) / p
-        assert factor == pytest.approx((k + 1) * (1 - k / n_atoms), rel=1e-12)
+        expected = ss_dagger_eigenvalues(n_atoms, k + 1)[k]
+        assert factor == pytest.approx(expected, rel=1e-12)
         level = np.eye(states.shape[1])[k]
         assert fidelity(states[0], level) == pytest.approx(1.0, abs=TOL)
 

@@ -194,7 +194,7 @@ class TestPathCounting:
             )
 
     def test_smallest_gain_ensemble(self):
-        # N=3 is the smallest ensemble with (k+1)(1-k/N) > 1 at k=1
+        # N=3 is the smallest ensemble with (k+1)(N-k)/N > 1 at k=1
         report = verify_ladder(3)
         assert report.passed
         eig = ladder_coeff(LadderDirection.RAISE, 1, 3) * ladder_coeff(
