@@ -192,14 +192,13 @@ def cmd_gain(n_atoms: int, n_max: int, out_dir: Path) -> int:
         raise ConfigError(
             f"n_atoms = {n_atoms} below n_max + 2 = {n_max + 2} (headroom)"
         )
-    rows = [
-        [
-            n,
-            relative_gain(Schedule.TYPE_I, n, n_atoms),
-            relative_gain(Schedule.TYPE_II, n, n_atoms),
-        ]
-        for n in range(n_max + 1)
-    ]
+    rows = []
+    for n in range(n_max + 1):
+        try:
+            rows.append([n, relative_gain(Schedule.TYPE_I, n, n_atoms),
+                         relative_gain(Schedule.TYPE_II, n, n_atoms)])
+        except OverflowError as exc:  # eta(1)^n beyond the float range
+            raise ConfigError(f"gain_type1 overflows a float at n = {n}: {exc}") from exc
     csv_path = out_dir / "gain.csv"
     _write_csv(csv_path, ["n", "gain_type1", "gain_type2"], rows)
     RunManifest(
@@ -273,7 +272,7 @@ def _sweep_batch(batch: tuple[list[ProtocolConfig], ModeTruncation]) -> list[lis
     they evolve on), then gain_squared, succeeded and error; a run error is
     kept in the ``error`` cell."""
     cells = []
-    for _, _, quality, error in run_batch(*batch):
+    for _, quality, error in run_batch(*batch):
         if quality is None:
             cells.append(_failed_cells(error))
         else:

@@ -21,10 +21,6 @@ class GridGuardError(ResourceGuardError):
     """Sweep grid is empty or larger than the configured cap."""
 
 
-class MixedConditionalError(MemampError):
-    """Heralded conditional state is mixed and cannot be returned as a pure vector."""
-
-
 class UndefinedMetricError(MemampError):
     """Metric denominator vanished (no detectable photons / no atomic overlap)."""
 

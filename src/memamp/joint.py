@@ -23,7 +23,6 @@ import numpy as np
 from .dicke import ladder_eigenvalue
 from .errors import (
     MemampError,
-    MixedConditionalError,
     ResourceGuardError,
     TruncationLeakageError,
     TruncationOverflowError,
@@ -50,9 +49,6 @@ SERIES_TERM_CAP = 60
 
 #: A heralded slice below this squared norm counts as a zero-probability event.
 ZERO_PROB_FLOOR = 1e-280
-
-#: Purity deficit below which a conditional state is accepted as pure.
-PURITY_TOL = 1e-10
 
 #: Default atomic levels carried by the joint tensor when unspecified.
 DEFAULT_ATOMIC_K_MAX = 8
@@ -213,10 +209,12 @@ class Process:
 
 
 def _check_boundaries(
-    psi: np.ndarray, proc: Process, errors: dict[int, Exception], exact: bool
+    psi: np.ndarray, proc: Process, errors: dict[int, Exception], exact: bool,
+    weights: np.ndarray,
 ) -> None:
-    """Flag rows with over LEAK_TOL on a cutoff: before a first-order step,
-    population that would flow past it; after an exact step, population on it."""
+    """Flag rows whose population on a cutoff, times the row's weight, is over
+    LEAK_TOL: before a first-order step, population that would flow past it;
+    after an exact step, population on it."""
     trunc, k_top = proc.truncation, proc.truncation.atomic_k_max
     active = proc.p > 0.0
     below = active & (k_top < proc.n_atoms)
@@ -244,6 +242,7 @@ def _check_boundaries(
         pops = row_sums(sq[slab])
         if split_k and name == "atomic k" and lossy.any():
             pops += np.where(lossy, row_sums(sq[:, k_top, :, 0, 1:]), 0.0)
+        pops *= weights
         for i in (rows & (pops > LEAK_TOL)).nonzero()[0]:
             errors.setdefault(i, error(message.format(proc.name, pops[i], name)))
 
@@ -374,18 +373,19 @@ def _exact_apply(
 
 
 def apply_process(
-    psi: np.ndarray, proc: Process, errors: dict[int, Exception]
+    psi: np.ndarray, proc: Process, errors: dict[int, Exception], weights: np.ndarray
 ) -> np.ndarray:
     """One process on a batch of joint tensors, shape (B, k, n_a, n_b, n_c),
-    row i with ``proc``'s row i. A row that trips a guard gets its exception
-    in ``errors`` (an earlier one is kept). Rows with p = 0 stay unguarded."""
+    row i with ``proc``'s row i and its cutoff populations weighted by
+    ``weights[i]``. A row that trips a guard gets its exception in ``errors``
+    (an earlier one is kept). Rows with p = 0 stay unguarded."""
     active = proc.p > 0.0
     if not active.any():
         return psi
     w_det, w_loss, bound = proc.weights
     exact = proc.order is EvolutionOrder.EXACT
     if not exact:
-        _check_boundaries(psi, proc, errors, exact)
+        _check_boundaries(psi, proc, errors, exact, weights)
         stencil = _stencil(psi.shape, w_det, w_loss, proc.name)
         out = _add_generator(psi.copy(), psi, stencil, np.empty_like(psi), proc.name)
     else:
@@ -396,43 +396,26 @@ def apply_process(
                 out[i] = _exact_apply(psi[i], w_det[i], loss, bound[i], proc.name)
             except MemampError as exc:
                 errors.setdefault(i, exc)
-        _check_boundaries(out, proc, errors, exact)
+        _check_boundaries(out, proc, errors, exact, weights)
     for i in (~np.isfinite(out).reshape(len(out), -1).all(axis=1)).nonzero()[0]:
         errors.setdefault(i, ValueError("amplitudes must be finite"))
     return out
 
 
-def herald_rows(
-    psi: np.ndarray, pattern: HeraldPattern, errors: dict[int, Exception]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Condition each row of a batch on exact photon counts: the conditional
-    atomic states (B, k), normalized, and the raw probabilities, each the
-    squared norm of the row's matching slice with the undetected mode summed
-    incoherently; 0 and a zero state at or below ZERO_PROB_FLOOR.
-
-    A conditional state is pure only with one undetected-mode sector, or all
-    sectors parallel. Exact order with beta < 1 can leave it mixed: that row
-    gets a MixedConditionalError in ``errors``; first order or beta = 1 cannot.
-    """
+def herald_rows(psi: np.ndarray, pattern: HeraldPattern) -> tuple[np.ndarray, ...]:
+    """Condition each row of a batch on exact photon counts, one branch per
+    undetected-mode count n_c whose column (the matching slice at n_c) has a
+    squared norm above ZERO_PROB_FLOOR. Returns each row's raw probability,
+    the squared norm of its matching slice, 0 for a row without a branch;
+    and, in row-major (row, n_c) order, each branch's row, n_c, squared norm
+    and atomic state, its column divided by the square root of its k-sum.
+    First order or beta = 1 leaves one branch, at n_c = 0."""
     block = psi[:, :, pattern.detect_a, pattern.detect_b]  # (B, k, n_c)
     sq = np.abs(block) ** 2
     prob = row_sums(sq)  # row_norms(block)
-    live = prob > ZERO_PROB_FLOOR
-    prob[~live] = 0.0
     col_pop = sq.sum(axis=1)
-    several = np.count_nonzero(col_pop > prob[:, None] * 1e-24, axis=1) > 1
-    for i in (several & live).nonzero()[0]:  # scaled exactly, by 2^n, to order one:
-        # the Gram matrix of a tiny mixture would underflow to a 0/0 purity
-        scaled = block[i] * np.ldexp(1.0, -(np.frexp(prob[i])[1] // 2))
-        gram = scaled.conj().T @ scaled
-        purity = float(np.sum(np.abs(gram) ** 2).real) / np.trace(gram).real ** 2
-        if 1.0 - purity > PURITY_TOL:
-            errors.setdefault(i, MixedConditionalError(
-                "conditional atomic state is mixed: exact order with beta < 1 leaves "
-                "several undetected-mode sectors; use first order or beta = 1"
-            ))
-    rows, best = np.arange(len(block)), col_pop.argmax(axis=1)
-    norms = np.sqrt(col_pop[rows, best])
-    norms[~live] = np.inf  # a zero state
-    return block[rows, :, best] / norms[:, None], prob
-
+    kept = col_pop > ZERO_PROB_FLOOR
+    prob[~kept.any(axis=1)] = 0.0
+    rows, n_c = kept.nonzero()
+    pops = col_pop[rows, n_c]
+    return prob, rows, n_c, pops, block[rows, :, n_c] / np.sqrt(pops)[:, None]

@@ -4,8 +4,9 @@ A stage embeds the current atomic state into fresh photon vacuum, runs the
 write and/or read process, and conditions on the stage's photon pattern:
 (1,1) for a combined write-read round, (1,0) for a write-only round, (0,1)
 for a read-only round. Type-I repeats combined rounds; type-II performs all
-write rounds first, then all read rounds. The deterministic pipeline always
-takes the success branch; `monte_carlo` samples the full outcome
+write rounds first, then all read rounds. The deterministic pipeline keeps
+every success branch, one per undetected-mode count, weighted by its
+probability: the heralded mixture. `monte_carlo` samples the full outcome
 distribution instead, terminating a trajectory on the first failed herald.
 """
 
@@ -15,6 +16,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from itertools import compress
 
 import numpy as np
 
@@ -32,13 +34,7 @@ from .joint import (
     is_integer,
     is_real,
 )
-from .metrics import (
-    QualityReport,
-    norm,
-    row_norms,
-    row_sums,
-    sector_norms,
-)
+from .metrics import QualityReport, row_norms, sector_norms
 
 
 class StageKind(enum.Enum):
@@ -160,7 +156,8 @@ CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
 @dataclass(frozen=True)
 class StageReport:
     """Outcome of one heralded stage of the pipeline; ``state`` is the
-    heralded atomic state, a read-only array over k, or None if it failed."""
+    heralded atomic state, a read-only array over k, if the stage left one
+    branch, and None for a mixture or a failed herald (probability 0)."""
 
     stage_index: int
     kind: StageKind
@@ -225,15 +222,29 @@ def stage_plan(config: ProtocolConfig) -> list[StageKind]:
     ] * config.stages
 
 
-def _gain_of(amps: np.ndarray | None, alpha: complex) -> float:
-    if amps is None or alpha == 0 or amps.size < 2:
-        return float("nan")
+def _gain_of(amps: np.ndarray, alpha: complex) -> float:
     c0 = amps[0]
-    if c0 == 0:
+    if alpha == 0 or c0 == 0:
         return float("nan")
     # c0 * alpha stays near 1 where c0 alone is tiny (|alpha| near overflow);
     # Python's complex division, unlike NumPy's, stays finite for subnormals
     return (complex(amps[1]) / complex(c0 * alpha)).real
+
+
+def _mixture_gain(weights: np.ndarray, states: np.ndarray, alpha: complex) -> float:
+    """Re(rho_10 / (rho_00 alpha)) of rho = sum_i w_i |s_i><s_i|: each
+    branch's `_gain_of` weighted by its share of rho_00, w_i |c0_i|^2, with
+    each |c0_i| scaled by the largest first, whose square would underflow
+    where |alpha| is huge. NaN without a branch of nonzero c0, or at alpha 0."""
+    if len(states) == 1:  # its share is 1
+        return _gain_of(states[0], alpha)
+    c0 = np.abs(states[:, 0])
+    top = c0.max(initial=0.0)
+    if top == 0.0:
+        return float("nan")
+    share = weights * (c0 / top) ** 2
+    share /= share.sum()
+    return sum(s * _gain_of(state, alpha) for s, state in zip(share.tolist(), states) if s)
 
 
 #: Joint-state bytes per batch (23 points at the default shape, whose
@@ -255,51 +266,74 @@ def batch_key(config: ProtocolConfig) -> tuple:
     return config.schedule, config.stages, config.order, trunc
 
 
-class _Points:
-    """The live rows of a batch on the truncation they evolve on: their write
-    and read processes and, in the stage loop, their positions and cumulative
-    success probabilities."""
+def _processes(configs: list[ProtocolConfig], truncation: ModeTruncation) -> tuple:
+    """The write and read processes of points of one `batch_key`, one row per
+    point, on ``truncation``, the key's last entry."""
+    n_atoms = np.array([c.n_atoms for c in configs], dtype=float)
+    return tuple(
+        Process(name, truncation, configs[0].order, n_atoms,
+                np.array([getattr(c, p) for c in configs]),
+                np.array([getattr(c, beta) for c in configs]))
+        for name, p, beta in [("write", "p_w", "beta_w"), ("read", "p_r", "beta_r")]
+    )
 
-    __slots__ = ("truncation", "write", "read", "index", "cumulative")
 
-    def __init__(self, configs: list[ProtocolConfig], truncation: ModeTruncation):
-        self.truncation = truncation
-        n_atoms = np.array([c.n_atoms for c in configs], dtype=float)
-        self.write, self.read = [
-            Process(name, self.truncation, configs[0].order, n_atoms,
-                    np.array([getattr(c, p) for c in configs]),
-                    np.array([getattr(c, beta) for c in configs]))
-            for name, p, beta in [("write", "p_w", "beta_w"), ("read", "p_r", "beta_r")]
-        ]
-
-    def keep(self, mask: np.ndarray) -> None:
-        if not mask.all():
-            self.write, self.read = self.write.rows(mask), self.read.rows(mask)
-            self.index, self.cumulative = self.index[mask], self.cumulative[mask]
-
-    def evolve(self, atomic: np.ndarray, kind: StageKind, errors: dict) -> np.ndarray:
-        """Atomic states (B, k) in fresh photon vacuum, through the stage's
-        process(es); each input tensor is freed as its process returns."""
-        psi = np.zeros((len(atomic),) + self.truncation.shape(), dtype=np.complex128)
+def _stage(processes: tuple, level: tuple, kind: StageKind, visit=None) -> tuple:
+    """One stage of a level of branches, the rows (states, weights, owners) of
+    each branch's atomic state, its share of its point's probability and its
+    point's row in ``processes``, grouped by point. The branches evolve in
+    chunks of `batch_rows`, from fresh photon vacuum through the processes of
+    their points, each guard weighing a branch's cutoff population by its
+    share; ``visit(lo, psi, totals)`` sees each chunk's tensor and squared
+    norms, rows lo on. Returns each branch's raw herald probability and
+    total, each failing point's first error in level order, the children as
+    a level, and each child's parent and n_c: the branches of
+    `joint.herald_rows`. A child's share is its parent's times its squared
+    norm over its parent's total, normalized within its point as x / sum(x),
+    so a point's only child weighs 1."""
+    states, weights, owner = level
+    truncation, count = processes[0].truncation, len(processes[0].p)
+    size = batch_rows(truncation)
+    whole = len(states) == count <= size  # one branch per point, one chunk
+    errors, parts = {}, []
+    for lo in range(0, max(len(states), 1), size):  # an empty level is one chunk
+        rows, found = slice(lo, lo + size), {}
+        procs = processes if whole else [proc.rows(owner[rows]) for proc in processes]
+        atomic = states[rows]
+        psi = np.zeros((len(atomic),) + truncation.shape(), np.complex128)
         psi[:, :, 0, 0, 0] = atomic
-        if kind is not StageKind.READ_ONLY:
-            psi = apply_process(psi, self.write, errors)
-        if kind is not StageKind.WRITE_ONLY:
-            psi = apply_process(psi, self.read, errors)
-        return psi
+        for proc, skip in zip(procs, (StageKind.READ_ONLY, StageKind.WRITE_ONLY)):
+            if kind is not skip:  # each input tensor is freed as its process returns
+                psi = apply_process(psi, proc, found, weights[rows])
+        for i in sorted(found):  # a point's first error in level order
+            errors.setdefault(int(owner[lo + i]), found[i])
+        totals = row_norms(psi)
+        if visit is not None:
+            visit(lo, psi, totals)
+        raw, branch, n_c, pops, children = herald_rows(psi, STAGE_PATTERNS[kind])
+        parts.append((raw, totals, branch + lo, n_c, pops, children))
+    if len(parts) > 1:
+        parts = [list(map(np.concatenate, zip(*parts)))]
+    raw, totals, parent, n_c, pops, children = parts[0]
+    share = weights[parent] * pops / totals[parent]
+    owner = owner[parent]
+    share /= np.bincount(owner, share, count)[owner]
+    return raw, totals, errors, (children, share, owner), parent, n_c
 
 
 def _stage_report(
     index: int, kind: StageKind, record: tuple, config: ProtocolConfig
 ) -> StageReport:
-    """A `run_batch` stage record as a report, holding a read-only copy of the
-    heralded amplitudes; no amplitudes is a failed herald."""
-    probability, cumulative, amps = record
-    if amps is not None:
-        amps = amps.copy()
-        amps.flags.writeable = False
+    """A `run_batch` stage record as a report: a read-only copy of the
+    heralded state if the point has one branch, and the mixture's gain."""
+    probability, cumulative, (states, weights, _), lo, hi = record
+    state = None
+    if hi - lo == 1:
+        state = states[lo].copy()
+        state.flags.writeable = False
+    gain = _mixture_gain(weights[lo:hi], states[lo:hi], config.alpha)
     return StageReport(index, kind, STAGE_PATTERNS[kind], probability, cumulative,
-                       amps, _gain_of(amps, config.alpha), failed=amps is None)
+                       state, gain, failed=probability == 0.0)
 
 
 def _target_gain(config: ProtocolConfig) -> float:
@@ -310,87 +344,94 @@ def _target_gain(config: ProtocolConfig) -> float:
     return float(config.stages + 1)
 
 
-def _check_headroom(config: ProtocolConfig, k_max: int) -> None:
+def _headroom_error(config: ProtocolConfig, k_max: int) -> ConfigError | None:
     needed = config.stages + 1 if config.schedule is Schedule.TYPE_II else 2
-    if k_max < needed:
-        raise ConfigError(
-            f"atomic_k_max = {k_max} below the schedule's "
-            f"excitation reach {needed}; enlarge the truncation"
-        )
+    if k_max >= needed:
+        return None
+    return ConfigError(
+        f"atomic_k_max = {k_max} below the schedule's "
+        f"excitation reach {needed}; enlarge the truncation"
+    )
 
 
 def run_batch(
     configs: list[ProtocolConfig], truncation: ModeTruncation
 ) -> list[tuple]:
     """The stage loop: embed, evolve, herald and score points of one
-    `batch_key` as the rows of one (B, k, n_a, n_b, n_c) tensor on
-    ``truncation``, the key's last entry. The caller groups the points by key;
-    they are not counted again here. Reductions stay within a row, so no row's
-    values depend on the others. A row that raises keeps the error and leaves
-    the batch, as does a failed herald. Returns per point (stage records,
-    final amplitudes, QualityReport, error), a stage record being
-    (probability, cumulative probability, heralded amplitudes or None for a
-    zero-probability herald)."""
+    `batch_key` on ``truncation``, the key's last entry. The caller groups the
+    points by key; they are not counted again here. A point is a weighted set
+    of branches, one per undetected-mode count heralded (`_stage`), so its
+    stage probability is the sum of w raw / total over its branches.
+    Reductions stay within a row, so no point's values depend on the others.
+    A point whose branch raises keeps the first such error in level order and
+    leaves the batch, as does a failed herald. Returns per point (stage
+    records, QualityReport, error), a stage record being (probability,
+    cumulative probability, the stage's children as a level, and the first
+    and last + 1 of the point's children: none for a zero-probability
+    herald)."""
     count = len(configs)
     stages: list[list[tuple]] = [[] for _ in range(count)]
-    finals: list[np.ndarray | None] = [None] * count
     qualities: list[QualityReport | None] = [None] * count
-    errors: list[Exception | None] = [None] * count
-    for i, config in enumerate(configs):
-        try:
-            _check_headroom(config, truncation.atomic_k_max)
-        except ConfigError as exc:
-            errors[i] = exc
-    points = _Points(configs, truncation)
-    points.index, points.cumulative = np.arange(count), np.ones(count)
-    k_dim = points.truncation.atomic_k_max + 1
-    alphas = np.array([c.alpha for c in configs])
-    states = weak_coherent_rows(alphas, k_dim)
+    errors = [_headroom_error(c, truncation.atomic_k_max) for c in configs]
+    processes = _processes(configs, truncation)
+    k_dim = truncation.atomic_k_max + 1
     live = np.array([error is None for error in errors])
-    for kind in stage_plan(configs[0]):
-        points.keep(live)
-        states = states[live]
-        stage_errors: dict[int, Exception] = {}
-        psi = None  # only the last stage's tensor is scored: free the previous one
-        psi = points.evolve(states, kind, stage_errors)
-        states, raw = herald_rows(psi, STAGE_PATTERNS[kind], stage_errors)
-        totals = row_norms(psi)
-        probability = raw / totals
-        points.cumulative = points.cumulative * probability
-        live = probability > 0.0
-        cumulative = points.cumulative.tolist()
-        for pos, (i, p) in enumerate(zip(points.index.tolist(), probability.tolist())):
-            if pos in stage_errors:
-                errors[i], live[pos] = stage_errors[pos], False
-            else:
-                stages[i].append((p, cumulative[pos], states[pos] if p else None))
-    # score the rows that heralded every stage
-    points.keep(live)
-    psi, states, index = psi[live], states[live], points.index.tolist()
-    counts = STAGE_PATTERNS[kind].detect_a, STAGE_PATTERNS[kind].detect_b
-    targets = np.array([_target_gain(configs[i]) * configs[i].alpha for i in index])
+    states = weak_coherent_rows(np.array([c.alpha for c in configs]), k_dim)[live]
+    level, cumulative = (states, np.ones(len(states)), np.flatnonzero(live)), np.ones(count)
+    targets = np.array([_target_gain(c) * c.alpha for c in configs])
     targets = weak_coherent_rows(targets, k_dim)
-    # the last herald's sector and total norms are those of the scored rows
-    norms = np.stack([raw[live], *sector_norms(psi, targets, *counts), totals[live]])
-    overlap = np.abs((states.conj() * targets).sum(axis=1)) ** 2
-    fidelity = overlap / (row_norms(states) * row_norms(targets))
-    for pos, (i, p_suc, fid, row) in enumerate(
-        zip(index, points.cumulative.tolist(), fidelity.tolist(), norms.T.tolist())
-    ):
+    plan, norms = stage_plan(configs[0]), []
+    for s, kind in enumerate(plan):
+        _, weights, owner = level
+        visit = None
+        if s == len(plan) - 1:  # score the last stage's tensors as they evolve
+            counts = STAGE_PATTERNS[kind].detect_a, STAGE_PATTERNS[kind].detect_b
+            visit = lambda lo, psi, _: norms.append(
+                sector_norms(psi, targets[owner[lo : lo + len(psi)]], *counts))
+        raw, totals, stage_errors, children, _, _ = _stage(processes, level, kind, visit)
+        probability = np.bincount(owner, weights * raw / totals, count)
+        cumulative = cumulative * probability
+        bounds = np.searchsorted(children[2], np.arange(count + 1)).tolist()
+        probabilities, cumulatives = probability.tolist(), cumulative.tolist()
+        entering, live = compress(range(count), live.tolist()), probability > 0.0
+        for i in entering:
+            if i in stage_errors:
+                errors[i], live[i] = stage_errors[i], False
+            else:
+                record = probabilities[i], cumulatives[i], children, *bounds[i : i + 2]
+                stages[i].append(record)
+        kept = live[children[2]]  # the branches of the live points
+        level = children if kept.all() else tuple(x[kept] for x in children)
+    # score the points that heralded every stage: the norms of the last
+    # stage's branches by their shares over their totals, fidelity and gain
+    # of the leaves by their shares
+    norms = np.stack([raw, *np.concatenate(norms, axis=1), totals])
+    if len(owner) != count:  # not one branch per point: sum each point's branches
+        share = weights / totals
+        share /= np.bincount(owner, share, count)[owner]
+        norms = np.stack([np.bincount(owner, share * norm, count) for norm in norms])
+    sums = norms.T.tolist()
+    leaves, weights, owner = children
+    targets = targets[owner]
+    overlap = np.abs((leaves.conj() * targets).sum(axis=1)) ** 2
+    fidelity = overlap / (row_norms(leaves) * row_norms(targets))
+    fidelity = np.bincount(owner, weights * fidelity, count).tolist()
+    for i in compress(range(count), live.tolist()):
+        lo, hi = bounds[i : i + 2]
         try:
+            gain = _mixture_gain(weights[lo:hi], leaves[lo:hi], configs[i].alpha)
             qualities[i] = QualityReport.from_norms(
-                p_suc, row, counts, _gain_of(states[pos], configs[i].alpha), fid
+                cumulatives[i], sums[i], counts, gain, fidelity[i]
             )
-            finals[i] = states[pos]
         except (MemampError, ValueError) as exc:
             errors[i] = exc
-    return list(zip(stages, finals, qualities, errors))
+    return list(zip(stages, qualities, errors))
 
 
 def run_schedule(config: ProtocolConfig) -> AmplificationReport:
     """Deterministic post-selected pipeline over the configured schedule:
     `run_batch` on the batch of one, raising the point's error."""
-    stages, _, quality, error = run_batch([config], batch_key(config)[-1])[0]
+    stages, quality, error = run_batch([config], batch_key(config)[-1])[0]
     if error is not None:
         raise error
     plan = stage_plan(config)
@@ -453,9 +494,8 @@ def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 class _TrajectoryTree:
     """Post-herald states keyed by the undetected-mode counts observed at each
     successful stage (the success branch is unique up to that record), built
-    one stage at a time: a level's nodes are evolved in batches of
-    `batch_rows`, as `run_batch` evolves points, on the config's evolved
-    truncation. ``states`` maps a path to the atomic state entering stage
+    one stage at a time by the stage loop's `_stage` on the config as one
+    point. ``states`` maps a path to the atomic state entering stage
     len(path), ``outcomes`` a node's path to its stage's (n_a, n_b, n_c)
     distribution over the evolved photon axes, 0 at or below ZERO_PROB_FLOOR.
     A truncation below the schedule's excitation reach is a ConfigError, as in
@@ -463,37 +503,27 @@ class _TrajectoryTree:
 
     def __init__(self, config: ProtocolConfig):
         self.plan = stage_plan(config)
-        self.truncation = trunc = batch_key(config)[-1]
-        _check_headroom(config, trunc.atomic_k_max)
+        trunc = batch_key(config)[-1]
+        if error := _headroom_error(config, trunc.atomic_k_max):
+            raise error
+        processes = _processes([config], trunc)
         root = weak_coherent_rows(np.array([config.alpha]), trunc.atomic_k_max + 1)
+        level, paths = (root, np.ones(1), np.zeros(1, dtype=np.intp)), [()]
         self.states = {(): root[0]}
         self.outcomes: dict[tuple[int, ...], np.ndarray] = {}
-        paths, size = [()], batch_rows(trunc)
-        for kind in self.plan:  # a level with no node ends the tree
-            chunks = [paths[i : i + size] for i in range(0, len(paths), size)]
-            paths = [c for chunk in chunks for c in self._grow(config, kind, chunk)]
 
-    def _grow(self, config: ProtocolConfig, kind: StageKind, paths: list) -> list:
-        """Evolve the nodes at ``paths`` through a ``kind`` stage as one batch,
-        keep their outcome distributions and their children's states, and
-        return the children: the nonzero columns of each success slice."""
-        errors: dict[int, Exception] = {}
-        states = np.array([self.states[path] for path in paths])
-        points = _Points([config] * len(paths), self.truncation)
-        psi = points.evolve(states, kind, errors)
-        if errors:
-            raise errors[min(errors)]
-        sq = np.abs(psi) ** 2
-        probs = sq.sum(axis=1)
-        probs[probs <= ZERO_PROB_FLOOR] = 0.0
-        probs /= row_sums(sq)[:, None, None, None]
-        self.outcomes.update(zip(paths, probs))
-        n_a, n_b = STAGE_PATTERNS[kind].detect_a, STAGE_PATTERNS[kind].detect_b
-        rows, n_c = probs[:, n_a, n_b].nonzero()
-        children = [paths[r] + (c,) for r, c in zip(rows.tolist(), n_c.tolist())]
-        for child, column in zip(children, psi[rows, :, n_a, n_b, n_c]):
-            self.states[child] = column / norm(column)
-        return children
+        def visit(lo: int, psi: np.ndarray, totals: np.ndarray) -> None:
+            probs = (np.abs(psi) ** 2).sum(axis=1)
+            probs[probs <= ZERO_PROB_FLOOR] = 0.0
+            probs /= totals[:, None, None, None]
+            self.outcomes.update(zip(paths[lo:], probs))
+
+        for kind in self.plan:  # a level with no node ends the tree
+            *_, errors, level, parent, n_c = _stage(processes, level, kind, visit)
+            if errors:
+                raise errors[0]
+            paths = [paths[p] + (c,) for p, c in zip(parent.tolist(), n_c.tolist())]
+            self.states.update(zip(paths, level[0]))
 
     def success_probability(self, path: tuple[int, ...] = ()) -> float:
         """Total probability of completing every remaining herald."""

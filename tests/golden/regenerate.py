@@ -4,7 +4,8 @@ change's effect on every output reads as a diff against the previous commit.
 The runs are the benchmark's gated calls at seed 1 (both sweep grids, the
 three exact configs, the Monte Carlo config and the oracle check up to
 N = 14) and four more: the default `simulate`, a small lossy exact-order
-Monte Carlo tree and a gain table. Manifests hold timestamps and timings, so
+Monte Carlo tree, a `simulate` of that tree's config at two stages (a
+mixture of 36 branches, so its `final_state` is null) and a gain table. Manifests hold timestamps and timings, so
 they are left out. The bytes pin this numpy version; they do not depend on
 the BLAS thread count.
 
@@ -47,6 +48,13 @@ EXTRA_RUNS = [
         "truncation": {"fock_a_max": 5, "fock_b_max": 5, "fock_c_max": 5,
                        "atomic_k_max": 8},
     }, ["mc", "--trials", "1000000"]),
+    ("simulate_lossy_exact_mixture", {
+        "n_atoms": 20, "alpha": 0.1, "p_w": 0.02, "p_r": 0.02,
+        "beta_w": 0.8, "beta_r": 0.8, "schedule": "type1", "stages": 2,
+        "order": "exact", "rng_seed": SEED,
+        "truncation": {"fock_a_max": 5, "fock_b_max": 5, "fock_c_max": 5,
+                       "atomic_k_max": 14},
+    }, ["simulate"]),
     ("gain", None, ["gain", "--n-atoms", "97", "--n-max", "40"]),
 ]
 

@@ -5,11 +5,13 @@ matrices that the amplitude-only metrics and heralds replace, the closed
 forms of the ladder algebra on plain arrays over the Dicke levels k, and the
 2^N oracle's ladder check one level at a time."""
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 from memamp.dicke import LadderDirection, Schedule, ladder_coeff, weak_coherent_rows
 from memamp.errors import MemampError, ResourceGuardError
@@ -22,8 +24,8 @@ from memamp.oracle import (
     project_to_dicke,
 )
 from memamp.protocol import (
-    STAGE_PATTERNS, StageKind, _Points, _stage_report, _TrajectoryTree, batch_key,
-    stage_plan,
+    STAGE_PATTERNS, StageKind, _processes, _stage, _stage_report, _target_gain,
+    _TrajectoryTree, batch_key, stage_plan,
 )
 
 
@@ -67,36 +69,42 @@ def evolve_stage(state, config, kind=StageKind.WRITE_THEN_READ):
     process(es), as `protocol.run_batch` evolves a batch of one: the tensor
     psi[1, k, n_a, n_b, n_c] on the config's evolved truncation. Levels above
     the atomic cutoff are dropped; the row's first guard error raises."""
-    points = _Points([config], batch_key(config)[-1])
-    rows = np.zeros((1, points.truncation.atomic_k_max + 1), dtype=np.complex128)
+    truncation = batch_key(config)[-1]
+    rows = np.zeros((1, truncation.atomic_k_max + 1), dtype=np.complex128)
     amps = state[: rows.shape[1]]
     rows[0, : amps.size] = amps
-    errors = {}
-    psi = points.evolve(rows, kind, errors)
+    tensors = []
+    level = rows, np.ones(1), np.zeros(1, dtype=np.intp)
+    errors = _stage(_processes([config], truncation), level, kind,
+                    lambda lo, psi, _: tensors.append(psi))[2]
     if errors:
         raise errors[0]
-    return psi
+    return tensors[0]
 
 
 def heralded(psi, pattern):
-    """`joint.herald_rows` on a batch psi[B, k, n_a, n_b, n_c]: the conditional
-    states (B, k) and probabilities (B,); the lowest failing row's error raises."""
-    errors = {}
-    states, prob = herald_rows(psi, pattern, errors)
-    if errors:
-        raise errors[min(errors)]
+    """`joint.herald_rows` on a batch psi[B, k, n_a, n_b, n_c] of rows with
+    one branch at most: each row's conditional state (B, k), zero for a row
+    without a branch, and the raw probabilities (B,)."""
+    prob, rows, _, _, branches = herald_rows(psi, pattern)
+    assert len(set(rows.tolist())) == len(rows), "a row has several branches"
+    states = np.zeros(psi.shape[:2], dtype=np.complex128)
+    states[rows] = branches
     return states, prob
 
 
 def run_stage(state, config, kind, *, stage_index=0, cumulative_in=1.0):
     """One stage from ``state``, evolved and heralded as an iteration of
-    `protocol.run_batch` does it; a zero-probability herald is a failed stage.
-    Exact evolution with beta < 1 can leave the conditional state mixed, which
-    raises MixedConditionalError."""
+    `protocol.run_batch` does it for a point of one branch; a zero-probability
+    herald is a failed stage. Exact evolution with beta < 1 can leave several
+    branches: the report then holds their mixture's gain and no state."""
     psi = evolve_stage(state, config, kind)
-    states, raw = heralded(psi, STAGE_PATTERNS[kind])
-    p = float(raw[0] / row_norms(psi)[0])
-    record = (p, cumulative_in * p, states[0] if raw[0] else None)
+    raw, _, _, pops, branches = herald_rows(psi, STAGE_PATTERNS[kind])
+    total = row_norms(psi)[0]
+    p = float(raw[0] / total)
+    shares = pops / total
+    record = (p, cumulative_in * p, (branches, shares / shares.sum(), None), 0,
+              len(branches))
     return _stage_report(stage_index, kind, record, config)
 
 
@@ -260,7 +268,9 @@ class TrajectoryTreePerNode:
     """`protocol._TrajectoryTree` evolved one node at a time, depth first:
     each node is its own `evolve_stage`, its outcome distribution the sum over
     k of its |psi|^2 over the total, and each child the node's success column
-    for one undetected-mode count, divided by its norm."""
+    for one undetected-mode count, divided by the square root of the column's
+    sum over k of |psi|^2, as `joint.herald_rows` normalizes a branch. Its
+    guards are not weighted: each node is evolved as a point of its own."""
 
     def __init__(self, config):
         self.plan = stage_plan(config)
@@ -274,14 +284,16 @@ class TrajectoryTreePerNode:
             return
         psi = evolve_stage(state, config, self.plan[len(path)])[0]
         sq = np.abs(psi) ** 2
-        weights = np.sum(sq, axis=0)
+        column_pops = np.sum(sq, axis=0)
+        weights = column_pops.copy()
         weights[weights <= ZERO_PROB_FLOOR] = 0.0
         self.outcomes[path] = weights / float(np.sum(sq))
         pattern = STAGE_PATTERNS[self.plan[len(path)]]
         hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
         for n_c in np.flatnonzero(hits):
             column = psi[:, pattern.detect_a, pattern.detect_b, n_c]
-            self._grow(path + (int(n_c),), column / np.linalg.norm(column), config)
+            pop = column_pops[pattern.detect_a, pattern.detect_b, n_c]
+            self._grow(path + (int(n_c),), column / np.sqrt(pop), config)
 
     def success_probability(self, path=()):
         """Total probability of completing every remaining herald."""
@@ -293,3 +305,86 @@ class TrajectoryTreePerNode:
         for n_c in np.flatnonzero(hits):
             total += float(hits[n_c]) * self.success_probability(path + (int(n_c),))
         return total
+
+
+def dense_generator(config, truncation, process):
+    """G = C - C^T of the write or read process on the whole joint space of
+    ``truncation``, as a dense matrix built one term at a time from the model,
+    with eta(k) = (k+1)(N-k)/N from `exact_eta`. The write's C takes
+    |k, n_a, n_b, n_c> to sqrt(eta(k)) times sqrt(p beta (n_a+1)) |k+1, n_a+1,
+    n_b, n_c> plus sqrt(p (1-beta) (n_c+1)) |k+1, n_a, n_b, n_c+1>; the read's
+    takes |k+1, n_a, n_b, n_c> to sqrt(eta(k)) times sqrt(p beta (n_b+1))
+    |k, n_a, n_b+1, n_c> plus sqrt(p (1-beta) (n_c+1)) |k, n_a, n_b, n_c+1>.
+    Terms that would leave the truncation are dropped."""
+    shape = truncation.shape()
+    write = process == "write"
+    p, beta = (config.p_w, config.beta_w) if write else (config.p_r, config.beta_r)
+    detected, lost = math.sqrt(p * beta), math.sqrt(p * (1.0 - beta))
+    g = np.zeros((math.prod(shape),) * 2)
+    for k, a, b, c in itertools.product(*map(range, shape)):
+        if k + 1 == shape[0]:
+            continue
+        ladder = math.sqrt(float(exact_eta(k, config.n_atoms)))
+        source, level = ((k, a, b, c), k + 1) if write else ((k + 1, a, b, c), k)
+        targets = [
+            ((level, a + 1, b, c), detected * math.sqrt(a + 1)) if write
+            else ((level, a, b + 1, c), detected * math.sqrt(b + 1)),
+            ((level, a, b, c + 1), lost * math.sqrt(c + 1)),
+        ]
+        for target, amplitude in targets:
+            if all(n < size for n, size in zip(target, shape)):
+                i, j = (np.ravel_multi_index(x, shape) for x in (target, source))
+                g[i, j] += ladder * amplitude
+                g[j, i] -= ladder * amplitude
+    return g
+
+
+def dense_schedule(config):
+    """An exact-order schedule on density matrices, independent of the stage
+    loop: each stage embeds the atomic density rho in photon vacuum, evolves
+    it as U rho U^dagger with U = scipy.linalg.expm of `dense_generator`,
+    heralds the stage's pattern with mode c traced out, and renormalizes.
+    Returns per stage (probability, cumulative probability, gain) and the
+    quality metrics of the last stage's joint density against the target t:
+    p_mode, p_spon and p_amp from <t|rho|t> on the photon sectors, fidelity
+    <t|rho|t> of the heralded state, and gain Re(rho_10 / (rho_00 alpha))."""
+    truncation = config.truncation.resolve(config.n_atoms)
+    shape = truncation.shape()
+    unitaries = {name: scipy.linalg.expm(dense_generator(config, truncation, name))
+                 for name in ("write", "read")}
+    state = np.zeros(shape[0], dtype=complex)
+    state[:2] = 1.0, config.alpha
+    rho = np.outer(state, state.conj()) / np.vdot(state, state).real
+    vacuum = np.ravel_multi_index((np.arange(shape[0]), 0, 0, 0), shape)
+    stages, cumulative = [], 1.0
+    for kind in stage_plan(config):
+        joint = np.zeros((math.prod(shape),) * 2, dtype=complex)
+        joint[np.ix_(vacuum, vacuum)] = rho
+        for name, skip in (("write", StageKind.READ_ONLY), ("read", StageKind.WRITE_ONLY)):
+            if kind is not skip:
+                joint = unitaries[name] @ joint @ unitaries[name].T
+        pattern = STAGE_PATTERNS[kind]
+        n_a, n_b = pattern.detect_a, pattern.detect_b
+        blocks = joint.reshape(shape + shape)[:, n_a, n_b, :, :, n_a, n_b, :]
+        heralded = np.einsum("kclc->kl", blocks)
+        total, raw = np.trace(joint).real, np.trace(heralded).real
+        cumulative *= raw / total
+        rho = heralded / raw
+        gain = (rho[1, 0] / (rho[0, 0] * config.alpha)).real if rho[0, 0] else math.nan
+        stages.append((raw / total, cumulative, gain))
+    t = np.zeros(shape[0], dtype=complex)
+    t[:2] = 1.0, _target_gain(config) * config.alpha
+    t /= np.linalg.norm(t)
+    # <t| rho |t> over the atom, per photon state (n_a, n_b, n_c)
+    overlap = np.einsum("k,kxly,l->xy", t.conj(), joint.reshape(
+        (shape[0], -1, shape[0], math.prod(shape[1:]))), t).real
+    photons = np.ravel_multi_index((n_a, n_b, np.arange(shape[3])), shape[1:])
+    matched, atomic = overlap[photons, photons].sum(), np.trace(overlap)
+    sector = np.einsum("kckc->", blocks).real
+    p_mode, p_spon, p_amp = 1 - matched / sector, 1 - matched / atomic, atomic / total
+    quality = {
+        "p_suc": cumulative, "p_mode": p_mode, "p_spon": p_spon, "p_amp": p_amp,
+        "q_amp": p_amp * (1 - p_spon) * (1 - p_mode),
+        "gain": stages[-1][2], "fidelity": np.vdot(t, rho @ t).real,
+    }
+    return stages, quality

@@ -23,7 +23,7 @@ from memamp.cli import (
 )
 from memamp.dicke import Schedule, relative_gain
 from memamp.errors import ConfigError, MemampError, TruncationLeakageError
-from memamp.joint import EvolutionOrder
+from memamp.joint import LEAK_TOL, EvolutionOrder
 from memamp.oracle import MAX_FULL_ATOMS
 from memamp.protocol import batch_key, monte_carlo, run_batch, run_schedule
 
@@ -127,6 +127,18 @@ class TestGainCommand:
     def test_headroom_guard(self, tmp_path):
         assert main(["gain", "--n-atoms", "4", "--n-max", "3",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_overflowing_type1_gain_is_a_config_error(self, tmp_path, capsys):
+        # eta(1)^n = (2 * 2998 / 3000)^n passes the float range at n = 1025
+        assert main(["gain", "--n-atoms", "3000", "--n-max", "2000",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: gain_type1 overflows a float at n = 1025: "
+            "(34, 'Numerical result out of range')\n"
+        )
+        assert not (tmp_path / "gain.csv").exists()
+        assert main(["gain", "--n-atoms", "3000", "--n-max", "1024",
+                     "--out", str(tmp_path)]) == EXIT_OK
 
     def test_round_trip_at_full_precision(self, tmp_path):
         main(["gain", "--n-atoms", "97", "--n-max", "7", "--out", str(tmp_path)])
@@ -421,7 +433,7 @@ MIXED_AXES = {
 }
 
 
-#: exact points in batches of 4: pure, mixed, leaking and failed heralds
+#: exact points in batches of 4: one branch, mixtures, leaking and failed heralds
 EXACT_GRID = ({"n_atoms": 100, "alpha": 0.1, "p_r": 0.006, "order": "exact",
                "truncation": {"fock_a_max": 4, "fock_b_max": 4, "fock_c_max": 3}},
               {"stages": [1, 2], "beta_w": [0.8, 1.0], "p_w": [0.0, 0.004, 0.2]})
@@ -451,9 +463,8 @@ class TestSweepBatches:
                 expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
             assert row[len(keys):] == [str(cli._format_cell(v)) for v in expected]
             assert (quality is None) == (point["p_w"] == 0.0 or message != "")
-        guards = {"MixedConditionalError", "TruncationLeakageError"}
         errors = {row[-1].split(":")[0] for row in rows} - {""}
-        assert errors == (guards if "order" in base else set())
+        assert errors == ({"TruncationLeakageError"} if "order" in base else set())
 
     def test_permuted_axes_give_identical_rows(self, tmp_path):
         base = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8}
@@ -536,9 +547,9 @@ class TestSweepBatches:
     def test_stencil_weights_are_built_once_per_batch(self, tmp_path, monkeypatch):
         seen = []
 
-        def spy(psi, proc, errors):
+        def spy(psi, proc, errors, weights):
             seen.append((proc.name, proc.weights[0]))  # keeps each array alive
-            return apply_process(psi, proc, errors)
+            return apply_process(psi, proc, errors, weights)
 
         apply_process = protocol.apply_process
         monkeypatch.setattr(protocol, "apply_process", spy)
@@ -686,18 +697,45 @@ class TestMCCommand:
     def test_guard_in_several_branches_raises_the_first_node_in_level_order(
         self, tmp_path, capsys
     ):
+        # the second write's four nodes, of shares 0.997, 2.9e-3, 6.2e-6 and
+        # 1.1e-8, all leak; node 1 the most, 9.789e-07 weighted
         data = {"n_atoms": 30, "alpha": 0.1, "p_w": 0.003, "p_r": 0.003,
-                "beta_w": 0.7, "beta_r": 0.9, "order": "exact",
+                "beta_w": 0.5, "beta_r": 0.9, "order": "exact",
                 "schedule": "type2", "stages": 2,
                 "truncation": {"fock_a_max": 6, "fock_b_max": 6,
-                               "fock_c_max": 5, "atomic_k_max": 10}}
-        message = ("write: exact evolution left population 7.169e-08 on the "
+                               "fock_c_max": 5, "atomic_k_max": 4}}
+        message = ("write: exact evolution left population 9.366e-07 on the "
                    "atomic k cutoff (> 1e-08)")
         assert mc_exit(tmp_path, data, 1000) == EXIT_PROTOCOL
+        assert capsys.readouterr().err == f"run failed: {message}\n"
+        assert simulate_exit(tmp_path, data) == EXIT_PROTOCOL
         assert capsys.readouterr().err == f"run failed: {message}\n"
         with pytest.raises(TruncationLeakageError) as caught:
             monte_carlo(cli.config_from_dict(data), 1000)
         assert str(caught.value) == message
+
+    def test_low_weight_leaks_pass_in_mc_and_simulate(self, tmp_path, capsys):
+        """Ten nodes of the last read, of shares 4.3e-8 down to 8.3e-16 of
+        their level, leave over LEAK_TOL of their own norm on the mode-c
+        cutoff; weighted by their shares none does."""
+        assert mc_exit(tmp_path, LOW_WEIGHT_LEAKS, 10**6) == EXIT_OK
+        assert simulate_exit(tmp_path, LOW_WEIGHT_LEAKS) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["succeeded"] and report["final_state"] is None
+
+    def test_larger_cutoffs_move_no_metric_beyond_the_guard(self, tmp_path):
+        """The cutoffs the weighted guard accepts hold every reported number
+        within LEAK_TOL of a run on larger cutoffs."""
+        larger = dict(LOW_WEIGHT_LEAKS, truncation={
+            "fock_a_max": 6, "fock_b_max": 6, "fock_c_max": 6, "atomic_k_max": 16})
+        reports = [run_schedule(cli.config_from_dict(data)).to_dict()
+                   for data in (LOW_WEIGHT_LEAKS, larger)]
+        numbers = [[v for v in _leaves(report) if isinstance(v, float)]
+                   for report in reports]
+        assert len(numbers[0]) == len(numbers[1]) > 20
+        for small, large in zip(*numbers):
+            assert abs(small - large) <= LEAK_TOL or math.isnan(small) and math.isnan(large)
 
     @pytest.mark.parametrize(
         "data, needed",
@@ -825,6 +863,24 @@ class TestUsageErrors:
         monkeypatch.setenv("MEMAMP_OUT_DIR", str(tmp_path / "envout"))
         assert main(["gain", "--n-atoms", "10", "--n-max", "2"]) == EXIT_OK
         assert (tmp_path / "envout" / "gain.csv").is_file()
+
+
+#: Exact, lossy, three stages: the undetected mode splits each node into up
+#: to four branches, many of negligible share.
+LOW_WEIGHT_LEAKS = {
+    "n_atoms": 100, "alpha": 0.1, "p_w": 0.002, "p_r": 0.002, "beta_w": 0.8,
+    "beta_r": 0.8, "schedule": "type1", "stages": 3, "order": "exact",
+    "truncation": {"fock_a_max": 4, "fock_b_max": 4, "fock_c_max": 3, "atomic_k_max": 12},
+}
+
+
+def _leaves(value):
+    """The leaves of a JSON-like value, depth first."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
 
 
 def simulate_exit(tmp_path, data):

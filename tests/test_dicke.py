@@ -396,8 +396,8 @@ class TestDickeVectorInvariants:
         rng = np.random.default_rng(5)
         psi = rng.normal(size=(6, 5, 2, 2, 1)) + 1j * rng.normal(size=(6, 5, 2, 2, 1))
         psi *= np.logspace(-120, 3, 6).reshape(-1, 1, 1, 1, 1)
-        states, prob = herald_rows(psi, HeraldPattern(1, 1), {})
-        assert np.all(prob > 0.0)
+        prob, rows, _, _, states = herald_rows(psi, HeraldPattern(1, 1))
+        assert np.all(prob > 0.0) and rows.tolist() == list(range(6))
         assert np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= TOL)
 
     def test_amplitudes_read_only(self):

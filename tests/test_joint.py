@@ -16,7 +16,6 @@ from memamp import joint
 from memamp.dicke import LadderDirection, ladder_coeff, weak_coherent_rows
 from memamp.errors import (
     MemampError,
-    MixedConditionalError,
     ResourceGuardError,
     TruncationLeakageError,
     TruncationOverflowError,
@@ -457,34 +456,28 @@ class TestHerald:
                 total += prob
         assert total == pytest.approx(row_norms(psi)[0], abs=1e-10)
 
-    def test_mixed_conditional_raises(self):
-        # two non-parallel undetected-mode sectors at the heralded pattern
-        amps = two_sector_amplitudes(0.6, 0.0, 0.0, 0.8)
-        with pytest.raises(MixedConditionalError, match=(
-            r"^conditional atomic state is mixed: exact order with beta < 1 leaves "
-            r"several undetected-mode sectors; use first order or beta = 1$"
-        )):
-            heralded(amps, P11)
-        rho, prob = reduced_conditional_density(amps[0], P11)
-        assert prob == pytest.approx(1.0, abs=TOL)
-        assert np.trace(rho).real == pytest.approx(1.0, abs=TOL)
-
     @pytest.mark.parametrize("scale", [1e-100, 1e-130])
     def test_tiny_mixture_is_mixed(self, scale):
-        # herald probability 2 scale^2: the Gram matrix's squares underflow
+        # herald probability 2 scale^2: two orthogonal branches, each of
+        # norm 1, with no underflow on the way
         amps = two_sector_amplitudes(scale, 0.0, 0.0, scale)
-        errors = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, prob = joint.herald_rows(amps, P11, errors)
+            prob, rows, n_c, pops, states = joint.herald_rows(amps, P11)
         assert prob[0] == pytest.approx(2 * scale**2, rel=1e-15)
-        assert list(errors) == [0]
-        assert isinstance(errors[0], MixedConditionalError)
+        assert rows.tolist() == [0, 0] and n_c.tolist() == [0, 1]
+        assert np.all(pops == scale**2)
+        assert np.array_equal(states, np.eye(2))
 
     def test_parallel_sectors_stay_pure(self):
-        states, prob = heralded(two_sector_amplitudes(0.3, 0.4, 0.6, 0.8), P11)
+        # two branches in the same state: their mixture is that pure state
+        prob, rows, n_c, pops, states = joint.herald_rows(
+            two_sector_amplitudes(0.3, 0.4, 0.6, 0.8), P11
+        )
         assert prob[0] == pytest.approx(1.25, abs=TOL)
-        assert states[0, 1] / states[0, 0] == pytest.approx(4.0 / 3.0, abs=TOL)
+        assert rows.tolist() == [0, 0] and n_c.tolist() == [0, 1]
+        assert pops == pytest.approx([0.25, 1.0], abs=TOL)
+        assert np.allclose(states, [[0.6, 0.8], [0.6, 0.8]], atol=TOL)
 
 
 class TestReducedConditionalDensity:

@@ -318,6 +318,9 @@ def test_public_surface():
         for module in (memamp, dicke, oracle, metrics, errors):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(QualityReport, "build")
+    # a mixed herald is a weighted set of branches, not an error
+    assert not hasattr(errors, "MixedConditionalError")
+    assert not hasattr(joint, "PURITY_TOL")
 
 
 #: (sector, matched, atomic, total), herald counts, and what scoring raises
