@@ -198,13 +198,15 @@ class Process:
         ).reshape(-1)
         self.weights = g_det * lad * sq_det, w_loss, bound
 
-    def rows(self, mask: np.ndarray) -> "Process":
+    def rows(self, index: np.ndarray) -> "Process":
+        if np.array_equal(index, np.arange(len(self.p))):  # every row: no copy
+            return self
         out = object.__new__(Process)
         out.name, out.truncation, out.order = self.name, self.truncation, self.order
-        out.n_atoms, out.p, out.beta = self.n_atoms[mask], self.p[mask], self.beta[mask]
+        out.n_atoms, out.p, out.beta = self.n_atoms[index], self.p[index], self.beta[index]
         w_det, w_loss, bound = self.weights
         lossy = (out.p * (1.0 - out.beta)).any()  # as g_loss.any() in __init__
-        out.weights = w_det[mask], w_loss[mask] if lossy else None, bound[mask]
+        out.weights = w_det[index], w_loss[index] if lossy else None, bound[index]
         return out
 
 

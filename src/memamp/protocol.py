@@ -294,17 +294,15 @@ def _stage(processes: tuple, level: tuple, kind: StageKind, visit=None) -> tuple
     states, weights, owner = level
     truncation, count = processes[0].truncation, len(processes[0].p)
     size = batch_rows(truncation)
-    whole = len(states) == count <= size  # one branch per point, one chunk
     errors, parts = {}, []
     for lo in range(0, max(len(states), 1), size):  # an empty level is one chunk
         rows, found = slice(lo, lo + size), {}
-        procs = processes if whole else [proc.rows(owner[rows]) for proc in processes]
         atomic = states[rows]
         psi = np.zeros((len(atomic),) + truncation.shape(), np.complex128)
         psi[:, :, 0, 0, 0] = atomic
-        for proc, skip in zip(procs, (StageKind.READ_ONLY, StageKind.WRITE_ONLY)):
+        for proc, skip in zip(processes, (StageKind.READ_ONLY, StageKind.WRITE_ONLY)):
             if kind is not skip:  # each input tensor is freed as its process returns
-                psi = apply_process(psi, proc, found, weights[rows])
+                psi = apply_process(psi, proc.rows(owner[rows]), found, weights[rows])
         for i in sorted(found):  # a point's first error in level order
             errors.setdefault(int(owner[lo + i]), found[i])
         totals = row_norms(psi)
@@ -406,7 +404,7 @@ def run_batch(
     # stage's branches by their shares over their totals, fidelity and gain
     # of the leaves by their shares
     norms = np.stack([raw, *np.concatenate(norms, axis=1), totals])
-    if len(owner) != count:  # not one branch per point: sum each point's branches
+    if not np.array_equal(owner, np.arange(count)):  # sum each point's branches
         share = weights / totals
         share /= np.bincount(owner, share, count)[owner]
         norms = np.stack([np.bincount(owner, share * norm, count) for norm in norms])

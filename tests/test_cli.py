@@ -433,21 +433,31 @@ MIXED_AXES = {
 }
 
 
-#: exact points in batches of 4: one branch, mixtures, leaking and failed heralds
+#: exact points in batches of 2 (dimension 900): one branch, mixtures,
+#: leaking and failed heralds
 EXACT_GRID = ({"n_atoms": 100, "alpha": 0.1, "p_r": 0.006, "order": "exact",
                "truncation": {"fock_a_max": 4, "fock_b_max": 4, "fock_c_max": 3}},
               {"stages": [1, 2], "beta_w": [0.8, 1.0], "p_w": [0.0, 0.004, 0.2]})
+#: exact points in batches of 4 (dimension 600), the first three failing their
+#: first herald (p_w = 0) and the fourth a mixture of four branches: as many
+#: branches at the second stage as the batch has points, none of them theirs
+DEAD_BESIDE_MIXTURE = ({"n_atoms": 20, "alpha": 0.1, "beta_w": 0.8, "stages": 2,
+                        "order": "exact", "truncation": {
+                            "fock_a_max": 4, "fock_b_max": 4, "fock_c_max": 3,
+                            "atomic_k_max": 5}},
+                       {"p_w": [0.0, 0.005], "p_r": [0.004, 0.005, 0.006]})
 LOSSY_READ = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8}
 
 
 class TestSweepBatches:
     """Batched sweeps: rows match `run_schedule`, whatever the batch."""
 
-    @pytest.mark.parametrize("base, axes", [
-        (dict(LOSSY_READ, schedule="type1"), MIXED_AXES),
-        (dict(LOSSY_READ, schedule="type2"), MIXED_AXES), EXACT_GRID,
-    ], ids=["type1", "type2", "exact"])
-    def test_rows_equal_run_schedule_bit_for_bit(self, tmp_path, base, axes):
+    @pytest.mark.parametrize("base, axes, guards", [
+        (dict(LOSSY_READ, schedule="type1"), MIXED_AXES, set()),
+        (dict(LOSSY_READ, schedule="type2"), MIXED_AXES, set()),
+        (*EXACT_GRID, {"TruncationLeakageError"}), (*DEAD_BESIDE_MIXTURE, set()),
+    ], ids=["type1", "type2", "exact", "dead-beside-mixture"])
+    def test_rows_equal_run_schedule_bit_for_bit(self, tmp_path, base, axes, guards):
         _, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": axes})
         keys = list(axes)
         assert len(rows) == math.prod(len(v) for v in axes.values())
@@ -464,7 +474,7 @@ class TestSweepBatches:
             assert row[len(keys):] == [str(cli._format_cell(v)) for v in expected]
             assert (quality is None) == (point["p_w"] == 0.0 or message != "")
         errors = {row[-1].split(":")[0] for row in rows} - {""}
-        assert errors == ({"TruncationLeakageError"} if "order" in base else set())
+        assert errors == guards
 
     def test_permuted_axes_give_identical_rows(self, tmp_path):
         base = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8}

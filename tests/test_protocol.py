@@ -1,5 +1,6 @@
 """Schedules, stage pipelines and Monte Carlo heralding statistics."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -668,6 +669,32 @@ class TestMixtures:
                                      batch_key(ProtocolConfig(**kwargs))[-1])[0]
             for _, _, (states, weights, _), lo, hi in stages:
                 assert hi - lo == 1 and weights[lo] == 1.0
+
+    @pytest.mark.parametrize("dead_first", [True, False], ids=["dead-first", "dead-last"])
+    def test_dead_points_beside_a_mixture_keep_their_own_rows(self, dead_first):
+        """Three points that fail their first herald (p_w = 0) and a point
+        whose four branches enter the second stage: as many branches as
+        points, but every branch evolves with its own point's processes and
+        sums into its own point's metrics, as in its batch of one."""
+        lossy = dataclasses.replace(self.config("type1_two_stages"),
+                                    truncation=ModeTruncation(4, 4, 3, 5))
+        dead = dataclasses.replace(lossy, p_w=0.0)
+        batch = [dead] * 3 + [lossy] if dead_first else [lossy] + [dead] * 3
+        truncation = batch_key(lossy)[-1]
+        assert batch_rows(truncation) == len(batch)
+        rows = run_batch(batch, truncation)
+        for config, (stages, quality, error) in zip(batch, rows):
+            alone, quality_alone, error_alone = run_batch([config], truncation)[0]
+            assert (quality, repr(error)) == (quality_alone, repr(error_alone))
+            assert len(stages) == len(alone)
+            for (p, c, (states, weights, _), lo, hi), (p1, c1, (states1, weights1, _),
+                                                        lo1, hi1) in zip(stages, alone):
+                assert (p, c, hi - lo) == (p1, c1, hi1 - lo1)
+                assert np.array_equal(states[lo:hi], states1[lo1:hi1])
+                assert np.array_equal(weights[lo:hi], weights1[lo1:hi1])
+        stages, quality, _ = rows[3 if dead_first else 0]
+        assert [hi - lo for *_, lo, hi in stages] == [4, 16]
+        assert quality == run_schedule(lossy).quality
 
     def test_mean_gain_is_the_trajectory_average(self):
         """mc's mean gain averages c1/(c0 alpha) over the successful
