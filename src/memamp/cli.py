@@ -34,6 +34,7 @@ from .protocol import (
     ProtocolConfig,
     batch_key,
     batch_rows,
+    field_value,
     monte_carlo,
     run_batch,
     run_schedule,
@@ -155,20 +156,13 @@ class RunManifest:
 _MANIFEST_FIELDS = tuple(f.name for f in dataclasses.fields(RunManifest))
 
 
-def _format_cell(value):
-    """A bool as JSON's true/false; the csv writer writes any other cell
-    itself, a float in its shortest round-trip form."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
-
-
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """Rows of cells as they are written: a bool already as JSON's
+    true/false; the csv writer writes a float in its shortest round-trip form."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -217,7 +211,8 @@ def cmd_simulate(config: ProtocolConfig, out_dir: Path) -> int:
     stages_path = out_dir / "stages.csv"
     _write_json(report_path, report.to_dict())
     rows = [r.to_row() for r in report.stage_reports]
-    _write_csv(stages_path, list(rows[0]), [list(row.values()) for row in rows])
+    cells = [dict(row, failed=json.dumps(row["failed"])).values() for row in rows]
+    _write_csv(stages_path, list(rows[0]), cells)
     RunManifest(
         command="simulate",
         seed=config.rng_seed,
@@ -261,10 +256,45 @@ def _grid_points(axes: dict) -> list[tuple]:
     return list(itertools.product(*axes.values()))
 
 
+def _checked_entry(key: str, value):
+    """An axis entry as its point's config stores it, after the checks of
+    its own field (`protocol.field_value`), or None if one fails."""
+    try:
+        return field_value(key, _parse_alpha(value) if key == "alpha" else value)
+    except ConfigError:
+        return None
+
+
+def _sweep_configs(base: dict, axes: dict, grid: list[tuple]) -> list[ProtocolConfig]:
+    """Each grid point's config, equal to `config_from_dict` of the point. The
+    first point is built in full. Each axis entry is checked once, by its
+    place in its axis: 1, 1.0 and true are different entries. Every later
+    point is derived from the first with its entries and only the cross-field
+    checks. A point that fails either check is built in full, so the first
+    such point in grid order raises the message `config_from_dict` gives."""
+    first = config_from_dict({**base, **dict(zip(axes, grid[0]))})
+    entries = [[_checked_entry(key, v) for v in values] for key, values in axes.items()]
+    configs = [first]
+    for values, checked in itertools.islice(
+        zip(grid, itertools.product(*entries)), 1, None
+    ):
+        try:
+            if None not in checked:
+                configs.append(first.derive(dict(zip(axes, checked))))
+                continue
+        except ConfigError:
+            pass
+        configs.append(config_from_dict({**base, **dict(zip(axes, values))}))
+    return configs
+
+
 def _failed_cells(error: Exception | None) -> list:
     """NaN values, succeeded false and the error, if any, of a failed point."""
     message = "" if error is None else f"{type(error).__name__}: {error}"
-    return [float("nan")] * (len(QUALITY_FIELDS) + 1) + [False, message]
+    return [float("nan")] * (len(QUALITY_FIELDS) + 1) + ["false", message]
+
+
+_GAIN = QUALITY_FIELDS.index("gain")
 
 
 def _sweep_batch(batch: tuple[list[ProtocolConfig], ModeTruncation]) -> list[list]:
@@ -272,11 +302,11 @@ def _sweep_batch(batch: tuple[list[ProtocolConfig], ModeTruncation]) -> list[lis
     they evolve on), then gain_squared, succeeded and error; a run error is
     kept in the ``error`` cell."""
     cells = []
-    for _, quality, error in run_batch(*batch):
-        if quality is None:
+    for _, row, error in run_batch(*batch):
+        if row is None:
             cells.append(_failed_cells(error))
         else:
-            cells.append([*quality.to_dict().values(), quality.gain**2, True, ""])
+            cells.append([*row, row[_GAIN] ** 2, "true", ""])
     return cells
 
 
@@ -329,10 +359,7 @@ def cmd_sweep(
     base, axes = _load_sweep_spec(spec_path)
     grid = _grid_points(axes)
     seeded = base if seed is None else dict(base, rng_seed=seed)
-    results = _sweep_cells(
-        [config_from_dict({**seeded, **dict(zip(axes, values))}) for values in grid],
-        jobs,
-    )
+    results = _sweep_cells(_sweep_configs(seeded, axes, grid), jobs)
     header = list(axes) + list(QUALITY_FIELDS) + ["gain_squared", "succeeded", "error"]
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, header, ([*v, *cells] for v, cells in zip(grid, results)))
@@ -342,7 +369,7 @@ def cmd_sweep(
         config={"base": base, "axes": axes},
         outputs=[csv_path.name],
     ).write(out_dir)
-    failed = sum(1 for cells in results if not cells[-2])  # succeeded false
+    failed = sum(1 for cells in results if cells[-2] == "false")
     if failed:
         print(
             f"sweep: {failed} of {len(results)} points failed; see the succeeded "

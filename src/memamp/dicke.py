@@ -69,13 +69,16 @@ def relative_gain(schedule: Schedule, n_rounds: int, n_atoms: int) -> float:
 def weak_coherent_rows(alpha: np.ndarray, size: int) -> np.ndarray:
     """The weak coherent state |G> + alpha|S> of each alpha, normalized, as rows
     of ``size`` levels: only levels 0 and 1 are nonzero, with c_1/c_0 = alpha."""
-    amps = np.zeros((len(alpha), max(size, 2)), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    amps[:, 1] = alpha
+    pair = np.empty((len(alpha), 2), dtype=np.complex128)
+    pair[:, 0] = 1.0
+    pair[:, 1] = alpha
     # dividing by the largest real or imaginary part first keeps the norm of
     # a huge alpha from overflowing; for |alpha| <= 1 it divides by 1.0
-    amps /= np.abs(amps.view(np.float64)).max(axis=1, keepdims=True)
-    # only levels 0 and 1 are nonzero: np.linalg.norm's sum, in its order
-    re, im = amps.real[:, :2] ** 2, amps.imag[:, :2] ** 2
-    amps /= np.sqrt((re[:, 0] + re[:, 1]) + (im[:, 0] + im[:, 1]))[:, None]
+    parts = pair.view(np.float64)  # re0, im0, re1, im1
+    pair /= np.abs(parts).max(axis=1, keepdims=True)
+    # np.linalg.norm's sum, in its order, over the row's only nonzero levels
+    sq = parts**2
+    pair /= np.sqrt((sq[:, 0] + sq[:, 2]) + (sq[:, 1] + sq[:, 3]))[:, None]
+    amps = np.zeros((len(alpha), max(size, 2)), dtype=np.complex128)
+    amps[:, :2] = pair
     return amps[:, :size]

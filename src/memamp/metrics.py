@@ -8,8 +8,8 @@ Their complements multiply the amplification probability into a single
 quality number. Each is a ratio of squared norms of psi and of its projection
 o[n_a, n_b, n_c] = sum_k t_k^* psi[k, n_a, n_b, n_c]; no density matrix is
 built. `sector_norms` gives ||o[n_a, n_b]||^2 and ||o||^2 for each row of a
-batch, and `QualityReport.from_norms` forms the ratios and the quality of one
-row, whose range the report checks once, on construction:
+batch, and `score_rows` forms the ratios and the quality of every row of a
+batch at once, checking each row's denominators and ranges once:
 
 - p_mode = 1 - ||o[n_a, n_b]||^2 / ||psi[:, n_a, n_b]||^2;
 - p_spon = 1 - ||o[n_a, n_b]||^2 / ||o||^2;
@@ -32,9 +32,31 @@ PROB_BAND = 1e-10
 MATRIX_TOL = 1e-12
 
 
-def _checked_probability(name: str, value: float) -> None:
-    if not math.isfinite(value) or not -PROB_BAND <= value <= 1.0 + PROB_BAND:
-        raise MetricRangeError(f"{name} = {value!r} outside [0, 1] tolerance band")
+def _out_of_band(probabilities: np.ndarray) -> np.ndarray:
+    """Which probabilities of a table are not finite or outside the band."""
+    return ~((probabilities >= -PROB_BAND) & (probabilities <= 1.0 + PROB_BAND))
+
+
+def _row_errors(table: np.ndarray, undefined: np.ndarray, messages: list) -> list:
+    """Each row's first failing check, or None: the rows of ``undefined``
+    (one per check, failing rows true, the check's UndefinedMetricError
+    message in ``messages``) in order, then the range of each probability
+    in field order. ``table`` holds the `QualityReport` fields, one row of
+    it per field."""
+    failing = np.concatenate(
+        [undefined, _out_of_band(table.take(_PROBABILITY_ROWS, axis=0))]
+    )
+    errors = [None] * table.shape[1]
+    for i in failing.any(axis=0).nonzero()[0].tolist():
+        check = int(failing[:, i].argmax())  # the row's first failing check
+        if check < len(messages):
+            errors[i] = UndefinedMetricError(messages[check])
+        else:
+            field = _PROBABILITY_ROWS[check - len(messages)]
+            value = table[field].tolist()[i]
+            errors[i] = MetricRangeError(
+                f"{QUALITY_FIELDS[field]} = {value!r} outside [0, 1] tolerance band")
+    return errors
 
 
 def row_sums(x: np.ndarray) -> np.ndarray:
@@ -82,10 +104,14 @@ class QualityReport:
     fidelity: float
 
     def __post_init__(self):
-        # every field but the gain (NaN when alpha = 0) is a probability
-        for name in QUALITY_FIELDS:
-            if name != "gain":
-                _checked_probability(name, getattr(self, name))
+        # the fields as given, so that a message shows each value as it was
+        row = np.array([[getattr(self, name)] for name in QUALITY_FIELDS], dtype=object)
+        with np.errstate(all="ignore"):  # non-finite fields fail their range
+            (error,) = _row_errors(row, np.zeros((0, 1), bool), [])
+        if error is not None:
+            raise error
+        # `score_rows` forms q_amp by this identity, so only a report built
+        # by hand can break it
         expected = self.p_amp * (1.0 - self.p_spon) * (1.0 - self.p_mode)
         if abs(self.q_amp - expected) > MATRIX_TOL:
             raise ValueError(
@@ -93,42 +119,13 @@ class QualityReport:
             )
 
     @classmethod
-    def from_norms(
-        cls,
-        p_suc: float,
-        norms: tuple[float, float, float, float],
-        counts: tuple[int, int],
-        gain: float,
-        fidelity: float,
-    ) -> "QualityReport":
-        """Score a row from its squared norms (sector, matched, atomic, total),
-        ||psi[:, n_a, n_b]||^2, ||o[n_a, n_b]||^2, ||o||^2 and ||psi||^2, and
-        its herald counts (n_a, n_b). A zero denominator raises, checked for
-        p_mode, then p_spon, then p_amp; `__post_init__` checks the ranges."""
-        sector, matched, atomic, total = norms
-        if sector <= 0.0:
-            n_a, n_b = counts
-            raise UndefinedMetricError(
-                f"no probability in photon sector ({n_a}, {n_b}); p_mode undefined"
-            )
-        if atomic <= 0.0:
-            raise UndefinedMetricError(
-                "no probability on the target atomic mode; p_spon undefined"
-            )
-        if total <= 0.0:
-            raise UndefinedMetricError("zero joint state; p_amp undefined")
-        p_mode = 1.0 - matched / sector
-        p_spon = 1.0 - matched / atomic
-        p_amp = atomic / total
-        return cls(
-            p_suc=p_suc,
-            p_mode=p_mode,
-            p_spon=p_spon,
-            p_amp=p_amp,
-            q_amp=p_amp * (1.0 - p_spon) * (1.0 - p_mode),
-            gain=gain,
-            fidelity=fidelity,
-        )
+    def of_row(cls, row: list) -> "QualityReport":
+        """The report of a row that `score_rows` passed, without checking
+        it again."""
+        report = object.__new__(cls)
+        for name, value in zip(QUALITY_FIELDS, row):
+            object.__setattr__(report, name, value)
+        return report
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in QUALITY_FIELDS}
@@ -136,3 +133,38 @@ class QualityReport:
 
 #: Field names in declaration order, read once: report keys and sweep columns.
 QUALITY_FIELDS = tuple(f.name for f in fields(QualityReport))
+#: The rows of the probabilities in a table of the fields: all but the gain
+#: (NaN when alpha = 0).
+_PROBABILITY_ROWS = [i for i, name in enumerate(QUALITY_FIELDS) if name != "gain"]
+
+
+def score_rows(
+    p_suc: np.ndarray,
+    norms: np.ndarray,
+    counts: tuple[int, int],
+    gain: np.ndarray,
+    fidelity: np.ndarray,
+) -> tuple[list, list]:
+    """Score a batch from each row's squared norms (sector, matched, atomic,
+    total), ||psi[:, n_a, n_b]||^2, ||o[n_a, n_b]||^2, ||o||^2 and
+    ||psi||^2, and the herald counts (n_a, n_b). Returns each row's
+    `QualityReport` fields as a list, and its error or None: the first
+    failing check of a zero denominator for p_mode, then p_spon, then p_amp,
+    then the range of each probability in field order. q_amp is formed by
+    its product identity, which therefore holds."""
+    sector, matched, atomic, total = norms
+    n_a, n_b = counts
+    messages = [f"no probability in photon sector ({n_a}, {n_b}); p_mode undefined",
+                "no probability on the target atomic mode; p_spon undefined",
+                "zero joint state; p_amp undefined"]
+    with np.errstate(all="ignore"):  # the rows of a zero denominator fail first
+        p_mode = 1.0 - matched / sector
+        p_spon = 1.0 - matched / atomic
+        p_amp = atomic / total
+        q_amp = p_amp * (1.0 - p_spon) * (1.0 - p_mode)
+        fields = {"p_suc": p_suc, "p_mode": p_mode, "p_spon": p_spon, "p_amp": p_amp,
+                  "q_amp": q_amp, "gain": gain, "fidelity": fidelity}
+        table = np.array([fields[name] for name in QUALITY_FIELDS])
+        # the denominators of p_mode, p_spon and p_amp
+        errors = _row_errors(table, norms[[0, 2, 3]] <= 0.0, messages)
+    return table.T.tolist(), errors

@@ -21,7 +21,7 @@ from itertools import compress
 import numpy as np
 
 from .dicke import Schedule, relative_gain, weak_coherent_rows
-from .errors import ConfigError, MemampError
+from .errors import ConfigError
 from .joint import (
     TRUNCATION_FIELDS,
     ZERO_PROB_FLOOR,
@@ -34,7 +34,7 @@ from .joint import (
     is_integer,
     is_real,
 )
-from .metrics import QualityReport, row_norms, sector_norms
+from .metrics import QualityReport, row_norms, score_rows, sector_norms
 
 
 class StageKind(enum.Enum):
@@ -69,6 +69,86 @@ def to_number(key: str, convert, value):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _finite_complex(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
+def _real(key: str, value) -> float:
+    if not is_real(value):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return to_number(key, float, value)
+
+
+def _complex(key: str, alpha):
+    # the exact type first: an ABC isinstance check is slow
+    if type(alpha) not in (complex, float, int) and (
+        isinstance(alpha, bool) or not isinstance(alpha, numbers.Complex)
+    ):
+        raise ConfigError(f"{key}: expected a number, got {alpha!r}")
+    return alpha
+
+
+def _count(key: str, value) -> int:
+    if not is_integer(value) or value < 1:
+        raise ConfigError(f"{key} must be a positive integer, got {value}")
+    return value
+
+
+def _atoms(key: str, value) -> int:
+    to_number(key, float, _count(key, value))  # a run holds N as a float
+    return value
+
+
+def _probability(key: str, value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{key} must be in [0, 1], got {value}")
+    return value
+
+
+def _efficiency(key: str, value: float) -> float:
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"{key} must be in (0, 1], got {value}")
+    return value
+
+
+def _finite(key: str, value) -> complex:
+    alpha = to_number(key, complex, value)
+    if not _finite_complex(alpha):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return alpha
+
+
+def _seed(key: str, value) -> int:
+    if not is_integer(value) or not 0 <= value < 2**64:
+        raise ConfigError(f"{key} must be a u64, got {value}")
+    return value
+
+
+def _truncation(key: str, value) -> ModeTruncation:
+    if not isinstance(value, ModeTruncation):
+        raise ConfigError(f"{key} must be a ModeTruncation")
+    return value
+
+
+#: The checks of one field each, in the order `ProtocolConfig` runs them: the
+#: types, the headroom check, then the ranges. A check takes a key and its
+#: value and returns the value to store, or raises ConfigError.
+_TYPE_CHECKS = {"p_w": _real, "p_r": _real, "beta_w": _real, "beta_r": _real,
+                "alpha": _complex, "n_atoms": _atoms, "stages": _count}
+_RANGE_CHECKS = {"p_w": _probability, "p_r": _probability, "beta_w": _efficiency,
+                 "beta_r": _efficiency, "alpha": _finite, "rng_seed": _seed,
+                 "truncation": _truncation}
+
+
+def field_value(key: str, value):
+    """``value`` as `ProtocolConfig` stores it in field ``key``, after that
+    field's own checks only; a failing one raises ConfigError."""
+    for checks in (_TYPE_CHECKS, _RANGE_CHECKS):
+        if key in checks:
+            value = checks[key](key, value)
+    return value
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """All run parameters for a schedule, validated on construction."""
@@ -87,52 +167,46 @@ class ProtocolConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for key in ("p_w", "p_r", "beta_w", "beta_r"):
-            value = getattr(self, key)
-            if not is_real(value):
-                raise ConfigError(f"{key}: expected a number, got {value!r}")
-            object.__setattr__(self, key, to_number(key, float, value))
-        alpha = self.alpha  # the exact type first: an ABC isinstance check is slow
-        if type(alpha) not in (complex, float, int) and (
-            isinstance(alpha, bool) or not isinstance(alpha, numbers.Complex)
-        ):
-            raise ConfigError(f"alpha: expected a number, got {self.alpha!r}")
-        if not is_integer(self.n_atoms) or self.n_atoms < 1:
-            raise ConfigError(f"n_atoms must be a positive integer, got {self.n_atoms}")
-        to_number("n_atoms", float, self.n_atoms)  # a run holds N as a float
-        if not is_integer(self.stages) or self.stages < 1:
-            raise ConfigError(f"stages must be a positive integer, got {self.stages}")
+        self._check_fields(_TYPE_CHECKS)
+        self._check_headroom()
+        self._check_fields(_RANGE_CHECKS)
+        self._check_target()
+
+    def _check_fields(self, checks: dict) -> None:
+        for key, check in checks.items():
+            object.__setattr__(self, key, check(key, getattr(self, key)))
+
+    def _check_headroom(self) -> None:
         if self.stages + 1 > self.n_atoms:
             raise ConfigError(
                 f"stages+1 = {self.stages + 1} exceeds n_atoms = {self.n_atoms} "
                 "(excitation headroom)"
             )
-        for key in ("p_w", "p_r"):
-            value = getattr(self, key)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{key} must be in [0, 1], got {value}")
-        for key in ("beta_w", "beta_r"):
-            value = getattr(self, key)
-            if not 0.0 < value <= 1.0:
-                raise ConfigError(f"{key} must be in (0, 1], got {value}")
-        alpha = to_number("alpha", complex, self.alpha)
-        if not np.isfinite(alpha):
-            raise ConfigError(f"alpha must be finite, got {self.alpha}")
-        object.__setattr__(self, "alpha", alpha)
-        if not is_integer(self.rng_seed) or not 0 <= self.rng_seed < 2**64:
-            raise ConfigError(f"rng_seed must be a u64, got {self.rng_seed}")
-        if not isinstance(self.truncation, ModeTruncation):
-            raise ConfigError("truncation must be a ModeTruncation")
+
+    def _check_target(self) -> None:
+        """The loss mode of beta < 1, and a finite target amplitude."""
         if min(self.beta_w, self.beta_r) < 1.0 and self.truncation.fock_c_max == 0:
             raise ConfigError("beta_w or beta_r < 1 needs a loss mode (fock_c_max >= 1)")
         try:
-            target = _target_gain(self) * alpha
+            target = _target_gain(self) * self.alpha
         except OverflowError as exc:
             raise ConfigError(f"the target gain overflows: {exc}") from exc
-        if not np.isfinite(target):
+        if not _finite_complex(target):
             raise ConfigError(
-                f"alpha = {alpha}: the target amplitude gain*alpha is not finite"
+                f"alpha = {self.alpha}: the target amplitude gain*alpha is not finite"
             )
+
+    def derive(self, changes: dict) -> "ProtocolConfig":
+        """This config with ``changes``, each value checked by `field_value`,
+        after only the cross-field checks: headroom, the loss mode of
+        beta < 1 and the target gain. Equal to the full construction's
+        config whenever that one passes."""
+        config = object.__new__(ProtocolConfig)
+        for name in CONFIG_FIELDS:  # in declaration order, as __init__ sets them
+            object.__setattr__(config, name, changes.get(name, getattr(self, name)))
+        config._check_headroom()
+        config._check_target()
+        return config
 
     def to_dict(self) -> dict:
         """JSON form: enums by value, alpha as [re, im], truncation as an object."""
@@ -362,14 +436,15 @@ def run_batch(
     stage probability is the sum of w raw / total over its branches.
     Reductions stay within a row, so no point's values depend on the others.
     A point whose branch raises keeps the first such error in level order and
-    leaves the batch, as does a failed herald. Returns per point (stage
-    records, QualityReport, error), a stage record being (probability,
-    cumulative probability, the stage's children as a level, and the first
-    and last + 1 of the point's children: none for a zero-probability
-    herald)."""
+    leaves the batch, as does a failed herald. The points that heralded
+    every stage are scored together (`metrics.score_rows`). Returns per point
+    (stage records, the `QualityReport` fields as a list or None, error), a
+    stage record being (probability, cumulative probability, the stage's
+    children as a level, and the first and last + 1 of the point's children:
+    none for a zero-probability herald)."""
     count = len(configs)
     stages: list[list[tuple]] = [[] for _ in range(count)]
-    qualities: list[QualityReport | None] = [None] * count
+    qualities: list[list | None] = [None] * count
     errors = [_headroom_error(c, truncation.atomic_k_max) for c in configs]
     processes = _processes(configs, truncation)
     k_dim = truncation.atomic_k_max + 1
@@ -408,30 +483,29 @@ def run_batch(
         share = weights / totals
         share /= np.bincount(owner, share, count)[owner]
         norms = np.stack([np.bincount(owner, share * norm, count) for norm in norms])
-    sums = norms.T.tolist()
     leaves, weights, owner = children
     targets = targets[owner]
     overlap = np.abs((leaves.conj() * targets).sum(axis=1)) ** 2
     fidelity = overlap / (row_norms(leaves) * row_norms(targets))
-    fidelity = np.bincount(owner, weights * fidelity, count).tolist()
-    for i in compress(range(count), live.tolist()):
+    fidelity = np.bincount(owner, weights * fidelity, count)
+    scored, gains = live.nonzero()[0], []
+    for i in scored.tolist():
         lo, hi = bounds[i : i + 2]
-        try:
-            gain = _mixture_gain(weights[lo:hi], leaves[lo:hi], configs[i].alpha)
-            qualities[i] = QualityReport.from_norms(
-                cumulatives[i], sums[i], counts, gain, fidelity[i]
-            )
-        except (MemampError, ValueError) as exc:
-            errors[i] = exc
+        gains.append(_mixture_gain(weights[lo:hi], leaves[lo:hi], configs[i].alpha))
+    rows, failures = score_rows(cumulative[scored], norms[:, scored], counts,
+                                np.array(gains), fidelity[scored])
+    for i, row, error in zip(scored.tolist(), rows, failures):
+        qualities[i], errors[i] = (row, None) if error is None else (None, error)
     return list(zip(stages, qualities, errors))
 
 
 def run_schedule(config: ProtocolConfig) -> AmplificationReport:
     """Deterministic post-selected pipeline over the configured schedule:
     `run_batch` on the batch of one, raising the point's error."""
-    stages, quality, error = run_batch([config], batch_key(config)[-1])[0]
+    stages, row, error = run_batch([config], batch_key(config)[-1])[0]
     if error is not None:
         raise error
+    quality = None if row is None else QualityReport.of_row(row)
     plan = stage_plan(config)
     reports = [_stage_report(i, plan[i], r, config) for i, r in enumerate(stages)]
     analytic = relative_gain(config.schedule, config.stages, config.n_atoms)

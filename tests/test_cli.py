@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import itertools
 import json
 import math
 import tempfile
@@ -25,7 +26,10 @@ from memamp.dicke import Schedule, relative_gain
 from memamp.errors import ConfigError, MemampError, TruncationLeakageError
 from memamp.joint import LEAK_TOL, EvolutionOrder
 from memamp.oracle import MAX_FULL_ATOMS
-from memamp.protocol import batch_key, monte_carlo, run_batch, run_schedule
+from memamp.metrics import QualityReport
+from memamp.protocol import (
+    CONFIG_FIELDS, ProtocolConfig, batch_key, monte_carlo, run_batch, run_schedule,
+)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -34,6 +38,11 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def csv_cell(value):
+    """A cell as sweep.csv holds it: a bool as JSON's true/false."""
+    return json.dumps(value) if isinstance(value, bool) else str(value)
 
 
 def read_csv(path):
@@ -402,7 +411,7 @@ class TestSweepCommand:
                 name = f"k{atomic_k_max}j{jobs}"
                 code, _, rows, _ = sweep_csv(tmp_path, spec, name=name, jobs=jobs)
                 assert code == EXIT_PROTOCOL
-                assert rows[0][1:] == [str(cli._format_cell(v)) for v in expected]
+                assert rows[0][1:] == [csv_cell(v) for v in expected]
                 assert rows[1][-2:] == ["false", guard]
             # a grid with every point over the cap still writes its rows
             spec = {"base": base, "axes": {"n_atoms": [100, 200]}}
@@ -471,7 +480,7 @@ class TestSweepBatches:
                 expected = [math.nan] * (len(header) - len(keys) - 2) + [False, message]
             else:
                 expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
-            assert row[len(keys):] == [str(cli._format_cell(v)) for v in expected]
+            assert row[len(keys):] == [csv_cell(v) for v in expected]
             assert (quality is None) == (point["p_w"] == 0.0 or message != "")
         errors = {row[-1].split(":")[0] for row in rows} - {""}
         assert errors == guards
@@ -594,6 +603,189 @@ class TestSweepBatches:
             tmp_path, {"base": base, "axes": {"p_w": [0.001, 0.002, 0.003]}}
         )
         assert code == EXIT_OK and len(rows) == 3 and sizes == [3]
+
+
+def exact_fields(config):
+    """Each field's type and repr: 1 is not 1.0 and 0.0 is not -0.0 here."""
+    return [(type(v), repr(v)) for v in (getattr(config, f) for f in CONFIG_FIELDS)]
+
+
+def grid_configs(base, axes):
+    """`config_from_dict` of each grid point, up to the first that raises,
+    and that point's message (None if every point passes)."""
+    configs = []
+    for values in itertools.product(*axes.values()):
+        try:
+            configs.append(cli.config_from_dict({**base, **dict(zip(axes, values))}))
+        except ConfigError as exc:
+            return configs, str(exc)
+    return configs, None
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The configs each sweep hands to its batches, in grid order."""
+    seen = []
+
+    def spy(configs, jobs):
+        seen.append(configs)
+        return sweep_cells(configs, jobs)
+
+    sweep_cells = cli._sweep_cells
+    monkeypatch.setattr(cli, "_sweep_cells", spy)
+    return seen
+
+
+class TestSweepConfigs:
+    """Each axis entry is checked once, by its place in its axis, and every
+    point's config and config error is the one `config_from_dict` gives."""
+
+    def run(self, tmp_path, capsys, base, axes):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"base": base, "axes": axes}))
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_bad_entry_names_its_key(self, tmp_path, capsys):
+        # 20.0 equals the valid 20, but is not an integer
+        code, err = self.run(tmp_path, capsys, {"alpha": 0.1}, {"n_atoms": [20, 20.0]})
+        assert (code, err) == (
+            EXIT_CONFIG, "config error: n_atoms must be a positive integer, got 20.0\n"
+        )
+
+    def test_earliest_failing_point_reports(self, tmp_path, capsys):
+        # grid order (p_w, stages): (1, 1), then (1, 1.0) fails on stages,
+        # before (true, 1) fails on p_w, the first axis
+        base, axes = {"n_atoms": 20}, {"p_w": [1, True], "stages": [1, 1.0]}
+        message = "stages must be a positive integer, got 1.0"
+        assert grid_configs(base, axes)[1] == message
+        code, err = self.run(tmp_path, capsys, base, axes)
+        assert (code, err) == (EXIT_CONFIG, f"config error: {message}\n")
+
+    def test_true_next_to_one_fails(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, {"n_atoms": 20}, {"p_w": [1, True]})
+        assert (code, err) == (
+            EXIT_CONFIG, "config error: p_w: expected a number, got True\n"
+        )
+
+    @pytest.mark.parametrize("base, axes", [
+        ({"p_w": 0.001}, {"n_atoms": [3, 20], "alpha": [-0.0, 0.0], "p_r": [1, 1.0]}),
+        ({"n_atoms": 2, "stages": 3, "p_w": 0.001},
+         {"n_atoms": [4, 20], "alpha": [0.1, -0.0, 0.0, [0.1, -0.0]]}),
+        ({"n_atoms": 20, "p_w": 0.001}, {"alpha": [0.0, -0.0, [0.0, -0.0], 0]}),
+    ], ids=["n_atoms_only_on_an_axis", "stages_above_base_n_atoms", "signed_zeros"])
+    def test_points_equal_config_from_dict(self, tmp_path, capsys, swept, base, axes):
+        """A base that fails alone runs once the axes override it, and equal
+        entries of one axis keep their own types and zero signs."""
+        code, _ = self.run(tmp_path, capsys, base, axes)
+        assert code == EXIT_OK
+        expected, message = grid_configs(base, axes)
+        assert message is None
+        assert [exact_fields(c) for c in swept[0]] == [exact_fields(c) for c in expected]
+
+    def test_checks_and_cells_per_batch(self, tmp_path, monkeypatch):
+        """A G-point sweep over E axis entries runs the full config check at
+        most 1 + E times, builds no QualityReport, and hands its rows to the
+        csv writer whole, succeeded already written."""
+        inits, reports, written = [], [], []
+        post_init = ProtocolConfig.__post_init__
+        monkeypatch.setattr(ProtocolConfig, "__post_init__",
+                            lambda self: inits.append(1) or post_init(self))
+        report_init = QualityReport.__post_init__
+        monkeypatch.setattr(QualityReport, "__post_init__",
+                            lambda self: reports.append(1) or report_init(self))
+        of_row = QualityReport.of_row
+        monkeypatch.setattr(QualityReport, "of_row",
+                            lambda row: reports.append(row) or of_row(row))
+        writer = csv.writer
+
+        class Recording:
+            def __init__(self, handle, **kwargs):
+                self.writer = writer(handle, **kwargs)
+
+            def writerow(self, row):
+                written.append(("row", row))
+                return self.writer.writerow(row)
+
+            def writerows(self, rows):
+                rows = list(rows)
+                written.append(("rows", rows))
+                return self.writer.writerows(rows)
+
+        monkeypatch.setattr(csv, "writer", Recording)
+        axes = {"p_w": [0.001 * (i + 1) for i in range(6)],
+                "p_r": [0.002 * (i + 1) for i in range(5)], "stages": [1, 2]}
+        code, header, rows, _ = sweep_csv(tmp_path, {"base": {"n_atoms": 20},
+                                                     "axes": axes})
+        points, entries = len(rows), sum(map(len, axes.values()))
+        assert code == EXIT_OK and points == 60 and entries == 13
+        assert 1 <= len(inits) <= 1 + entries
+        assert reports == [] and not hasattr(cli, "_format_cell")
+        assert [kind for kind, _ in written] == ["row", "rows"]
+        assert [row[-2] for row in written[1][1]] == ["true"] * points
+
+
+_ENTRY = {
+    "p_w": [0.0, -0.0, 0, 1, 1.0, 0.3, True, False, 1.5, -0.1, None, "0.1", 10**400,
+            [0.1], {}],
+    "beta_w": [1, 1.0, 0.5, 0.0, -0.0, True, 1.5, None],
+    "n_atoms": [1, 2, 3, 20, 3000, 0, -1, 2.0, True, None, 10**400, [3], {}],
+    "stages": [1, 2, 3, 1100, 0, 1.0, True, "1"],
+    "alpha": [0.1, 0, 0.0, -0.0, [0.1, -0.0], [-0.0, 0.0], 1e200, 1e308,
+              [1e308, 1e308], True, [True, 0], [0.1], "a", 10**400, [0, 10**400], {}],
+}
+#: entries that compare equal, and are not all valid or not all stored alike
+_TWINS = {
+    "p_w": [0, 0.0, -0.0, False, 1, 1.0, True],
+    "beta_w": [1, 1.0, True],
+    "n_atoms": [1, 2, 2.0, True],
+    "stages": [1, 1.0, True],
+    "alpha": [0, 0.0, -0.0, [0.0, -0.0], [-0.0, 0.0], False, 1, 1.0, True],
+}
+for entries in (_ENTRY, _TWINS):
+    entries["p_r"], entries["beta_r"] = entries["p_w"], entries["beta_w"]
+_SWEEP_BASE = st.fixed_dictionaries(
+    {},
+    optional={
+        **{key: st.sampled_from(values) for key, values in _ENTRY.items()},
+        "schedule": st.sampled_from(["type1", "type2"]),
+        "gain_convention": st.sampled_from(["exact", "large_n"]),
+        "truncation": st.sampled_from([{"fock_c_max": 0}, {"fock_c_max": 1}]),
+    },
+)
+
+
+@st.composite
+def sweep_specs(draw):
+    """A base and up to three axes of up to three valid or invalid entries,
+    often of entries that compare equal."""
+    keys = draw(st.lists(st.sampled_from(sorted(_ENTRY)), min_size=1, max_size=3,
+                         unique=True))
+    axes = {key: draw(st.one_of(st.lists(st.sampled_from(_ENTRY[key]), min_size=1,
+                                         max_size=3),
+                                st.lists(st.sampled_from(_TWINS[key]), min_size=2,
+                                         max_size=3)))
+            for key in keys}
+    return draw(_SWEEP_BASE), axes
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=sweep_specs())
+def test_sweep_configs_equal_config_from_dict(spec):
+    """The sweep's configs are `config_from_dict` of each grid point, field
+    by field with types and zero signs, or it raises the message of the
+    first point that fails: headroom, beta < 1 without a loss mode and the
+    target-gain overflow included."""
+    base, axes = spec
+    expected, message = grid_configs(base, axes)
+    grid = list(itertools.product(*axes.values()))
+    try:
+        configs = cli._sweep_configs(base, axes, grid)
+    except ConfigError as exc:
+        assert str(exc) == message
+    else:
+        assert message is None
+        assert [exact_fields(c) for c in configs] == [exact_fields(c) for c in expected]
 
 
 #: Photon cutoffs at, and above, what a first-order stage can reach.
@@ -827,12 +1019,19 @@ class TestOutputSchemas:
         assert '"beta_w": 1.0' in (tmp_path / "manifest.json").read_text()
 
     def test_csv_cells_in_shortest_form(self, tmp_path):
+        """Floats in shortest round-trip form; a bool as JSON's true/false,
+        which each command writes as it makes the cells."""
         import numpy as np
 
         path = tmp_path / "cells.csv"
-        cli._write_csv(path, ["a", "b", "c", "d", "e"],
-                       [[0.1, np.float64(1 / 3), True, False, 7]])
-        assert path.read_text() == "a,b,c,d,e\n0.1,0.3333333333333333,true,false,7\n"
+        cli._write_csv(path, ["a", "b", "c"], [[0.1, np.float64(1 / 3), 7]])
+        assert path.read_text() == "a,b,c\n0.1,0.3333333333333333,7\n"
+        for p_w, failed in [(0.01, "false"), (0.0, "true")]:
+            out = tmp_path / f"p_w{p_w}"
+            main(["simulate", "--config", str(write_config(tmp_path, p_w=p_w)),
+                  "--out", str(out)])
+            header, rows = read_csv(out / "stages.csv")
+            assert header[-1] == "failed" and rows[0][-1] == failed
 
     def test_mc_report_keys(self, tmp_path):
         assert mc_exit(tmp_path, {"n_atoms": 100}, 100) == EXIT_OK

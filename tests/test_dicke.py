@@ -354,6 +354,21 @@ class TestWeakCoherentState:
         expected = weak_coherent_rows_per_row(alpha, size)
         assert weak_coherent_rows(alpha, size).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("size", [1, 2, 9])
+    @pytest.mark.parametrize("magnitude", [1e-320, 1e-310, 1e-160, 1e-8, 0.1, 1.0,
+                                           7.5, 1e8, 1e160, 1e300])
+    def test_level_pair_matches_the_per_row_norm_to_the_bit(self, magnitude, size):
+        """Only levels 0 and 1 are scaled and normalized; the other levels
+        stay +0.0. Subnormal |alpha| keeps its bits too."""
+        phases = [1.0, -1.0, 1j, -0.6 + 0.8j, 0.28 - 0.96j, 0.1 + 3.0j]
+        alpha = magnitude * np.array(phases)
+        expected = weak_coherent_rows_per_row(alpha, size)
+        assert weak_coherent_rows(alpha, size).tobytes() == expected.tobytes()
+        real = alpha.real[:2]
+        assert weak_coherent_rows(real, size).tobytes() == (
+            weak_coherent_rows_per_row(real, size).tobytes()
+        )
+
     @pytest.mark.parametrize("alpha", [1e154, 1e200, 1e308, 1e308 + 1e308j])
     def test_huge_alpha_normalizes(self, alpha):
         state = weak_coherent_rows([alpha], 11)[0]

@@ -9,8 +9,12 @@ from memamp import metrics
 from memamp.dicke import weak_coherent_rows
 from memamp.errors import ConfigError, MetricRangeError, UndefinedMetricError
 from memamp.joint import EvolutionOrder, HeraldPattern, ModeTruncation
-from memamp.metrics import QualityReport, row_norms, sector_norms
-from memamp.protocol import STAGE_PATTERNS, ProtocolConfig, run_schedule
+from memamp.metrics import (
+    QUALITY_FIELDS, QualityReport, row_norms, score_rows, sector_norms,
+)
+from memamp.protocol import (
+    STAGE_PATTERNS, ProtocolConfig, batch_key, run_batch, run_schedule,
+)
 from reference import (
     evolve_stage, p_success_numeric, pair_probability, traced_density,
 )
@@ -18,18 +22,26 @@ from reference import (
 TOL = 1e-12
 
 
+def scored(p_suc, norms, counts, gain, fidelity):
+    """The report `score_rows` gives a batch of one row, raising its error."""
+    rows, errors = score_rows(np.array([p_suc]), np.array(norms, float)[:, None],
+                              counts, np.array([gain]), np.array([fidelity]))
+    if errors[0] is not None:
+        raise errors[0]
+    return QualityReport(*rows[0])
+
+
 def score(psi, t, n_a=1, n_b=1):
     """Row 0 of psi against the target row t, scored as `run_batch` scores it
     on the (n_a, n_b) photon sector."""
     (matched,), (atomic,) = sector_norms(psi, t, n_a, n_b)
     norms = row_norms(psi[:, :, n_a, n_b])[0], matched, atomic, row_norms(psi)[0]
-    return QualityReport.from_norms(1.0, norms, (n_a, n_b), float("nan"), 1.0)
+    return scored(1.0, norms, (n_a, n_b), float("nan"), 1.0)
 
 
 def crafted(sector, matched, atomic, total, p_suc=0.5, counts=(1, 1)):
     """A report scored from hand-picked squared norms."""
-    return QualityReport.from_norms(p_suc, (sector, matched, atomic, total), counts,
-                                    2.0, 1.0)
+    return scored(p_suc, (sector, matched, atomic, total), counts, 2.0, 1.0)
 
 
 class TestPSuccessAnalytic:
@@ -337,7 +349,59 @@ FAILING_NORMS = {
 }
 
 
+NAN = float("nan")
+
+#: The rows of one crafted batch at herald counts (1, 1): p_suc, (sector,
+#: matched, atomic, total), gain and fidelity; then the class and message
+#: that the per-row `QualityReport.from_norms` of the unbatched scorer raised
+#: for the row, or None for a row that scores
+CRAFTED_BATCH = [
+    (0.5, (1.0, 0.7, 1.0, 2.0), 2.0, 1.0, None),
+    (0.5, (0.0, 0.0, 1.0, 1.0), 2.0, 1.0, (UndefinedMetricError,
+     "no probability in photon sector (1, 1); p_mode undefined")),
+    (0.5, (1.0, 0.0, 0.0, 0.0), 2.0, 1.0, (UndefinedMetricError,  # p_spon first
+     "no probability on the target atomic mode; p_spon undefined")),
+    (0.5, (1.0, 0.5, 1.0, 0.0), 2.0, 1.0, (UndefinedMetricError,
+     "zero joint state; p_amp undefined")),
+    (0.25, (2.0, 1.8, 3.0, 10 / 3), -3.5, 0.75, None),
+    (1.0, (1.0, 1.001, 1.001, 1.001), 2.0, 1.0, (MetricRangeError,
+     "p_mode = -0.0009999999999998899 outside [0, 1] tolerance band")),
+    (1.5, (1.0, 1.001, 1.001, 1.001), 2.0, 1.0, (MetricRangeError,  # p_suc first
+     "p_suc = 1.5 outside [0, 1] tolerance band")),
+    (0.5, (1.0, 0.7, 1.0, 2.0), 2.0, 1.2, (MetricRangeError,
+     "fidelity = 1.2 outside [0, 1] tolerance band")),
+    (0.5, (NAN, 0.7, 1.0, 2.0), 2.0, 1.0, (MetricRangeError,
+     "p_mode = nan outside [0, 1] tolerance band")),
+    (0.5, (1.0, 1.0, 1.2, 1.0), NAN, 1.0, (MetricRangeError,
+     "p_amp = 1.2 outside [0, 1] tolerance band")),
+    (-1e-11, (1.0, 1.0 + 1e-11, 1.0 + 1e-11, 1.0), NAN, 1.0, None),
+]
+
+
+def unbatched(p_suc, norms, gain, fidelity):
+    """A row's fields as the unbatched scorer formed them, in Python floats."""
+    sector, matched, atomic, total = norms
+    p_mode, p_spon, p_amp = 1.0 - matched / sector, 1.0 - matched / atomic, atomic / total
+    q_amp = p_amp * (1.0 - p_spon) * (1.0 - p_mode)
+    return [p_suc, p_mode, p_spon, p_amp, q_amp, gain, fidelity]
+
+
 class TestScoring:
+    def test_each_row_of_a_batch_fails_alone(self):
+        """Failing rows keep the class and message of the unbatched scorer,
+        whichever rows share their batch; passing rows score to its bits."""
+        p_suc, norms, gain, fidelity, _ = zip(*CRAFTED_BATCH)
+        rows, errors = score_rows(np.array(p_suc), np.array(norms).T, (1, 1),
+                                  np.array(gain), np.array(fidelity))
+        for row, error, (*inputs, expected) in zip(rows, errors, CRAFTED_BATCH):
+            if expected is None:
+                assert error is None
+                assert np.array(row).tobytes() == np.array(unbatched(*inputs)).tobytes()
+                assert QualityReport(*row).to_dict() == dict(zip(QUALITY_FIELDS, row))
+            else:
+                assert (type(error), str(error)) == expected
+        assert sum(error is None for error in errors) == 3
+
     @pytest.mark.parametrize("case", list(FAILING_NORMS))
     def test_failing_norms_raise(self, case):
         norms, counts, error, message = FAILING_NORMS[case]
@@ -347,13 +411,22 @@ class TestScoring:
         assert str(info.value) == message
 
     def test_one_range_check_per_probability(self, monkeypatch):
+        """Each probability is range-checked once per point: one check per
+        batch, of a table of the six probabilities by the scored points."""
         checked = []
 
-        def counting(name, value):
-            checked.append(name)
-            return original(name, value)
+        def counting(probabilities):
+            checked.append(probabilities.shape)
+            return original(probabilities)
 
-        original = metrics._checked_probability
-        monkeypatch.setattr(metrics, "_checked_probability", counting)
+        original = metrics._out_of_band
+        monkeypatch.setattr(metrics, "_out_of_band", counting)
+        names = ["p_suc", "p_mode", "p_spon", "p_amp", "q_amp", "fidelity"]
+        assert [QUALITY_FIELDS[i] for i in metrics._PROBABILITY_ROWS] == names
         assert run_schedule(ProtocolConfig(20)).quality is not None
-        assert checked == ["p_suc", "p_mode", "p_spon", "p_amp", "q_amp", "fidelity"]
+        assert checked == [(6, 1)]
+        checked.clear()
+        configs = [ProtocolConfig(20, p_w=p_w) for p_w in (0.001, 0.002, 0.003)]
+        rows = run_batch(configs, batch_key(configs[0])[-1])
+        assert all(quality is not None for _, quality, _ in rows)
+        assert checked == [(6, 3)]

@@ -15,6 +15,7 @@ from scipy import stats
 from memamp.dicke import Schedule, weak_coherent_rows
 from memamp.errors import ConfigError
 from memamp.joint import EvolutionOrder, ModeTruncation, is_integer, is_real
+from memamp.metrics import QualityReport
 from memamp import protocol
 from memamp.protocol import (
     GainConvention,
@@ -694,7 +695,7 @@ class TestMixtures:
                 assert np.array_equal(weights[lo:hi], weights1[lo1:hi1])
         stages, quality, _ = rows[3 if dead_first else 0]
         assert [hi - lo for *_, lo, hi in stages] == [4, 16]
-        assert quality == run_schedule(lossy).quality
+        assert quality == [*run_schedule(lossy).quality.to_dict().values()]
 
     def test_mean_gain_is_the_trajectory_average(self):
         """mc's mean gain averages c1/(c0 alpha) over the successful
@@ -723,7 +724,9 @@ def _rows_by_batch(configs, key, truncation_of):
         size = batch_rows(truncation)
         for i in range(0, len(members), size):
             chunk = members[i : i + size]
-            rows.update(zip(map(id, chunk), run_batch(chunk, truncation)))
+            for config, (stages, quality, error) in zip(chunk, run_batch(chunk, truncation)):
+                quality = None if quality is None else QualityReport(*quality)
+                rows[id(config)] = stages, quality, error
     return [rows[id(config)] for config in configs]
 
 
