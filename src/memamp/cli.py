@@ -270,21 +270,18 @@ def _sweep_configs(base: dict, axes: dict, grid: list[tuple]) -> list[ProtocolCo
     first point is built in full. Each axis entry is checked once, by its
     place in its axis: 1, 1.0 and true are different entries. Every later
     point is derived from the first with its entries and only the cross-field
-    checks. A point that fails either check is built in full, so the first
-    such point in grid order raises the message `config_from_dict` gives."""
+    checks, whose message is the full build's, as every field passed its own
+    checks. A point with an entry that failed its own is built in full."""
     first = config_from_dict({**base, **dict(zip(axes, grid[0]))})
     entries = [[_checked_entry(key, v) for v in values] for key, values in axes.items()]
     configs = [first]
     for values, checked in itertools.islice(
         zip(grid, itertools.product(*entries)), 1, None
     ):
-        try:
-            if None not in checked:
-                configs.append(first.derive(dict(zip(axes, checked))))
-                continue
-        except ConfigError:
-            pass
-        configs.append(config_from_dict({**base, **dict(zip(axes, values))}))
+        if None in checked:
+            configs.append(config_from_dict({**base, **dict(zip(axes, values))}))
+        else:
+            configs.append(first.derive(dict(zip(axes, checked))))
     return configs
 
 

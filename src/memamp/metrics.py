@@ -28,35 +28,10 @@ from .errors import MetricRangeError, UndefinedMetricError
 #: Probabilities must land in [-PROB_BAND, 1 + PROB_BAND] without clamping.
 PROB_BAND = 1e-10
 
-#: Largest departure of a `QualityReport`'s q_amp from its product identity.
-MATRIX_TOL = 1e-12
-
 
 def _out_of_band(probabilities: np.ndarray) -> np.ndarray:
     """Which probabilities of a table are not finite or outside the band."""
     return ~((probabilities >= -PROB_BAND) & (probabilities <= 1.0 + PROB_BAND))
-
-
-def _row_errors(table: np.ndarray, undefined: np.ndarray, messages: list) -> list:
-    """Each row's first failing check, or None: the rows of ``undefined``
-    (one per check, failing rows true, the check's UndefinedMetricError
-    message in ``messages``) in order, then the range of each probability
-    in field order. ``table`` holds the `QualityReport` fields, one row of
-    it per field."""
-    failing = np.concatenate(
-        [undefined, _out_of_band(table.take(_PROBABILITY_ROWS, axis=0))]
-    )
-    errors = [None] * table.shape[1]
-    for i in failing.any(axis=0).nonzero()[0].tolist():
-        check = int(failing[:, i].argmax())  # the row's first failing check
-        if check < len(messages):
-            errors[i] = UndefinedMetricError(messages[check])
-        else:
-            field = _PROBABILITY_ROWS[check - len(messages)]
-            value = table[field].tolist()[i]
-            errors[i] = MetricRangeError(
-                f"{QUALITY_FIELDS[field]} = {value!r} outside [0, 1] tolerance band")
-    return errors
 
 
 def row_sums(x: np.ndarray) -> np.ndarray:
@@ -93,7 +68,8 @@ def sector_norms(psi: np.ndarray, t: np.ndarray, n_a: int, n_b: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Success probability, loss probabilities, gain and fidelity of one run."""
+    """Success probability, loss probabilities, gain and fidelity of one run,
+    as `score_rows` formed and checked them."""
 
     p_suc: float
     p_mode: float
@@ -102,30 +78,6 @@ class QualityReport:
     q_amp: float
     gain: float
     fidelity: float
-
-    def __post_init__(self):
-        # the fields as given, so that a message shows each value as it was
-        row = np.array([[getattr(self, name)] for name in QUALITY_FIELDS], dtype=object)
-        with np.errstate(all="ignore"):  # non-finite fields fail their range
-            (error,) = _row_errors(row, np.zeros((0, 1), bool), [])
-        if error is not None:
-            raise error
-        # `score_rows` forms q_amp by this identity, so only a report built
-        # by hand can break it
-        expected = self.p_amp * (1.0 - self.p_spon) * (1.0 - self.p_mode)
-        if abs(self.q_amp - expected) > MATRIX_TOL:
-            raise ValueError(
-                f"q_amp {self.q_amp} breaks the product identity ({expected})"
-            )
-
-    @classmethod
-    def of_row(cls, row: list) -> "QualityReport":
-        """The report of a row that `score_rows` passed, without checking
-        it again."""
-        report = object.__new__(cls)
-        for name, value in zip(QUALITY_FIELDS, row):
-            object.__setattr__(report, name, value)
-        return report
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in QUALITY_FIELDS}
@@ -165,6 +117,19 @@ def score_rows(
         fields = {"p_suc": p_suc, "p_mode": p_mode, "p_spon": p_spon, "p_amp": p_amp,
                   "q_amp": q_amp, "gain": gain, "fidelity": fidelity}
         table = np.array([fields[name] for name in QUALITY_FIELDS])
-        # the denominators of p_mode, p_spon and p_amp
-        errors = _row_errors(table, norms[[0, 2, 3]] <= 0.0, messages)
+        # a row's checks in order: the denominators of p_mode, p_spon and
+        # p_amp, then the range of each probability in field order
+        failing = np.concatenate(
+            [norms[[0, 2, 3]] <= 0.0, _out_of_band(table.take(_PROBABILITY_ROWS, axis=0))]
+        )
+    errors = [None] * table.shape[1]
+    for i in failing.any(axis=0).nonzero()[0].tolist():
+        check = int(failing[:, i].argmax())  # the row's first failing check
+        if check < len(messages):
+            errors[i] = UndefinedMetricError(messages[check])
+        else:
+            field = _PROBABILITY_ROWS[check - len(messages)]
+            value = table[field, i].item()
+            errors[i] = MetricRangeError(
+                f"{QUALITY_FIELDS[field]} = {value!r} outside [0, 1] tolerance band")
     return table.T.tolist(), errors

@@ -124,9 +124,10 @@ def _seed(key: str, value) -> int:
     return value
 
 
-def _truncation(key: str, value) -> ModeTruncation:
-    if not isinstance(value, ModeTruncation):
-        raise ConfigError(f"{key} must be a ModeTruncation")
+def _instance(key: str, value):
+    kind = type(getattr(ProtocolConfig, key))  # the type of the field's default
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
     return value
 
 
@@ -137,7 +138,8 @@ _TYPE_CHECKS = {"p_w": _real, "p_r": _real, "beta_w": _real, "beta_r": _real,
                 "alpha": _complex, "n_atoms": _atoms, "stages": _count}
 _RANGE_CHECKS = {"p_w": _probability, "p_r": _probability, "beta_w": _efficiency,
                  "beta_r": _efficiency, "alpha": _finite, "rng_seed": _seed,
-                 "truncation": _truncation}
+                 "truncation": _instance, "schedule": _instance, "order": _instance,
+                 "gain_convention": _instance}
 
 
 def field_value(key: str, value):
@@ -200,7 +202,7 @@ class ProtocolConfig:
         """This config with ``changes``, each value checked by `field_value`,
         after only the cross-field checks: headroom, the loss mode of
         beta < 1 and the target gain. Equal to the full construction's
-        config whenever that one passes."""
+        config, or raising its message, since every field passed its own."""
         config = object.__new__(ProtocolConfig)
         for name in CONFIG_FIELDS:  # in declaration order, as __init__ sets them
             object.__setattr__(config, name, changes.get(name, getattr(self, name)))
@@ -505,7 +507,7 @@ def run_schedule(config: ProtocolConfig) -> AmplificationReport:
     stages, row, error = run_batch([config], batch_key(config)[-1])[0]
     if error is not None:
         raise error
-    quality = None if row is None else QualityReport.of_row(row)
+    quality = None if row is None else QualityReport(*row)
     plan = stage_plan(config)
     reports = [_stage_report(i, plan[i], r, config) for i, r in enumerate(stages)]
     analytic = relative_gain(config.schedule, config.stages, config.n_atoms)

@@ -10,10 +10,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from memamp import cli, protocol
+from memamp import cli, joint, protocol
 from memamp.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -305,6 +305,38 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(sweep),
                      "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: base: expected an object\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"base": {"n_atoms": 20}, "axes": {"p_w": [0.01]}, "seed": 1},
+         "sweep config must contain only 'base' and 'axes'"),
+        ([{"n_atoms": 20}], "sweep config must contain only 'base' and 'axes'"),
+        ({"axes": {"p_w": [0.01]}}, "sweep config needs both 'base' and 'axes'"),
+        ({"base": {"n_atoms": 20}}, "sweep config needs both 'base' and 'axes'"),
+        ({"base": {"n_atoms": 20}, "axes": [["p_w", [0.01]]]},
+         "axes: expected a nonempty object of key -> values"),
+        ({"base": {"n_atoms": 20}, "axes": {}},
+         "axes: expected a nonempty object of key -> values"),
+        ({"base": {"n_atoms": 20}, "axes": {"p_w": 0.01}},
+         "axes.p_w: expected a list of values"),
+    ], ids=["extra_key", "not_an_object", "no_base", "no_axes", "axes_not_an_object",
+            "axes_empty", "axis_not_a_list"])
+    def test_malformed_spec_is_config_error(self, tmp_path, capsys, spec, message):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(spec))
+        assert main(["sweep", "--config", str(sweep),
+                     "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_grid_over_the_cap_is_grid_guard(self, tmp_path, capsys):
+        # 32^4 points: the cap is checked before the grid is built
+        axes = {key: [0.001 * (i + 1) for i in range(32)]
+                for key in ("p_w", "p_r", "beta_w", "beta_r")}
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"base": {"n_atoms": 20}, "axes": axes}))
+        assert main(["sweep", "--config", str(sweep),
+                     "--out", str(tmp_path / "sw")]) == EXIT_GUARD
+        assert capsys.readouterr().err == (
+            "resource guard: sweep grid exceeds cap of 1000000 points\n")
 
     def test_unknown_axis_is_config_error(self, tmp_path):
         sweep = tmp_path / "sweep.json"
@@ -605,6 +637,43 @@ class TestSweepBatches:
         assert code == EXIT_OK and len(rows) == 3 and sizes == [3]
 
 
+#: Lossless exact type I at joint dimension 324, whose write needs more
+#: than 6 series terms at p_w = 0.01 and fewer at p_w = p_r = 1e-8.
+EXACT_D324 = {"n_atoms": 100, "alpha": 0.1, "p_w": 0.01, "p_r": 1e-8, "order": "exact",
+              "truncation": {"fock_a_max": 5, "fock_b_max": 5, "fock_c_max": 0,
+                             "atomic_k_max": 8}}
+SERIES_FAILURE = "write: Taylor series did not converge in 6 terms"
+
+
+class TestExactSeriesFailure:
+    """A series that does not converge fails its own point, inside a run."""
+
+    @pytest.fixture(autouse=True)
+    def six_terms(self, monkeypatch):
+        monkeypatch.setattr(joint, "SERIES_TERM_CAP", 6)
+
+    def test_simulate_exits_two(self, tmp_path, capsys):
+        assert simulate_exit(tmp_path, EXACT_D324) == EXIT_PROTOCOL
+        assert capsys.readouterr().err == f"run failed: {SERIES_FAILURE}\n"
+
+    def test_sweep_point_fails_alone(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(cli, "run_batch", lambda configs, truncation: (
+            sizes.append(len(configs)) or run_batch(configs, truncation)))
+        spec = {"base": EXACT_D324, "axes": {"p_w": [0.01, 1e-8]}}
+        code, header, rows, _ = sweep_csv(tmp_path, spec)
+        assert code == EXIT_PROTOCOL and sizes == [2]
+        assert capsys.readouterr().err.startswith("sweep: 1 of 2 points failed")
+        failed, scored = (dict(zip(header, row)) for row in rows)
+        assert failed["error"] == f"MemampError: {SERIES_FAILURE}"
+        assert failed["succeeded"] == "false" and failed["q_amp"] == "nan"
+        alone = parse_config(write_config(tmp_path, **dict(EXACT_D324, p_w=1e-8)))
+        quality = run_schedule(alone).quality.to_dict()
+        assert scored["succeeded"] == "true" and scored["error"] == ""
+        assert {key: scored[key] for key in quality} == {
+            key: str(value) for key, value in quality.items()}
+
+
 def exact_fields(config):
     """Each field's type and repr: 1 is not 1.0 and 0.0 is not -0.0 here."""
     return [(type(v), repr(v)) for v in (getattr(config, f) for f in CONFIG_FIELDS)]
@@ -691,12 +760,9 @@ class TestSweepConfigs:
         post_init = ProtocolConfig.__post_init__
         monkeypatch.setattr(ProtocolConfig, "__post_init__",
                             lambda self: inits.append(1) or post_init(self))
-        report_init = QualityReport.__post_init__
-        monkeypatch.setattr(QualityReport, "__post_init__",
-                            lambda self: reports.append(1) or report_init(self))
-        of_row = QualityReport.of_row
-        monkeypatch.setattr(QualityReport, "of_row",
-                            lambda row: reports.append(row) or of_row(row))
+        report_init = QualityReport.__init__
+        monkeypatch.setattr(QualityReport, "__init__", lambda self, *fields:
+                            reports.append(fields) or report_init(self, *fields))
         writer = csv.writer
 
         class Recording:
@@ -725,14 +791,19 @@ class TestSweepConfigs:
         assert [row[-2] for row in written[1][1]] == ["true"] * points
 
 
+#: Entries of each swept key: plain ones, ones that pass the key's own checks
+#: but can fail a cross-field check beside other fields (headroom, beta < 1
+#: without a loss mode, the target gain; none for p_w), and ones that fail
+#: the key's own
 _ENTRY = {
-    "p_w": [0.0, -0.0, 0, 1, 1.0, 0.3, True, False, 1.5, -0.1, None, "0.1", 10**400,
-            [0.1], {}],
-    "beta_w": [1, 1.0, 0.5, 0.0, -0.0, True, 1.5, None],
-    "n_atoms": [1, 2, 3, 20, 3000, 0, -1, 2.0, True, None, 10**400, [3], {}],
-    "stages": [1, 2, 3, 1100, 0, 1.0, True, "1"],
-    "alpha": [0.1, 0, 0.0, -0.0, [0.1, -0.0], [-0.0, 0.0], 1e200, 1e308,
-              [1e308, 1e308], True, [True, 0], [0.1], "a", 10**400, [0, 10**400], {}],
+    "p_w": ([0.0, -0.0, 0, 1, 1.0, 0.3, 0.001], [],
+            [True, False, 1.5, -0.1, None, "0.1", 10**400, [0.1], {}]),
+    "beta_w": ([1, 1.0], [0.5, 0.9], [0.0, -0.0, True, 1.5, None]),
+    "n_atoms": ([20, 3000], [1, 2, 3], [0, -1, 2.0, True, None, 10**400, [3], {}]),
+    "stages": ([1, 2], [3, 1100], [0, 1.0, True, "1"]),
+    "alpha": ([0.1, 0, 0.0, -0.0, [0.1, -0.0], [-0.0, 0.0]],
+              [1e200, 1e308, [1e308, 1e308]],
+              [True, [True, 0], [0.1], "a", 10**400, [0, 10**400], {}]),
 }
 #: entries that compare equal, and are not all valid or not all stored alike
 _TWINS = {
@@ -744,10 +815,21 @@ _TWINS = {
 }
 for entries in (_ENTRY, _TWINS):
     entries["p_r"], entries["beta_r"] = entries["p_w"], entries["beta_w"]
+
+
+def _entries(key, plain=7, edge=2, invalid=1):
+    """An entry of ``key``, in these proportions: plain, able to fail a
+    cross-field check, failing its own checks."""
+    tiers = [entries or _ENTRY[key][0] for entries in _ENTRY[key]]
+    return st.integers(0, plain + edge + invalid - 1).flatmap(
+        lambda i: st.sampled_from(tiers[(i >= plain) + (i >= plain + edge)]))
+
+
+#: bases mostly valid alone, a few valid only once the axes override them
 _SWEEP_BASE = st.fixed_dictionaries(
-    {},
+    {"n_atoms": _entries("n_atoms", plain=18)},
     optional={
-        **{key: st.sampled_from(values) for key, values in _ENTRY.items()},
+        **{key: _entries(key, plain=18) for key in _ENTRY if key != "n_atoms"},
         "schedule": st.sampled_from(["type1", "type2"]),
         "gain_convention": st.sampled_from(["exact", "large_n"]),
         "truncation": st.sampled_from([{"fock_c_max": 0}, {"fock_c_max": 1}]),
@@ -757,20 +839,29 @@ _SWEEP_BASE = st.fixed_dictionaries(
 
 @st.composite
 def sweep_specs(draw):
-    """A base and up to three axes of up to three valid or invalid entries,
-    often of entries that compare equal."""
+    """A base and up to three axes: mostly a plain first entry and up to two
+    more, of which many can fail a cross-field check, and a few axes of
+    entries that compare equal."""
     keys = draw(st.lists(st.sampled_from(sorted(_ENTRY)), min_size=1, max_size=3,
                          unique=True))
-    axes = {key: draw(st.one_of(st.lists(st.sampled_from(_ENTRY[key]), min_size=1,
-                                         max_size=3),
-                                st.lists(st.sampled_from(_TWINS[key]), min_size=2,
-                                         max_size=3)))
-            for key in keys}
+    axes = {}
+    for key in keys:
+        if draw(st.integers(0, 4)) < 4:
+            axes[key] = [draw(_entries(key, plain=18)),
+                         *draw(st.lists(_entries(key, plain=4, edge=4), max_size=2))]
+        else:
+            axes[key] = draw(st.lists(st.sampled_from(_TWINS[key]), min_size=2,
+                                      max_size=3))
     return draw(_SWEEP_BASE), axes
 
 
 @settings(max_examples=400, deadline=None)
 @given(spec=sweep_specs())
+@example(spec=({"p_w": 0.001}, {"n_atoms": [20, 1]}))  # headroom
+@example(spec=({"n_atoms": 20, "truncation": {"fock_c_max": 0}},
+               {"beta_w": [1.0, 0.5]}))  # beta < 1 without a loss mode
+@example(spec=({"n_atoms": 3000, "alpha": 1e300, "schedule": "type1"},
+               {"stages": [1, 1100]}))  # the target gain overflows
 def test_sweep_configs_equal_config_from_dict(spec):
     """The sweep's configs are `config_from_dict` of each grid point, field
     by field with types and zero signs, or it raises the message of the
@@ -1067,6 +1158,26 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert main(["gain", "--n-max", "3"]) == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle-check", "--n-max", "1"], "n_max must be >= 2, got 1"),
+        (["gain", "--n-atoms", "10", "--n-max", "-1"], "n_max must be >= 0, got -1"),
+    ], ids=["oracle_check", "gain"])
+    def test_n_max_below_its_floor(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    @pytest.mark.parametrize("data, message", [
+        ([{"n_atoms": 20}], "config root must be an object"),
+        ({"n_atoms": 20, "schedule": "type3"},
+         "schedule: expected one of type1, type2, got 'type3'"),
+    ], ids=["root_not_an_object", "unknown_schedule"])
+    def test_config_error_message(self, tmp_path, capsys, command, data, message):
+        code = simulate_exit(tmp_path, data) if command == "simulate" else mc_exit(
+            tmp_path, data, 10)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MEMAMP_OUT_DIR", str(tmp_path / "envout"))

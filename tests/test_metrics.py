@@ -294,18 +294,6 @@ class TestQualityReport:
         with pytest.raises(MetricRangeError, match="^p_mode = "):
             crafted(1.0, 1.001, 1.001, 1.001)
 
-    def test_broken_identity_rejected(self):
-        with pytest.raises(ValueError):
-            QualityReport(
-                p_suc=0.5,
-                p_mode=0.1,
-                p_spon=0.1,
-                p_amp=0.9,
-                q_amp=0.5,
-                gain=2.0,
-                fidelity=1.0,
-            )
-
 
 def test_public_surface():
     """Every exported name resolves; the test references are not in the package."""
@@ -330,6 +318,9 @@ def test_public_surface():
         for module in (memamp, dicke, oracle, metrics, errors):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(QualityReport, "build")
+    # a report is plain data: `score_rows` forms and checks its fields
+    assert not hasattr(QualityReport, "of_row") and not hasattr(metrics, "MATRIX_TOL")
+    assert "__post_init__" not in vars(QualityReport)
     # a mixed herald is a weighted set of branches, not an error
     assert not hasattr(errors, "MixedConditionalError")
     assert not hasattr(joint, "PURITY_TOL")

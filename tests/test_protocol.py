@@ -74,6 +74,20 @@ class TestProtocolConfig:
             ProtocolConfig(n_atoms=10, **{key: value})
         assert str(info.value) == f"{key}: expected a number, got {value!r}"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("schedule", "type1", "schedule must be of type Schedule, got 'type1'"),
+        ("schedule", None, "schedule must be of type Schedule, got None"),
+        ("order", "exact", "order must be of type EvolutionOrder, got 'exact'"),
+        ("gain_convention", "exact",
+         "gain_convention must be of type GainConvention, got 'exact'"),
+        ("truncation", {}, "truncation must be of type ModeTruncation, got {}"),
+    ])
+    def test_non_member_rejected(self, key, value, message):
+        """A string is not a member: schedule = "type1" must not run as type II."""
+        with pytest.raises(ConfigError) as info:
+            ProtocolConfig(n_atoms=100, stages=2, **{key: value})
+        assert str(info.value) == message
+
     def test_numbers_stored_as_python_floats(self):
         config = ProtocolConfig(
             n_atoms=10, p_w=0, p_r=np.float32(0.5), beta_w=1, alpha=np.complex64(1j)
