@@ -227,7 +227,9 @@ def cmd_simulate(config: ProtocolConfig, out_dir: Path) -> int:
 
 def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
     data = _read_json(path)
-    if not isinstance(data, dict) or set(data) - {"base", "axes"}:
+    if not isinstance(data, dict):
+        raise ConfigError("sweep config root must be an object")
+    if set(data) - {"base", "axes"}:
         raise ConfigError("sweep config must contain only 'base' and 'axes'")
     if "base" not in data or "axes" not in data:
         raise ConfigError("sweep config needs both 'base' and 'axes'")

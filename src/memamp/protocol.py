@@ -361,12 +361,14 @@ def _stage(processes: tuple, level: tuple, kind: StageKind, visit=None) -> tuple
     chunks of `batch_rows`, from fresh photon vacuum through the processes of
     their points, each guard weighing a branch's cutoff population by its
     share; ``visit(lo, psi, totals)`` sees each chunk's tensor and squared
-    norms, rows lo on. Returns each branch's raw herald probability and
-    total, each failing point's first error in level order, the children as
-    a level, and each child's parent and n_c: the branches of
-    `joint.herald_rows`. A child's share is its parent's times its squared
-    norm over its parent's total, normalized within its point as x / sum(x),
-    so a point's only child weighs 1."""
+    norms, rows lo on, in level order (`monte_carlo` draws its trials there).
+    Returns each branch's raw herald probability and total, each failing
+    point's first error in level order, the children as a level, and each
+    child's parent and n_c: the branches of `joint.herald_rows`, in (parent,
+    n_c) order, by which `monte_carlo` hands each child its parent's trials
+    at the child's herald cell. A child's share is its parent's times its
+    squared norm over its parent's total, normalized within its point as
+    x / sum(x), so a point's only child weighs 1."""
     states, weights, owner = level
     truncation, count = processes[0].truncation, len(processes[0].p)
     size = batch_rows(truncation)
@@ -565,94 +567,65 @@ def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-class _TrajectoryTree:
-    """Post-herald states keyed by the undetected-mode counts observed at each
-    successful stage (the success branch is unique up to that record), built
-    one stage at a time by the stage loop's `_stage` on the config as one
-    point. ``states`` maps a path to the atomic state entering stage
-    len(path), ``outcomes`` a node's path to its stage's (n_a, n_b, n_c)
-    distribution over the evolved photon axes, 0 at or below ZERO_PROB_FLOOR.
-    A truncation below the schedule's excitation reach is a ConfigError, as in
-    `run_batch`; the first node in level order that trips a guard raises."""
+def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
+    """Sample heralding trajectories; failures terminate a trajectory.
 
-    def __init__(self, config: ProtocolConfig):
-        self.plan = stage_plan(config)
-        trunc = batch_key(config)[-1]
-        if error := _headroom_error(config, trunc.atomic_k_max):
-            raise error
-        processes = _processes([config], trunc)
-        root = weak_coherent_rows(np.array([config.alpha]), trunc.atomic_k_max + 1)
-        level, paths = (root, np.ones(1), np.zeros(1, dtype=np.intp)), [()]
-        self.states = {(): root[0]}
-        self.outcomes: dict[tuple[int, ...], np.ndarray] = {}
+    The stage loop's `_stage` grows each level of success branches, the config
+    as one point, and the trials are drawn as it grows: one multinomial per
+    branch that trials reach, in level order, over its full (n_a, n_b, n_c)
+    outcome distribution (the conditional-binomial method). Every surviving
+    trajectory carries a pure state, and memory grows with the widest level,
+    not with `trials`. Every branch evolves, reached or not, so the headroom
+    check and the guards raise as in `run_batch`. Reproducible for a fixed seed.
+    """
+    if not is_integer(trials) or not 1 <= trials < 2**63:
+        raise ValueError(f"trials must be in [1, 2**63 - 1], got {trials}")
+    trunc = batch_key(config)[-1]
+    if error := _headroom_error(config, trunc.atomic_k_max):
+        raise error
+    processes = _processes([config], trunc)
+    root = weak_coherent_rows(np.array([config.alpha]), trunc.atomic_k_max + 1)
+    level, alive = (root, np.ones(1), np.zeros(1, dtype=np.intp)), np.array([trials])
+    rng = np.random.default_rng(config.rng_seed)
+    survival, first_stage_counts = [], []
+    steps = []  # per stage: each child's parent and its parent's hit, the parents' count
+    for kind in stage_plan(config):
+        pattern = STAGE_PATTERNS[kind]
+        cell, parts = (slice(None), pattern.detect_a, pattern.detect_b), []
 
         def visit(lo: int, psi: np.ndarray, totals: np.ndarray) -> None:
             probs = (np.abs(psi) ** 2).sum(axis=1)
             probs[probs <= ZERO_PROB_FLOOR] = 0.0
             probs /= totals[:, None, None, None]
-            self.outcomes.update(zip(paths[lo:], probs))
-
-        for kind in self.plan:  # a level with no node ends the tree
-            *_, errors, level, parent, n_c = _stage(processes, level, kind, visit)
-            if errors:
-                raise errors[0]
-            paths = [paths[p] + (c,) for p, c in zip(parent.tolist(), n_c.tolist())]
-            self.states.update(zip(paths, level[0]))
-
-    def success_probability(self, path: tuple[int, ...] = ()) -> float:
-        """Total probability of completing every remaining herald."""
-        if len(path) == len(self.plan):
-            return 1.0
-        pattern = STAGE_PATTERNS[self.plan[len(path)]]
-        hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
-        total = 0.0
-        for n_c in np.flatnonzero(hits):
-            total += float(hits[n_c]) * self.success_probability(path + (int(n_c),))
-        return total
-
-
-def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
-    """Sample heralding trajectories; failures terminate a trajectory.
-
-    Photon counts are drawn per stage from the full (n_a, n_b, n_c) outcome
-    distribution, so the undetected mode is resolved and every surviving
-    trajectory carries a pure state. One multinomial draw per tree node splits
-    the trials that reach it over its outcomes (the conditional-binomial method),
-    so time and memory grow with the tree, not with `trials`. Reproducible for a
-    fixed config seed.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    tree = _TrajectoryTree(config)
-    rng = np.random.default_rng(config.rng_seed)
-    alive: dict[tuple[int, ...], int] = {(): trials}
-    survival: list[int] = []
-    first_stage_counts: list[list[int]] = []
-    for stage_index, kind in enumerate(tree.plan):
-        pattern = STAGE_PATTERNS[kind]
-        next_alive: dict[tuple[int, ...], int] = {}
-        for path, count in alive.items():
-            probs = tree.outcomes[path]
+            drawn = np.zeros(probs.shape, dtype=np.int64)
             # over the support only: multinomial puts its rounding remainder last
-            support = np.flatnonzero(probs)
-            counts = np.zeros(probs.shape, dtype=np.int64)
-            counts.flat[support] = rng.multinomial(count, probs.flat[support])
-            if stage_index == 0:
-                rows = np.column_stack((np.argwhere(counts), counts[counts > 0]))
-                first_stage_counts = rows.tolist()
-            hits = counts[pattern.detect_a, pattern.detect_b]
-            for n_c in np.flatnonzero(hits):
-                next_alive[path + (int(n_c),)] = int(hits[n_c])
-        alive = next_alive
-        survival.append(sum(alive.values()))
-    successes = survival[-1]
-    if successes > 0:
-        gain_sum = 0.0
-        for path, count in alive.items():
-            gain_sum += count * _gain_of(tree.states[path], config.alpha)
-        mean_gain = gain_sum / successes
-    else:
-        mean_gain = float("nan")
+            for out, p, count in zip(drawn, probs, alive[lo : lo + len(psi)].tolist()):
+                if count:
+                    support = np.flatnonzero(p)
+                    out.flat[support] = rng.multinomial(count, p.flat[support])
+            if not steps:  # the root, the first stage's only branch
+                rows = np.column_stack((np.argwhere(drawn[0]), drawn[0][drawn[0] > 0]))
+                first_stage_counts.extend(rows.tolist())
+            # copies: views would keep each chunk's whole outcome arrays alive
+            parts.append((drawn[cell].copy(), probs[cell].copy()))
+
+        *_, errors, level, parent, n_c = _stage(processes, level, kind, visit)
+        if errors:
+            raise errors[0]
+        drawn, hits = map(np.concatenate, zip(*parts))
+        alive = drawn[parent, n_c]
+        steps.append((parent, hits[parent, n_c], len(hits)))
+        survival.append(int(alive.sum()))
+    # the probability of completing every remaining herald, leaves up: each
+    # branch sums its children's in (parent, n_c) order, from 0.0
+    below = np.ones(len(alive))
+    for parent, hit, size in reversed(steps):
+        below = np.bincount(parent, hit * below, size)
+    gain_sum, successes = 0.0, survival[-1]
+    for count, state in zip(alive.tolist(), level[0]):
+        if count:  # not 0 * gain: an unreached branch's gain may be NaN
+            gain_sum += count * _gain_of(state, config.alpha)
+    mean_gain = gain_sum / successes if successes else float("nan")
     ci_low, ci_high = _wilson_interval(successes, trials)
     return MCReport(
         trials=trials,
@@ -661,7 +634,7 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
         ci_low=ci_low,
         ci_high=ci_high,
         mean_gain=mean_gain,
-        numeric_success_probability=tree.success_probability(),
+        numeric_success_probability=float(below[0]),
         rng_seed=config.rng_seed,
         stage_survival=survival,
         first_stage_outcomes=first_stage_counts,

@@ -1,9 +1,9 @@
-"""Reference code that only the tests use: a stage and a trajectory tree
-built one state at a time from the package's stage primitives, the whole
-configured tensor, the plain forms of vectorized package code, the density
-matrices that the amplitude-only metrics and heralds replace, the closed
-forms of the ladder algebra on plain arrays over the Dicke levels k, and the
-2^N oracle's ladder check one level at a time."""
+"""Reference code that only the tests use: a stage, a trajectory tree and its
+Monte Carlo walk built one state at a time from the package's stage
+primitives, the whole configured tensor, the plain forms of vectorized
+package code, the density matrices that the amplitude-only metrics and
+heralds replace, the closed forms of the ladder algebra on plain arrays over
+the Dicke levels k, and the 2^N oracle's ladder check one level at a time."""
 
 import itertools
 import math
@@ -24,8 +24,8 @@ from memamp.oracle import (
     project_to_dicke,
 )
 from memamp.protocol import (
-    STAGE_PATTERNS, StageKind, _processes, _stage, _stage_report, _target_gain,
-    _TrajectoryTree, batch_key, stage_plan,
+    STAGE_PATTERNS, MCReport, StageKind, _gain_of, _processes, _stage, _stage_report,
+    _target_gain, _wilson_interval, batch_key, stage_plan,
 )
 
 
@@ -54,7 +54,7 @@ def p_success_numeric(config):
     """Success probability of a one-stage write-read trajectory tree: the
     (1,1) herald, every undetected-mode count, over the total probability."""
     one_stage = replace(config, schedule=Schedule.TYPE_I, stages=1)
-    return _TrajectoryTree(one_stage).success_probability()
+    return TrajectoryTreePerNode(one_stage).success_probability()
 
 
 def configured_truncation(config):
@@ -64,17 +64,18 @@ def configured_truncation(config):
     return config.truncation.resolve(config.n_atoms)
 
 
-def evolve_stage(state, config, kind=StageKind.WRITE_THEN_READ):
+def evolve_stage(state, config, kind=StageKind.WRITE_THEN_READ, weight=1.0):
     """``state``, an array over k, in fresh photon vacuum through the stage's
     process(es), as `protocol.run_batch` evolves a batch of one: the tensor
     psi[1, k, n_a, n_b, n_c] on the config's evolved truncation. Levels above
-    the atomic cutoff are dropped; the row's first guard error raises."""
+    the atomic cutoff are dropped; the row's first guard error, its cutoff
+    populations weighed by ``weight``, raises."""
     truncation = batch_key(config)[-1]
     rows = np.zeros((1, truncation.atomic_k_max + 1), dtype=np.complex128)
     amps = state[: rows.shape[1]]
     rows[0, : amps.size] = amps
     tensors = []
-    level = rows, np.ones(1), np.zeros(1, dtype=np.intp)
+    level = rows, np.array([weight]), np.zeros(1, dtype=np.intp)
     errors = _stage(_processes([config], truncation), level, kind,
                     lambda lo, psi, _: tensors.append(psi))[2]
     if errors:
@@ -265,35 +266,40 @@ def exact_series_by_slices(psi, w_det, w_loss, bound, process):
 
 
 class TrajectoryTreePerNode:
-    """`protocol._TrajectoryTree` evolved one node at a time, depth first:
-    each node is its own `evolve_stage`, its outcome distribution the sum over
-    k of its |psi|^2 over the total, and each child the node's success column
-    for one undetected-mode count, divided by the square root of the column's
-    sum over k of |psi|^2, as `joint.herald_rows` normalizes a branch. Its
-    guards are not weighted: each node is evolved as a point of its own."""
+    """Every success branch of a schedule, evolved one node at a time, level
+    by level, keyed by the undetected-mode counts of its path: ``states`` maps
+    a path to the atomic state entering stage len(path), ``outcomes`` a node's
+    path to its stage's (n_a, n_b, n_c) distribution. Each node is its own
+    `evolve_stage`, its outcome distribution the sum over k of its |psi|^2,
+    0 at or below ZERO_PROB_FLOOR, over the total, and each child the node's
+    success column for one undetected-mode count, divided by the square root
+    of the column's sum over k of |psi|^2, as `joint.herald_rows` normalizes
+    a branch. Its guards weigh a node's cutoff populations by its share of
+    its level, the probability of its path over the level's sum, as
+    `protocol._stage` weighs a branch's."""
 
     def __init__(self, config):
         self.plan = stage_plan(config)
-        self.states, self.outcomes = {}, {}
         k_dim = config.truncation.resolve(config.n_atoms).atomic_k_max + 1
-        self._grow((), weak_coherent_rows([config.alpha], k_dim)[0], config)
-
-    def _grow(self, path, state, config):
-        self.states[path] = state
-        if len(path) == len(self.plan):
-            return
-        psi = evolve_stage(state, config, self.plan[len(path)])[0]
-        sq = np.abs(psi) ** 2
-        column_pops = np.sum(sq, axis=0)
-        weights = column_pops.copy()
-        weights[weights <= ZERO_PROB_FLOOR] = 0.0
-        self.outcomes[path] = weights / float(np.sum(sq))
-        pattern = STAGE_PATTERNS[self.plan[len(path)]]
-        hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
-        for n_c in np.flatnonzero(hits):
-            column = psi[:, pattern.detect_a, pattern.detect_b, n_c]
-            pop = column_pops[pattern.detect_a, pattern.detect_b, n_c]
-            self._grow(path + (int(n_c),), column / np.sqrt(pop), config)
+        self.states = {(): weak_coherent_rows([config.alpha], k_dim)[0]}
+        self.outcomes, level = {}, {(): 1.0}
+        for kind in self.plan:
+            pattern, children = STAGE_PATTERNS[kind], {}
+            for path, share in level.items():
+                psi = evolve_stage(self.states[path], config, kind, share)[0]
+                sq = np.abs(psi) ** 2
+                column_pops = np.sum(sq, axis=0)
+                weights = column_pops.copy()
+                weights[weights <= ZERO_PROB_FLOOR] = 0.0
+                self.outcomes[path] = weights / float(np.sum(sq))
+                hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
+                for n_c in np.flatnonzero(hits):
+                    column = psi[:, pattern.detect_a, pattern.detect_b, n_c]
+                    pop = column_pops[pattern.detect_a, pattern.detect_b, n_c]
+                    self.states[path + (int(n_c),)] = column / np.sqrt(pop)
+                    children[path + (int(n_c),)] = share * float(hits[n_c])
+            total = sum(children.values())
+            level = {path: p / total for path, p in children.items()}
 
     def success_probability(self, path=()):
         """Total probability of completing every remaining herald."""
@@ -305,6 +311,47 @@ class TrajectoryTreePerNode:
         for n_c in np.flatnonzero(hits):
             total += float(hits[n_c]) * self.success_probability(path + (int(n_c),))
         return total
+
+
+def monte_carlo_per_node(config, trials):
+    """`protocol.monte_carlo` as a walk over the finished `TrajectoryTreePerNode`:
+    each stage draws one multinomial per path that trials reach, in path
+    order, over its outcome support, and hands each child path its parent's
+    count at the herald cell; P_suc is the tree's recursive sum."""
+    tree = TrajectoryTreePerNode(config)
+    rng = np.random.default_rng(config.rng_seed)
+    alive, survival, first_stage_counts = {(): trials}, [], []
+    for stage_index, kind in enumerate(tree.plan):
+        pattern = STAGE_PATTERNS[kind]
+        next_alive = {}
+        for path, count in alive.items():
+            probs = tree.outcomes[path]
+            support = np.flatnonzero(probs)
+            counts = np.zeros(probs.shape, dtype=np.int64)
+            counts.flat[support] = rng.multinomial(count, probs.flat[support])
+            if stage_index == 0:
+                rows = np.column_stack((np.argwhere(counts), counts[counts > 0]))
+                first_stage_counts = rows.tolist()
+            hits = counts[pattern.detect_a, pattern.detect_b]
+            for n_c in np.flatnonzero(hits):
+                next_alive[path + (int(n_c),)] = int(hits[n_c])
+        alive = next_alive
+        survival.append(sum(alive.values()))
+    successes = survival[-1]
+    mean_gain = float("nan")
+    if successes > 0:
+        gain_sum = 0.0
+        for path, count in alive.items():
+            gain_sum += count * _gain_of(tree.states[path], config.alpha)
+        mean_gain = gain_sum / successes
+    ci_low, ci_high = _wilson_interval(successes, trials)
+    return MCReport(
+        trials=trials, successes=successes, success_frequency=successes / trials,
+        ci_low=ci_low, ci_high=ci_high, mean_gain=mean_gain,
+        numeric_success_probability=tree.success_probability(),
+        rng_seed=config.rng_seed, stage_survival=survival,
+        first_stage_outcomes=first_stage_counts,
+    )
 
 
 def dense_generator(config, truncation, process):

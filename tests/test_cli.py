@@ -309,7 +309,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("spec, message", [
         ({"base": {"n_atoms": 20}, "axes": {"p_w": [0.01]}, "seed": 1},
          "sweep config must contain only 'base' and 'axes'"),
-        ([{"n_atoms": 20}], "sweep config must contain only 'base' and 'axes'"),
+        ([{"n_atoms": 20}], "sweep config root must be an object"),
         ({"axes": {"p_w": [0.01]}}, "sweep config needs both 'base' and 'axes'"),
         ({"base": {"n_atoms": 20}}, "sweep config needs both 'base' and 'axes'"),
         ({"base": {"n_atoms": 20}, "axes": [["p_w", [0.01]]]},

@@ -21,7 +21,6 @@ from memamp.protocol import (
     GainConvention,
     ProtocolConfig,
     StageKind,
-    _TrajectoryTree,
     batch_key,
     batch_rows,
     monte_carlo,
@@ -30,7 +29,7 @@ from memamp.protocol import (
 )
 from reference import (
     TrajectoryTreePerNode, configured_truncation, dense_schedule, evolve_stage,
-    fidelity, gain_eigenvalues, heralded, run_stage,
+    fidelity, gain_eigenvalues, heralded, monte_carlo_per_node, run_stage,
 )
 
 TOL = 1e-12
@@ -526,6 +525,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(config, 0)
 
+    @pytest.mark.parametrize("trials", [0, 2.9, True, 2**63])
+    def test_trials_must_be_a_count(self, trials):
+        """A trial count is an integer in [1, 2**63 - 1]: no float, no bool,
+        nothing a multinomial cannot draw."""
+        config = ProtocolConfig(n_atoms=100, p_w=0.3, p_r=0.3)
+        with pytest.raises(ValueError, match=r"^trials must be in \[1, 2\*\*63 - 1\], got"):
+            monte_carlo(config, trials)
+
 
 #: Lossy multi-stage trees: one success column per first-order stage, one per
 #: undetected-mode count at exact order.
@@ -546,6 +553,11 @@ LOSSY_TREES = {
         n_atoms=40, alpha=0.15, p_w=0.002, p_r=0.002, beta_w=0.9, beta_r=0.8,
         schedule=Schedule.TYPE_II, stages=2, order=EvolutionOrder.EXACT,
         truncation=ModeTruncation(4, 4, 3, 14),
+    ),
+    # batch_rows 4: levels of 4 and 16 branches, several per chunk
+    "type1_exact_chunked": dict(
+        n_atoms=20, alpha=0.1, p_w=0.005, p_r=0.005, beta_w=0.8, beta_r=0.8,
+        stages=2, order=EvolutionOrder.EXACT, truncation=ModeTruncation(4, 4, 3, 5),
     ),
 }
 
@@ -571,12 +583,13 @@ SINGLE_BRANCH = {
 
 
 class TestTrajectoryTree:
-    """The tree evolves each level's nodes as one batch."""
+    """`monte_carlo` samples each level of branches as the stage loop grows
+    it; the per-node trajectory tree of the same branches is its reference."""
 
     def test_outcomes_sum_to_one_over_their_support(self):
         for kwargs in LOSSY_TREES.values():
             config = ProtocolConfig(**kwargs)
-            tree = _TrajectoryTree(config)
+            tree = TrajectoryTreePerNode(config)
             # over the photon axes the tree evolves on
             shape = protocol.batch_key(config)[-1].shape()[1:]
             for probs in tree.outcomes.values():
@@ -586,7 +599,7 @@ class TestTrajectoryTree:
 
     def test_children_are_normalized(self):
         for kwargs in LOSSY_TREES.values():
-            tree = _TrajectoryTree(ProtocolConfig(**kwargs))
+            tree = TrajectoryTreePerNode(ProtocolConfig(**kwargs))
             assert len(tree.states) > 1
             for path, state in tree.states.items():
                 assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-14)
@@ -597,29 +610,25 @@ class TestTrajectoryTree:
 
     @pytest.mark.parametrize("name", sorted(LOSSY_TREES))
     def test_matches_the_per_node_tree_to_the_bit(self, name):
+        """P_suc summed level by level, leaves up, adds each node's children
+        in the order of the tree's recursion."""
         config = ProtocolConfig(**LOSSY_TREES[name])
-        tree, reference = _TrajectoryTree(config), TrajectoryTreePerNode(config)
-        assert set(tree.outcomes) == set(reference.outcomes)
-        assert set(tree.states) == set(reference.states)
-        for path, probs in reference.outcomes.items():
-            assert tree.outcomes[path].tobytes() == probs.tobytes(), path
-        for path, state in reference.states.items():
-            assert tree.states[path].tobytes() == state.tobytes(), path
-        assert tree.success_probability() == reference.success_probability()
+        reference = TrajectoryTreePerNode(config).success_probability()
+        assert monte_carlo(config, 1).numeric_success_probability == reference
 
     @pytest.mark.parametrize("name", sorted(LOSSY_TREES))
-    def test_monte_carlo_matches_the_per_node_tree(self, name, monkeypatch):
+    def test_monte_carlo_matches_the_per_node_tree(self, name):
         config = ProtocolConfig(rng_seed=31, **LOSSY_TREES[name])
-        report = monte_carlo(config, 2**62)
-        monkeypatch.setattr(protocol, "_TrajectoryTree", TrajectoryTreePerNode)
-        expected = monte_carlo(config, 2**62)
-        assert report.successes > 0
-        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+        for trials in (1, 2**62):
+            report = monte_carlo(config, trials)
+            expected = monte_carlo_per_node(config, trials)
+            assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+        assert report.successes > 0  # of 2**62 trials
 
     @pytest.mark.parametrize("name", sorted(SINGLE_BRANCH))
     def test_success_leaf_matches_run_schedule(self, name):
         config = ProtocolConfig(**SINGLE_BRANCH[name])
-        tree = _TrajectoryTree(config)
+        tree = TrajectoryTreePerNode(config)
         leaves = [p for p in tree.states if len(p) == len(tree.plan)]
         assert len(leaves) == 1
         report = run_schedule(config)
@@ -718,7 +727,7 @@ class TestMixtures:
             n_atoms=20, alpha=0.1, p_w=0.02, p_r=0.02, beta_w=0.8, beta_r=0.8,
             order=EvolutionOrder.EXACT, truncation=ModeTruncation(5, 5, 5, 8),
         )
-        tree = _TrajectoryTree(config)
+        tree = TrajectoryTreePerNode(config)
         hits = tree.outcomes[()][1, 1]
         gains = [protocol._gain_of(tree.states[(n_c,)], 0.1) for n_c in range(6)]
         trajectory = float(np.dot(hits, gains) / hits.sum())
