@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 usage/config error, 2 protocol
 failure, 3 resource/grid guard. Data files are deterministic for identical
-inputs (the manifest carries the only timestamp and timings); numbers are
-written in shortest round-trip decimal form.
+inputs (the manifest, which `main` writes for every command, carries the only
+timestamp and timings); numbers are written in shortest round-trip decimal form.
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ def parse_config(path: str | Path) -> ProtocolConfig:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record written alongside every command's data files."""
+    """Provenance record of a run, which each ``cmd_*`` returns and `main`
+    writes beside its data files."""
 
     command: str
     seed: int | None
@@ -178,8 +179,17 @@ def _resolve_out_dir(arg: str | None) -> Path:
     return out
 
 
-def cmd_gain(n_atoms: int, n_max: int, out_dir: Path) -> int:
+def _run_config(args: argparse.Namespace) -> ProtocolConfig:
+    """The config of ``--config``, with ``--seed`` as its rng_seed if given."""
+    config = parse_config(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, rng_seed=args.seed)
+    return config
+
+
+def cmd_gain(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]:
     """Gain-vs-rounds table for both schedule types (plot-ready data)."""
+    n_atoms, n_max = args.n_atoms, args.n_max
     if n_max < 0:
         raise ConfigError(f"n_max must be >= 0, got {n_max}")
     if n_atoms < n_max + 2:
@@ -195,17 +205,13 @@ def cmd_gain(n_atoms: int, n_max: int, out_dir: Path) -> int:
             raise ConfigError(f"gain_type1 overflows a float at n = {n}: {exc}") from exc
     csv_path = out_dir / "gain.csv"
     _write_csv(csv_path, ["n", "gain_type1", "gain_type2"], rows)
-    RunManifest(
-        command="gain",
-        seed=None,
-        config={"n_atoms": n_atoms, "n_max": n_max},
-        outputs=[csv_path.name],
-    ).write(out_dir)
-    return EXIT_OK
+    config = {"n_atoms": n_atoms, "n_max": n_max}
+    return EXIT_OK, RunManifest(args.command, None, config, [csv_path.name])
 
 
-def cmd_simulate(config: ProtocolConfig, out_dir: Path) -> int:
-    """Run the configured schedule; write report JSON, stage CSV and manifest."""
+def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]:
+    """Run the configured schedule; write report JSON and stage CSV."""
+    config = _run_config(args)
     report = run_schedule(config)
     report_path = out_dir / "report.json"
     stages_path = out_dir / "stages.csv"
@@ -213,16 +219,12 @@ def cmd_simulate(config: ProtocolConfig, out_dir: Path) -> int:
     rows = [r.to_row() for r in report.stage_reports]
     cells = [dict(row, failed=json.dumps(row["failed"])).values() for row in rows]
     _write_csv(stages_path, list(rows[0]), cells)
-    RunManifest(
-        command="simulate",
-        seed=config.rng_seed,
-        config=config.to_dict(),
-        outputs=[report_path.name, stages_path.name],
-    ).write(out_dir)
+    manifest = RunManifest(args.command, config.rng_seed, config.to_dict(),
+                           [report_path.name, stages_path.name])
     if not report.succeeded:
         print(f"simulation failed: {report.failure_reason}", file=sys.stderr)
-        return EXIT_PROTOCOL
-    return EXIT_OK
+        return EXIT_PROTOCOL, manifest
+    return EXIT_OK, manifest
 
 
 def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
@@ -343,9 +345,7 @@ def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
     return cells
 
 
-def cmd_sweep(
-    spec_path: str | Path, out_dir: Path, seed: int | None, jobs: int
-) -> int:
+def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]:
     """Grid evaluation of the quality metrics over swept config keys.
 
     Every point is written. A point whose run raised gets NaN values and the
@@ -353,21 +353,17 @@ def cmd_sweep(
     and an empty ``error``. Either has ``succeeded`` false, and the sweep then
     exits EXIT_PROTOCOL, as `simulate` of that point would.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    base, axes = _load_sweep_spec(spec_path)
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+    base, axes = _load_sweep_spec(args.config)
     grid = _grid_points(axes)
-    seeded = base if seed is None else dict(base, rng_seed=seed)
-    results = _sweep_cells(_sweep_configs(seeded, axes, grid), jobs)
+    seeded = base if args.seed is None else dict(base, rng_seed=args.seed)
+    results = _sweep_cells(_sweep_configs(seeded, axes, grid), args.jobs)
     header = list(axes) + list(QUALITY_FIELDS) + ["gain_squared", "succeeded", "error"]
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, header, ([*v, *cells] for v, cells in zip(grid, results)))
-    RunManifest(
-        command="sweep",
-        seed=seed,
-        config={"base": base, "axes": axes},
-        outputs=[csv_path.name],
-    ).write(out_dir)
+    manifest = RunManifest(args.command, args.seed, {"base": base, "axes": axes},
+                           [csv_path.name])
     failed = sum(1 for cells in results if cells[-2] == "false")
     if failed:
         print(
@@ -375,12 +371,13 @@ def cmd_sweep(
             "and error columns",
             file=sys.stderr,
         )
-        return EXIT_PROTOCOL
-    return EXIT_OK
+        return EXIT_PROTOCOL, manifest
+    return EXIT_OK, manifest
 
 
-def cmd_oracle_check(n_max: int, out_dir: Path) -> int:
+def cmd_oracle_check(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]:
     """Brute-force ladder verification for every ensemble size up to n_max."""
+    n_max = args.n_max
     if n_max > MAX_FULL_ATOMS:
         raise ResourceGuardError(
             f"oracle check capped at N = {MAX_FULL_ATOMS}, got {n_max}"
@@ -388,114 +385,82 @@ def cmd_oracle_check(n_max: int, out_dir: Path) -> int:
     if n_max < 2:
         raise ConfigError(f"n_max must be >= 2, got {n_max}")
     reports = [verify_ladder(n) for n in range(2, n_max + 1)]
-    payload = {
-        "tolerance": VERIFY_TOL,
-        "all_passed": all(r.passed for r in reports),
-        "reports": [r.to_dict() for r in reports],
-    }
+    passed = all(r.passed for r in reports)
     json_path = out_dir / "oracle_check.json"
-    _write_json(json_path, payload)
-    RunManifest(
-        command="oracle-check",
-        seed=None,
-        config={"n_max": n_max},
-        outputs=[json_path.name],
-        timings={
-            f"verify_ladder_n{r.n_atoms}": r.elapsed_seconds for r in reports
-        },
-    ).write(out_dir)
+    _write_json(json_path, {"tolerance": VERIFY_TOL, "all_passed": passed,
+                            "reports": [r.to_dict() for r in reports]})
     for report in reports:
         status = "pass" if report.passed else "FAIL"
         print(
             f"N={report.n_atoms}: max deviation {report.max_deviation:.3e}, "
             f"max residual {report.max_residual:.3e} [{status}]"
         )
-    if not payload["all_passed"]:
-        return EXIT_PROTOCOL
-    return EXIT_OK
+    timings = {f"verify_ladder_n{r.n_atoms}": r.elapsed_seconds for r in reports}
+    manifest = RunManifest(args.command, None, {"n_max": n_max}, [json_path.name],
+                           timings)
+    return (EXIT_OK if passed else EXIT_PROTOCOL), manifest
 
 
-def cmd_mc(config: ProtocolConfig, trials: int, out_dir: Path) -> int:
+def cmd_mc(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]:
     """Seeded Monte Carlo over heralding outcomes."""
-    if not 1 <= trials < 2**63:
-        raise ConfigError(f"trials must be in [1, 2**63 - 1], got {trials}")
-    report = monte_carlo(config, trials)
+    config = _run_config(args)
+    if not 1 <= args.trials < 2**63:
+        raise ConfigError(f"trials must be in [1, 2**63 - 1], got {args.trials}")
+    report = monte_carlo(config, args.trials)
     json_path = out_dir / "mc_report.json"
     _write_json(json_path, report.to_dict())
-    RunManifest(
-        command="mc",
-        seed=config.rng_seed,
-        config=config.to_dict(),
-        outputs=[json_path.name],
-    ).write(out_dir)
-    return EXIT_OK
+    return EXIT_OK, RunManifest(args.command, config.rng_seed, config.to_dict(),
+                                [json_path.name])
+
+
+def _flag(name: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares one flag, for each command that takes it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(name, **kwargs)
+    return parent
 
 
 @functools.cache  # one parser per process: a parser is a cycle gc collects late
 def _build_parser() -> argparse.ArgumentParser:
+    """Each command's flags, in its usage order, and its route: the ``cmd_*``
+    function `main` calls."""
+    out, seed = _flag("--out", default=None), _flag("--seed", type=int, default=None)
+    config = _flag("--config", required=True)
+    n_max = _flag("--n-max", type=int, required=True)
     parser = argparse.ArgumentParser(
         prog="memamp",
         description="heralded amplification of stored weak coherent states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gain = sub.add_parser("gain", help="gain-vs-rounds table for both schedules")
-    p_gain.add_argument("--n-atoms", type=int, required=True)
-    p_gain.add_argument("--n-max", type=int, required=True)
-    p_gain.add_argument("--out", default=None)
-
-    p_sim = sub.add_parser("simulate", help="run one schedule from a config file")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-
-    p_sweep = sub.add_parser("sweep", help="grid evaluation of quality metrics")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
-
-    p_oracle = sub.add_parser("oracle-check", help="brute-force ladder verification")
-    p_oracle.add_argument("--n-max", type=int, required=True)
-    p_oracle.add_argument("--out", default=None)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo heralding trajectories")
-    p_mc.add_argument("--config", required=True)
-    p_mc.add_argument("--trials", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, default=None)
-    p_mc.add_argument("--out", default=None)
-    p_mc.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted and ignored; trial counts are split per tree node in-process",
-    )
-
+    for name, run, summary, flags in [
+        ("gain", cmd_gain, "gain-vs-rounds table for both schedules",
+         [_flag("--n-atoms", type=int, required=True), n_max, out]),
+        ("simulate", cmd_simulate, "run one schedule from a config file",
+         [config, out, seed]),
+        ("sweep", cmd_sweep, "grid evaluation of quality metrics",
+         [config, out, seed, _flag("--jobs", type=int, default=1)]),
+        ("oracle-check", cmd_oracle_check, "brute-force ladder verification",
+         [n_max, out]),
+        ("mc", cmd_mc, "Monte Carlo heralding trajectories",
+         [config, _flag("--trials", type=int, required=True), seed, out,
+          _flag("--jobs", type=int, default=1,
+                help="accepted and ignored; all trials are sampled in-process")]),
+    ]:
+        sub.add_parser(name, help=summary, parents=flags).set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command. Its ``cmd_*`` route writes the data files and returns
+    the exit code and the manifest record, which is written here; a command
+    that raises writes no manifest."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        out_dir = _resolve_out_dir(getattr(args, "out", None))
-        if args.command == "gain":
-            return cmd_gain(args.n_atoms, args.n_max, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, out_dir, args.seed, args.jobs)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(args.n_max, out_dir)
-        if args.command in ("simulate", "mc"):
-            config = parse_config(args.config)
-            if args.seed is not None:
-                config = dataclasses.replace(config, rng_seed=args.seed)
-            if args.command == "simulate":
-                return cmd_simulate(config, out_dir)
-            return cmd_mc(config, args.trials, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        out_dir = _resolve_out_dir(args.out)
+        code, manifest = args.run(args, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -505,6 +470,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemampError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
+    manifest.write(out_dir)
+    return code
 
 
 def entry_point() -> None:

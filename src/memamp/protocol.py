@@ -111,10 +111,19 @@ def _efficiency(key: str, value: float) -> float:
     return value
 
 
+#: The least nonzero |alpha|. Below it the amplitudes a stage derives from
+#: alpha, about |alpha| sqrt(p_w p_r), can reach the subnormal range, where
+#: they lose precision; the herald floor keeps sqrt(p_w p_r) above 1e-140.
+ALPHA_FLOOR = 1e-150
+
+
 def _finite(key: str, value) -> complex:
     alpha = to_number(key, complex, value)
     if not _finite_complex(alpha):
         raise ConfigError(f"{key} must be finite, got {value}")
+    if 0.0 < math.hypot(alpha.real, alpha.imag) < ALPHA_FLOOR:
+        raise ConfigError(f"{key} must be 0 or at least {ALPHA_FLOOR} in modulus, "
+                          f"got {value}")
     return alpha
 
 

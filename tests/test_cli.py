@@ -7,6 +7,7 @@ import json
 import math
 import tempfile
 import time
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -1150,6 +1151,95 @@ class TestOutputSchemas:
         assert sorted(manifest["timings"]) == ["verify_ladder_n2", "verify_ladder_n3"]
 
 
+_RUN = {"n_atoms": 100, "alpha": 0.1, "p_w": 0.01, "p_r": 0.01}
+_SWEEP = {"base": {"n_atoms": 100}, "axes": {"p_w": [0.001, 0.002]}}
+
+
+class TestManifestContract:
+    """Every command's run that ends with an exit code of 0 or a failed
+    herald writes one manifest; a run that raises writes none."""
+
+    KEYS = {"tool", "version", "command", "seed", "timestamp", "config", "outputs"}
+
+    @staticmethod
+    def run(tmp_path, argv, config=None):
+        if config is not None:
+            (tmp_path / "in.json").write_text(json.dumps(config))
+            argv = [argv[0], "--config", str(tmp_path / "in.json"), *argv[1:]]
+        out = tmp_path / "out"
+        code = main([*argv, "--out", str(out)])
+        path = out / "manifest.json"
+        return code, json.loads(path.read_text()) if path.exists() else None
+
+    @staticmethod
+    def echo(data, seed):
+        return dict(cli.config_from_dict(data).to_dict(), rng_seed=seed)
+
+    @pytest.mark.parametrize("argv, config, seed, echo, outputs", [
+        (["gain", "--n-atoms", "20", "--n-max", "3"], None, None,
+         {"n_atoms": 20, "n_max": 3}, ["gain.csv"]),
+        (["simulate", "--seed", "7"], _RUN, 7, None, ["report.json", "stages.csv"]),
+        (["sweep", "--seed", "4", "--jobs", "1"], _SWEEP, 4, _SWEEP, ["sweep.csv"]),
+        (["mc", "--trials", "10", "--seed", "5", "--jobs", "1"], _RUN, 5, None,
+         ["mc_report.json"]),
+    ], ids=["gain", "simulate", "sweep", "mc"])
+    def test_manifest_of_each_command(self, tmp_path, argv, config, seed, echo,
+                                      outputs):
+        code, manifest = self.run(tmp_path, argv, config)
+        assert code == EXIT_OK
+        assert set(manifest) == self.KEYS
+        assert manifest["tool"] == "memamp"
+        assert manifest["version"] == cli.__version__
+        assert manifest["command"] == argv[0]
+        assert manifest["seed"] == seed
+        assert manifest["config"] == (echo or self.echo(config, seed))
+        assert manifest["outputs"] == outputs
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            outputs + ["manifest.json"])
+        datetime.fromisoformat(manifest["timestamp"])
+
+    def test_oracle_check_manifest_adds_timings(self, tmp_path):
+        code, manifest = self.run(tmp_path, ["oracle-check", "--n-max", "3"])
+        assert code == EXIT_OK
+        assert set(manifest) == self.KEYS | {"timings"}
+        assert (manifest["command"], manifest["seed"]) == ("oracle-check", None)
+        assert manifest["config"] == {"n_max": 3}
+        assert manifest["outputs"] == ["oracle_check.json"]
+        timings = manifest["timings"]
+        assert sorted(timings) == ["verify_ladder_n2", "verify_ladder_n3"]
+        assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+
+    @pytest.mark.parametrize("argv, config, outputs", [
+        (["simulate"], dict(_RUN, p_w=0.0), ["report.json", "stages.csv"]),
+        (["sweep"], {"base": {"n_atoms": 100}, "axes": {"p_w": [0.001, 0.0]}},
+         ["sweep.csv"]),
+    ], ids=["failed_herald", "sweep_with_a_failed_point"])
+    def test_failed_herald_still_writes_a_manifest(self, tmp_path, argv, config,
+                                                    outputs):
+        code, manifest = self.run(tmp_path, argv, config)
+        assert code == EXIT_PROTOCOL
+        assert manifest["command"] == argv[0] and manifest["outputs"] == outputs
+
+    @pytest.mark.parametrize("argv, config, expected", [
+        (["simulate"], dict(_RUN, p_w=2.0), EXIT_CONFIG),
+        (["mc", "--trials", "0"], _RUN, EXIT_CONFIG),
+        (["gain", "--n-atoms", "3", "--n-max", "3"], None, EXIT_CONFIG),
+        (["sweep"], {"base": {"n_atoms": 20},
+                     "axes": {"p_w": [0.001] * 1001, "p_r": [0.001] * 1000}},
+         EXIT_GUARD),
+        (["oracle-check", "--n-max", "20"], None, EXIT_GUARD),
+        (["simulate"], {"n_atoms": 100, "order": "exact", "truncation": {
+            "fock_a_max": 1, "fock_b_max": 1, "fock_c_max": 0}}, EXIT_PROTOCOL),
+    ], ids=["config_error", "mc_trials", "gain_headroom", "grid_over_cap",
+            "oracle_cap", "run_error"])
+    def test_raised_error_writes_no_files(self, tmp_path, capsys, argv, config,
+                                          expected):
+        code, manifest = self.run(tmp_path, argv, config)
+        assert code == expected and manifest is None
+        assert not any((tmp_path / "out").iterdir())
+        capsys.readouterr()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_CONFIG
@@ -1260,6 +1350,35 @@ class TestLargeAlpha:
         data = {"n_atoms": 100, "alpha": [1e308, 1e308]}
         assert simulate_exit(tmp_path, data) == EXIT_CONFIG
         assert "alpha" in capsys.readouterr().err
+
+
+class TestTinyAlpha:
+    """A nonzero |alpha| below protocol.ALPHA_FLOOR (1e-150) is a config error
+    for every command that reads a config. Below it a stage's amplitudes can
+    turn subnormal: without the floor, 1e-320 at N = 2 reports a gain of
+    0.988 where the analytic gain is 1."""
+
+    MESSAGE = "config error: alpha must be 0 or at least 1e-150 in modulus, got "
+
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    @pytest.mark.parametrize("alpha, shown", [
+        (1e-320, "(1e-320+0j)"), ([0.0, -1e-151], "-1e-151j"),
+        ([7e-151, -7e-151], "(7e-151-7e-151j)"),  # |re| + |im| above it, |alpha| not
+    ])
+    def test_simulate_and_mc(self, tmp_path, capsys, command, alpha, shown):
+        data = {"n_atoms": 2, "alpha": alpha}
+        code = simulate_exit(tmp_path, data) if command == "simulate" else mc_exit(
+            tmp_path, data, 10)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"{self.MESSAGE}{shown}\n"
+
+    def test_sweep_axis(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"base": {"n_atoms": 2},
+                                     "axes": {"alpha": [0.1, 0.0, 1e-320]}}))
+        assert main(["sweep", "--config", str(sweep),
+                     "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"{self.MESSAGE}(1e-320+0j)\n"
 
 
 #: a JSON integer beyond the float range

@@ -162,6 +162,19 @@ class TestApplyWrite:
         with pytest.raises(TruncationOverflowError):
             evolve_stage(np.eye(3)[2], config, WRITE)
 
+    @pytest.mark.parametrize("order", list(EvolutionOrder))
+    def test_rows_with_zero_coupling_stay_unguarded(self, order):
+        # row 0 (p = 0) sits on the atomic cutoff, row 1 (p > 0) in the ground state
+        trunc = ModeTruncation(atomic_k_max=2, fock_c_max=0).evolved(20, order)
+        proc = joint.Process("write", trunc, order, np.array([20.0, 20.0]),
+                             np.array([0.0, 1e-6]), np.array([1.0, 1.0]))
+        psi = np.zeros((2,) + trunc.shape(), dtype=complex)
+        psi[0, 2, 0, 0, 0] = psi[1, 0, 0, 0, 0] = 1.0
+        errors = {}
+        out = joint.apply_process(psi, proc, errors, np.ones(2))
+        assert errors == {}
+        assert np.array_equal(out[0], psi[0])
+
     def test_write_at_physical_top_annihilates(self):
         # k = N is a physical boundary, not a truncation: no guard, no flow
         config = ProtocolConfig(3, p_w=1e-3, truncation=ModeTruncation(fock_c_max=0))
@@ -332,8 +345,14 @@ class TestExactSeries:
         psi = np.random.default_rng(0).normal(size=trunc.shape()) + 0j
         psi /= np.linalg.norm(psi)
         w_det, _, bound = one_row_weights(20, trunc, 1e-2, 1.0, "write")
-        with pytest.raises(MemampError, match="exact evolution drifted the norm by"):
+        with pytest.raises(MemampError) as error:
             joint._exact_apply(psi, 1j * w_det, None, bound, "write")
+        # the weights i w make the generator i G, G = C - C^T as built here
+        generator = 1j * explicit_generator(20, trunc, 1e-2, 1.0, "write").toarray()
+        drift = np.linalg.norm(scipy.linalg.expm(generator) @ psi.reshape(-1)) - 1.0
+        prefix, number = str(error.value).rsplit(" ", 1)
+        assert prefix == "exact evolution drifted the norm by"
+        assert number == f"{abs(drift):.3e}" == "5.304e-02"
 
     def test_term_cap_raises(self):
         # an understated norm bound (true bound 18.3) leaves one substep,

@@ -18,6 +18,7 @@ from memamp.joint import EvolutionOrder, ModeTruncation, is_integer, is_real
 from memamp.metrics import QualityReport
 from memamp import protocol
 from memamp.protocol import (
+    ALPHA_FLOOR,
     GainConvention,
     ProtocolConfig,
     StageKind,
@@ -127,12 +128,46 @@ class TestProtocolConfig:
             # an accepted type may still be out of range (p_r = 3)
             assert (error == message) is not accepted, (key, error)
 
+    @pytest.mark.parametrize("derived", [False, True], ids=["built", "derived"])
+    def test_headroom_message_names_both_numbers(self, derived):
+        with pytest.raises(ConfigError) as error:
+            if derived:
+                ProtocolConfig(n_atoms=5).derive({"stages": 10})
+            else:
+                ProtocolConfig(n_atoms=5, stages=10)
+        assert str(error.value) == (
+            "stages+1 = 11 exceeds n_atoms = 5 (excitation headroom)"
+        )
+
     def test_headroom_checked_at_run(self):
         config = ProtocolConfig(
             n_atoms=100, schedule=Schedule.TYPE_II, stages=8
         )  # default atomic_k_max = 8 < stages + 1
         with pytest.raises(ConfigError):
             run_schedule(config)
+
+
+class TestAlphaFloor:
+    """0 < |alpha| < ALPHA_FLOOR is a config error (`test_cli.TestTinyAlpha`):
+    below it the stage's amplitudes, about |alpha| sqrt(p_w p_r), can turn
+    subnormal. At the floor they stay normal down to the herald floor."""
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, 0j, ALPHA_FLOOR, -ALPHA_FLOOR * 1j,
+                                       8e-151 + 8e-151j])  # each part below the floor
+    def test_zero_and_the_floor_are_valid(self, alpha):
+        assert ProtocolConfig(n_atoms=2, alpha=alpha).alpha == alpha
+
+    @pytest.mark.parametrize("order", list(EvolutionOrder))
+    @pytest.mark.parametrize("schedule, stages",
+                             [(Schedule.TYPE_I, 1), (Schedule.TYPE_I, 3),
+                              (Schedule.TYPE_II, 2)])
+    def test_gain_exact_at_the_floor(self, order, schedule, stages):
+        # p = 1e-139: the herald probability sits near ZERO_PROB_FLOOR, the
+        # smallest sqrt(p_w p_r) that heralds
+        config = ProtocolConfig(n_atoms=20, alpha=ALPHA_FLOOR, p_w=1e-139, p_r=1e-139,
+                                schedule=schedule, stages=stages, order=order)
+        report = run_schedule(config)
+        assert report.final_gain == pytest.approx(report.analytic_gain, rel=1e-15)
 
 
 class TestRunStage:
@@ -170,7 +205,7 @@ class TestRunStage:
 
 
 class TestRunSchedule:
-    @pytest.mark.parametrize("alpha", [1e-310, 1e200, 1e308, 1.5e308 + 1.5e308j])
+    @pytest.mark.parametrize("alpha", [ALPHA_FLOOR, 1e200, 1e308, 1.5e308 + 1.5e308j])
     def test_gain_finite_at_extreme_alpha(self, alpha):
         # N = 2, type2: the target gain is 1, so even |alpha| ~ 1e308 is allowed
         config = ProtocolConfig(n_atoms=2, alpha=alpha, schedule=Schedule.TYPE_II)
@@ -397,6 +432,20 @@ class TestRunSchedule:
         # finite-N run measured against the 2-alpha target loses fidelity
         assert exact.quality.fidelity > large_n.quality.fidelity
         assert large_n.quality.fidelity < 1 - 1e-6
+
+    def test_large_n_type2_target_is_stages_plus_one_alpha(self):
+        alpha = 0.1
+        config = ProtocolConfig(
+            n_atoms=10, alpha=alpha, p_w=1e-3, p_r=1e-3, schedule=Schedule.TYPE_II,
+            stages=2, gain_convention=GainConvention.LARGE_N,
+        )
+        report = run_schedule(config)
+        target = np.zeros(len(report.final_state), dtype=complex)
+        target[:2] = 1.0, 3 * alpha  # (stages + 1) alpha
+        target /= np.linalg.norm(target)
+        expected = abs(np.vdot(target, report.final_state)) ** 2
+        assert report.quality.fidelity == pytest.approx(expected, rel=1e-12)
+        assert expected < 1 - 1e-3  # the finite-N gain 2.4 misses the target 3
 
 
 class TestMonteCarlo:
