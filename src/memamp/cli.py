@@ -9,6 +9,7 @@ timestamp and timings); numbers are written in shortest round-trip decimal form.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import enum
@@ -35,10 +36,10 @@ from .protocol import (
     batch_key,
     batch_rows,
     field_value,
+    finite_alpha,
     monte_carlo,
     run_batch,
     run_schedule,
-    to_number,
 )
 
 #: Environment variable naming the default output directory.
@@ -63,11 +64,10 @@ _ENUM_KEYS = {
 
 
 def _parse_alpha(value) -> complex:
-    if is_real(value):
-        return to_number("alpha", complex, value)
+    """alpha's JSON form as a checked complex; an error shows it as written."""
     pair = isinstance(value, (list, tuple)) and len(value) == 2
-    if pair and all(map(is_real, value)):
-        return complex(*[to_number("alpha", float, part) for part in value])
+    if is_real(value) or pair and all(map(is_real, value)):
+        return finite_alpha("alpha", value)
     raise ConfigError(f"alpha: expected a number or [re, im] pair, got {value!r}")
 
 
@@ -157,17 +157,32 @@ class RunManifest:
 _MANIFEST_FIELDS = tuple(f.name for f in dataclasses.fields(RunManifest))
 
 
+@contextlib.contextmanager
+def _rewritten(path: Path):
+    """A descriptor that writes ``path`` from its start; on exit, raised or not,
+    the file is cut where the writing stopped. It is not truncated on open:
+    ext4 starts writeback on closing a file truncated to zero."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as raw:
+        try:
+            yield raw.fileno()
+        finally:
+            raw.truncate()
+
+
 def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     """Rows of cells as they are written: a bool already as JSON's
     true/false; the csv writer writes a float in its shortest round-trip form."""
-    with open(path, "w", newline="") as handle:
+    with _rewritten(path) as fd, open(fd, "w", newline="", closefd=False) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    view = memoryview((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    with _rewritten(path) as fd:
+        while view:
+            view = view[os.write(fd, view):]
 
 
 def _resolve_out_dir(arg: str | None) -> Path:
@@ -453,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command. Its ``cmd_*`` route writes the data files and returns
     the exit code and the manifest record, which is written here; a command
-    that raises writes no manifest."""
+    that raises writes no manifest, and keeps the data files it wrote."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -461,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out_dir = _resolve_out_dir(args.out)
         code, manifest = args.run(args, out_dir)
+        manifest.write(out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -470,7 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemampError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    manifest.write(out_dir)
+    except OSError as exc:  # a config it cannot read, an output it cannot write
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

@@ -117,8 +117,13 @@ def _efficiency(key: str, value: float) -> float:
 ALPHA_FLOOR = 1e-150
 
 
-def _finite(key: str, value) -> complex:
-    alpha = to_number(key, complex, value)
+def finite_alpha(key: str, value) -> complex:
+    """``value``, a number or a JSON ``[re, im]`` pair, as a complex, finite and 0
+    or at least ALPHA_FLOOR in modulus; a message shows ``value`` as given."""
+    if isinstance(value, (list, tuple)):
+        alpha = complex(*[to_number(key, float, part) for part in value])
+    else:
+        alpha = to_number(key, complex, value)
     if not _finite_complex(alpha):
         raise ConfigError(f"{key} must be finite, got {value}")
     if 0.0 < math.hypot(alpha.real, alpha.imag) < ALPHA_FLOOR:
@@ -146,7 +151,7 @@ def _instance(key: str, value):
 _TYPE_CHECKS = {"p_w": _real, "p_r": _real, "beta_w": _real, "beta_r": _real,
                 "alpha": _complex, "n_atoms": _atoms, "stages": _count}
 _RANGE_CHECKS = {"p_w": _probability, "p_r": _probability, "beta_w": _efficiency,
-                 "beta_r": _efficiency, "alpha": _finite, "rng_seed": _seed,
+                 "beta_r": _efficiency, "alpha": finite_alpha, "rng_seed": _seed,
                  "truncation": _instance, "schedule": _instance, "order": _instance,
                  "gain_convention": _instance}
 

@@ -5,6 +5,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import tempfile
 import time
 from datetime import datetime
@@ -1240,6 +1241,151 @@ class TestManifestContract:
         capsys.readouterr()
 
 
+def run_into(out, argv, config=None):
+    """Run ``argv`` into the output directory ``out``, with ``config`` written
+    beside it as the ``--config`` file."""
+    if config is not None:
+        path = out.parent / f"{out.name}.json"
+        path.write_text(json.dumps(config))
+        argv = [argv[0], "--config", str(path), *argv[1:]]
+    return main([*argv, "--out", str(out)])
+
+
+def untimed(data: bytes) -> bytes:
+    """A manifest's bytes with its timestamp and its timing values blanked."""
+    return re.sub(rb'("timestamp"|"verify_ladder_n\d+"): [^,\n]+', rb"\1: _", data)
+
+
+#: Each command's run and a run before it whose every output file, the
+#: manifest included, is longer.
+RERUNS = {
+    "gain": ((["gain", "--n-atoms", "200", "--n-max", "140"], None),
+             (["gain", "--n-atoms", "20", "--n-max", "3"], None)),
+    "simulate": ((["simulate"], dict(_RUN, alpha=0.123456789, stages=3, rng_seed=99)),
+                 (["simulate"], _RUN)),
+    "sweep": ((["sweep"], {"base": {"n_atoms": 100},
+                           "axes": {"p_w": [0.001, 0.002, 0.003, 0.004]}}),
+              (["sweep"], _SWEEP)),
+    "oracle-check": ((["oracle-check", "--n-max", "6"], None),
+                     (["oracle-check", "--n-max", "3"], None)),
+    "mc": ((["mc", "--trials", "1000"], dict(_RUN, alpha=0.123456789, stages=3)),
+           (["mc", "--trials", "10"], _RUN)),
+}
+
+
+class TestOutputsRewrittenInPlace:
+    """A rerun into a used ``--out`` rewrites each file in place: it ends
+    with the new bytes, keeps its inode and mode, and a symlink is written
+    through."""
+
+    @pytest.mark.parametrize("stale, run", RERUNS.values(), ids=list(RERUNS))
+    def test_rerun_over_longer_files_equals_a_fresh_run(self, tmp_path, capsys,
+                                                        stale, run):
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert run_into(used, *stale) == EXIT_OK
+        assert run_into(fresh, *run) == EXIT_OK
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in used.iterdir())
+        for name in names:
+            assert (used / name).stat().st_size > (fresh / name).stat().st_size
+        assert run_into(used, *run) == EXIT_OK
+        for name in names:
+            new, expected = (used / name).read_bytes(), (fresh / name).read_bytes()
+            if name == "manifest.json":
+                new, expected = untimed(new), untimed(expected)
+            assert new == expected, name
+        capsys.readouterr()
+
+    def test_a_file_keeps_its_inode_and_mode(self, tmp_path):
+        stale, run = RERUNS["gain"]
+        assert run_into(tmp_path / "out", *stale) == EXIT_OK
+        path = tmp_path / "out" / "gain.csv"
+        path.chmod(0o640)
+        inode = path.stat().st_ino
+        assert run_into(tmp_path / "out", *run) == EXIT_OK
+        assert run_into(tmp_path / "fresh", *run) == EXIT_OK
+        assert (path.stat().st_ino, path.stat().st_mode & 0o777) == (inode, 0o640)
+        assert path.read_bytes() == (tmp_path / "fresh" / "gain.csv").read_bytes()
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("stale\n" * 1000)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "gain.csv").symlink_to(target)
+        run = RERUNS["gain"][1]
+        assert run_into(tmp_path / "out", *run) == EXIT_OK
+        assert run_into(tmp_path / "fresh", *run) == EXIT_OK
+        assert (tmp_path / "out" / "gain.csv").is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh" / "gain.csv").read_bytes()
+
+    def test_rows_that_raise_leave_the_rows_before_them(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("stale\n" * 1000)
+
+        def rows():
+            yield [1, 2.5]
+            yield [3, True]
+            raise RuntimeError("no third row")
+
+        with pytest.raises(RuntimeError, match="no third row"):
+            cli._write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == b"a,b\n1,2.5\n3,True\n"
+
+    def test_a_short_write_is_continued(self, tmp_path, monkeypatch):
+        """os.write may write fewer bytes than it is given."""
+        write = cli.os.write
+        monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:7]))
+        payload = {"values": list(range(20)), "name": "short writes"}
+        cli._write_json(tmp_path / "out.json", payload)
+        text = (tmp_path / "out.json").read_text()
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written, or a config that cannot be
+    read, is a one-line ``file error:`` and exit 1; the data files written
+    before it stay on disk, and no manifest is written."""
+
+    @staticmethod
+    def error_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("a file\n")
+        assert run_into(tmp_path / "out", *RERUNS["gain"][1]) == EXIT_CONFIG
+        assert "File exists" in self.error_line(capsys)
+        assert (tmp_path / "out").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("argv, config, blocked, kept", [
+        (["gain", "--n-atoms", "10", "--n-max", "3"], None, "gain.csv", []),
+        (["simulate"], _RUN, "stages.csv", ["report.json"]),
+        (["simulate"], _RUN, "manifest.json", ["report.json", "stages.csv"]),
+    ], ids=["gain_csv", "simulate_stages_csv", "manifest"])
+    def test_a_directory_where_a_file_goes(self, tmp_path, capsys, argv, config,
+                                           blocked, kept):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert run_into(out, argv, config) == EXIT_CONFIG
+        assert f"Is a directory: '{out / blocked}'" in self.error_line(capsys)
+        assert sorted(p.name for p in out.iterdir()) == sorted(kept + [blocked])
+        assert run_into(tmp_path / "fresh", argv, config) == EXIT_OK
+        for name in kept:
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_config_that_cannot_be_read(self, tmp_path, capsys, monkeypatch):
+        def unreadable(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        config = write_config(tmp_path)
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "Permission denied" in self.error_line(capsys)
+        assert not any((tmp_path / "out").iterdir())
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_CONFIG
@@ -1361,16 +1507,16 @@ class TestTinyAlpha:
     MESSAGE = "config error: alpha must be 0 or at least 1e-150 in modulus, got "
 
     @pytest.mark.parametrize("command", ["simulate", "mc"])
-    @pytest.mark.parametrize("alpha, shown", [
-        (1e-320, "(1e-320+0j)"), ([0.0, -1e-151], "-1e-151j"),
-        ([7e-151, -7e-151], "(7e-151-7e-151j)"),  # |re| + |im| above it, |alpha| not
+    @pytest.mark.parametrize("alpha", [
+        1e-320, [0.0, -1e-151],
+        [7e-151, -7e-151],  # |re| + |im| above it, |alpha| not
     ])
-    def test_simulate_and_mc(self, tmp_path, capsys, command, alpha, shown):
+    def test_simulate_and_mc(self, tmp_path, capsys, command, alpha):
         data = {"n_atoms": 2, "alpha": alpha}
         code = simulate_exit(tmp_path, data) if command == "simulate" else mc_exit(
             tmp_path, data, 10)
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == f"{self.MESSAGE}{shown}\n"
+        assert capsys.readouterr().err == f"{self.MESSAGE}{alpha}\n"
 
     def test_sweep_axis(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"
@@ -1378,7 +1524,26 @@ class TestTinyAlpha:
                                      "axes": {"alpha": [0.1, 0.0, 1e-320]}}))
         assert main(["sweep", "--config", str(sweep),
                      "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"{self.MESSAGE}(1e-320+0j)\n"
+        assert capsys.readouterr().err == f"{self.MESSAGE}1e-320\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "mc", "sweep"])
+    @pytest.mark.parametrize("text, message", [
+        ("Infinity", "alpha must be finite, got inf"),
+        ("[0, -Infinity]", "alpha must be finite, got [0, -inf]"),
+        ("[1e-320, 0]", "alpha must be 0 or at least 1e-150 in modulus, got [1e-320, 0]"),
+    ], ids=["infinity", "infinite_pair", "tiny_pair"])
+    def test_message_echoes_the_value_as_written(self, tmp_path, capsys, command,
+                                                 text, message):
+        """The value of the file, not the complex it is parsed to."""
+        if command == "sweep":
+            text = f'{{"base": {{"n_atoms": 2}}, "axes": {{"alpha": [0.1, {text}]}}}}'
+        else:
+            text = f'{{"n_atoms": 2, "alpha": {text}}}'
+        (tmp_path / "in.json").write_text(text)
+        argv = [command, "--config", str(tmp_path / "in.json"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv + (["--trials", "10"] if command == "mc" else [])) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 #: a JSON integer beyond the float range
