@@ -27,7 +27,7 @@ from .errors import (
     TruncationLeakageError,
     TruncationOverflowError,
 )
-from .metrics import norm, row_sums
+from .metrics import norm, row_norms, row_sums
 
 #: Total tensor dimension cap for any joint state.
 DIM_CAP = 2_000_000
@@ -211,42 +211,40 @@ class Process:
 
 
 def _check_boundaries(
-    psi: np.ndarray, proc: Process, errors: dict[int, Exception], exact: bool,
-    weights: np.ndarray,
+    psi: np.ndarray, proc: Process, errors: dict[int, Exception], weights: np.ndarray
 ) -> None:
-    """Flag rows whose population on a cutoff, times the row's weight, is over
-    LEAK_TOL: before a first-order step, population that would flow past it;
-    after an exact step, population on it."""
+    """Flag rows whose population on a cutoff slab, times the row's weight, is
+    over LEAK_TOL: after an exact step, population on it; before a first-order
+    step, population that the step would push past it (see `apply_process`)."""
     trunc, k_top = proc.truncation, proc.truncation.atomic_k_max
     active = proc.p > 0.0
     below = active & (k_top < proc.n_atoms)
-    if proc.name == "write":
-        det = ("mode a", active, np.s_[:, :, trunc.fock_a_max])
+    top_c = np.s_[..., trunc.fock_c_max]
+    exact = proc.order is EvolutionOrder.EXACT
+    if exact:
+        if proc.name == "write":
+            det = ("mode a", active, np.s_[:, :, trunc.fock_a_max])
+        else:
+            det = ("mode b", active, np.s_[:, :, :, trunc.fock_b_max])
+        checks = [("atomic k", below, np.s_[:, k_top]), det,
+                  ("mode c", active & (trunc.fock_c_max > 0), top_c)]
+    elif proc.name == "write":
+        checks = [("atomic k", below, np.s_[:, k_top])]
     else:
-        det = ("mode b", active, np.s_[:, :, :, trunc.fock_b_max])
-    lossy = active & (trunc.fock_c_max > 0 if exact else proc.beta < 1.0)
-    checks = [det, ("mode c", lossy, np.s_[..., trunc.fock_c_max])]
-    split_k = not exact and proc.name == "read"
-    if split_k:  # absorption raises k out of n_b >= 1, and out of n_c >= 1 if lossy
-        checks.append(("atomic k", below, np.s_[:, k_top, :, 1:]))
-    else:
-        checks.insert(0, ("atomic k", below, np.s_[:, k_top]))
+        lossy = active & (proc.beta < 1.0)  # absorption raises k_top at n_c >= 1
+        checks = [("mode c", lossy, top_c),
+                  ("atomic k", below & lossy, np.s_[:, k_top, :, 0, 1:])]
     error, message = (
         (TruncationLeakageError, "{}: exact evolution left population {:.3e} on the "
          f"{{}} cutoff (> {LEAK_TOL})") if exact else
         (TruncationOverflowError, "{}: population {:.3e} at the {} cutoff would "
          "overflow the truncation")
     )
-    sq = np.abs(psi) ** 2  # summed per slab: `row_norms` of the slab, one abs for all
     for name, rows, slab in checks:
-        if not rows.any():
-            continue
-        pops = row_sums(sq[slab])
-        if split_k and name == "atomic k" and lossy.any():
-            pops += np.where(lossy, row_sums(sq[:, k_top, :, 0, 1:]), 0.0)
-        pops *= weights
-        for i in (rows & (pops > LEAK_TOL)).nonzero()[0]:
-            errors.setdefault(i, error(message.format(proc.name, pops[i], name)))
+        if rows.any():
+            pops = row_norms(psi[slab]) * weights
+            for i in (rows & (pops > LEAK_TOL)).nonzero()[0]:
+                errors.setdefault(i, error(message.format(proc.name, pops[i], name)))
 
 
 def _stencil(
@@ -380,14 +378,15 @@ def apply_process(
     """One process on a batch of joint tensors, shape (B, k, n_a, n_b, n_c),
     row i with ``proc``'s row i and its cutoff populations weighted by
     ``weights[i]``. A row that trips a guard gets its exception in ``errors``
-    (an earlier one is kept). Rows with p = 0 stay unguarded."""
+    (an earlier one is kept). Rows with p = 0 stay unguarded. A first-order
+    write enters in photon vacuum and a read with n_b = 0, as in `_stage`: the
+    guards check only what such a step can push past a cutoff."""
     active = proc.p > 0.0
     if not active.any():
         return psi
     w_det, w_loss, bound = proc.weights
-    exact = proc.order is EvolutionOrder.EXACT
-    if not exact:
-        _check_boundaries(psi, proc, errors, exact, weights)
+    if proc.order is EvolutionOrder.FIRST_ORDER:
+        _check_boundaries(psi, proc, errors, weights)
         stencil = _stencil(psi.shape, w_det, w_loss, proc.name)
         out = _add_generator(psi.copy(), psi, stencil, np.empty_like(psi), proc.name)
     else:
@@ -398,7 +397,7 @@ def apply_process(
                 out[i] = _exact_apply(psi[i], w_det[i], loss, bound[i], proc.name)
             except MemampError as exc:
                 errors.setdefault(i, exc)
-        _check_boundaries(out, proc, errors, exact, weights)
+        _check_boundaries(out, proc, errors, weights)
     for i in (~np.isfinite(out).reshape(len(out), -1).all(axis=1)).nonzero()[0]:
         errors.setdefault(i, ValueError("amplitudes must be finite"))
     return out

@@ -208,9 +208,8 @@ class ProtocolConfig:
         except OverflowError as exc:
             raise ConfigError(f"the target gain overflows: {exc}") from exc
         if not _finite_complex(target):
-            raise ConfigError(
-                f"alpha = {self.alpha}: the target amplitude gain*alpha is not finite"
-            )
+            raise ConfigError(f"alpha = {[self.alpha.real, self.alpha.imag]}: the "
+                              "target amplitude gain*alpha is not finite")
 
     def derive(self, changes: dict) -> "ProtocolConfig":
         """This config with ``changes``, each value checked by `field_value`,

@@ -1,9 +1,10 @@
 """Reference code that only the tests use: a stage, a trajectory tree and its
 Monte Carlo walk built one state at a time from the package's stage
 primitives, the whole configured tensor, the plain forms of vectorized
-package code, the density matrices that the amplitude-only metrics and
-heralds replace, the closed forms of the ladder algebra on plain arrays over
-the Dicke levels k, and the 2^N oracle's ladder check one level at a time."""
+package code, the first-order guards on every cutoff slab, the density
+matrices that the amplitude-only metrics and heralds replace, the closed
+forms of the ladder algebra on plain arrays over the Dicke levels k, and the
+2^N oracle's ladder check one level at a time."""
 
 import itertools
 import math
@@ -14,11 +15,11 @@ import numpy as np
 import scipy.linalg
 
 from memamp.dicke import LadderDirection, Schedule, ladder_coeff, weak_coherent_rows
-from memamp.errors import MemampError, ResourceGuardError
+from memamp.errors import MemampError, ResourceGuardError, TruncationOverflowError
 from memamp.joint import (
-    SERIES_TERM_CAP, SERIES_TOL, UNITARY_TOL, ZERO_PROB_FLOOR, herald_rows,
+    LEAK_TOL, SERIES_TERM_CAP, SERIES_TOL, UNITARY_TOL, ZERO_PROB_FLOOR, herald_rows,
 )
-from memamp.metrics import row_norms
+from memamp.metrics import row_norms, row_sums
 from memamp.oracle import (
     MAX_FULL_ATOMS, RESIDUAL_TOL, VERIFY_TOL, collective_apply, popcounts,
     project_to_dicke,
@@ -263,6 +264,39 @@ def exact_series_by_slices(psi, w_det, w_loss, bound, process):
             f"exact evolution drifted the norm by {abs(after - before):.3e}"
         )
     return total
+
+
+def six_slab_first_order_guards(psi, proc, errors, weights):
+    """The first-order guards of `joint.apply_process` on any input, photon
+    vacuum or not: before the step, each cutoff slab the step can push
+    population out of. A write checks the top atomic level, mode a's top level
+    and, if lossy, mode c's; a read checks mode b's top level, mode c's if
+    lossy, and the top atomic level at n_b >= 1, or at n_b = 0 and n_c >= 1
+    if lossy, which its absorption terms raise. Each population is weighed by
+    the row's weight; an over-LEAK_TOL row gets the first check's error."""
+    trunc, k_top = proc.truncation, proc.truncation.atomic_k_max
+    active = proc.p > 0.0
+    below = active & (k_top < proc.n_atoms)
+    lossy = active & (proc.beta < 1.0)
+    top_c = np.s_[..., trunc.fock_c_max]
+    if proc.name == "write":
+        checks = [("atomic k", below, np.s_[:, k_top]),
+                  ("mode a", active, np.s_[:, :, trunc.fock_a_max]),
+                  ("mode c", lossy, top_c)]
+    else:
+        checks = [("mode b", active, np.s_[:, :, :, trunc.fock_b_max]),
+                  ("mode c", lossy, top_c),
+                  ("atomic k", below, np.s_[:, k_top, :, 1:])]
+    sq = np.abs(psi) ** 2
+    for name, rows, slab in checks:
+        pops = row_sums(sq[slab])
+        if proc.name == "read" and name == "atomic k":
+            pops += np.where(lossy, row_sums(sq[:, k_top, :, 0, 1:]), 0.0)
+        pops *= weights
+        for i in np.flatnonzero(rows & (pops > LEAK_TOL)):
+            errors.setdefault(i, TruncationOverflowError(
+                f"{proc.name}: population {pops[i]:.3e} at the {name} cutoff would "
+                "overflow the truncation"))
 
 
 class TrajectoryTreePerNode:

@@ -1408,7 +1408,11 @@ class TestUsageErrors:
         ([{"n_atoms": 20}], "config root must be an object"),
         ({"n_atoms": 20, "schedule": "type3"},
          "schedule: expected one of type1, type2, got 'type3'"),
-    ], ids=["root_not_an_object", "unknown_schedule"])
+        ({}, "n_atoms: required key is missing"),
+        ({"n_atoms": 20, "truncation": {"atomic_k_max": 0}},
+         "truncation: atomic_k_max must be >= 1"),
+    ], ids=["root_not_an_object", "unknown_schedule", "missing_n_atoms",
+            "atomic_cutoff_below_one"])
     def test_config_error_message(self, tmp_path, capsys, command, data, message):
         code = simulate_exit(tmp_path, data) if command == "simulate" else mc_exit(
             tmp_path, data, 10)
@@ -1495,7 +1499,10 @@ class TestLargeAlpha:
     def test_overflowing_target_is_config_error(self, tmp_path, capsys):
         data = {"n_atoms": 100, "alpha": [1e308, 1e308]}
         assert simulate_exit(tmp_path, data) == EXIT_CONFIG
-        assert "alpha" in capsys.readouterr().err
+        # alpha in the [re, im] form manifest.json echoes
+        assert capsys.readouterr().err == (
+            "config error: alpha = [1e+308, 1e+308]: the target amplitude "
+            "gain*alpha is not finite\n")
 
 
 class TestTinyAlpha:

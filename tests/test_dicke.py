@@ -57,8 +57,20 @@ class TestLadderCoeff:
 
     @pytest.mark.parametrize("k,n_atoms", [(-1, 5), (6, 5)])
     def test_out_of_range_rejected(self, k, n_atoms):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^k={k} outside 0..{n_atoms}$"):
             ladder_coeff(LadderDirection.RAISE, k, n_atoms)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ladder_coeff(LadderDirection.RAISE, 0, 0),
+        lambda: relative_gain(Schedule.TYPE_I, 1, 0),
+    ], ids=["ladder_coeff", "relative_gain"])
+    def test_empty_ensemble_rejected(self, call):
+        with pytest.raises(ValueError, match="^n_atoms must be >= 1, got 0$"):
+            call()
+
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError, match="^n_rounds must be >= 0, got -1$"):
+            relative_gain(Schedule.TYPE_II, -1, 10)
 
     @given(
         n_atoms=st.integers(min_value=1, max_value=10**9),

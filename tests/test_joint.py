@@ -90,6 +90,18 @@ class TestModeTruncation:
             ModeTruncation(fock_a_max=0)
         with pytest.raises(ValueError):
             ModeTruncation(fock_c_max=-1)
+        with pytest.raises(ValueError, match="^atomic_k_max must be >= 1$"):
+            ModeTruncation(atomic_k_max=0)
+
+    def test_shape_needs_an_atom_count(self):
+        with pytest.raises(ValueError,
+                           match="^truncation not resolved against an atom count$"):
+            ModeTruncation().shape()
+
+    @pytest.mark.parametrize("counts", [(-1, 1), (1, -1)])
+    def test_negative_photon_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="^photon counts must be >= 0$"):
+            HeraldPattern(*counts)
 
     def test_dimension_cap(self):
         # checked on the resolved truncation, whichever way the cutoff is spelled

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import numbers
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from memamp.protocol import (
 from reference import (
     TrajectoryTreePerNode, configured_truncation, dense_schedule, evolve_stage,
     fidelity, gain_eigenvalues, heralded, monte_carlo_per_node, run_stage,
+    six_slab_first_order_guards,
 )
 
 TOL = 1e-12
@@ -873,3 +875,59 @@ class TestReachableBlock:
                                   + (1.0 - ref.p_spon) * ref.p_mode)
             assert abs(q.q_amp - ref.q_amp) <= 1e-15 * (abs(ref.q_amp) + spread)
         assert fired == set(GUARDS)
+
+
+class TestFirstOrderGuards:
+    """A first-order step guards only what it can push past a cutoff from the
+    photon vacuum `_stage` starts it in. On every input that a grid of batched
+    runs, and `_stage` on atomic states spread over every level, give it, its
+    verdicts equal the rule that checks every cutoff slab."""
+
+    #: The three first-order checks: (process, cutoff) as the message names them.
+    CHECKS = {("write", "atomic k"), ("read", "mode c"), ("read", "atomic k")}
+
+    GRID = [
+        ProtocolConfig(
+            n_atoms, alpha=0.3, p_w=p, p_r=p, beta_w=beta_w, beta_r=beta_r,
+            schedule=schedule, stages=stages,
+            truncation=ModeTruncation(1, 1, fock_c, atomic_k_max),
+        )
+        # fock_c_max 1 and above the reach; k_top < N and k_top = N
+        for schedule, beta_w, beta_r, fock_c, (n_atoms, atomic_k_max, stages), p
+        in itertools.product(
+            (Schedule.TYPE_I, Schedule.TYPE_II), (0.5, 1.0), (0.5, 1.0), (1, 3),
+            ((100, 3, 2), (3, None, 2), (100, 2, 1)), (0.0, 0.01, 0.3),
+        )
+    ]
+
+    def test_verdicts_equal_the_six_slab_rule(self, monkeypatch):
+        calls, fired = [], set()
+
+        def spy(psi, proc, errors, weights):
+            if proc.order is EvolutionOrder.FIRST_ORDER:
+                expected, found = {}, {}
+                six_slab_first_order_guards(psi, proc, expected, weights)
+                apply_process(psi, proc, found, weights)
+                assert {i: (type(e), str(e)) for i, e in found.items()} == {
+                    i: (type(e), str(e)) for i, e in expected.items()}
+                calls.append(len(found))
+                fired.update((proc.name, re.search("at the (.*) cutoff", str(e))[1])
+                             for e in found.values())
+            return apply_process(psi, proc, errors, weights)
+
+        apply_process = protocol.apply_process
+        monkeypatch.setattr(protocol, "apply_process", spy)
+        _rows_by_batch(self.GRID, batch_key, lambda c: batch_key(c)[-1])
+        rng = np.random.default_rng(7)
+        batches = {}
+        for config in self.GRID:
+            batches.setdefault(batch_key(config), []).append(config)
+        for key, configs in batches.items():
+            size = (len(configs), key[-1].atomic_k_max + 1)
+            states = rng.normal(size=size) + 1j * rng.normal(size=size)
+            states /= np.linalg.norm(states, axis=1, keepdims=True)
+            level = states, rng.uniform(0.5, 1.0, len(configs)), np.arange(len(configs))
+            for kind in StageKind:
+                protocol._stage(protocol._processes(configs, key[-1]), level, kind)
+        assert len(calls) > 40 and sum(calls) > 100  # the grid reaches the guards
+        assert fired == self.CHECKS

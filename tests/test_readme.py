@@ -1,0 +1,19 @@
+"""The README's python examples run as written against the package."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_example_runs(block, capsys):
+    exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out
