@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -329,13 +330,13 @@ def _sweep_batch(batch: tuple[list[ProtocolConfig], ModeTruncation]) -> list[lis
 def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
     """Every point's cells, in grid order. The points of one `batch_key` run in
     batches of `batch_rows`; a point whose truncation is over the dimension
-    cap fails alone."""
+    cap, or below its schedule's excitation reach, fails alone."""
     cells = [[]] * len(configs)
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         try:
             key = batch_key(config)
-        except ResourceGuardError as exc:
+        except (ConfigError, ResourceGuardError) as exc:
             cells[index] = _failed_cells(exc)
             continue
         groups.setdefault(key, []).append(index)
@@ -399,7 +400,11 @@ def cmd_oracle_check(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunM
         )
     if n_max < 2:
         raise ConfigError(f"n_max must be >= 2, got {n_max}")
-    reports = [verify_ladder(n) for n in range(2, n_max + 1)]
+    reports, timings = [], {}
+    for n in range(2, n_max + 1):
+        started = time.perf_counter()
+        reports.append(verify_ladder(n))
+        timings[f"verify_ladder_n{n}"] = time.perf_counter() - started
     passed = all(r.passed for r in reports)
     json_path = out_dir / "oracle_check.json"
     _write_json(json_path, {"tolerance": VERIFY_TOL, "all_passed": passed,
@@ -410,7 +415,6 @@ def cmd_oracle_check(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunM
             f"N={report.n_atoms}: max deviation {report.max_deviation:.3e}, "
             f"max residual {report.max_residual:.3e} [{status}]"
         )
-    timings = {f"verify_ladder_n{r.n_atoms}": r.elapsed_seconds for r in reports}
     manifest = RunManifest(args.command, None, {"n_max": n_max}, [json_path.name],
                            timings)
     return (EXIT_OK if passed else EXIT_PROTOCOL), manifest

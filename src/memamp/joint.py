@@ -60,17 +60,12 @@ FIRST_ORDER_REACH = (1, 1, 2)
 
 def is_integer(value) -> bool:
     """An integer count; bools (JSON true/false) are not counts."""
-    # the exact type first: an ABC isinstance check is slow
-    return type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    )
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_real(value) -> bool:
     """A real number; bools (JSON true/false) are not numbers."""
-    return type(value) in (float, int) or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class EvolutionOrder(enum.Enum):

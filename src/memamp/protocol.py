@@ -80,10 +80,7 @@ def _real(key: str, value) -> float:
 
 
 def _complex(key: str, alpha):
-    # the exact type first: an ABC isinstance check is slow
-    if type(alpha) not in (complex, float, int) and (
-        isinstance(alpha, bool) or not isinstance(alpha, numbers.Complex)
-    ):
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Complex):
         raise ConfigError(f"{key}: expected a number, got {alpha!r}")
     return alpha
 
@@ -350,8 +347,14 @@ def batch_rows(truncation: ModeTruncation) -> int:
 def batch_key(config: ProtocolConfig) -> tuple:
     """Points with equal keys share a stage plan, an evolution order and the
     truncation they evolve on (`ModeTruncation.evolved`, last): they can run
-    as one batch."""
+    as one batch. A truncation over the dimension cap raises
+    ResourceGuardError, and one whose atomic ladder is below the schedule's
+    excitation reach (2 for type I, stages + 1 for type II) ConfigError."""
     trunc = config.truncation.evolved(config.n_atoms, config.order)
+    needed = config.stages + 1 if config.schedule is Schedule.TYPE_II else 2
+    if trunc.atomic_k_max < needed:
+        raise ConfigError(f"atomic_k_max = {trunc.atomic_k_max} below the schedule's "
+                          f"excitation reach {needed}; enlarge the truncation")
     return config.schedule, config.stages, config.order, trunc
 
 
@@ -433,41 +436,32 @@ def _target_gain(config: ProtocolConfig) -> float:
     return float(config.stages + 1)
 
 
-def _headroom_error(config: ProtocolConfig, k_max: int) -> ConfigError | None:
-    needed = config.stages + 1 if config.schedule is Schedule.TYPE_II else 2
-    if k_max >= needed:
-        return None
-    return ConfigError(
-        f"atomic_k_max = {k_max} below the schedule's "
-        f"excitation reach {needed}; enlarge the truncation"
-    )
-
-
 def run_batch(
     configs: list[ProtocolConfig], truncation: ModeTruncation
 ) -> list[tuple]:
-    """The stage loop: embed, evolve, herald and score points of one
-    `batch_key` on ``truncation``, the key's last entry. The caller groups the
-    points by key; they are not counted again here. A point is a weighted set
-    of branches, one per undetected-mode count heralded (`_stage`), so its
-    stage probability is the sum of w raw / total over its branches.
-    Reductions stay within a row, so no point's values depend on the others.
-    A point whose branch raises keeps the first such error in level order and
-    leaves the batch, as does a failed herald. The points that heralded
-    every stage are scored together (`metrics.score_rows`). Returns per point
-    (stage records, the `QualityReport` fields as a list or None, error), a
-    stage record being (probability, cumulative probability, the stage's
-    children as a level, and the first and last + 1 of the point's children:
-    none for a zero-probability herald)."""
+    """The stage loop: embed, evolve, herald and score points that passed
+    `batch_key`, all of one key, on ``truncation``, the key's last entry. The
+    caller groups the points by key, whose checks (dimension cap, excitation
+    reach) are not repeated here. A point is a weighted set of branches, one
+    per undetected-mode count heralded (`_stage`), so its stage probability is
+    the sum of w raw / total over its branches. Reductions stay within a row,
+    so no point's values depend on the others. A point whose branch raises
+    keeps the first such error in level order and leaves the batch, as does a
+    failed herald. The points that heralded every stage are scored together
+    (`metrics.score_rows`). Returns per point (stage records, the
+    `QualityReport` fields as a list or None, error), a stage record being
+    (probability, cumulative probability, the stage's children as a level,
+    and the first and last + 1 of the point's children: none for a
+    zero-probability herald)."""
     count = len(configs)
     stages: list[list[tuple]] = [[] for _ in range(count)]
     qualities: list[list | None] = [None] * count
-    errors = [_headroom_error(c, truncation.atomic_k_max) for c in configs]
+    errors: list[Exception | None] = [None] * count
     processes = _processes(configs, truncation)
     k_dim = truncation.atomic_k_max + 1
-    live = np.array([error is None for error in errors])
-    states = weak_coherent_rows(np.array([c.alpha for c in configs]), k_dim)[live]
-    level, cumulative = (states, np.ones(len(states)), np.flatnonzero(live)), np.ones(count)
+    live = np.ones(count, dtype=bool)
+    states = weak_coherent_rows(np.array([c.alpha for c in configs]), k_dim)
+    level, cumulative = (states, np.ones(count), np.arange(count)), np.ones(count)
     targets = np.array([_target_gain(c) * c.alpha for c in configs])
     targets = weak_coherent_rows(targets, k_dim)
     plan, norms = stage_plan(configs[0]), []
@@ -588,14 +582,12 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
     branch that trials reach, in level order, over its full (n_a, n_b, n_c)
     outcome distribution (the conditional-binomial method). Every surviving
     trajectory carries a pure state, and memory grows with the widest level,
-    not with `trials`. Every branch evolves, reached or not, so the headroom
-    check and the guards raise as in `run_batch`. Reproducible for a fixed seed.
+    not with `trials`. Every branch evolves, reached or not, so `batch_key`'s
+    checks and the guards raise as for `run_batch`. Reproducible for a fixed seed.
     """
     if not is_integer(trials) or not 1 <= trials < 2**63:
         raise ValueError(f"trials must be in [1, 2**63 - 1], got {trials}")
     trunc = batch_key(config)[-1]
-    if error := _headroom_error(config, trunc.atomic_k_max):
-        raise error
     processes = _processes([config], trunc)
     root = weak_coherent_rows(np.array([config.alpha]), trunc.atomic_k_max + 1)
     level, alive = (root, np.ones(1), np.zeros(1, dtype=np.intp)), np.array([trials])

@@ -1,7 +1,9 @@
 """CLI contract: config parsing, subcommands, exit codes, file round-trips."""
 
 import concurrent.futures
+import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -596,6 +598,30 @@ class TestSweepBatches:
             assert {batch_key(c) for c in batch} == {batch_key(first)}
             capped += len(batch) == cap
         assert capped > len(batches) / 2
+
+    def test_points_below_the_reach_fail_before_their_batch(self, tmp_path, monkeypatch):
+        """`batch_key` refuses a point whose atomic ladder is below its
+        schedule's excitation reach: no batch runs it, and its row keeps the
+        error that `simulate` of the point prints."""
+        handed = []
+        monkeypatch.setattr(cli, "run_batch", lambda configs, truncation: (
+            handed.extend(configs) or run_batch(configs, truncation)
+        ))
+        base = {"n_atoms": 100, "alpha": 0.1, "schedule": "type2",
+                "truncation": {"atomic_k_max": 2}}
+        axes = {"stages": [1, 2], "p_w": [0.001, 0.002]}
+        code, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": axes})
+        for config in handed:
+            batch_key(config)  # raises for a point below the reach
+        assert [c.stages for c in handed] == [1, 1]
+        reach = ("ConfigError: atomic_k_max = 2 below the schedule's excitation "
+                 "reach 3; enlarge the truncation")
+        cells = [dict(zip(header, row)) for row in rows]
+        assert [(c["stages"], c["succeeded"], c["error"]) for c in cells] == [
+            ("1", "true", ""), ("1", "true", ""),
+            ("2", "false", reach), ("2", "false", reach),
+        ]
+        assert code == EXIT_PROTOCOL
 
     def test_stencil_weights_are_built_once_per_batch(self, tmp_path, monkeypatch):
         seen = []
@@ -1616,29 +1642,29 @@ _PROBABILITY = st.one_of(
 )
 _CUTOFF = st.integers(min_value=0, max_value=4)
 _TRUNCATION_KEYS = ["fock_a_max", "fock_b_max", "fock_c_max", "atomic_k_max"]
-#: configs of valid types with edge values; sizes stay small (N <= 40, cutoffs <= 4)
-_VALID = st.fixed_dictionaries(
-    {"n_atoms": st.integers(min_value=1, max_value=40)},
-    optional={
-        "alpha": st.one_of(
-            st.floats(min_value=-2.0, max_value=2.0),
-            st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=2, max_size=2),
-            st.sampled_from([1e154, 1e200, 1e308, [1e308, 1e308], [1e200, -1e200]]),
-        ),
-        "p_w": _PROBABILITY,
-        "p_r": _PROBABILITY,
-        "beta_w": _PROBABILITY,
-        "beta_r": _PROBABILITY,
-        "schedule": st.sampled_from(["type1", "type2"]),
-        "stages": st.integers(min_value=1, max_value=4),
-        "order": st.sampled_from(["first_order", "exact"]),
-        "truncation": st.fixed_dictionaries(
-            {}, optional={key: _CUTOFF for key in _TRUNCATION_KEYS}
-        ),
-        "gain_convention": st.sampled_from(["exact", "large_n"]),
-        "rng_seed": st.integers(min_value=0, max_value=2**64 - 1),
-    },
-)
+#: valid values of each key, with edge values; sizes stay small (N <= 40, cutoffs <= 4)
+_ATOMS = st.integers(min_value=1, max_value=40)
+_VALID_VALUES = {
+    "alpha": st.one_of(
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=2, max_size=2),
+        st.sampled_from([1e154, 1e200, 1e308, [1e308, 1e308], [1e200, -1e200]]),
+    ),
+    "p_w": _PROBABILITY,
+    "p_r": _PROBABILITY,
+    "beta_w": _PROBABILITY,
+    "beta_r": _PROBABILITY,
+    "schedule": st.sampled_from(["type1", "type2"]),
+    "stages": st.integers(min_value=1, max_value=4),
+    "order": st.sampled_from(["first_order", "exact"]),
+    "truncation": st.fixed_dictionaries(
+        {}, optional={key: _CUTOFF for key in _TRUNCATION_KEYS}
+    ),
+    "gain_convention": st.sampled_from(["exact", "large_n"]),
+    "rng_seed": st.integers(min_value=0, max_value=2**64 - 1),
+}
+#: configs of valid types with edge values
+_VALID = st.fixed_dictionaries({"n_atoms": _ATOMS}, optional=_VALID_VALUES)
 
 
 _VALID_KEYS = {
@@ -1686,3 +1712,57 @@ def test_mc_exit_code_contract(data, trials):
     with tempfile.TemporaryDirectory() as tmp:
         code = mc_exit(Path(tmp), data, trials)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_GUARD)
+
+
+def _mostly(valid, other, odds=7):
+    """``valid``, or ``other`` once in ``odds + 1`` draws."""
+    return st.integers(0, odds).flatmap(lambda i: other if i == odds else valid)
+
+
+#: sweep bases, mostly valid alone (N >= 5 has room for 4 stages; of the
+#: cutoffs only fock_c_max, which may be 0, and atomic_k_max, which may be
+#: below a type-II schedule's excitation reach, are set), else drawn like
+#: `simulate_configs`
+_SWEEP_BASE_ANY = _mostly(st.fixed_dictionaries(
+    {"n_atoms": st.integers(min_value=5, max_value=40)},
+    optional=dict(_VALID_VALUES, truncation=st.fixed_dictionaries({}, optional={
+        "fock_c_max": _CUTOFF, "atomic_k_max": st.integers(min_value=1, max_value=4)})),
+), simulate_configs(), 3)
+
+
+@st.composite
+def sweep_specs_any(draw):
+    """A base from `_SWEEP_BASE_ANY`, and one or two axes of sweepable keys,
+    at most 8 points. An axis starts with a valid value of its key; each
+    later entry is mostly one, else any JSON value."""
+    keys = draw(st.lists(st.sampled_from(sorted(cli._SWEEP_AXES)), min_size=1,
+                         max_size=2, unique=True))
+    axes, room = {}, 8
+    for key in keys:
+        valid = _VALID_VALUES.get(key, _ATOMS)
+        axes[key] = [draw(valid), *draw(st.lists(_mostly(valid, _ANY), max_size=room - 1))]
+        room //= len(axes[key])
+    return draw(_SWEEP_BASE_ANY), axes
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=sweep_specs_any())
+@example(spec=({"n_atoms": 20, "schedule": "type2", "truncation": {"atomic_k_max": 2}},
+               {"stages": [1, 2]}))  # below the excitation reach
+def test_sweep_exit_code_contract(spec):
+    """Any sweep of sweepable axes ends in exit code 0-3, with a message on
+    stderr when it is not 0 and never a traceback; a sweep that ran (0 or 2)
+    writes one row per grid point."""
+    base, axes = spec
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.json"
+        path.write_text(json.dumps({"base": base, "axes": axes}))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["sweep", "--config", str(path), "--out", tmp])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_GUARD)
+        assert "Traceback" not in err.getvalue()
+        assert (err.getvalue() != "") == (code != EXIT_OK)
+        if code in (EXIT_OK, EXIT_PROTOCOL):
+            _, rows = read_csv(Path(tmp) / "sweep.csv")
+            assert len(rows) == math.prod(len(values) for values in axes.values())

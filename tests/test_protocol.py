@@ -109,8 +109,8 @@ class TestProtocolConfig:
         (Decimal("0.5"), False, False, False),
     ], ids=["int", "float", "bool", "float64", "int64", "bool_", "Fraction", "Decimal"])
     def test_number_checks_by_type(self, value, integer, real, number):
-        """The exact-type fast paths accept what the numbers ABCs accept,
-        bools rejected, numpy scalars accepted."""
+        """The number checks accept what the numbers ABCs accept, bools
+        rejected, numpy scalars accepted."""
         not_bool = not isinstance(value, bool)
         assert is_integer(value) is integer
         assert integer == (isinstance(value, numbers.Integral) and not_bool)
@@ -789,10 +789,15 @@ class TestMixtures:
 
 def _rows_by_batch(configs, key, truncation_of):
     """Each point's `run_batch` row, the points grouped by ``key`` in order and
-    run in chunks of `batch_rows` on ``truncation_of`` their first point."""
+    run in chunks of `batch_rows` on ``truncation_of`` their first point. A
+    point whose ``key`` raises ConfigError (the reach gate of `batch_key`) has
+    no stages, no quality and that error, as a sweep writes it."""
     groups, rows = {}, {}
     for config in configs:
-        groups.setdefault(key(config), []).append(config)
+        try:
+            groups.setdefault(key(config), []).append(config)
+        except ConfigError as exc:
+            rows[id(config)] = [], None, exc
     for members in groups.values():
         truncation = truncation_of(members[0])
         size = batch_rows(truncation)
@@ -811,7 +816,7 @@ def _close(a, b, rel=1e-15):
     return bool(np.all(both_nan | (np.abs(a - b) <= rel * np.maximum(abs(a), abs(b)))))
 
 
-#: The headroom check, and the read's atomic-k and mode-c guards.
+#: The reach gate of `batch_key`, and the read's atomic-k and mode-c guards.
 GUARDS = ("excitation reach", "atomic k cutoff", "mode c cutoff")
 
 
