@@ -280,39 +280,48 @@ def _flat_stencil(
     return stencil
 
 
-def _add_generator(
-    out: np.ndarray,
-    psi: np.ndarray,
+def _bind(
     stencil: list,
+    psi: np.ndarray,
+    out: np.ndarray,
     scratch: np.ndarray,
     process: str,
-) -> np.ndarray:
-    """Add G psi into ``out``, G the process's anti-Hermitian ladder generator.
-
-    Write couples (k, n_a, n_c) to (k+1, n_a+1, n_c) and (k+1, n_a, n_c+1);
-    read couples (k, n_b, n_c) to (k-1, n_b+1, n_c) and (k-1, n_b, n_c+1).
-    Entries no path reaches stay exactly zero. A coupled pair lies a fixed
-    distance apart in the flattened arrays, so each term is a product of flat
-    arrays, which numpy runs without buffers, into ``scratch``, an array like
-    ``psi``. ``stencil`` is `_stencil`'s, whose weights are broadcast into
-    ``scratch`` before each product (the product overwrites them), or
-    `_flat_stencil`'s, whose flat weights are read as they are.
-    """
+) -> list:
+    """`_add_generator`'s operands for G psi into ``out``, bound once for any
+    number of calls. Write couples (k, n_a, n_c) to (k+1, n_a+1, n_c) and
+    (k+1, n_a, n_c+1); read couples (k, n_b, n_c) to (k-1, n_b+1, n_c) and
+    (k-1, n_b, n_c+1). A coupled pair lies a fixed distance apart in the flat
+    (C-contiguous) arrays, so each term is a product of flat views, which numpy
+    runs without buffers. Per coupling of ``stencil`` (`_stencil`'s or
+    `_flat_stencil`'s): its weights, its slice (None if flat), ``scratch`` (an
+    array like ``psi``), the flat view of it each product fills, and the
+    source, target and ufunc of the raising and the lowering product."""
     w, flat_psi, flat_out = scratch.reshape(-1), psi.reshape(-1), out.reshape(-1)
+    ops = []
     for weights, lower, shift in stencil:
         n = w.size - shift
         src, dst = np.s_[:n], np.s_[shift:]  # raising: the upper entry gains first
         if process != "write":  # lowering: the lower entry (level k) gains first
             src, dst = dst, src
-        broadcast = lower is not None
-        if broadcast:
-            w[:] = 0.0
-        for frm, to, add in ((src, dst, np.add), (dst, src, np.subtract)):
-            if broadcast:
+        products = ((flat_psi[src], flat_out[dst], np.add),
+                    (flat_psi[dst], flat_out[src], np.subtract))
+        ops.append((weights, lower, scratch, w[:n], products))
+    return ops
+
+
+def _add_generator(ops: list) -> None:
+    """Add G psi into out, G the process's anti-Hermitian ladder generator,
+    for `_bind`'s ``ops`` on psi and out. Entries no path reaches stay exactly
+    zero. Sliced weights are broadcast into scratch before each product (the
+    product overwrites them); flat weights are read as they are."""
+    for weights, lower, scratch, w, products in ops:
+        if lower is not None:
+            scratch.fill(0.0)
+        for frm, to, add in products:
+            if lower is not None:
                 scratch[lower] = weights
-            np.multiply(w[:n] if broadcast else weights, flat_psi[frm], out=w[:n])
-            add(flat_out[to], w[:n], out=flat_out[to])
-    return out
+            np.multiply(weights if lower is None else w, frm, out=w)
+            add(to, w, out=to)
 
 
 def _exact_apply(
@@ -327,28 +336,33 @@ def _exact_apply(
     ceil(bound) substeps of exp(G/s) keep ||G/s|| <= 1, so the terms
     G^j psi / (s^j j!) fall at least factorially; each substep sums them
     until one drops below SERIES_TOL of the partial sum (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33(2), 2011). The flat weights of G/s are built
-    once, for every term of every substep. Norms are `metrics.norm`'s; the
-    partial sum's is taken only once a term is small against ``reach``, an
-    upper bound on it, since no larger term can pass the test.
+    SIAM J. Sci. Comput. 33(2), 2011). The flat weights of G/s are built and
+    bound both ways between two term buffers once, for every term of every
+    substep; a substep starts from a copy of the partial sum. Term j is scaled
+    by 1 / j on its float64 view: numpy's complex division by j + 0j does the
+    same, so the bits are those of ``term /= j``. Norms are `metrics.norm`'s;
+    the partial sum's is taken only once a term is small against ``reach``,
+    an upper bound on it, since no larger term can pass the test. ``psi`` is
+    not written; the result is a new array.
     """
     steps = math.ceil(bound)
     w_det = w_det / steps
     w_loss = None if w_loss is None else w_loss / steps
     stencil = _flat_stencil(psi.shape, w_det, w_loss, process)
     scratch = np.empty_like(psi)
-    terms = np.empty_like(psi), np.empty_like(psi)  # each term's, in turn
+    terms = np.empty_like(psi), np.empty_like(psi)  # term j lands in terms[j % 2]
+    views = [term.view(np.float64) for term in terms]
+    ops = [_bind(stencil, terms[1 - i], terms[i], scratch, process) for i in (0, 1)]
     before = size = norm(psi)
-    total = psi
+    total = psi.copy()
     for _ in range(steps):
-        term = total
-        total = total.copy()
+        np.copyto(terms[0], total)
         reach = size  # ||total|| <= the sum of its parts' norms
         for j in range(1, SERIES_TERM_CAP + 1):
-            out = terms[j % 2]
-            out.fill(0.0)
-            term = _add_generator(out, term, stencil, scratch, process)
-            term /= j
+            term, view = terms[j % 2], views[j % 2]
+            term.fill(0.0)
+            _add_generator(ops[j % 2])
+            np.multiply(view, 1.0 / j, out=view)
             total += term
             small = norm(term)
             reach += small
@@ -380,12 +394,12 @@ def apply_process(
     if not active.any():
         return psi
     w_det, w_loss, bound = proc.weights
+    out = psi.copy()
     if proc.order is EvolutionOrder.FIRST_ORDER:
         _check_boundaries(psi, proc, errors, weights)
         stencil = _stencil(psi.shape, w_det, w_loss, proc.name)
-        out = _add_generator(psi.copy(), psi, stencil, np.empty_like(psi), proc.name)
+        _add_generator(_bind(stencil, psi, out, np.empty_like(psi), proc.name))
     else:
-        out = psi.copy()
         for i in np.flatnonzero(active):
             try:
                 loss = None if w_loss is None else w_loss[i]

@@ -206,10 +206,10 @@ def one_row_weights(n_atoms, trunc, p, beta, process):
 
 
 class TestStencil:
-    """The flattened stencil adds the same terms, in the same order, as one
-    shifted-slice update per coupling term: with its weights broadcast into
-    scratch on each product (first order) or built once as flat arrays (the
-    exact series)."""
+    """The flattened stencil, bound once to its arrays, adds the same terms,
+    in the same order, as one shifted-slice update per coupling term: with its
+    weights broadcast into scratch on each product (first order) or built once
+    as flat arrays (the exact series)."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -247,11 +247,25 @@ class TestStencil:
         build = joint._flat_stencil if flat else joint._stencil
         stencil = build(psi.shape, w_det, w_loss, process)
         scratch = np.empty_like(psi)
-        got = joint._add_generator(out.copy(), psi, stencil, scratch, process)
+        got = out.copy()
+        ops = joint._bind(stencil, psi, got, scratch, process)
+        joint._add_generator(ops)
         assert got.tobytes() == expected.tobytes()
-        if flat:  # the flat weights survive the call, for the next term
-            again = joint._add_generator(out.copy(), psi, stencil, scratch, process)
-            assert again.tobytes() == expected.tobytes()
+        got[...] = out  # the bound views and weights survive the call
+        joint._add_generator(ops)
+        assert got.tobytes() == expected.tobytes()
+
+        # two buffers bound both ways, applied in turn as the series does
+        first, second = psi.copy(), np.zeros_like(psi)
+        there, back = (joint._bind(stencil, a, b, scratch, process)
+                       for a, b in ((first, second), (second, first)))
+        joint._add_generator(there)
+        first.fill(0.0)
+        joint._add_generator(back)
+        once = add_generator_by_slices(np.zeros_like(psi), psi, w_det, w_loss, process)
+        twice = add_generator_by_slices(np.zeros_like(psi), once, w_det, w_loss, process)
+        assert second.tobytes() == once.tobytes()
+        assert first.tobytes() == twice.tobytes()
 
 
 class TestExactSeries:
@@ -375,6 +389,59 @@ class TestExactSeries:
         w_det, w_loss, _ = one_row_weights(30, trunc, 1.0, 1.0, "write")
         with pytest.raises(MemampError, match="did not converge"):
             joint._exact_apply(psi, w_det, w_loss, 0.5, "write")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("beta", [1.0, 0.6])
+    def test_non_finite_input_does_not_converge(self, bad, beta):
+        # the flat weights' zero padding turns 0 * inf into NaN, so no term
+        # passes the stop test, with or without the loss coupling
+        trunc = ModeTruncation(3, 3, 2, 6).resolve(40)
+        psi = np.random.default_rng(0).normal(size=trunc.shape()) + 0j
+        psi /= np.linalg.norm(psi)
+        psi[1, 0, 0, 0] = bad
+        w_det, w_loss, bound = one_row_weights(40, trunc, 0.3, beta, "write")
+        with np.errstate(all="ignore"), pytest.raises(MemampError) as error:
+            joint._exact_apply(psi, w_det, w_loss, bound, "write")
+        assert str(error.value) == "write: Taylor series did not converge in 60 terms"
+
+    def test_view_scaling_matches_complex_division_to_the_bit(self):
+        # the series scales term j on its float64 view by 1 / j, where
+        # ``term /= j`` runs numpy's complex division. A term has no -0 entry
+        # (its products are added into a +0 buffer), which the division
+        # would turn into +0
+        rng = np.random.default_rng(0)
+        size = 735
+        parts = [rng.normal(size=size) * scale for scale in (1.0, 1e300, 1e-300)]
+        sign = rng.choice([-1.0, 1.0], size)
+        parts.append(rng.integers(1, 2**52, size) * sign * 5e-324)  # subnormals
+        values = np.concatenate(parts)
+        values = np.where(rng.random(values.size) < 0.6, values, 0.0)
+        x = rng.permutation(values) + 1j * rng.permutation(values)
+        assert (x.view(np.float64) == 0.0).any()
+        for j in range(1, joint.SERIES_TERM_CAP + 1):
+            expected, got = x.copy(), x.copy()
+            expected /= j
+            view = got.view(np.float64)
+            np.multiply(view, 1.0 / j, out=view)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_leaves_its_input_and_earlier_results_alone(self):
+        # a lossy row whose bound takes several substeps through both buffers
+        trunc = ModeTruncation(4, 4, 3, 8).resolve(20)
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=trunc.shape()) + 1j * rng.normal(size=trunc.shape())
+        psi /= np.linalg.norm(psi)
+        w_det, w_loss, bound = one_row_weights(20, trunc, 1.0, 0.5, "write")
+        assert w_loss is not None and bound > 2.0
+        given_bytes = psi.tobytes()
+        first = joint._exact_apply(psi, w_det, w_loss, bound, "write")
+        first_bytes = first.tobytes()
+        second = joint._exact_apply(psi, w_det, w_loss, bound, "write")
+        assert psi.tobytes() == given_bytes
+        assert first.tobytes() == second.tobytes() == first_bytes
+        assert first.base is None  # owns its memory: no view of a term buffer
+        assert not np.shares_memory(first, psi)
+        assert not np.shares_memory(first, second)
 
 
 class TestApplyRead:
