@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import enum
 import functools
 import itertools
 import json
@@ -28,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .dicke import Schedule, relative_gain
 from .errors import ConfigError, GridGuardError, MemampError, ResourceGuardError
-from .joint import TRUNCATION_FIELDS, ModeTruncation, is_real
+from .joint import ModeTruncation
 from .metrics import QUALITY_FIELDS
 from .oracle import MAX_FULL_ATOMS, VERIFY_TOL, verify_ladder
 from .protocol import (
@@ -37,7 +36,6 @@ from .protocol import (
     batch_key,
     batch_rows,
     field_value,
-    finite_alpha,
     monte_carlo,
     run_batch,
     run_schedule,
@@ -56,66 +54,26 @@ EXIT_GUARD = 3
 
 _SWEEP_AXES = {"p_w", "p_r", "beta_w", "beta_r", "n_atoms", "stages", "alpha"}
 
-#: Config keys whose JSON string names a member of their default's enum.
-_ENUM_KEYS = {
-    f.name: type(f.default)
-    for f in dataclasses.fields(ProtocolConfig)
-    if isinstance(f.default, enum.Enum)
-}
 
-
-def _parse_alpha(value) -> complex:
-    """alpha's JSON form as a checked complex; an error shows it as written."""
-    pair = isinstance(value, (list, tuple)) and len(value) == 2
-    if is_real(value) or pair and all(map(is_real, value)):
-        return finite_alpha("alpha", value)
-    raise ConfigError(f"alpha: expected a number or [re, im] pair, got {value!r}")
-
-
-def _enum_from(enum_cls, value, key: str):
-    for member in enum_cls:
-        if member.value == value:
-            return member
-    options = ", ".join(m.value for m in enum_cls)
-    raise ConfigError(f"{key}: expected one of {options}, got {value!r}")
+def _check_keys(keys) -> None:
+    """A config's key set: known keys only, n_atoms among them."""
+    unknown = set(keys).difference(CONFIG_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    if "n_atoms" not in keys:
+        raise ConfigError("n_atoms: required key is missing")
 
 
 def config_from_dict(data: dict) -> ProtocolConfig:
-    """Build a validated ProtocolConfig from parsed JSON, rejecting unknown keys.
-
-    Only the JSON forms are read here: enum names, the ``[re, im]`` alpha pair
-    and the truncation object. ProtocolConfig checks every value's type and range.
-    """
+    """Build a validated ProtocolConfig from parsed JSON: the root and its key
+    set, then each value's own checks in declaration order (`field_value`,
+    which decodes the JSON forms), then the cross-field checks."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(data).difference(CONFIG_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    if "n_atoms" not in data:
-        raise ConfigError("n_atoms: required key is missing")
-    kwargs = dict(data)
-    if "alpha" in data:
-        kwargs["alpha"] = _parse_alpha(data["alpha"])
-    for key, enum_cls in _ENUM_KEYS.items():
-        if key in data:
-            kwargs[key] = _enum_from(enum_cls, data[key], key)
-    if "truncation" in data:
-        tdata = data["truncation"]
-        if not isinstance(tdata, dict):
-            raise ConfigError("truncation: expected an object")
-        unknown = set(tdata).difference(TRUNCATION_FIELDS)
-        if unknown:
-            raise ConfigError(
-                f"unknown truncation key(s): {', '.join(sorted(unknown))}"
-            )
-        try:
-            kwargs["truncation"] = ModeTruncation(**tdata)
-        except ValueError as exc:
-            raise ConfigError(f"truncation: {exc}") from exc
-    try:
-        return ProtocolConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    _check_keys(data)
+    return ProtocolConfig.from_fields(
+        {key: field_value(key, data[key]) for key in CONFIG_FIELDS if key in data}
+    )
 
 
 def _read_json(path: str | Path):
@@ -244,6 +202,8 @@ def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManif
 
 
 def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
+    """The spec's base and axes, after the checks of its shape: the root,
+    ``base``, ``axes``, each axis and the key set of the base and axes."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigError("sweep config root must be an object")
@@ -251,8 +211,7 @@ def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
         raise ConfigError("sweep config must contain only 'base' and 'axes'")
     if "base" not in data or "axes" not in data:
         raise ConfigError("sweep config needs both 'base' and 'axes'")
-    base = data["base"]
-    axes = data["axes"]
+    base, axes = data["base"], data["axes"]
     if not isinstance(base, dict):
         raise ConfigError("base: expected an object")
     if not isinstance(axes, dict) or not axes:
@@ -266,6 +225,7 @@ def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
             raise ConfigError(f"axes.{key}: expected a list of values")
         if len(values) == 0:
             raise GridGuardError(f"axes.{key}: empty axis")
+    _check_keys({**base, **axes})
     return base, axes
 
 
@@ -276,32 +236,39 @@ def _grid_points(axes: dict) -> list[tuple]:
     return list(itertools.product(*axes.values()))
 
 
-def _checked_entry(key: str, value):
-    """An axis entry as its point's config stores it, after the checks of
-    its own field (`protocol.field_value`), or None if one fails."""
+def _value_or_error(key: str, value):
+    """``value`` as field ``key`` stores it (`field_value`), or the ConfigError
+    that field's own checks raise."""
     try:
-        return field_value(key, _parse_alpha(value) if key == "alpha" else value)
-    except ConfigError:
-        return None
+        return field_value(key, value)
+    except ConfigError as exc:
+        return exc
 
 
-def _sweep_configs(base: dict, axes: dict, grid: list[tuple]) -> list[ProtocolConfig]:
-    """Each grid point's config, equal to `config_from_dict` of the point. The
-    first point is built in full. Each axis entry is checked once, by its
-    place in its axis: 1, 1.0 and true are different entries. Every later
-    point is derived from the first with its entries and only the cross-field
-    checks, whose message is the full build's, as every field passed its own
-    checks. A point with an entry that failed its own is built in full."""
-    first = config_from_dict({**base, **dict(zip(axes, grid[0]))})
-    entries = [[_checked_entry(key, v) for v in values] for key, values in axes.items()]
-    configs = [first]
-    for values, checked in itertools.islice(
-        zip(grid, itertools.product(*entries)), 1, None
-    ):
-        if None in checked:
-            configs.append(config_from_dict({**base, **dict(zip(axes, values))}))
-        else:
-            configs.append(first.derive(dict(zip(axes, checked))))
+def _sweep_configs(base: dict, axes: dict, **checked) -> list:
+    """Each grid point's config, or the ConfigError that `config_from_dict` of
+    the point raises. ``checked`` holds fields already through `field_value`
+    (``--seed``); they override the base. Each other base value and each axis
+    entry, by its place in its axis (1, 1.0 and true differ), is checked once.
+    A point whose values all passed runs only the cross-field checks; one with
+    a failed value gets the first in declaration order."""
+    fixed = {key: _value_or_error(key, value) for key, value in base.items()
+             if key not in axes and key not in checked}
+    fixed.update(checked)
+    entries = [[_value_or_error(key, v) for v in values] for key, values in axes.items()]
+    failed = any(isinstance(v, ConfigError)
+                 for v in itertools.chain(fixed.values(), *entries))
+    configs = []
+    for point in itertools.product(*entries):
+        values = fixed.copy()
+        values.update(zip(axes, point))
+        # the point's first failed value, looked for only if a value failed
+        error = failed and next((values[key] for key in CONFIG_FIELDS
+                                 if isinstance(values.get(key), ConfigError)), None)
+        try:
+            configs.append(error or ProtocolConfig.from_fields(values))
+        except ConfigError as exc:
+            configs.append(exc)
     return configs
 
 
@@ -327,13 +294,18 @@ def _sweep_batch(batch: tuple[list[ProtocolConfig], ModeTruncation]) -> list[lis
     return cells
 
 
-def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
-    """Every point's cells, in grid order. The points of one `batch_key` run in
-    batches of `batch_rows`; a point whose truncation is over the dimension
-    cap, or below its schedule's excitation reach, fails alone."""
+def _sweep_cells(configs: list, jobs: int) -> list[list]:
+    """Every point's cells, in grid order, from its config or its ConfigError
+    (`_sweep_configs`). The points of one `batch_key` run in batches of
+    `batch_rows`. A point whose config failed its checks fails alone, as does
+    one whose truncation is over the dimension cap or below its schedule's
+    excitation reach: its row keeps the error."""
     cells = [[]] * len(configs)
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
+        if isinstance(config, ConfigError):
+            cells[index] = _failed_cells(config)
+            continue
         try:
             key = batch_key(config)
         except (ConfigError, ResourceGuardError) as exc:
@@ -364,17 +336,17 @@ def _sweep_cells(configs: list[ProtocolConfig], jobs: int) -> list[list]:
 def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]:
     """Grid evaluation of the quality metrics over swept config keys.
 
-    Every point is written. A point whose run raised gets NaN values and the
-    error in its ``error`` column; a point whose herald failed gets NaN values
-    and an empty ``error``. Either has ``succeeded`` false, and the sweep then
-    exits EXIT_PROTOCOL, as `simulate` of that point would.
+    Every point is written. A point whose config failed a check or whose run
+    raised gets NaN values and the error in its ``error`` column; a point
+    whose herald failed gets NaN values and an empty ``error``. Either has
+    ``succeeded`` false, and the sweep then exits EXIT_PROTOCOL.
     """
     if args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+    seed = {} if args.seed is None else {"rng_seed": field_value("rng_seed", args.seed)}
     base, axes = _load_sweep_spec(args.config)
     grid = _grid_points(axes)
-    seeded = base if args.seed is None else dict(base, rng_seed=args.seed)
-    results = _sweep_cells(_sweep_configs(seeded, axes, grid), args.jobs)
+    results = _sweep_cells(_sweep_configs(base, axes, **seed), args.jobs)
     header = list(axes) + list(QUALITY_FIELDS) + ["gain_squared", "succeeded", "error"]
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, header, ([*v, *cells] for v, cells in zip(grid, results)))

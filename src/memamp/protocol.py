@@ -79,12 +79,6 @@ def _real(key: str, value) -> float:
     return to_number(key, float, value)
 
 
-def _complex(key: str, alpha):
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Complex):
-        raise ConfigError(f"{key}: expected a number, got {alpha!r}")
-    return alpha
-
-
 def _count(key: str, value) -> int:
     if not is_integer(value) or value < 1:
         raise ConfigError(f"{key} must be a positive integer, got {value}")
@@ -96,13 +90,15 @@ def _atoms(key: str, value) -> int:
     return value
 
 
-def _probability(key: str, value: float) -> float:
+def _probability(key: str, value) -> float:
+    value = _real(key, value)
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{key} must be in [0, 1], got {value}")
     return value
 
 
-def _efficiency(key: str, value: float) -> float:
+def _efficiency(key: str, value) -> float:
+    value = _real(key, value)
     if not 0.0 < value <= 1.0:
         raise ConfigError(f"{key} must be in (0, 1], got {value}")
     return value
@@ -114,7 +110,7 @@ def _efficiency(key: str, value: float) -> float:
 ALPHA_FLOOR = 1e-150
 
 
-def finite_alpha(key: str, value) -> complex:
+def _finite_alpha(key: str, value) -> complex:
     """``value``, a number or a JSON ``[re, im]`` pair, as a complex, finite and 0
     or at least ALPHA_FLOOR in modulus; a message shows ``value`` as given."""
     if isinstance(value, (list, tuple)):
@@ -127,6 +123,19 @@ def finite_alpha(key: str, value) -> complex:
         raise ConfigError(f"{key} must be 0 or at least {ALPHA_FLOOR} in modulus, "
                           f"got {value}")
     return alpha
+
+
+def _alpha(key: str, value) -> complex:
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return _finite_alpha(key, value)
+
+
+def _alpha_json(key: str, value) -> complex:
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    if is_real(value) or pair and all(map(is_real, value)):
+        return _finite_alpha(key, value)
+    raise ConfigError(f"{key}: expected a number or [re, im] pair, got {value!r}")
 
 
 def _seed(key: str, value) -> int:
@@ -142,32 +151,55 @@ def _instance(key: str, value):
     return value
 
 
-#: The checks of one field each, in the order `ProtocolConfig` runs them: the
-#: types, the headroom check, then the ranges. A check takes a key and its
-#: value and returns the value to store, or raises ConfigError.
-_TYPE_CHECKS = {"p_w": _real, "p_r": _real, "beta_w": _real, "beta_r": _real,
-                "alpha": _complex, "n_atoms": _atoms, "stages": _count}
-_RANGE_CHECKS = {"p_w": _probability, "p_r": _probability, "beta_w": _efficiency,
-                 "beta_r": _efficiency, "alpha": finite_alpha, "rng_seed": _seed,
-                 "truncation": _instance, "schedule": _instance, "order": _instance,
-                 "gain_convention": _instance}
+def _member(key: str, value):
+    """The member of the field's enum whose value is the JSON name ``value``."""
+    kind = type(getattr(ProtocolConfig, key))
+    for member in kind:
+        if member.value == value:
+            return member
+    options = ", ".join(m.value for m in kind)
+    raise ConfigError(f"{key}: expected one of {options}, got {value!r}")
+
+
+def _truncation(key: str, value) -> ModeTruncation:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected an object")
+    unknown = set(value).difference(TRUNCATION_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown {key} key(s): {', '.join(sorted(unknown))}")
+    try:
+        return ModeTruncation(**value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+#: Each field's own checks, in declaration order: the check of a library
+#: value, then of a JSON value, which decodes alpha's [re, im] pair, an enum's
+#: name or the truncation object. A check returns the value to store.
+_FIELD_CHECKS = {
+    "n_atoms": (_atoms, _atoms), "alpha": (_alpha, _alpha_json),
+    "p_w": (_probability, _probability), "p_r": (_probability, _probability),
+    "beta_w": (_efficiency, _efficiency), "beta_r": (_efficiency, _efficiency),
+    "schedule": (_instance, _member), "stages": (_count, _count),
+    "order": (_instance, _member), "truncation": (_instance, _truncation),
+    "gain_convention": (_instance, _member), "rng_seed": (_seed, _seed),
+}
 
 
 def field_value(key: str, value):
-    """``value`` as `ProtocolConfig` stores it in field ``key``, after that
-    field's own checks only; a failing one raises ConfigError."""
-    for checks in (_TYPE_CHECKS, _RANGE_CHECKS):
-        if key in checks:
-            value = checks[key](key, value)
-    return value
+    """``value``, a JSON value of field ``key``, as `ProtocolConfig` stores it,
+    after that field's own checks only; a failing one raises ConfigError."""
+    return _FIELD_CHECKS[key][1](key, value)
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """All run parameters for a schedule, validated on construction."""
+    """All run parameters for a schedule, validated on construction: each
+    field's own checks in declaration order, then the cross-field checks.
+    Each default is the value a field stores."""
 
     n_atoms: int
-    alpha: complex = 0.1
+    alpha: complex = 0.1 + 0j
     p_w: float = 0.01
     p_r: float = 0.01
     beta_w: float = 1.0
@@ -180,24 +212,28 @@ class ProtocolConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        self._check_fields(_TYPE_CHECKS)
-        self._check_headroom()
-        self._check_fields(_RANGE_CHECKS)
-        self._check_target()
-
-    def _check_fields(self, checks: dict) -> None:
-        for key, check in checks.items():
+        for key, (check, _) in _FIELD_CHECKS.items():
             object.__setattr__(self, key, check(key, getattr(self, key)))
+        self._check_together()
 
-    def _check_headroom(self) -> None:
+    @classmethod
+    def from_fields(cls, values: dict) -> "ProtocolConfig":
+        """The config of ``values``, n_atoms among them, each one through its
+        field's own checks (`field_value`), and the defaults of the fields
+        they leave out; only the cross-field checks run."""
+        config = object.__new__(cls)
+        for name, default in _DEFAULTS.items():  # vars() would add a dict per config
+            object.__setattr__(config, name, values.get(name, default))
+        config._check_together()
+        return config
+
+    def _check_together(self) -> None:
+        """The cross-field checks: headroom, beta < 1's loss mode, the target."""
         if self.stages + 1 > self.n_atoms:
             raise ConfigError(
                 f"stages+1 = {self.stages + 1} exceeds n_atoms = {self.n_atoms} "
                 "(excitation headroom)"
             )
-
-    def _check_target(self) -> None:
-        """The loss mode of beta < 1, and a finite target amplitude."""
         if min(self.beta_w, self.beta_r) < 1.0 and self.truncation.fock_c_max == 0:
             raise ConfigError("beta_w or beta_r < 1 needs a loss mode (fock_c_max >= 1)")
         try:
@@ -207,18 +243,6 @@ class ProtocolConfig:
         if not _finite_complex(target):
             raise ConfigError(f"alpha = {[self.alpha.real, self.alpha.imag]}: the "
                               "target amplitude gain*alpha is not finite")
-
-    def derive(self, changes: dict) -> "ProtocolConfig":
-        """This config with ``changes``, each value checked by `field_value`,
-        after only the cross-field checks: headroom, the loss mode of
-        beta < 1 and the target gain. Equal to the full construction's
-        config, or raising its message, since every field passed its own."""
-        config = object.__new__(ProtocolConfig)
-        for name in CONFIG_FIELDS:  # in declaration order, as __init__ sets them
-            object.__setattr__(config, name, changes.get(name, getattr(self, name)))
-        config._check_headroom()
-        config._check_target()
-        return config
 
     def to_dict(self) -> dict:
         """JSON form: enums by value, alpha as [re, im], truncation as an object."""
@@ -237,6 +261,8 @@ class ProtocolConfig:
 
 #: Field names in declaration order, read once: the run-config schema.
 CONFIG_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
+#: Each field's default, in declaration order; n_atoms, which has none, is None.
+_DEFAULTS = {name: getattr(ProtocolConfig, name, None) for name in CONFIG_FIELDS}
 
 
 @dataclass(frozen=True)

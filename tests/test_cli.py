@@ -322,14 +322,19 @@ class TestSweepCommand:
          "axes: expected a nonempty object of key -> values"),
         ({"base": {"n_atoms": 20}, "axes": {"p_w": 0.01}},
          "axes.p_w: expected a list of values"),
+        ({"base": {"alpha": 0.1}, "axes": {"p_w": [0.01]}},
+         "n_atoms: required key is missing"),
+        ({"base": {"n_atoms": 20, "pw": 0.01}, "axes": {"p_w": [0.01]}},
+         "unknown config key(s): pw"),
     ], ids=["extra_key", "not_an_object", "no_base", "no_axes", "axes_not_an_object",
-            "axes_empty", "axis_not_a_list"])
+            "axes_empty", "axis_not_a_list", "no_n_atoms", "unknown_base_key"])
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, spec, message):
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps(spec))
         assert main(["sweep", "--config", str(sweep),
                      "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "sw" / "sweep.csv").exists()
 
     def test_grid_over_the_cap_is_grid_guard(self, tmp_path, capsys):
         # 32^4 points: the cap is checked before the grid is built
@@ -708,15 +713,14 @@ def exact_fields(config):
 
 
 def grid_configs(base, axes):
-    """`config_from_dict` of each grid point, up to the first that raises,
-    and that point's message (None if every point passes)."""
+    """`config_from_dict` of each grid point, or the message it raises."""
     configs = []
     for values in itertools.product(*axes.values()):
         try:
             configs.append(cli.config_from_dict({**base, **dict(zip(axes, values))}))
         except ConfigError as exc:
-            return configs, str(exc)
-    return configs, None
+            configs.append(str(exc))
+    return configs
 
 
 @pytest.fixture
@@ -733,37 +737,52 @@ def swept(monkeypatch):
     return seen
 
 
+def failed_points(count, points):
+    """The stderr line of a sweep with ``count`` of ``points`` failed."""
+    return (f"sweep: {count} of {points} points failed; see the succeeded and "
+            "error columns\n")
+
+
 class TestSweepConfigs:
     """Each axis entry is checked once, by its place in its axis, and every
-    point's config and config error is the one `config_from_dict` gives."""
+    point's config and config error is the one `config_from_dict` gives; a
+    point's config error is its row's ``error`` cell."""
 
     def run(self, tmp_path, capsys, base, axes):
+        """The exit code, stderr and each row's error cell of a sweep."""
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"base": base, "axes": axes}))
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
-        return code, capsys.readouterr().err
+        _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+        return code, capsys.readouterr().err, [row[-1] for row in rows]
 
     def test_bad_entry_names_its_key(self, tmp_path, capsys):
         # 20.0 equals the valid 20, but is not an integer
-        code, err = self.run(tmp_path, capsys, {"alpha": 0.1}, {"n_atoms": [20, 20.0]})
-        assert (code, err) == (
-            EXIT_CONFIG, "config error: n_atoms must be a positive integer, got 20.0\n"
-        )
+        code, err, errors = self.run(tmp_path, capsys, {"alpha": 0.1},
+                                     {"n_atoms": [20, 20.0]})
+        assert (code, err) == (EXIT_PROTOCOL, failed_points(1, 2))
+        assert errors == [
+            "", "ConfigError: n_atoms must be a positive integer, got 20.0"
+        ]
 
     def test_earliest_failing_point_reports(self, tmp_path, capsys):
         # grid order (p_w, stages): (1, 1), then (1, 1.0) fails on stages,
-        # before (true, 1) fails on p_w, the first axis
+        # then (true, 1) on p_w, and (true, 1.0) on p_w, the first of its
+        # failing fields in declaration order
         base, axes = {"n_atoms": 20}, {"p_w": [1, True], "stages": [1, 1.0]}
         message = "stages must be a positive integer, got 1.0"
-        assert grid_configs(base, axes)[1] == message
-        code, err = self.run(tmp_path, capsys, base, axes)
-        assert (code, err) == (EXIT_CONFIG, f"config error: {message}\n")
+        p_w = "p_w: expected a number, got True"
+        assert grid_configs(base, axes)[1:] == [message, p_w, p_w]
+        code, err, errors = self.run(tmp_path, capsys, base, axes)
+        assert (code, err) == (EXIT_PROTOCOL, failed_points(3, 4))
+        assert errors == ["", f"ConfigError: {message}", f"ConfigError: {p_w}",
+                          f"ConfigError: {p_w}"]
 
     def test_true_next_to_one_fails(self, tmp_path, capsys):
-        code, err = self.run(tmp_path, capsys, {"n_atoms": 20}, {"p_w": [1, True]})
-        assert (code, err) == (
-            EXIT_CONFIG, "config error: p_w: expected a number, got True\n"
-        )
+        code, err, errors = self.run(tmp_path, capsys, {"n_atoms": 20},
+                                     {"p_w": [1, True]})
+        assert (code, err) == (EXIT_PROTOCOL, failed_points(1, 2))
+        assert errors == ["", "ConfigError: p_w: expected a number, got True"]
 
     @pytest.mark.parametrize("base, axes", [
         ({"p_w": 0.001}, {"n_atoms": [3, 20], "alpha": [-0.0, 0.0], "p_r": [1, 1.0]}),
@@ -774,20 +793,24 @@ class TestSweepConfigs:
     def test_points_equal_config_from_dict(self, tmp_path, capsys, swept, base, axes):
         """A base that fails alone runs once the axes override it, and equal
         entries of one axis keep their own types and zero signs."""
-        code, _ = self.run(tmp_path, capsys, base, axes)
+        code, _, _ = self.run(tmp_path, capsys, base, axes)
         assert code == EXIT_OK
-        expected, message = grid_configs(base, axes)
-        assert message is None
+        expected = grid_configs(base, axes)
+        assert not any(isinstance(c, str) for c in expected)
         assert [exact_fields(c) for c in swept[0]] == [exact_fields(c) for c in expected]
 
     def test_checks_and_cells_per_batch(self, tmp_path, monkeypatch):
-        """A G-point sweep over E axis entries runs the full config check at
-        most 1 + E times, builds no QualityReport, and hands its rows to the
-        csv writer whole, succeeded already written."""
-        inits, reports, written = [], [], []
+        """A G-point sweep over E axis entries and B base values runs no full
+        config check and one field check (`field_value`) per entry and base
+        value, builds no QualityReport, and hands its rows to the csv writer
+        whole, succeeded already written."""
+        inits, checked, reports, written = [], [], [], []
         post_init = ProtocolConfig.__post_init__
         monkeypatch.setattr(ProtocolConfig, "__post_init__",
                             lambda self: inits.append(1) or post_init(self))
+        field_value = cli.field_value
+        monkeypatch.setattr(cli, "field_value", lambda key, value: (
+            checked.append((key, value)) or field_value(key, value)))
         report_init = QualityReport.__init__
         monkeypatch.setattr(QualityReport, "__init__", lambda self, *fields:
                             reports.append(fields) or report_init(self, *fields))
@@ -813,7 +836,9 @@ class TestSweepConfigs:
                                                      "axes": axes})
         points, entries = len(rows), sum(map(len, axes.values()))
         assert code == EXIT_OK and points == 60 and entries == 13
-        assert 1 <= len(inits) <= 1 + entries
+        assert inits == []
+        assert checked == [("n_atoms", 20), *((key, v) for key, values in axes.items()
+                                               for v in values)]
         assert reports == [] and not hasattr(cli, "_format_cell")
         assert [kind for kind, _ in written] == ["row", "rows"]
         assert [row[-2] for row in written[1][1]] == ["true"] * points
@@ -892,19 +917,116 @@ def sweep_specs(draw):
                {"stages": [1, 1100]}))  # the target gain overflows
 def test_sweep_configs_equal_config_from_dict(spec):
     """The sweep's configs are `config_from_dict` of each grid point, field
-    by field with types and zero signs, or it raises the message of the
-    first point that fails: headroom, beta < 1 without a loss mode and the
-    target-gain overflow included."""
+    by field with types and zero signs, and each point that fails has the
+    message `config_from_dict` raises: headroom, beta < 1 without a loss
+    mode and the target-gain overflow included."""
     base, axes = spec
-    expected, message = grid_configs(base, axes)
-    grid = list(itertools.product(*axes.values()))
-    try:
-        configs = cli._sweep_configs(base, axes, grid)
-    except ConfigError as exc:
-        assert str(exc) == message
-    else:
-        assert message is None
-        assert [exact_fields(c) for c in configs] == [exact_fields(c) for c in expected]
+    configs = [str(c) if isinstance(c, ConfigError) else exact_fields(c)
+               for c in cli._sweep_configs(base, axes)]
+    assert configs == [c if isinstance(c, str) else exact_fields(c)
+                       for c in grid_configs(base, axes)]
+
+
+class TestSweepPointConfigErrors:
+    """A point past a hard edge of the gain formulas (headroom N >= stages + 1,
+    a loss mode for beta < 1) or with a value out of its range fails alone:
+    its row's ``error`` cell holds the message `simulate` of the point
+    prints, and the sweep exits 2."""
+
+    @pytest.mark.parametrize("base, axes, message, failing", [
+        ({"n_atoms": 2}, {"stages": [1, 2]},
+         "stages+1 = 3 exceeds n_atoms = 2 (excitation headroom)", [False, True]),
+        ({"n_atoms": 20}, {"p_w": [0.01, 2.0]},
+         "p_w must be in [0, 1], got 2.0", [False, True]),
+        ({"n_atoms": 20, "truncation": {"fock_c_max": 0}}, {"beta_w": [1.0, 0.5]},
+         "beta_w or beta_r < 1 needs a loss mode (fock_c_max >= 1)", [False, True]),
+        ({"n_atoms": 20, "p_w": 2.0}, {"stages": [1, 2]},
+         "p_w must be in [0, 1], got 2.0", [True, True]),
+    ], ids=["headroom", "p_w_range", "loss_mode", "every_point"])
+    def test_point_fails_alone(self, tmp_path, capsys, base, axes, message, failing):
+        code, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": axes})
+        assert code == EXIT_PROTOCOL and (tmp_path / "sw" / "manifest.json").is_file()
+        assert capsys.readouterr().err == failed_points(sum(failing), len(failing))
+        assert len(rows) == len(failing)
+        points = itertools.product(*axes.values())
+        for row, values, fails in zip(rows, points, failing):
+            point = dict(base, **dict(zip(axes, values)))
+            if fails:
+                assert simulate_exit(tmp_path, point) == EXIT_CONFIG
+                assert capsys.readouterr().err == f"config error: {message}\n"
+                expected = [math.nan] * (len(header) - len(axes) - 2)
+                expected += [False, f"ConfigError: {message}"]
+            else:
+                quality = run_schedule(cli.config_from_dict(point)).quality
+                expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
+            assert row[len(axes):] == [csv_cell(v) for v in expected]
+
+    def test_grid_guards_come_before_the_points(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"base": {"n_atoms": 2},
+                                     "axes": {"stages": [1, 2], "p_w": []}}))
+        assert main(["sweep", "--config", str(sweep),
+                     "--out", str(tmp_path / "sw")]) == EXIT_GUARD
+        assert capsys.readouterr().err == "resource guard: axes.p_w: empty axis\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("command", ["simulate", "mc", "sweep"])
+    def test_bad_seed_flag_is_config_error(self, tmp_path, capsys, command, seed):
+        """``--seed`` is a flag, not a grid point: checked once, before the
+        grid, it exits 1 for every command and writes no file."""
+        data = {"n_atoms": 20}
+        if command == "sweep":
+            data = {"base": data, "axes": {"p_w": [0.01, 0.02]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out"),
+                "--seed", seed]
+        assert main(argv + (["--trials", "10"] if command == "mc" else [])) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: rng_seed must be a u64, got {seed}\n")
+        assert not any((tmp_path / "out").iterdir())
+
+
+#: Configs with several errors, as JSON and the library values that differ
+#: from it, and the first error: the fields in declaration order, then the
+#: headroom, then the loss mode, then the target gain
+SEVERAL_ERRORS = [
+    ({"n_atoms": 2, "stages": 5, "p_w": 3}, {}, "p_w must be in [0, 1], got 3.0"),
+    ({"n_atoms": 0, "alpha": "x"}, {}, "n_atoms must be a positive integer, got 0"),
+    ({"n_atoms": 20, "p_w": True, "schedule": "bad"}, {},
+     "p_w: expected a number, got True"),
+    ({"n_atoms": 2, "stages": 2, "beta_w": 0.5, "truncation": {"fock_c_max": 0}},
+     {"truncation": joint.ModeTruncation(fock_c_max=0)},
+     "stages+1 = 3 exceeds n_atoms = 2 (excitation headroom)"),
+    ({"n_atoms": 3000, "stages": 1100, "beta_r": 0.5, "truncation": {"fock_c_max": 0}},
+     {"truncation": joint.ModeTruncation(fock_c_max=0)},
+     "beta_w or beta_r < 1 needs a loss mode (fock_c_max >= 1)"),
+]
+
+
+@pytest.mark.parametrize("data, library, message", SEVERAL_ERRORS,
+                         ids=["field_before_headroom", "n_atoms_before_alpha",
+                              "p_w_before_schedule", "headroom_before_loss_mode",
+                              "loss_mode_before_target"])
+def test_first_error_is_the_same_on_every_path(tmp_path, capsys, data, library, message):
+    """`ProtocolConfig`, `config_from_dict`, `simulate` and a sweep row report
+    the same first error of a config with several."""
+    with pytest.raises(ConfigError) as built:
+        ProtocolConfig(**dict(data, **library))
+    with pytest.raises(ConfigError) as parsed:
+        cli.config_from_dict(data)
+    assert str(built.value) == str(parsed.value) == message
+    assert simulate_exit(tmp_path, data) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    # the point's last sweepable key on an axis, the rest in the base
+    key = [k for k in data if k in cli._SWEEP_AXES][-1]
+    base = {k: v for k, v in data.items() if k != key}
+    code, _, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": {key: [data[key]]}})
+    assert code == EXIT_PROTOCOL and rows[0][-1] == f"ConfigError: {message}"
+
+
+def test_field_checks_in_declaration_order():
+    assert tuple(protocol._FIELD_CHECKS) == CONFIG_FIELDS
 
 
 #: Photon cutoffs at, and above, what a first-order stage can reach.
@@ -1556,8 +1678,11 @@ class TestTinyAlpha:
         sweep.write_text(json.dumps({"base": {"n_atoms": 2},
                                      "axes": {"alpha": [0.1, 0.0, 1e-320]}}))
         assert main(["sweep", "--config", str(sweep),
-                     "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"{self.MESSAGE}1e-320\n"
+                     "--out", str(tmp_path / "sw")]) == EXIT_PROTOCOL
+        _, rows = read_csv(tmp_path / "sw" / "sweep.csv")
+        message = self.MESSAGE.replace("config error: ", "ConfigError: ")
+        assert [row[-1] for row in rows] == ["", "", f"{message}1e-320"]
+        assert capsys.readouterr().err == failed_points(1, 3)
 
     @pytest.mark.parametrize("command", ["simulate", "mc", "sweep"])
     @pytest.mark.parametrize("text, message", [
@@ -1567,7 +1692,8 @@ class TestTinyAlpha:
     ], ids=["infinity", "infinite_pair", "tiny_pair"])
     def test_message_echoes_the_value_as_written(self, tmp_path, capsys, command,
                                                  text, message):
-        """The value of the file, not the complex it is parsed to."""
+        """The value of the file, not the complex it is parsed to; a sweep
+        point's in its row's error cell."""
         if command == "sweep":
             text = f'{{"base": {{"n_atoms": 2}}, "axes": {{"alpha": [0.1, {text}]}}}}'
         else:
@@ -1575,8 +1701,15 @@ class TestTinyAlpha:
         (tmp_path / "in.json").write_text(text)
         argv = [command, "--config", str(tmp_path / "in.json"),
                 "--out", str(tmp_path / "out")]
-        assert main(argv + (["--trials", "10"] if command == "mc" else [])) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        code = main(argv + (["--trials", "10"] if command == "mc" else []))
+        if command == "sweep":
+            assert code == EXIT_PROTOCOL
+            _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+            assert [row[-1] for row in rows] == ["", f"ConfigError: {message}"]
+            assert capsys.readouterr().err == failed_points(1, 2)
+        else:
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 #: a JSON integer beyond the float range
@@ -1611,8 +1744,10 @@ class TestUnreadableNumbersAndFiles:
             sweep.write_text(json.dumps({"base": {"n_atoms": 100},
                                          "axes": {key: values}}))
             assert main(["sweep", "--config", str(sweep),
-                         "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
-            assert capsys.readouterr().err.startswith(f"config error: {key}:")
+                         "--out", str(tmp_path / "sw")]) == EXIT_PROTOCOL
+            _, rows = read_csv(tmp_path / "sw" / "sweep.csv")
+            assert rows[0][-1] == "" and rows[1][-1].startswith(f"ConfigError: {key}:")
+            assert capsys.readouterr().err == failed_points(1, 2)
 
     @pytest.mark.parametrize("command", ["simulate", "mc", "sweep"])
     def test_config_not_utf8_is_config_error(self, tmp_path, capsys, command):
@@ -1745,15 +1880,29 @@ def sweep_specs_any(draw):
     return draw(_SWEEP_BASE_ANY), axes
 
 
+def shape_error(base, axes) -> bool:
+    """Whether a sweep spec of sweepable, nonempty list axes fails its shape
+    check: a base that is not an object, an unknown key, or no n_atoms."""
+    if not isinstance(base, dict):
+        return True
+    return bool(set(base) - set(CONFIG_FIELDS)) or "n_atoms" not in {**base, **axes}
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(spec=sweep_specs_any())
 @example(spec=({"n_atoms": 20, "schedule": "type2", "truncation": {"atomic_k_max": 2}},
                {"stages": [1, 2]}))  # below the excitation reach
+@example(spec=({"n_atoms": 2}, {"stages": [1, 2]}))  # headroom
+@example(spec=({"n_atoms": 20}, {"p_w": [0.01, 2.0]}))  # out of range
+@example(spec=({"n_atoms": 20, "truncation": {"fock_c_max": 0}},
+               {"beta_w": [1.0, 0.5]}))  # beta < 1 without a loss mode
+@example(spec=({"n_atoms": 20, "pw": 0.01}, {"p_w": [0.01]}))  # unknown key
 def test_sweep_exit_code_contract(spec):
     """Any sweep of sweepable axes ends in exit code 0-3, with a message on
-    stderr when it is not 0 and never a traceback; a sweep that ran (0 or 2)
-    writes one row per grid point."""
+    stderr when it is not 0 and never a traceback; it exits 1 exactly when
+    the spec's shape is wrong, a point's config error being its row; a sweep
+    that ran (0 or 2) writes one row per grid point."""
     base, axes = spec
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sweep.json"
@@ -1761,6 +1910,7 @@ def test_sweep_exit_code_contract(spec):
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["sweep", "--config", str(path), "--out", tmp])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_GUARD)
+        assert (code == EXIT_CONFIG) == shape_error(base, axes), err.getvalue()
         assert "Traceback" not in err.getvalue()
         assert (err.getvalue() != "") == (code != EXIT_OK)
         if code in (EXIT_OK, EXIT_PROTOCOL):

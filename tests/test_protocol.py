@@ -134,7 +134,7 @@ class TestProtocolConfig:
     def test_headroom_message_names_both_numbers(self, derived):
         with pytest.raises(ConfigError) as error:
             if derived:
-                ProtocolConfig(n_atoms=5).derive({"stages": 10})
+                ProtocolConfig.from_fields({"n_atoms": 5, "stages": 10})
             else:
                 ProtocolConfig(n_atoms=5, stages=10)
         assert str(error.value) == (
