@@ -64,16 +64,17 @@ def _check_keys(keys) -> None:
         raise ConfigError("n_atoms: required key is missing")
 
 
-def config_from_dict(data: dict) -> ProtocolConfig:
+def config_from_dict(data: dict, **checked) -> ProtocolConfig:
     """Build a validated ProtocolConfig from parsed JSON: the root and its key
     set, then each value's own checks in declaration order (`field_value`,
-    which decodes the JSON forms), then the cross-field checks."""
+    which decodes the JSON forms), then the cross-field checks. ``checked``
+    holds fields already through `field_value` (a flag, ``--seed``); each
+    replaces the file's value once that has passed its checks."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     _check_keys(data)
-    return ProtocolConfig.from_fields(
-        {key: field_value(key, data[key]) for key in CONFIG_FIELDS if key in data}
-    )
+    values = {key: field_value(key, data[key]) for key in CONFIG_FIELDS if key in data}
+    return ProtocolConfig.from_fields({**values, **checked})
 
 
 def _read_json(path: str | Path):
@@ -86,9 +87,9 @@ def _read_json(path: str | Path):
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
 
-def parse_config(path: str | Path) -> ProtocolConfig:
-    """Load and validate a JSON run configuration."""
-    return config_from_dict(_read_json(path))
+def parse_config(path: str | Path, **checked) -> ProtocolConfig:
+    """Load and validate a JSON run configuration (`config_from_dict`)."""
+    return config_from_dict(_read_json(path), **checked)
 
 
 @dataclass(frozen=True)
@@ -153,12 +154,10 @@ def _resolve_out_dir(arg: str | None) -> Path:
     return out
 
 
-def _run_config(args: argparse.Namespace) -> ProtocolConfig:
-    """The config of ``--config``, with ``--seed`` as its rng_seed if given."""
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, rng_seed=args.seed)
-    return config
+def _checked_flags(args: argparse.Namespace) -> dict:
+    """The config fields a command's flags set, ``--seed`` as rng_seed, each
+    through `field_value`: checked before the config file is read."""
+    return {} if args.seed is None else {"rng_seed": field_value("rng_seed", args.seed)}
 
 
 def cmd_gain(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]:
@@ -185,7 +184,7 @@ def cmd_gain(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]
 
 def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]:
     """Run the configured schedule; write report JSON and stage CSV."""
-    config = _run_config(args)
+    config = parse_config(args.config, **_checked_flags(args))
     report = run_schedule(config)
     report_path = out_dir / "report.json"
     stages_path = out_dir / "stages.csv"
@@ -247,14 +246,16 @@ def _value_or_error(key: str, value):
 
 def _sweep_configs(base: dict, axes: dict, **checked) -> list:
     """Each grid point's config, or the ConfigError that `config_from_dict` of
-    the point raises. ``checked`` holds fields already through `field_value`
-    (``--seed``); they override the base. Each other base value and each axis
-    entry, by its place in its axis (1, 1.0 and true differ), is checked once.
-    A point whose values all passed runs only the cross-field checks; one with
+    the point with ``checked`` raises. Each base value that no axis overrides
+    and each axis entry, by its place in its axis (1, 1.0 and true differ), is
+    checked once. ``checked`` holds fields already through `field_value`
+    (``--seed``, never an axis); each replaces a base value that passed. A
+    point whose values all passed runs only the cross-field checks; one with
     a failed value gets the first in declaration order."""
     fixed = {key: _value_or_error(key, value) for key, value in base.items()
-             if key not in axes and key not in checked}
-    fixed.update(checked)
+             if key not in axes}
+    fixed.update((key, value) for key, value in checked.items()
+                 if not isinstance(fixed.get(key), ConfigError))
     entries = [[_value_or_error(key, v) for v in values] for key, values in axes.items()]
     failed = any(isinstance(v, ConfigError)
                  for v in itertools.chain(fixed.values(), *entries))
@@ -343,10 +344,10 @@ def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest
     """
     if args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
-    seed = {} if args.seed is None else {"rng_seed": field_value("rng_seed", args.seed)}
+    flags = _checked_flags(args)
     base, axes = _load_sweep_spec(args.config)
     grid = _grid_points(axes)
-    results = _sweep_cells(_sweep_configs(base, axes, **seed), args.jobs)
+    results = _sweep_cells(_sweep_configs(base, axes, **flags), args.jobs)
     header = list(axes) + list(QUALITY_FIELDS) + ["gain_squared", "succeeded", "error"]
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, header, ([*v, *cells] for v, cells in zip(grid, results)))
@@ -394,9 +395,7 @@ def cmd_oracle_check(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunM
 
 def cmd_mc(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest]:
     """Seeded Monte Carlo over heralding outcomes."""
-    config = _run_config(args)
-    if not 1 <= args.trials < 2**63:
-        raise ConfigError(f"trials must be in [1, 2**63 - 1], got {args.trials}")
+    config = parse_config(args.config, **_checked_flags(args))
     report = monte_carlo(config, args.trials)
     json_path = out_dir / "mc_report.json"
     _write_json(json_path, report.to_dict())

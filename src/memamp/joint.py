@@ -101,7 +101,6 @@ class ModeTruncation:
         if self.atomic_k_max is not None and self.atomic_k_max < 1:
             raise ValueError("atomic_k_max must be >= 1")
 
-    @functools.lru_cache  # a sweep resolves a few truncations many times
     def resolve(self, n_atoms: int) -> "ModeTruncation":
         """Pin the atomic cutoff for a concrete ensemble size, at most N; the
         joint dimension cap applies to the result."""

@@ -609,17 +609,18 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
     outcome distribution (the conditional-binomial method). Every surviving
     trajectory carries a pure state, and memory grows with the widest level,
     not with `trials`. Every branch evolves, reached or not, so `batch_key`'s
-    checks and the guards raise as for `run_batch`. Reproducible for a fixed seed.
+    checks and the guards raise as for `run_batch`, and the success
+    probability is its product of stage probabilities, bit for bit.
+    Reproducible for a fixed seed.
     """
     if not is_integer(trials) or not 1 <= trials < 2**63:
-        raise ValueError(f"trials must be in [1, 2**63 - 1], got {trials}")
+        raise ConfigError(f"trials must be in [1, 2**63 - 1], got {trials}")
     trunc = batch_key(config)[-1]
     processes = _processes([config], trunc)
     root = weak_coherent_rows(np.array([config.alpha]), trunc.atomic_k_max + 1)
     level, alive = (root, np.ones(1), np.zeros(1, dtype=np.intp)), np.array([trials])
     rng = np.random.default_rng(config.rng_seed)
-    survival, first_stage_counts = [], []
-    steps = []  # per stage: each child's parent and its parent's hit, the parents' count
+    survival, first_stage_counts, cumulative = [], [], np.ones(1)
     for kind in stage_plan(config):
         pattern = STAGE_PATTERNS[kind]
         cell, parts = (slice(None), pattern.detect_a, pattern.detect_b), []
@@ -634,24 +635,19 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
                 if count:
                     support = np.flatnonzero(p)
                     out.flat[support] = rng.multinomial(count, p.flat[support])
-            if not steps:  # the root, the first stage's only branch
+            if not survival:  # the root, the first stage's only branch
                 rows = np.column_stack((np.argwhere(drawn[0]), drawn[0][drawn[0] > 0]))
                 first_stage_counts.extend(rows.tolist())
-            # copies: views would keep each chunk's whole outcome arrays alive
-            parts.append((drawn[cell].copy(), probs[cell].copy()))
+            # a copy: a view would keep each chunk's whole outcome array alive
+            parts.append(drawn[cell].copy())
 
-        *_, errors, level, parent, n_c = _stage(processes, level, kind, visit)
+        _, weights, owner = level
+        raw, totals, errors, level, parent, n_c = _stage(processes, level, kind, visit)
         if errors:
             raise errors[0]
-        drawn, hits = map(np.concatenate, zip(*parts))
-        alive = drawn[parent, n_c]
-        steps.append((parent, hits[parent, n_c], len(hits)))
+        cumulative = cumulative * np.bincount(owner, weights * raw / totals, 1)
+        alive = np.concatenate(parts)[parent, n_c]
         survival.append(int(alive.sum()))
-    # the probability of completing every remaining herald, leaves up: each
-    # branch sums its children's in (parent, n_c) order, from 0.0
-    below = np.ones(len(alive))
-    for parent, hit, size in reversed(steps):
-        below = np.bincount(parent, hit * below, size)
     gain_sum, successes = 0.0, survival[-1]
     for count, state in zip(alive.tolist(), level[0]):
         if count:  # not 0 * gain: an unreached branch's gain may be NaN
@@ -665,7 +661,7 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
         ci_low=ci_low,
         ci_high=ci_high,
         mean_gain=mean_gain,
-        numeric_success_probability=float(below[0]),
+        numeric_success_probability=float(cumulative[0]),
         rng_seed=config.rng_seed,
         stage_survival=survival,
         first_stage_outcomes=first_stage_counts,

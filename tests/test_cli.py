@@ -712,12 +712,13 @@ def exact_fields(config):
     return [(type(v), repr(v)) for v in (getattr(config, f) for f in CONFIG_FIELDS)]
 
 
-def grid_configs(base, axes):
+def grid_configs(base, axes, **checked):
     """`config_from_dict` of each grid point, or the message it raises."""
     configs = []
     for values in itertools.product(*axes.values()):
         try:
-            configs.append(cli.config_from_dict({**base, **dict(zip(axes, values))}))
+            point = {**base, **dict(zip(axes, values))}
+            configs.append(cli.config_from_dict(point, **checked))
         except ConfigError as exc:
             configs.append(str(exc))
     return configs
@@ -908,23 +909,33 @@ def sweep_specs(draw):
     return draw(_SWEEP_BASE), axes
 
 
+#: a base rng_seed (none, valid or failing its check) and a --seed flag
+_SEEDS = st.tuples(st.sampled_from([None, 0, 5, -1, 2**64, True]),
+                   st.sampled_from([None, 0, 2**64 - 1]))
+
+
 @settings(max_examples=400, deadline=None)
-@given(spec=sweep_specs())
-@example(spec=({"p_w": 0.001}, {"n_atoms": [20, 1]}))  # headroom
+@given(spec=sweep_specs(), seeds=_SEEDS)
+@example(spec=({"p_w": 0.001}, {"n_atoms": [20, 1]}), seeds=(None, None))  # headroom
 @example(spec=({"n_atoms": 20, "truncation": {"fock_c_max": 0}},
-               {"beta_w": [1.0, 0.5]}))  # beta < 1 without a loss mode
+               {"beta_w": [1.0, 0.5]}), seeds=(None, None))  # beta < 1 without a loss mode
 @example(spec=({"n_atoms": 3000, "alpha": 1e300, "schedule": "type1"},
-               {"stages": [1, 1100]}))  # the target gain overflows
-def test_sweep_configs_equal_config_from_dict(spec):
-    """The sweep's configs are `config_from_dict` of each grid point, field
-    by field with types and zero signs, and each point that fails has the
-    message `config_from_dict` raises: headroom, beta < 1 without a loss
-    mode and the target-gain overflow included."""
-    base, axes = spec
+               {"stages": [1, 1100]}), seeds=(None, None))  # the target gain overflows
+@example(spec=({"n_atoms": 20}, {"p_w": [0.01]}), seeds=(-1, 1))  # a flag over a bad seed
+def test_sweep_configs_equal_config_from_dict(spec, seeds):
+    """The sweep's configs are `config_from_dict` of each grid point with
+    the ``--seed`` flag, field by field with types and zero signs, and each
+    point that fails has the message `config_from_dict` raises: headroom,
+    beta < 1 without a loss mode, the target-gain overflow and a base
+    rng_seed that a flag replaces included."""
+    (base, axes), (base_seed, flag) = spec, seeds
+    if base_seed is not None:
+        base = dict(base, rng_seed=base_seed)
+    checked = {} if flag is None else {"rng_seed": flag}
     configs = [str(c) if isinstance(c, ConfigError) else exact_fields(c)
-               for c in cli._sweep_configs(base, axes)]
+               for c in cli._sweep_configs(base, axes, **checked)]
     assert configs == [c if isinstance(c, str) else exact_fields(c)
-                       for c in grid_configs(base, axes)]
+                       for c in grid_configs(base, axes, **checked)]
 
 
 class TestSweepPointConfigErrors:
@@ -985,6 +996,32 @@ class TestSweepPointConfigErrors:
         assert capsys.readouterr().err == (
             f"config error: rng_seed must be a u64, got {seed}\n")
         assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "mc", "sweep"])
+    def test_seed_flag_is_checked_before_the_config_file(self, tmp_path, capsys,
+                                                         command):
+        argv = [command, "--config", str(tmp_path / "missing.json"),
+                "--out", str(tmp_path / "out"), "--seed", "-1"]
+        assert main(argv + (["--trials", "10"] if command == "mc" else [])) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: rng_seed must be a u64, got -1\n"
+
+    def test_seed_flag_does_not_hide_a_bad_base_seed(self, tmp_path, capsys):
+        """A file's rng_seed is checked though ``--seed`` replaces it: each
+        row of the sweep fails with the message `simulate` and `mc` print."""
+        message = "rng_seed must be a u64, got -1"
+        data = {"n_atoms": 20, "rng_seed": -1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        for argv in (["simulate"], ["mc", "--trials", "10"]):
+            assert main(argv + ["--config", str(path), "--seed", "1",
+                                "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message}\n"
+        path.write_text(json.dumps({"base": data, "axes": {"p_w": [0.01]}}))
+        assert main(["sweep", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "sw")]) == EXIT_PROTOCOL
+        assert capsys.readouterr().err == failed_points(1, 1)
+        _, rows = read_csv(tmp_path / "sw" / "sweep.csv")
+        assert [row[-2:] for row in rows] == [["false", f"ConfigError: {message}"]]
 
 
 #: Configs with several errors, as JSON and the library values that differ

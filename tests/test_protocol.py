@@ -6,15 +6,17 @@ import json
 import math
 import numbers
 import re
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from memamp.dicke import Schedule, weak_coherent_rows
-from memamp.errors import ConfigError
+from memamp.errors import ConfigError, MemampError
 from memamp.joint import EvolutionOrder, ModeTruncation, is_integer, is_real
 from memamp.metrics import QualityReport
 from memamp import protocol
@@ -573,16 +575,137 @@ class TestMonteCarlo:
 
     def test_trials_validated(self):
         config = ProtocolConfig(n_atoms=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             monte_carlo(config, 0)
 
     @pytest.mark.parametrize("trials", [0, 2.9, True, 2**63])
     def test_trials_must_be_a_count(self, trials):
         """A trial count is an integer in [1, 2**63 - 1]: no float, no bool,
-        nothing a multinomial cannot draw."""
+        nothing a multinomial cannot draw. `monte_carlo` is its only check."""
         config = ProtocolConfig(n_atoms=100, p_w=0.3, p_r=0.3)
-        with pytest.raises(ValueError, match=r"^trials must be in \[1, 2\*\*63 - 1\], got"):
+        with pytest.raises(ConfigError, match=r"^trials must be in \[1, 2\*\*63 - 1\], got"):
             monte_carlo(config, trials)
+
+
+@st.composite
+def mc_configs(draw):
+    """Both orders and schedules, 1-3 stages, lossy or lossless; exact-order
+    truncations stay small (joint dimension <= 700)."""
+    order = draw(st.sampled_from(list(EvolutionOrder)))
+    lossy = draw(st.booleans())
+    beta = st.floats(0.3, 0.99) if lossy else st.just(1.0)
+    part = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-50)
+    kwargs = dict(
+        n_atoms=draw(st.integers(4, 10**6)), alpha=complex(draw(part), draw(part)),
+        p_w=draw(st.floats(1e-5, 0.05)), p_r=draw(st.floats(1e-5, 0.05)),
+        beta_w=draw(beta), beta_r=draw(beta), schedule=draw(st.sampled_from(list(Schedule))),
+        stages=draw(st.integers(1, 3)), order=order,
+    )
+    if order is EvolutionOrder.EXACT:
+        kwargs["truncation"] = ModeTruncation(
+            draw(st.integers(2, 4)), draw(st.integers(2, 4)),
+            draw(st.integers(1 if lossy else 0, 3)), draw(st.integers(2, 6)))
+    return kwargs
+
+
+@settings(max_examples=100, deadline=None)
+@given(kwargs=mc_configs())
+def test_mc_success_probability_is_run_schedules(kwargs):
+    """`mc`'s P_suc is `simulate`'s bit for bit: one stage loop, one product."""
+    try:
+        config = ProtocolConfig(**kwargs)
+        expected = run_schedule(config).success_probability
+    except (MemampError, ValueError):
+        reject()
+    assert monte_carlo(config, 1).numeric_success_probability == expected
+
+
+class TestCollectiveEnhancement:
+    """The paper's central claim at first order: the heralds multiply level k
+    of the stored state by the collective factor eta(k) = (k+1)(N-k)/N
+    (`dicke.ladder_eigenvalue`), which tends to k + 1 as N grows. Normalized,
+    a type-I stage heralds eta(k) c_k; s type-II writes herald
+    sqrt(prod_{j<s} eta(k+j)) c_k on level k + s, and the n reads bring it
+    back to prod_{j<n} eta(k+j) c_k on level k. Every stage's heralded state
+    is compared with this closed form, evaluated in 60-digit decimals from
+    the stored amplitudes c, within the bound `STAGE_ULPS` derives."""
+
+    #: The bound on each level's relative error, in units u = 2**-53, from
+    #: the arithmetic of a stage. A coupling weight g sqrt(eta) rounds eta
+    #: (N - k, times k + 1, over N: 3), its sqrt (1.5 + 1) and the product by
+    #: g (1): 3.5, g itself being common to every level. Each heralded
+    #: amplitude is its input times the weights of the stage's processes, one
+    #: rounding per product: 4.5 for a write-only or read-only stage, 9 for a
+    #: write-read one. Normalizing divides it by the rounded norm, one more
+    #: rounding per level (1); the norm's own error, |a| (hypot, within one
+    #: ulp: 2) squared (4 + 1) and summed over the two nonzero levels (1),
+    #: square-rooted (3 + 1), is common to the levels, as are the weights' g.
+    #: A level's own errors add up over the stages to R, while the common ones
+    #: only rescale the state, whose computed norm is within 5 of 1; so each
+    #: level is within 2R + 5 of the closed form, plus 1 for the second-order
+    #: terms and the rounding of N above 2**53 (below k/N ulps).
+    STAGE_ULPS = {StageKind.WRITE_THEN_READ: 10, StageKind.WRITE_ONLY: 5.5,
+                  StageKind.READ_ONLY: 5.5}
+
+    @staticmethod
+    def closed_form(config, done, c):
+        """The normalized state after ``done`` stages of ``config`` from the
+        stored amplitudes c (levels 0 and 1), each level's (re, im) exact to
+        60 digits; (0, 0) on the levels it leaves empty."""
+        def eta(k):
+            return Fraction((k + 1) * (config.n_atoms - k), config.n_atoms)
+
+        def prod(levels):
+            return math.prod(map(eta, levels), start=Fraction(1))
+
+        n = config.stages
+        if config.schedule is Schedule.TYPE_I:
+            squared, shift = [eta(k) ** (2 * done) for k in (0, 1)], 0
+        else:  # each write and each read multiplies by sqrt(eta)
+            writes, reads = min(done, n), max(done - n, 0)
+            squared = [prod(range(k, k + writes)) * prod(range(k + n - reads, k + n))
+                       for k in (0, 1)]
+            shift = writes - reads
+        amps = [[(Decimal(f.numerator) / f.denominator).sqrt() * Decimal(part)
+                 for part in (z.real, z.imag)] for f, z in zip(squared, c)]
+        size = sum(re * re + im * im for re, im in amps).sqrt()
+        state = [(Decimal(0), Decimal(0))] * (config.truncation.resolve(
+            config.n_atoms).atomic_k_max + 1)
+        for k, (re, im) in enumerate(amps):
+            state[k + shift] = re / size, im / size
+        return state
+
+    @given(
+        n_atoms=st.one_of(st.integers(8, 1000), st.integers(1000, 10**18)),
+        alpha=st.tuples(*[st.floats(-2.0, 2.0).filter(
+            lambda x: x == 0.0 or abs(x) >= 1e-50)] * 2),
+        p=st.tuples(st.floats(1e-8, 0.1), st.floats(1e-8, 0.1)),
+        beta=st.one_of(st.just((1.0, 1.0)),
+                       st.tuples(st.floats(0.05, 0.99), st.floats(0.05, 0.99))),
+        schedule=st.sampled_from(list(Schedule)),
+        stages=st.integers(1, 3),
+    )
+    @example(n_atoms=10**18, alpha=(0.3, -0.2), p=(0.01, 0.01), beta=(0.5, 0.7),
+             schedule=Schedule.TYPE_II, stages=3)
+    @settings(max_examples=200, deadline=None)
+    def test_every_stage_heralds_the_collective_factor(
+        self, n_atoms, alpha, p, beta, schedule, stages
+    ):
+        config = ProtocolConfig(n_atoms=n_atoms, alpha=complex(*alpha), p_w=p[0],
+                                p_r=p[1], beta_w=beta[0], beta_r=beta[1],
+                                schedule=schedule, stages=stages)
+        c = weak_coherent_rows(np.array([config.alpha]), 2)[0]
+        ulps = 0.0
+        with localcontext() as context:
+            context.prec = 60
+            for done, stage in enumerate(run_schedule(config).stage_reports, start=1):
+                ulps += self.STAGE_ULPS[stage.kind]
+                tol = Decimal((2 * ulps + 6) * 2.0**-53)
+                expected = self.closed_form(config, done, c)
+                assert len(stage.state) == len(expected)
+                for got, (re, im) in zip(stage.state.tolist(), expected):
+                    error = (Decimal(got.real) - re) ** 2 + (Decimal(got.imag) - im) ** 2
+                    assert error.sqrt() <= tol * (re * re + im * im).sqrt(), (done, got)
 
 
 #: Lossy multi-stage trees: one success column per first-order stage, one per
@@ -661,20 +784,27 @@ class TestTrajectoryTree:
 
     @pytest.mark.parametrize("name", sorted(LOSSY_TREES))
     def test_matches_the_per_node_tree_to_the_bit(self, name):
-        """P_suc summed level by level, leaves up, adds each node's children
-        in the order of the tree's recursion."""
+        """P_suc is the stage loop's product, `run_schedule`'s to the bit; the
+        per-node tree sums it from the leaves up, in another order."""
         config = ProtocolConfig(**LOSSY_TREES[name])
+        p_suc = monte_carlo(config, 1).numeric_success_probability
+        assert p_suc == run_schedule(config).success_probability
         reference = TrajectoryTreePerNode(config).success_probability()
-        assert monte_carlo(config, 1).numeric_success_probability == reference
+        assert p_suc == pytest.approx(reference, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("name", sorted(LOSSY_TREES))
     def test_monte_carlo_matches_the_per_node_tree(self, name):
+        """Every key of the report bit for bit but P_suc, whose summation
+        order differs (see above)."""
         config = ProtocolConfig(rng_seed=31, **LOSSY_TREES[name])
         for trials in (1, 2**62):
-            report = monte_carlo(config, trials)
-            expected = monte_carlo_per_node(config, trials)
-            assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
-        assert report.successes > 0  # of 2**62 trials
+            report = monte_carlo(config, trials).to_dict()
+            expected = monte_carlo_per_node(config, trials).to_dict()
+            p_suc = report.pop("numeric_success_probability")
+            reference = expected.pop("numeric_success_probability")
+            assert p_suc == pytest.approx(reference, rel=1e-15, abs=0.0)
+            assert json.dumps(report) == json.dumps(expected)
+        assert report["successes"] > 0  # of 2**62 trials
 
     @pytest.mark.parametrize("name", sorted(SINGLE_BRANCH))
     def test_success_leaf_matches_run_schedule(self, name):
