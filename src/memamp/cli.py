@@ -34,9 +34,9 @@ from .protocol import (
     CONFIG_FIELDS,
     ProtocolConfig,
     batch_key,
-    batch_rows,
     field_value,
     monte_carlo,
+    points_per_batch,
     run_batch,
     run_schedule,
 )
@@ -287,7 +287,7 @@ def _sweep_batch(batch: tuple[list[ProtocolConfig], ModeTruncation]) -> list[lis
     they evolve on), then gain_squared, succeeded and error; a run error is
     kept in the ``error`` cell."""
     cells = []
-    for _, row, error in run_batch(*batch):
+    for row, error in run_batch(*batch):
         if row is None:
             cells.append(_failed_cells(error))
         else:
@@ -298,9 +298,9 @@ def _sweep_batch(batch: tuple[list[ProtocolConfig], ModeTruncation]) -> list[lis
 def _sweep_cells(configs: list, jobs: int) -> list[list]:
     """Every point's cells, in grid order, from its config or its ConfigError
     (`_sweep_configs`). The points of one `batch_key` run in batches of
-    `batch_rows`. A point whose config failed its checks fails alone, as does
-    one whose truncation is over the dimension cap or below its schedule's
-    excitation reach: its row keeps the error."""
+    `points_per_batch`. A point whose config failed its checks fails alone,
+    as does one whose truncation is over the dimension cap or below its
+    schedule's excitation reach: its row keeps the error."""
     cells = [[]] * len(configs)
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
@@ -316,7 +316,7 @@ def _sweep_cells(configs: list, jobs: int) -> list[list]:
     batches, work = [], []
     for key, members in groups.items():
         truncation = key[-1]  # the one the batch evolves on
-        size = batch_rows(truncation)
+        size = points_per_batch(key)
         for i in range(0, len(members), size):
             batches.append(members[i : i + size])
             work.append(([configs[j] for j in batches[-1]], truncation))

@@ -16,7 +16,6 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from itertools import compress
 
 import numpy as np
 
@@ -359,15 +358,22 @@ def _mixture_gain(weights: np.ndarray, states: np.ndarray, alpha: complex) -> fl
     return sum(s * _gain_of(state, alpha) for s, state in zip(share.tolist(), states) if s)
 
 
-#: Joint-state bytes per batch (23 points at the default shape, whose
-#: first-order block is 9x2x2x3). A batch peaks at 3 state tensors plus
-#: per-row temporaries; larger ones save little time and raise the heap.
+#: Bytes of state per batch. `_stage` evolves a level in chunks of this much
+#: joint tensor (23 rows of the default first-order block, 9x2x2x3), each
+#: peaking at 3 tensors plus per-row temporaries; a sweep batch of points that
+#: cannot branch holds this much atomic state (284 points at k_dim 9). A batch
+#: pays about 0.3 ms of set-up and scoring whatever its size, so larger
+#: batches save time, while larger chunks raise the heap.
 BATCH_BYTES = 40 * 1024
 
 
-def batch_rows(truncation: ModeTruncation) -> int:
-    """Rows of a batch on an evolved truncation: BATCH_BYTES of state, or one."""
-    return max(1, BATCH_BYTES // (16 * truncation.total_dim()))
+def batch_rows(truncation: ModeTruncation, branching: bool = True) -> int:
+    """Rows of BATCH_BYTES on an evolved truncation, or one: a row holds
+    k_dim amplitudes per photon cell, a joint tensor, or, where ``branching``
+    is false, one atomic state of k_dim amplitudes (`points_per_batch`)."""
+    k_dim, *photons = truncation.shape()
+    cells = math.prod(photons) if branching else 1
+    return max(1, BATCH_BYTES // (16 * k_dim * cells))
 
 
 def batch_key(config: ProtocolConfig) -> tuple:
@@ -382,6 +388,17 @@ def batch_key(config: ProtocolConfig) -> tuple:
         raise ConfigError(f"atomic_k_max = {trunc.atomic_k_max} below the schedule's "
                           f"excitation reach {needed}; enlarge the truncation")
     return config.schedule, config.stages, config.order, trunc
+
+
+def points_per_batch(key: tuple) -> int:
+    """Points of one `batch_key` per `run_batch`: `batch_rows` of the key's
+    truncation. A point that cannot branch, at first order or without a loss
+    mode, holds one atomic state between stages, so its photon-cell factor
+    is 1; a lossy exact point can hold many branches, so it keeps a chunk's
+    rows, the cap that `_stage` evolves them in."""
+    _, _, order, truncation = key
+    branching = order is EvolutionOrder.EXACT and truncation.fock_c_max > 0
+    return batch_rows(truncation, branching)
 
 
 def _processes(configs: list[ProtocolConfig], truncation: ModeTruncation) -> tuple:
@@ -463,7 +480,7 @@ def _target_gain(config: ProtocolConfig) -> float:
 
 
 def run_batch(
-    configs: list[ProtocolConfig], truncation: ModeTruncation
+    configs: list[ProtocolConfig], truncation: ModeTruncation, visit=None
 ) -> list[tuple]:
     """The stage loop: embed, evolve, herald and score points that passed
     `batch_key`, all of one key, on ``truncation``, the key's last entry. The
@@ -474,42 +491,44 @@ def run_batch(
     so no point's values depend on the others. A point whose branch raises
     keeps the first such error in level order and leaves the batch, as does a
     failed herald. The points that heralded every stage are scored together
-    (`metrics.score_rows`). Returns per point (stage records, the
-    `QualityReport` fields as a list or None, error), a stage record being
-    (probability, cumulative probability, the stage's children as a level,
-    and the first and last + 1 of the point's children: none for a
-    zero-probability herald)."""
+    (`metrics.score_rows`). Returns per point (the `QualityReport` fields as
+    a list or None, error). ``visit(s, i, record)`` sees the record of stage
+    s of each point i that entered it and raised no error there: (probability,
+    cumulative probability, the stage's children as a level, and the first
+    and last + 1 of the point's children: none for a zero-probability
+    herald). The loop keeps no record, and no level past its stage."""
     count = len(configs)
-    stages: list[list[tuple]] = [[] for _ in range(count)]
     qualities: list[list | None] = [None] * count
     errors: list[Exception | None] = [None] * count
     processes = _processes(configs, truncation)
     k_dim = truncation.atomic_k_max + 1
     live = np.ones(count, dtype=bool)
-    states = weak_coherent_rows(np.array([c.alpha for c in configs]), k_dim)
-    level, cumulative = (states, np.ones(count), np.arange(count)), np.ones(count)
+    # the level alone holds the root states, so they are freed after stage 0
+    alphas = np.array([c.alpha for c in configs])
+    level = weak_coherent_rows(alphas, k_dim), np.ones(count), np.arange(count)
+    cumulative = np.ones(count)
     targets = np.array([_target_gain(c) * c.alpha for c in configs])
     targets = weak_coherent_rows(targets, k_dim)
     plan, norms = stage_plan(configs[0]), []
     for s, kind in enumerate(plan):
         _, weights, owner = level
-        visit = None
+        score = None
         if s == len(plan) - 1:  # score the last stage's tensors as they evolve
             counts = STAGE_PATTERNS[kind].detect_a, STAGE_PATTERNS[kind].detect_b
-            visit = lambda lo, psi, _: norms.append(
+            score = lambda lo, psi, _: norms.append(
                 sector_norms(psi, targets[owner[lo : lo + len(psi)]], *counts))
-        raw, totals, stage_errors, children, _, _ = _stage(processes, level, kind, visit)
+        raw, totals, stage_errors, children, _, _ = _stage(processes, level, kind, score)
         probability = np.bincount(owner, weights * raw / totals, count)
         cumulative = cumulative * probability
         bounds = np.searchsorted(children[2], np.arange(count + 1)).tolist()
-        probabilities, cumulatives = probability.tolist(), cumulative.tolist()
-        entering, live = compress(range(count), live.tolist()), probability > 0.0
-        for i in entering:
-            if i in stage_errors:
-                errors[i], live[i] = stage_errors[i], False
-            else:
-                record = probabilities[i], cumulatives[i], children, *bounds[i : i + 2]
-                stages[i].append(record)
+        for i, error in stage_errors.items():
+            errors[i], live[i] = error, False
+        if visit is not None:
+            probabilities, cumulatives = probability.tolist(), cumulative.tolist()
+            for i in live.nonzero()[0].tolist():
+                visit(s, i, (probabilities[i], cumulatives[i], children,
+                             *bounds[i : i + 2]))
+        live &= probability > 0.0
         kept = live[children[2]]  # the branches of the live points
         level = children if kept.all() else tuple(x[kept] for x in children)
     # score the points that heralded every stage: the norms of the last
@@ -533,18 +552,22 @@ def run_batch(
                                 np.array(gains), fidelity[scored])
     for i, row, error in zip(scored.tolist(), rows, failures):
         qualities[i], errors[i] = (row, None) if error is None else (None, error)
-    return list(zip(stages, qualities, errors))
+    return list(zip(qualities, errors))
 
 
 def run_schedule(config: ProtocolConfig) -> AmplificationReport:
     """Deterministic post-selected pipeline over the configured schedule:
-    `run_batch` on the batch of one, raising the point's error."""
-    stages, row, error = run_batch([config], batch_key(config)[-1])[0]
+    `run_batch` on the batch of one, raising the point's error; each stage
+    record becomes a `StageReport` as the loop hands it over."""
+    plan, reports = stage_plan(config), []
+
+    def visit(s: int, _: int, record: tuple) -> None:
+        reports.append(_stage_report(s, plan[s], record, config))
+
+    [(row, error)] = run_batch([config], batch_key(config)[-1], visit)
     if error is not None:
         raise error
     quality = None if row is None else QualityReport(*row)
-    plan = stage_plan(config)
-    reports = [_stage_report(i, plan[i], r, config) for i, r in enumerate(stages)]
     analytic = relative_gain(config.schedule, config.stages, config.n_atoms)
     gain = float("nan") if quality is None else quality.gain
     return AmplificationReport(

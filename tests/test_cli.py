@@ -10,6 +10,7 @@ import math
 import re
 import tempfile
 import time
+import weakref
 from datetime import datetime
 from pathlib import Path
 
@@ -473,6 +474,25 @@ def sweep_csv(tmp_path, spec, name="sw", jobs=1):
     return code, header, rows, (out / "sweep.csv").read_bytes()
 
 
+def assert_rows_equal_run_schedule(base, axes, header, rows):
+    """Each sweep row's cells equal `run_schedule` of its point bit for bit, or
+    its error; a point fails only at p_w = 0 or with an error."""
+    keys = list(axes)
+    assert len(rows) == math.prod(len(v) for v in axes.values())
+    for row in rows:
+        point = dict(base, **{k: json.loads(v) for k, v in zip(keys, row)})
+        try:
+            quality, message = run_schedule(cli.config_from_dict(point)).quality, ""
+        except MemampError as exc:
+            quality, message = None, f"{type(exc).__name__}: {exc}"
+        if quality is None:
+            expected = [math.nan] * (len(header) - len(keys) - 2) + [False, message]
+        else:
+            expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
+        assert row[len(keys):] == [csv_cell(v) for v in expected]
+        assert (quality is None) == (point["p_w"] == 0.0 or message != "")
+
+
 #: points of several batch keys (ensemble sizes with different atomic cutoffs,
 #: stage counts), lossy and lossless, and zero couplings that fail their herald
 MIXED_AXES = {
@@ -509,22 +529,39 @@ class TestSweepBatches:
     ], ids=["type1", "type2", "exact", "dead-beside-mixture"])
     def test_rows_equal_run_schedule_bit_for_bit(self, tmp_path, base, axes, guards):
         _, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": axes})
-        keys = list(axes)
-        assert len(rows) == math.prod(len(v) for v in axes.values())
-        for row in rows:
-            point = dict(base, **{k: json.loads(v) for k, v in zip(keys, row)})
-            try:
-                quality, message = run_schedule(cli.config_from_dict(point)).quality, ""
-            except MemampError as exc:
-                quality, message = None, f"{type(exc).__name__}: {exc}"
-            if quality is None:
-                expected = [math.nan] * (len(header) - len(keys) - 2) + [False, message]
-            else:
-                expected = [*quality.to_dict().values(), quality.gain**2, True, ""]
-            assert row[len(keys):] == [csv_cell(v) for v in expected]
-            assert (quality is None) == (point["p_w"] == 0.0 or message != "")
+        assert_rows_equal_run_schedule(base, axes, header, rows)
         errors = {row[-1].split(":")[0] for row in rows} - {""}
         assert errors == guards
+
+    def test_a_first_order_key_runs_as_one_batch(self, tmp_path, monkeypatch):
+        """A perfbench-shaped key, 60 first-order points of one stage count,
+        reaches `run_batch` whole: its points cannot branch, so a batch is
+        capped by their atomic states, not by the tensor chunks."""
+        sizes = []
+        monkeypatch.setattr(cli, "run_batch", lambda configs, truncation: (
+            sizes.append(len(configs)) or run_batch(configs, truncation)))
+        base = {"n_atoms": 100, "alpha": 0.1, "schedule": "type2", "stages": 2}
+        axes = {"p_w": [5e-4, 1e-3, 2e-3, 5e-3, 1e-2], "p_r": [1e-3, 3e-3, 1e-2],
+                "beta_w": [0.5, 1.0], "n_atoms": [20, 100]}
+        code, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": axes})
+        assert code == EXIT_OK and sizes == [60]
+        key = batch_key(cli.config_from_dict(base))
+        assert protocol.points_per_batch(key) == 284 > protocol.batch_rows(key[-1])
+        assert_rows_equal_run_schedule(base, axes, header, rows)
+
+    def test_a_lossy_exact_key_keeps_the_chunk_rows(self, tmp_path, monkeypatch):
+        """Lossy exact points can branch: each batch of their key holds
+        `batch_rows` points, the chunk `_stage` evolves, as before."""
+        sizes = []
+        monkeypatch.setattr(cli, "run_batch", lambda configs, truncation: (
+            sizes.append(len(configs)) or run_batch(configs, truncation)))
+        base, _ = DEAD_BESIDE_MIXTURE
+        axes = {"p_w": [0.004, 0.005], "p_r": [0.004, 0.005, 0.006, 0.007]}
+        code, header, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": axes})
+        key = batch_key(cli.config_from_dict(base))
+        assert protocol.points_per_batch(key) == protocol.batch_rows(key[-1]) == 4
+        assert code == EXIT_OK and sizes == [4, 4]
+        assert_rows_equal_run_schedule(base, axes, header, rows)
 
     def test_permuted_axes_give_identical_rows(self, tmp_path):
         base = {"alpha": 0.1, "p_r": 0.006, "beta_r": 0.8}
@@ -586,23 +623,55 @@ class TestSweepBatches:
             return run_batch(configs, truncation)
 
         monkeypatch.setattr(cli, "run_batch", spy)
-        axes = {"p_w": [0.001 * (i + 1) for i in range(8)],
-                "p_r": [0.001 * (i + 1) for i in range(8)],
+        axes = {"p_w": [0.001 * (i + 1) for i in range(12)],
+                "p_r": [0.001 * (i + 1) for i in range(12)],
                 "stages": [1, 2], "n_atoms": [3, 20, 100]}
         code, _, rows, _ = sweep_csv(tmp_path, {"base": {"alpha": 0.1}, "axes": axes})
-        assert code == EXIT_OK and len(rows) == 384
-        assert sum(len(batch) for batch, _ in batches) == 384
-        capped = 0
+        assert code == EXIT_OK and len(rows) == 864
+        assert sum(len(batch) for batch, _ in batches) == 864
+        sizes = {}
         for batch, truncation in batches:
             first = batch[0]
-            # capped by the block the batch evolves on, not the configured shape
+            # capped by the ladder the batch evolves on, not the configured shape
             assert truncation == batch_key(first)[-1]
-            dim = truncation.total_dim()
-            cap = protocol.BATCH_BYTES // (16 * dim)
-            assert 1 <= len(batch) <= cap
             assert {batch_key(c) for c in batch} == {batch_key(first)}
-            capped += len(batch) == cap
-        assert capped > len(batches) / 2
+            sizes.setdefault(batch_key(first), []).append(len(batch))
+        # first order: a point holds k_dim amplitudes between stages, so a
+        # batch holds BATCH_BYTES // (16 k_dim) points: 640 at N = 3 (k_dim
+        # 4), whose keys fit one batch, and 284 at N = 20 and 100 (k_dim 9)
+        caps = {key[-1].atomic_k_max: protocol.points_per_batch(key) for key in sizes}
+        assert caps == {3: protocol.BATCH_BYTES // (16 * 4),
+                        8: protocol.BATCH_BYTES // (16 * 9)} == {3: 640, 8: 284}
+        assert sorted(sizes.values()) == [[144], [144], [284, 4], [284, 4]]
+
+    @pytest.mark.parametrize("base, axes", [
+        ({"n_atoms": 100, "alpha": 0.1, "schedule": "type2", "stages": 3,
+          "beta_w": 0.7}, {"p_w": [0.0, 0.002, 0.01], "p_r": [0.001, 0.01]}),
+        DEAD_BESIDE_MIXTURE,
+    ], ids=["type2-first-order", "dead-beside-mixture"])
+    def test_finished_levels_are_freed_stage_by_stage(
+        self, tmp_path, monkeypatch, base, axes
+    ):
+        """A sweep's stage loop keeps no level past its stage: when stage s
+        starts, the levels that entered stages 0 to s - 1, the root among
+        them, are freed, and so are the children of stages 0 to s - 2 (those
+        of stage s - 1 are its level, or hold its live rows)."""
+        levels, children = [], []
+
+        def spy(processes, level, kind, visit=None):
+            assert all(ref() is None for refs in levels for ref in refs)
+            assert all(ref() is None for refs in children[:-1] for ref in refs)
+            levels.append([weakref.ref(x) for x in level])
+            out = stage(processes, level, kind, visit)
+            children.append([weakref.ref(x) for x in out[3]])
+            return out
+
+        stage = protocol._stage
+        monkeypatch.setattr(protocol, "_stage", spy)
+        code, _, rows, _ = sweep_csv(tmp_path, {"base": base, "axes": axes})
+        assert code == EXIT_PROTOCOL and len(levels) == 2 * base["stages"]
+        assert rows[0][-2:] == ["false", ""]  # p_w = 0 leaves the level early
+        assert all(ref() is None for refs in levels + children for ref in refs)
 
     def test_points_below_the_reach_fail_before_their_batch(self, tmp_path, monkeypatch):
         """`batch_key` refuses a point whose atomic ladder is below its

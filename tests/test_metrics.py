@@ -419,5 +419,5 @@ class TestScoring:
         checked.clear()
         configs = [ProtocolConfig(20, p_w=p_w) for p_w in (0.001, 0.002, 0.003)]
         rows = run_batch(configs, batch_key(configs[0])[-1])
-        assert all(quality is not None for _, quality, _ in rows)
+        assert all(quality is not None for quality, _ in rows)
         assert checked == [(6, 3)]

@@ -870,8 +870,8 @@ class TestMixtures:
         """First order and beta = 1 leave one branch per point, of share 1.0
         exactly: the mixture formulas reduce to the pure state's, bit for bit."""
         for kwargs in SINGLE_BRANCH.values():
-            stages, _, _ = run_batch([ProtocolConfig(**kwargs)],
-                                     batch_key(ProtocolConfig(**kwargs))[-1])[0]
+            stages, _, _ = recorded_batch([ProtocolConfig(**kwargs)],
+                                          batch_key(ProtocolConfig(**kwargs))[-1])[0]
             for _, _, (states, weights, _), lo, hi in stages:
                 assert hi - lo == 1 and weights[lo] == 1.0
 
@@ -887,9 +887,9 @@ class TestMixtures:
         batch = [dead] * 3 + [lossy] if dead_first else [lossy] + [dead] * 3
         truncation = batch_key(lossy)[-1]
         assert batch_rows(truncation) == len(batch)
-        rows = run_batch(batch, truncation)
+        rows = recorded_batch(batch, truncation)
         for config, (stages, quality, error) in zip(batch, rows):
-            alone, quality_alone, error_alone = run_batch([config], truncation)[0]
+            alone, quality_alone, error_alone = recorded_batch([config], truncation)[0]
             assert (quality, repr(error)) == (quality_alone, repr(error_alone))
             assert len(stages) == len(alone)
             for (p, c, (states, weights, _), lo, hi), (p1, c1, (states1, weights1, _),
@@ -917,9 +917,22 @@ class TestMixtures:
         assert run_schedule(config).final_gain == pytest.approx(1.880, abs=1e-3)
 
 
+def recorded_batch(configs, truncation):
+    """`run_batch` of ``configs`` with the stage records its ``visit`` hands
+    over: per point (records in stage order, quality, error)."""
+    records = [[] for _ in configs]
+
+    def visit(s, i, record):
+        assert s == len(records[i])  # each stage of the point once, in order
+        records[i].append(record)
+
+    rows = run_batch(configs, truncation, visit)
+    return [(records[i], *row) for i, row in enumerate(rows)]
+
+
 def _rows_by_batch(configs, key, truncation_of):
-    """Each point's `run_batch` row, the points grouped by ``key`` in order and
-    run in chunks of `batch_rows` on ``truncation_of`` their first point. A
+    """Each point's `recorded_batch` row, the points grouped by ``key`` in order
+    and run in chunks of `batch_rows` on ``truncation_of`` their first point. A
     point whose ``key`` raises ConfigError (the reach gate of `batch_key`) has
     no stages, no quality and that error, as a sweep writes it."""
     groups, rows = {}, {}
@@ -933,7 +946,8 @@ def _rows_by_batch(configs, key, truncation_of):
         size = batch_rows(truncation)
         for i in range(0, len(members), size):
             chunk = members[i : i + size]
-            for config, (stages, quality, error) in zip(chunk, run_batch(chunk, truncation)):
+            for config, (stages, quality, error) in zip(
+                    chunk, recorded_batch(chunk, truncation)):
                 quality = None if quality is None else QualityReport(*quality)
                 rows[id(config)] = stages, quality, error
     return [rows[id(config)] for config in configs]
