@@ -7,7 +7,7 @@ schedules, and Monte Carlo sampling of heralding outcomes.
 """
 
 from .dicke import LadderDirection, Schedule, ladder_coeff, relative_gain
-from .joint import EvolutionOrder, HeraldPattern, ModeTruncation
+from .joint import EvolutionOrder, ModeTruncation
 from .metrics import QualityReport
 from .oracle import project_to_dicke, verify_ladder
 from .protocol import (
@@ -30,7 +30,6 @@ __all__ = [
     "AmplificationReport",
     "EvolutionOrder",
     "GainConvention",
-    "HeraldPattern",
     "KERNEL_BACKEND",
     "LadderDirection",
     "MCReport",

@@ -32,6 +32,7 @@ from .metrics import QUALITY_FIELDS
 from .oracle import MAX_FULL_ATOMS, VERIFY_TOL, verify_ladder
 from .protocol import (
     CONFIG_FIELDS,
+    STAGE_COLUMNS,
     ProtocolConfig,
     batch_key,
     field_value,
@@ -129,7 +130,7 @@ def _rewritten(path: Path):
             raw.truncate()
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[list]) -> None:
     """Rows of cells as they are written: a bool already as JSON's
     true/false; the csv writer writes a float in its shortest round-trip form."""
     with _rewritten(path) as fd, open(fd, "w", newline="", closefd=False) as handle:
@@ -189,9 +190,9 @@ def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManif
     report_path = out_dir / "report.json"
     stages_path = out_dir / "stages.csv"
     _write_json(report_path, report.to_dict())
-    rows = [r.to_row() for r in report.stage_reports]
+    rows = [r.to_row() for r in report.stages]
     cells = [dict(row, failed=json.dumps(row["failed"])).values() for row in rows]
-    _write_csv(stages_path, list(rows[0]), cells)
+    _write_csv(stages_path, STAGE_COLUMNS, cells)
     manifest = RunManifest(args.command, config.rng_seed, config.to_dict(),
                            [report_path.name, stages_path.name])
     if not report.succeeded:

@@ -149,18 +149,6 @@ class ModeTruncation:
 TRUNCATION_FIELDS = tuple(f.name for f in fields(ModeTruncation))
 
 
-@dataclass(frozen=True)
-class HeraldPattern:
-    """Exact photon counts required on the two detected modes."""
-
-    detect_a: int = 1
-    detect_b: int = 1
-
-    def __post_init__(self):
-        if self.detect_a < 0 or self.detect_b < 0:
-            raise ValueError("photon counts must be >= 0")
-
-
 class Process:
     """A write or read process over a batch: per row the ensemble size, the
     coupling p and the mode overlap beta, on one evolved truncation; and its
@@ -404,22 +392,26 @@ def apply_process(
                 loss = None if w_loss is None else w_loss[i]
                 out[i] = _exact_apply(psi[i], w_det[i], loss, bound[i], proc.name)
             except MemampError as exc:
-                errors.setdefault(i, exc)
+                # kept without its traceback, whose frames would hold the
+                # batch's tensors in a cycle until the garbage collector runs
+                errors.setdefault(i, exc.with_traceback(None))
         _check_boundaries(out, proc, errors, weights)
     for i in (~np.isfinite(out).reshape(len(out), -1).all(axis=1)).nonzero()[0]:
         errors.setdefault(i, ValueError("amplitudes must be finite"))
     return out
 
 
-def herald_rows(psi: np.ndarray, pattern: HeraldPattern) -> tuple[np.ndarray, ...]:
-    """Condition each row of a batch on exact photon counts, one branch per
-    undetected-mode count n_c whose column (the matching slice at n_c) has a
-    squared norm above ZERO_PROB_FLOOR. Returns each row's raw probability,
-    the squared norm of its matching slice, 0 for a row without a branch;
-    and, in row-major (row, n_c) order, each branch's row, n_c, squared norm
-    and atomic state, its column divided by the square root of its k-sum.
-    First order or beta = 1 leaves one branch, at n_c = 0."""
-    block = psi[:, :, pattern.detect_a, pattern.detect_b]  # (B, k, n_c)
+def herald_rows(psi: np.ndarray, counts: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Condition each row of a batch on exact photon counts (n_a, n_b) on the
+    detected modes, one branch per undetected-mode count n_c whose column
+    (the matching slice at n_c) has a squared norm above ZERO_PROB_FLOOR.
+    Returns each row's raw probability, the squared norm of its matching
+    slice, 0 for a row without a branch; and, in row-major (row, n_c) order,
+    each branch's row, n_c, squared norm and atomic state, its column divided
+    by the square root of its k-sum. First order or beta = 1 leaves one
+    branch, at n_c = 0."""
+    n_a, n_b = counts
+    block = psi[:, :, n_a, n_b]  # (B, k, n_c)
     sq = np.abs(block) ** 2
     prob = row_sums(sq)  # row_norms(block)
     col_pop = sq.sum(axis=1)

@@ -25,7 +25,6 @@ from .joint import (
     TRUNCATION_FIELDS,
     ZERO_PROB_FLOOR,
     EvolutionOrder,
-    HeraldPattern,
     ModeTruncation,
     Process,
     apply_process,
@@ -42,10 +41,12 @@ class StageKind(enum.Enum):
     READ_ONLY = "read_only"
 
 
+#: Each stage kind's herald: the photon counts (n_a, n_b) on the detected
+#: Stokes and anti-Stokes modes, one from each process the stage runs.
 STAGE_PATTERNS = {
-    StageKind.WRITE_THEN_READ: HeraldPattern(1, 1),
-    StageKind.WRITE_ONLY: HeraldPattern(1, 0),
-    StageKind.READ_ONLY: HeraldPattern(0, 1),
+    StageKind.WRITE_THEN_READ: (1, 1),
+    StageKind.WRITE_ONLY: (1, 0),
+    StageKind.READ_ONLY: (0, 1),
 }
 
 
@@ -266,40 +267,42 @@ _DEFAULTS = {name: getattr(ProtocolConfig, name, None) for name in CONFIG_FIELDS
 
 @dataclass(frozen=True)
 class StageReport:
-    """Outcome of one heralded stage of the pipeline; ``state`` is the
-    heralded atomic state, a read-only array over k, if the stage left one
-    branch, and None for a mixture or a failed herald (probability 0)."""
+    """Outcome of one heralded stage of the pipeline: its row, the fields but
+    ``state`` (`STAGE_COLUMNS`), with the herald's photon counts in
+    ``detect_a`` and ``detect_b``; and ``state``, the heralded atomic state,
+    a read-only array over k, if the stage left one branch, else None."""
 
-    stage_index: int
+    stage: int
     kind: StageKind
-    pattern: HeraldPattern
+    detect_a: int
+    detect_b: int
     probability: float
     cumulative_probability: float
-    state: np.ndarray | None
     gain_so_far: float
-    failed: bool = False
+    failed: bool
+    state: np.ndarray | None
 
     def to_row(self) -> dict:
-        return {
-            "stage": self.stage_index,
-            "kind": self.kind.value,
-            "detect_a": self.pattern.detect_a,
-            "detect_b": self.pattern.detect_b,
-            "probability": self.probability,
-            "cumulative_probability": self.cumulative_probability,
-            "gain_so_far": self.gain_so_far,
-            "failed": self.failed,
-        }
+        row = {name: getattr(self, name) for name in STAGE_COLUMNS}
+        row["kind"] = self.kind.value
+        return row
+
+
+#: A stage row's keys in declaration order, read once: the `stages.csv` columns.
+STAGE_COLUMNS = tuple(f.name for f in fields(StageReport) if f.name != "state")
 
 
 @dataclass(frozen=True)
 class AmplificationReport:
-    """Full pipeline result: per-stage records plus the end-to-end summary."""
+    """Full pipeline result: per-stage records plus the end-to-end summary.
+    Its fields are the `report.json` keys."""
 
     succeeded: bool
-    stage_reports: list[StageReport]
+    stages: list[StageReport]
     final_state: np.ndarray | None
     final_gain: float
+    #: gain is an amplitude ratio; the intensity ratio is derived
+    final_gain_squared: float
     analytic_gain: float
     discrepancy: float
     success_probability: float
@@ -307,22 +310,17 @@ class AmplificationReport:
     failure_reason: str | None = None
 
     def to_dict(self) -> dict:
-        final_amps = None
+        """JSON form: stages as rows, the final state as [re, im] pairs."""
+        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
+        out["stages"] = [r.to_row() for r in self.stages]
         if self.final_state is not None:
-            final_amps = [[c.real, c.imag] for c in self.final_state.tolist()]
-        return {
-            "succeeded": self.succeeded,
-            "stages": [r.to_row() for r in self.stage_reports],
-            "final_state": final_amps,
-            "final_gain": self.final_gain,
-            # gain is an amplitude ratio; the intensity ratio is derived
-            "final_gain_squared": self.final_gain**2,
-            "analytic_gain": self.analytic_gain,
-            "discrepancy": self.discrepancy,
-            "success_probability": self.success_probability,
-            "quality": None if self.quality is None else self.quality.to_dict(),
-            "failure_reason": self.failure_reason,
-        }
+            out["final_state"] = [[c.real, c.imag] for c in self.final_state.tolist()]
+        if self.quality is not None:
+            out["quality"] = self.quality.to_dict()
+        return out
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(AmplificationReport))
 
 
 def stage_plan(config: ProtocolConfig) -> list[StageKind]:
@@ -367,13 +365,9 @@ def _mixture_gain(weights: np.ndarray, states: np.ndarray, alpha: complex) -> fl
 BATCH_BYTES = 40 * 1024
 
 
-def batch_rows(truncation: ModeTruncation, branching: bool = True) -> int:
-    """Rows of BATCH_BYTES on an evolved truncation, or one: a row holds
-    k_dim amplitudes per photon cell, a joint tensor, or, where ``branching``
-    is false, one atomic state of k_dim amplitudes (`points_per_batch`)."""
-    k_dim, *photons = truncation.shape()
-    cells = math.prod(photons) if branching else 1
-    return max(1, BATCH_BYTES // (16 * k_dim * cells))
+def batch_rows(truncation: ModeTruncation) -> int:
+    """Joint tensors of BATCH_BYTES on an evolved truncation, or one."""
+    return max(1, BATCH_BYTES // (16 * truncation.total_dim()))
 
 
 def batch_key(config: ProtocolConfig) -> tuple:
@@ -391,14 +385,15 @@ def batch_key(config: ProtocolConfig) -> tuple:
 
 
 def points_per_batch(key: tuple) -> int:
-    """Points of one `batch_key` per `run_batch`: `batch_rows` of the key's
-    truncation. A point that cannot branch, at first order or without a loss
-    mode, holds one atomic state between stages, so its photon-cell factor
-    is 1; a lossy exact point can hold many branches, so it keeps a chunk's
-    rows, the cap that `_stage` evolves them in."""
+    """Points of one `batch_key` per `run_batch`, or one. A point that cannot
+    branch, at first order or without a loss mode, holds one atomic state of
+    k_dim amplitudes between stages: BATCH_BYTES of them. A lossy exact point
+    can hold many branches, so it keeps a chunk's `batch_rows`, the cap that
+    `_stage` evolves them in."""
     _, _, order, truncation = key
-    branching = order is EvolutionOrder.EXACT and truncation.fock_c_max > 0
-    return batch_rows(truncation, branching)
+    if order is EvolutionOrder.EXACT and truncation.fock_c_max > 0:
+        return batch_rows(truncation)
+    return max(1, BATCH_BYTES // (16 * (truncation.atomic_k_max + 1)))
 
 
 def _processes(configs: list[ProtocolConfig], truncation: ModeTruncation) -> tuple:
@@ -417,10 +412,11 @@ def _stage(processes: tuple, level: tuple, kind: StageKind, visit=None) -> tuple
     """One stage of a level of branches, the rows (states, weights, owners) of
     each branch's atomic state, its share of its point's probability and its
     point's row in ``processes``, grouped by point. The branches evolve in
-    chunks of `batch_rows`, from fresh photon vacuum through the processes of
-    their points, each guard weighing a branch's cutoff population by its
-    share; ``visit(lo, psi, totals)`` sees each chunk's tensor and squared
-    norms, rows lo on, in level order (`monte_carlo` draws its trials there).
+    chunks of `batch_rows`, from fresh photon vacuum through those processes
+    of their points whose photons the stage heralds, each guard weighing a
+    branch's cutoff population by its share; ``visit(lo, psi, totals)`` sees
+    each chunk's tensor and squared norms, rows lo on, in level order
+    (`monte_carlo` draws its trials there).
     Returns each branch's raw herald probability and total, each failing
     point's first error in level order, the children as a level, and each
     child's parent and n_c: the branches of `joint.herald_rows`, in (parent,
@@ -437,8 +433,8 @@ def _stage(processes: tuple, level: tuple, kind: StageKind, visit=None) -> tuple
         atomic = states[rows]
         psi = np.zeros((len(atomic),) + truncation.shape(), np.complex128)
         psi[:, :, 0, 0, 0] = atomic
-        for proc, skip in zip(processes, (StageKind.READ_ONLY, StageKind.WRITE_ONLY)):
-            if kind is not skip:  # each input tensor is freed as its process returns
+        for proc, count in zip(processes, STAGE_PATTERNS[kind]):
+            if count:  # each input tensor is freed as its process returns
                 psi = apply_process(psi, proc.rows(owner[rows]), found, weights[rows])
         for i in sorted(found):  # a point's first error in level order
             errors.setdefault(int(owner[lo + i]), found[i])
@@ -467,8 +463,8 @@ def _stage_report(
         state = states[lo].copy()
         state.flags.writeable = False
     gain = _mixture_gain(weights[lo:hi], states[lo:hi], config.alpha)
-    return StageReport(index, kind, STAGE_PATTERNS[kind], probability, cumulative,
-                       state, gain, failed=probability == 0.0)
+    return StageReport(index, kind, *STAGE_PATTERNS[kind], probability, cumulative,
+                       gain, probability == 0.0, state)
 
 
 def _target_gain(config: ProtocolConfig) -> float:
@@ -514,7 +510,7 @@ def run_batch(
         _, weights, owner = level
         score = None
         if s == len(plan) - 1:  # score the last stage's tensors as they evolve
-            counts = STAGE_PATTERNS[kind].detect_a, STAGE_PATTERNS[kind].detect_b
+            counts = STAGE_PATTERNS[kind]
             score = lambda lo, psi, _: norms.append(
                 sector_norms(psi, targets[owner[lo : lo + len(psi)]], *counts))
         raw, totals, stage_errors, children, _, _ = _stage(processes, level, kind, score)
@@ -572,9 +568,10 @@ def run_schedule(config: ProtocolConfig) -> AmplificationReport:
     gain = float("nan") if quality is None else quality.gain
     return AmplificationReport(
         succeeded=quality is not None,
-        stage_reports=reports,
+        stages=reports,
         final_state=reports[-1].state,
         final_gain=gain,
+        final_gain_squared=gain**2,
         analytic_gain=analytic,
         discrepancy=abs(gain - analytic),
         success_probability=0.0 if quality is None else quality.p_suc,
@@ -645,8 +642,7 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
     rng = np.random.default_rng(config.rng_seed)
     survival, first_stage_counts, cumulative = [], [], np.ones(1)
     for kind in stage_plan(config):
-        pattern = STAGE_PATTERNS[kind]
-        cell, parts = (slice(None), pattern.detect_a, pattern.detect_b), []
+        cell, parts = (slice(None), *STAGE_PATTERNS[kind]), []
 
         def visit(lo: int, psi: np.ndarray, totals: np.ndarray) -> None:
             probs = (np.abs(psi) ** 2).sum(axis=1)

@@ -39,11 +39,12 @@ def traced_density(psi):
     return rho / trace, trace
 
 
-def reduced_conditional_density(psi, pattern):
+def reduced_conditional_density(psi, counts):
     """Atomic density matrix of trace 1 of one joint tensor psi[k, n_a, n_b,
-    n_c] conditioned on the pattern, undetected mode traced out (zero if the
-    pattern has no probability); and its probability."""
-    block = psi[:, pattern.detect_a, pattern.detect_b, :]
+    n_c] conditioned on the photon counts (n_a, n_b), undetected mode traced
+    out (zero if the counts have no probability); and its probability."""
+    n_a, n_b = counts
+    block = psi[:, n_a, n_b, :]
     rho = block @ block.conj().T
     prob = float(np.trace(rho).real)
     if prob <= ZERO_PROB_FLOOR:
@@ -84,18 +85,18 @@ def evolve_stage(state, config, kind=StageKind.WRITE_THEN_READ, weight=1.0):
     return tensors[0]
 
 
-def heralded(psi, pattern):
+def heralded(psi, counts):
     """`joint.herald_rows` on a batch psi[B, k, n_a, n_b, n_c] of rows with
     one branch at most: each row's conditional state (B, k), zero for a row
     without a branch, and the raw probabilities (B,)."""
-    prob, rows, _, _, branches = herald_rows(psi, pattern)
+    prob, rows, _, _, branches = herald_rows(psi, counts)
     assert len(set(rows.tolist())) == len(rows), "a row has several branches"
     states = np.zeros(psi.shape[:2], dtype=np.complex128)
     states[rows] = branches
     return states, prob
 
 
-def run_stage(state, config, kind, *, stage_index=0, cumulative_in=1.0):
+def run_stage(state, config, kind, *, stage=0, cumulative_in=1.0):
     """One stage from ``state``, evolved and heralded as an iteration of
     `protocol.run_batch` does it for a point of one branch; a zero-probability
     herald is a failed stage. Exact evolution with beta < 1 can leave several
@@ -107,7 +108,7 @@ def run_stage(state, config, kind, *, stage_index=0, cumulative_in=1.0):
     shares = pops / total
     record = (p, cumulative_in * p, (branches, shares / shares.sum(), None), 0,
               len(branches))
-    return _stage_report(stage_index, kind, record, config)
+    return _stage_report(stage, kind, record, config)
 
 
 def zero_padded(psi, shape):
@@ -318,7 +319,7 @@ class TrajectoryTreePerNode:
         self.states = {(): weak_coherent_rows([config.alpha], k_dim)[0]}
         self.outcomes, level = {}, {(): 1.0}
         for kind in self.plan:
-            pattern, children = STAGE_PATTERNS[kind], {}
+            (n_a, n_b), children = STAGE_PATTERNS[kind], {}
             for path, share in level.items():
                 psi = evolve_stage(self.states[path], config, kind, share)[0]
                 sq = np.abs(psi) ** 2
@@ -326,10 +327,10 @@ class TrajectoryTreePerNode:
                 weights = column_pops.copy()
                 weights[weights <= ZERO_PROB_FLOOR] = 0.0
                 self.outcomes[path] = weights / float(np.sum(sq))
-                hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
+                hits = self.outcomes[path][n_a, n_b]
                 for n_c in np.flatnonzero(hits):
-                    column = psi[:, pattern.detect_a, pattern.detect_b, n_c]
-                    pop = column_pops[pattern.detect_a, pattern.detect_b, n_c]
+                    column = psi[:, n_a, n_b, n_c]
+                    pop = column_pops[n_a, n_b, n_c]
                     self.states[path + (int(n_c),)] = column / np.sqrt(pop)
                     children[path + (int(n_c),)] = share * float(hits[n_c])
             total = sum(children.values())
@@ -339,8 +340,7 @@ class TrajectoryTreePerNode:
         """Total probability of completing every remaining herald."""
         if len(path) == len(self.plan):
             return 1.0
-        pattern = STAGE_PATTERNS[self.plan[len(path)]]
-        hits = self.outcomes[path][pattern.detect_a, pattern.detect_b]
+        hits = self.outcomes[path][STAGE_PATTERNS[self.plan[len(path)]]]
         total = 0.0
         for n_c in np.flatnonzero(hits):
             total += float(hits[n_c]) * self.success_probability(path + (int(n_c),))
@@ -356,7 +356,6 @@ def monte_carlo_per_node(config, trials):
     rng = np.random.default_rng(config.rng_seed)
     alive, survival, first_stage_counts = {(): trials}, [], []
     for stage_index, kind in enumerate(tree.plan):
-        pattern = STAGE_PATTERNS[kind]
         next_alive = {}
         for path, count in alive.items():
             probs = tree.outcomes[path]
@@ -366,7 +365,7 @@ def monte_carlo_per_node(config, trials):
             if stage_index == 0:
                 rows = np.column_stack((np.argwhere(counts), counts[counts > 0]))
                 first_stage_counts = rows.tolist()
-            hits = counts[pattern.detect_a, pattern.detect_b]
+            hits = counts[STAGE_PATTERNS[kind]]
             for n_c in np.flatnonzero(hits):
                 next_alive[path + (int(n_c),)] = int(hits[n_c])
         alive = next_alive
@@ -424,7 +423,7 @@ def dense_schedule(config):
     """An exact-order schedule on density matrices, independent of the stage
     loop: each stage embeds the atomic density rho in photon vacuum, evolves
     it as U rho U^dagger with U = scipy.linalg.expm of `dense_generator`,
-    heralds the stage's pattern with mode c traced out, and renormalizes.
+    heralds the stage's photon counts with mode c traced out, and renormalizes.
     Returns per stage (probability, cumulative probability, gain) and the
     quality metrics of the last stage's joint density against the target t:
     p_mode, p_spon and p_amp from <t|rho|t> on the photon sectors, fidelity
@@ -441,11 +440,10 @@ def dense_schedule(config):
     for kind in stage_plan(config):
         joint = np.zeros((math.prod(shape),) * 2, dtype=complex)
         joint[np.ix_(vacuum, vacuum)] = rho
-        for name, skip in (("write", StageKind.READ_ONLY), ("read", StageKind.WRITE_ONLY)):
-            if kind is not skip:
+        n_a, n_b = STAGE_PATTERNS[kind]
+        for name, count in (("write", n_a), ("read", n_b)):
+            if count:  # the processes whose photons the stage heralds
                 joint = unitaries[name] @ joint @ unitaries[name].T
-        pattern = STAGE_PATTERNS[kind]
-        n_a, n_b = pattern.detect_a, pattern.detect_b
         blocks = joint.reshape(shape + shape)[:, n_a, n_b, :, :, n_a, n_b, :]
         heralded = np.einsum("kclc->kl", blocks)
         total, raw = np.trace(joint).real, np.trace(heralded).real

@@ -15,7 +15,7 @@ import pytest
 
 from memamp.cli import main as cli_main
 from memamp.dicke import Schedule, weak_coherent_rows
-from memamp.joint import EvolutionOrder, HeraldPattern, ModeTruncation
+from memamp.joint import EvolutionOrder, ModeTruncation
 from memamp.protocol import (
     ProtocolConfig,
     monte_carlo,
@@ -55,7 +55,7 @@ def test_criterion_2_heralded_gain_eq14():
             config = ProtocolConfig(n_atoms, p_w=p, p_r=p, truncation=trunc)
             for k in range(0, min(5, n_atoms) + 1):
                 atomic = np.eye(min(n_atoms, 7) + 1)[k]
-                states, raw = heralded(evolve_stage(atomic, config), HeraldPattern(1, 1))
+                states, raw = heralded(evolve_stage(atomic, config), (1, 1))
                 factor = np.sqrt(raw[0]) / p
                 expected = ss_dagger_eigenvalues(n_atoms, k + 1)[k]
                 assert abs(factor - expected) <= 1e-12
@@ -72,7 +72,7 @@ def test_criterion_3_eq15_single_stage():
         trunc = ModeTruncation(fock_a_max=3, fock_b_max=3, fock_c_max=0)
         config = ProtocolConfig(n_atoms, p_w=1e-3, p_r=1e-3, truncation=trunc)
         evolved = evolve_stage(weak_coherent_rows([alpha], 2)[0], config)
-        states, _ = heralded(evolved, HeraldPattern(1, 1))
+        states, _ = heralded(evolved, (1, 1))
         ratio = (states[0, 1] / states[0, 0]).real
         assert abs(ratio - 0.1998) <= 1e-12
         gain = ratio / alpha
@@ -230,6 +230,6 @@ def test_criterion_9_first_order_vs_exact():
             for order in (EvolutionOrder.FIRST_ORDER, EvolutionOrder.EXACT):
                 config = ProtocolConfig(n_atoms, p_w=p_w, p_r=p_r, order=order,
                                         truncation=trunc)
-                rows, _ = heralded(evolve_stage(atomic, config), HeraldPattern(1, 1))
+                rows, _ = heralded(evolve_stage(atomic, config), (1, 1))
                 states.append(rows[0])
             assert fidelity(*states) >= 1 - 10 * max(p_w, p_r)

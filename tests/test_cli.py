@@ -3,6 +3,8 @@
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -33,7 +35,8 @@ from memamp.joint import LEAK_TOL, EvolutionOrder
 from memamp.oracle import MAX_FULL_ATOMS
 from memamp.metrics import QualityReport
 from memamp.protocol import (
-    CONFIG_FIELDS, ProtocolConfig, batch_key, monte_carlo, run_batch, run_schedule,
+    CONFIG_FIELDS, STAGE_COLUMNS, AmplificationReport, ProtocolConfig, batch_key,
+    monte_carlo, run_batch, run_schedule,
 )
 
 
@@ -775,6 +778,31 @@ class TestExactSeriesFailure:
         assert {key: scored[key] for key in quality} == {
             key: str(value) for key, value in quality.items()}
 
+    def test_a_failing_point_frees_its_batch_at_once(self, monkeypatch):
+        """The series error is kept without its traceback, whose frames would
+        hold the batch's tensors in a cycle: with the garbage collector off,
+        no evolved tensor outlives `run_batch`."""
+        evolved = []
+
+        def spy(psi, *args):
+            out = apply_process(psi, *args)
+            evolved.append(weakref.ref(out))
+            return out
+
+        apply_process = protocol.apply_process
+        monkeypatch.setattr(protocol, "apply_process", spy)
+        configs = [cli.config_from_dict(dict(EXACT_D324, p_w=p_w))
+                   for p_w in (0.01, 1e-8)]
+        gc.disable()
+        try:
+            failed, scored = run_batch(configs, batch_key(configs[0])[-1])
+            alive = sum(ref() is not None for ref in evolved)
+        finally:
+            gc.enable()
+        assert len(evolved) == 2 and alive == 0
+        assert str(failed[1]) == SERIES_FAILURE and failed[1].__traceback__ is None
+        assert scored[0] is not None and scored[1] is None
+
 
 def exact_fields(config):
     """Each field's type and repr: 1 is not 1.0 and 0.0 is not -0.0 here."""
@@ -1321,6 +1349,16 @@ class TestMCCommand:
         assert sum(row[3] for row in payload["first_stage_outcomes"]) == 10**12
 
 
+#: The config of the golden `simulate_lossy_exact_mixture` run, whose
+#: heralded state is a mixture (its final_state is null).
+LOSSY_EXACT_MIXTURE = {
+    "n_atoms": 20, "alpha": 0.1, "p_w": 0.02, "p_r": 0.02, "beta_w": 0.8,
+    "beta_r": 0.8, "schedule": "type1", "stages": 2, "order": "exact", "rng_seed": 1,
+    "truncation": {"fock_a_max": 5, "fock_b_max": 5, "fock_c_max": 5,
+                   "atomic_k_max": 14},
+}
+
+
 class TestOutputSchemas:
     """Column orders and key sets of every data file, as literals."""
 
@@ -1364,6 +1402,19 @@ class TestOutputSchemas:
         }
         # an integer coupling is written as the float the run used
         assert '"beta_w": 1.0' in (tmp_path / "manifest.json").read_text()
+        # each record is its schema: a stage row's keys and the stages.csv
+        # columns are StageReport's fields but state, the report.json keys
+        # AmplificationReport's, for a one-branch run and for a mixture
+        mixture = write_config(tmp_path, "mixture.json", **LOSSY_EXACT_MIXTURE)
+        assert main(["simulate", "--config", str(mixture),
+                     "--out", str(tmp_path / "mixture")]) == EXIT_OK
+        for out, final_state in [(tmp_path, list), (tmp_path / "mixture", type(None))]:
+            assert read_csv(out / "stages.csv")[0] == list(STAGE_COLUMNS) == stages
+            report = json.loads((out / "report.json").read_text())
+            assert isinstance(report["final_state"], final_state)
+            assert all(sorted(row) == sorted(STAGE_COLUMNS) for row in report["stages"])
+            fields = dataclasses.fields(AmplificationReport)
+            assert set(report) == {field.name for field in fields}
 
     def test_csv_cells_in_shortest_form(self, tmp_path):
         """Floats in shortest round-trip form; a bool as JSON's true/false,

@@ -18,7 +18,7 @@ from memamp.dicke import (
 )
 from memamp.errors import ConfigError, TruncationOverflowError
 from memamp.joint import (
-    EvolutionOrder, HeraldPattern, ModeTruncation, Process, herald_rows,
+    EvolutionOrder, ModeTruncation, Process, herald_rows,
 )
 from memamp.oracle import collective_apply, project_to_dicke
 from memamp.protocol import ProtocolConfig, StageKind, run_schedule
@@ -423,7 +423,7 @@ class TestDickeVectorInvariants:
         rng = np.random.default_rng(5)
         psi = rng.normal(size=(6, 5, 2, 2, 1)) + 1j * rng.normal(size=(6, 5, 2, 2, 1))
         psi *= np.logspace(-120, 3, 6).reshape(-1, 1, 1, 1, 1)
-        prob, rows, _, _, states = herald_rows(psi, HeraldPattern(1, 1))
+        prob, rows, _, _, states = herald_rows(psi, (1, 1))
         assert np.all(prob > 0.0) and rows.tolist() == list(range(6))
         assert np.all(np.abs(np.linalg.norm(states, axis=1) - 1.0) <= TOL)
 
@@ -431,11 +431,11 @@ class TestDickeVectorInvariants:
         config = ProtocolConfig(50, p_w=2e-3, p_r=1e-3, schedule=Schedule.TYPE_II,
                                 stages=2)
         report = run_schedule(config)
-        states = [stage.state for stage in report.stage_reports]
+        states = [stage.state for stage in report.stages]
         assert len(states) == 4
         for state in states + [report.final_state]:
             assert type(state) is np.ndarray and state.dtype == np.complex128
             assert not state.flags.writeable
             with pytest.raises(ValueError):
                 state[0] = 1.0
-        assert report.final_state is report.stage_reports[-1].state
+        assert report.final_state is report.stages[-1].state

@@ -20,7 +20,7 @@ from memamp.errors import (
     TruncationLeakageError,
     TruncationOverflowError,
 )
-from memamp.joint import EvolutionOrder, HeraldPattern, ModeTruncation
+from memamp.joint import EvolutionOrder, ModeTruncation
 from memamp.metrics import row_norms
 from memamp.protocol import ProtocolConfig, StageKind
 from reference import (
@@ -97,11 +97,6 @@ class TestModeTruncation:
         with pytest.raises(ValueError,
                            match="^truncation not resolved against an atom count$"):
             ModeTruncation().shape()
-
-    @pytest.mark.parametrize("counts", [(-1, 1), (1, -1)])
-    def test_negative_photon_counts_rejected(self, counts):
-        with pytest.raises(ValueError, match="^photon counts must be >= 0$"):
-            HeraldPattern(*counts)
 
     def test_dimension_cap(self):
         # checked on the resolved truncation, whichever way the cutoff is spelled
@@ -469,7 +464,7 @@ class TestApplyRead:
 
 #: the write and read couplings of the herald tests
 PAIR = ProtocolConfig(1000, p_w=1e-3, p_r=1e-3, truncation=LOSSLESS)
-P11 = HeraldPattern(1, 1)
+P11 = (1, 1)
 
 
 def two_sector_amplitudes(*values):
@@ -500,7 +495,7 @@ class TestHerald:
     def test_vacuum_pattern_returns_input(self):
         atomic = weak_coherent_rows([0.1], 9)[0]
         psi = evolve_stage(atomic, replace(PAIR, n_atoms=200))
-        states, prob = heralded(psi, HeraldPattern(0, 0))
+        states, prob = heralded(psi, (0, 0))
         assert fidelity(states[0], atomic) == pytest.approx(1.0, abs=TOL)
         assert prob[0] == pytest.approx(1.0, rel=1e-6)
 
@@ -550,7 +545,7 @@ class TestHerald:
         for n_a in range(2):
             for n_b in range(2):
                 # the density route reports probabilities for mixed sectors too
-                _, prob = reduced_conditional_density(psi[0], HeraldPattern(n_a, n_b))
+                _, prob = reduced_conditional_density(psi[0], (n_a, n_b))
                 total += prob
         assert total == pytest.approx(row_norms(psi)[0], abs=1e-10)
 

@@ -186,7 +186,7 @@ class TestRunStage:
         )
         assert not report.failed
         assert report.gain_so_far == pytest.approx(1.998, abs=TOL)
-        assert report.pattern.detect_a == 1 and report.pattern.detect_b == 1
+        assert report.detect_a == 1 and report.detect_b == 1
 
     def test_write_only_on_ground(self):
         p_w, beta_w = 2e-3, 0.8
@@ -254,7 +254,7 @@ class TestRunSchedule:
         )
         report = run_schedule(config)
         assert report.succeeded
-        assert len(report.stage_reports) == 6
+        assert len(report.stages) == 6
         assert report.analytic_gain == pytest.approx(3.88, abs=TOL)
         assert report.discrepancy < 1e-9
 
@@ -275,7 +275,7 @@ class TestRunSchedule:
         )
         report = run_schedule(config)
         assert report.succeeded
-        *intermediate, last = report.stage_reports
+        *intermediate, last = report.stages
         for stage in intermediate:
             assert stage.state[0] == 0
             assert np.isnan(stage.gain_so_far)
@@ -289,10 +289,10 @@ class TestRunSchedule:
         report = run_schedule(config)
         state = weak_coherent_rows([config.alpha], 9)[0]
         cumulative = 1.0
-        for index, expected in enumerate(report.stage_reports):
+        for index, expected in enumerate(report.stages):
             stage = run_stage(
                 state, config, expected.kind,
-                stage_index=index, cumulative_in=cumulative,
+                stage=index, cumulative_in=cumulative,
             )
             # json text compares NaN gains equal
             assert json.dumps(stage.to_row()) == json.dumps(expected.to_row())
@@ -328,7 +328,7 @@ class TestRunSchedule:
         )
         report = run_schedule(config)
         product = 1.0
-        for stage in report.stage_reports:
+        for stage in report.stages:
             product *= stage.probability
             assert stage.cumulative_probability == pytest.approx(product, abs=TOL)
         assert report.success_probability == pytest.approx(product, abs=TOL)
@@ -698,7 +698,7 @@ class TestCollectiveEnhancement:
         ulps = 0.0
         with localcontext() as context:
             context.prec = 60
-            for done, stage in enumerate(run_schedule(config).stage_reports, start=1):
+            for done, stage in enumerate(run_schedule(config).stages, start=1):
                 ulps += self.STAGE_ULPS[stage.kind]
                 tol = Decimal((2 * ulps + 6) * 2.0**-53)
                 expected = self.closed_form(config, done, c)
@@ -779,8 +779,8 @@ class TestTrajectoryTree:
                 assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-14)
                 if path:  # a child exists only for a nonzero success outcome
                     parent = tree.outcomes[path[:-1]]
-                    pattern = protocol.STAGE_PATTERNS[tree.plan[len(path) - 1]]
-                    assert parent[pattern.detect_a, pattern.detect_b, path[-1]] > 0
+                    counts = protocol.STAGE_PATTERNS[tree.plan[len(path) - 1]]
+                    assert parent[(*counts, path[-1])] > 0
 
     @pytest.mark.parametrize("name", sorted(LOSSY_TREES))
     def test_matches_the_per_node_tree_to_the_bit(self, name):
@@ -851,8 +851,8 @@ class TestMixtures:
         report = run_schedule(config)
         stages, quality = dense_schedule(config)
         assert report.succeeded and report.final_state is None
-        assert len(report.stage_reports) == len(stages)
-        for stage, (probability, cumulative, gain) in zip(report.stage_reports, stages):
+        assert len(report.stages) == len(stages)
+        for stage, (probability, cumulative, gain) in zip(report.stages, stages):
             assert stage.state is None and not stage.failed
             assert stage.probability == pytest.approx(probability, rel=1e-12, abs=0)
             assert stage.cumulative_probability == pytest.approx(
@@ -863,7 +863,7 @@ class TestMixtures:
                 gain, rel=1e-12, abs=0)
         for key, value in quality.items():
             assert getattr(report.quality, key) == pytest.approx(value, rel=1e-12, abs=0)
-        assert report.final_gain == report.quality.gain == report.stage_reports[-1].gain_so_far
+        assert report.final_gain == report.quality.gain == report.stages[-1].gain_so_far
         assert report.success_probability == report.quality.p_suc
 
     def test_one_branch_points_weigh_exactly_one(self):
