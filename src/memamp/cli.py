@@ -133,7 +133,8 @@ def _rewritten(path: Path):
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[list]) -> None:
     """Rows of cells as they are written: a bool already as JSON's
     true/false; the csv writer writes a float in its shortest round-trip form."""
-    with _rewritten(path) as fd, open(fd, "w", newline="", closefd=False) as handle:
+    with (_rewritten(path) as fd,
+          open(fd, "w", encoding="utf-8", newline="", closefd=False) as handle):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -189,9 +190,10 @@ def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManif
     report = run_schedule(config)
     report_path = out_dir / "report.json"
     stages_path = out_dir / "stages.csv"
-    _write_json(report_path, report.to_dict())
-    rows = [r.to_row() for r in report.stages]
-    cells = [dict(row, failed=json.dumps(row["failed"])).values() for row in rows]
+    payload = report.to_dict()
+    _write_json(report_path, payload)
+    cells = [dict(row, failed=json.dumps(row["failed"])).values()
+             for row in payload["stages"]]
     _write_csv(stages_path, STAGE_COLUMNS, cells)
     manifest = RunManifest(args.command, config.rng_seed, config.to_dict(),
                            [report_path.name, stages_path.name])
@@ -203,7 +205,8 @@ def cmd_simulate(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManif
 
 def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
     """The spec's base and axes, after the checks of its shape: the root,
-    ``base``, ``axes``, each axis and the key set of the base and axes."""
+    ``base``, ``axes``, each axis, the key set of the base and axes, and
+    the grid's size, at most GRID_CAP points."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigError("sweep config root must be an object")
@@ -226,14 +229,9 @@ def _load_sweep_spec(path: str | Path) -> tuple[dict, dict]:
         if len(values) == 0:
             raise GridGuardError(f"axes.{key}: empty axis")
     _check_keys({**base, **axes})
-    return base, axes
-
-
-def _grid_points(axes: dict) -> list[tuple]:
-    """Each grid point's axis values, row-major in the file's axis order."""
     if math.prod(len(values) for values in axes.values()) > GRID_CAP:
         raise GridGuardError(f"sweep grid exceeds cap of {GRID_CAP} points")
-    return list(itertools.product(*axes.values()))
+    return base, axes
 
 
 def _value_or_error(key: str, value):
@@ -347,10 +345,10 @@ def cmd_sweep(args: argparse.Namespace, out_dir: Path) -> tuple[int, RunManifest
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     flags = _checked_flags(args)
     base, axes = _load_sweep_spec(args.config)
-    grid = _grid_points(axes)
     results = _sweep_cells(_sweep_configs(base, axes, **flags), args.jobs)
     header = list(axes) + list(QUALITY_FIELDS) + ["gain_squared", "succeeded", "error"]
     csv_path = out_dir / "sweep.csv"
+    grid = itertools.product(*axes.values())  # row-major in the file's axis order
     _write_csv(csv_path, header, ([*v, *cells] for v, cells in zip(grid, results)))
     manifest = RunManifest(args.command, args.seed, {"base": base, "axes": axes},
                            [csv_path.name])

@@ -157,17 +157,12 @@ def verify_ladder(n_atoms: int) -> VerificationReport:
     entries = []
     for k in range(n_atoms + 1):
         for direction, (coeffs, residuals) in images.items():
-            raising = direction is LadderDirection.RAISE
-            target_k = k + 1 if raising else k - 1
-            expected = ladder_coeff(direction, k, n_atoms)
-            if 0 <= target_k <= n_atoms:
-                observed = float(coeffs[target_k].real)
-                stray = 0.0
-            else:
-                # off the ladder: the level no source reaches must stay empty
-                observed = 0.0
-                target_k = 0 if raising else n_atoms
-                stray = float(abs(coeffs[target_k]))
+            step = 1 if direction is LadderDirection.RAISE else -1
+            # off the ladder, the target wraps to the level no source reaches
+            target_k = (k + step) % (n_atoms + 1)
+            expected, value = ladder_coeff(direction, k, n_atoms), coeffs[target_k]
+            observed, stray = ((float(value.real), 0.0) if target_k == k + step
+                               else (0.0, float(abs(value))))
             residual = float(residuals[target_k])
             deviation = max(abs(observed - expected), stray)
             entries.append(

@@ -418,14 +418,15 @@ def _stage(processes: tuple, level: tuple, kind: StageKind, visit=None) -> tuple
     each chunk's tensor and squared norms, rows lo on, in level order
     (`monte_carlo` draws its trials there).
     Returns each branch's raw herald probability and total, each failing
-    point's first error in level order, the children as a level, and each
+    point's first error in level order, the children as a level, each
     child's parent and n_c: the branches of `joint.herald_rows`, in (parent,
     n_c) order, by which `monte_carlo` hands each child its parent's trials
-    at the child's herald cell. A child's share is its parent's times its
-    squared norm over its parent's total, normalized within its point as
+    at the child's herald cell; and each point's stage probability, the sum
+    of w raw / total over its branches. A child's share is its parent's times
+    its squared norm over its parent's total, normalized within its point as
     x / sum(x), so a point's only child weighs 1."""
     states, weights, owner = level
-    truncation, count = processes[0].truncation, len(processes[0].p)
+    truncation, points = processes[0].truncation, len(processes[0].p)
     size = batch_rows(truncation)
     errors, parts = {}, []
     for lo in range(0, max(len(states), 1), size):  # an empty level is one chunk
@@ -446,10 +447,11 @@ def _stage(processes: tuple, level: tuple, kind: StageKind, visit=None) -> tuple
     if len(parts) > 1:
         parts = [list(map(np.concatenate, zip(*parts)))]
     raw, totals, parent, n_c, pops, children = parts[0]
+    probability = np.bincount(owner, weights * raw / totals, points)
     share = weights[parent] * pops / totals[parent]
     owner = owner[parent]
-    share /= np.bincount(owner, share, count)[owner]
-    return raw, totals, errors, (children, share, owner), parent, n_c
+    share /= np.bincount(owner, share)[owner]
+    return raw, totals, errors, (children, share, owner), parent, n_c, probability
 
 
 def _stage_report(
@@ -482,17 +484,17 @@ def run_batch(
     `batch_key`, all of one key, on ``truncation``, the key's last entry. The
     caller groups the points by key, whose checks (dimension cap, excitation
     reach) are not repeated here. A point is a weighted set of branches, one
-    per undetected-mode count heralded (`_stage`), so its stage probability is
-    the sum of w raw / total over its branches. Reductions stay within a row,
-    so no point's values depend on the others. A point whose branch raises
-    keeps the first such error in level order and leaves the batch, as does a
-    failed herald. The points that heralded every stage are scored together
-    (`metrics.score_rows`). Returns per point (the `QualityReport` fields as
-    a list or None, error). ``visit(s, i, record)`` sees the record of stage
-    s of each point i that entered it and raised no error there: (probability,
-    cumulative probability, the stage's children as a level, and the first
-    and last + 1 of the point's children: none for a zero-probability
-    herald). The loop keeps no record, and no level past its stage."""
+    per undetected-mode count heralded; `_stage` forms its stage probability.
+    Reductions stay within a row, so no point's values depend on the others.
+    A point whose branch raises keeps the first such error in level order and
+    leaves the batch, as does a failed herald. The points that heralded every
+    stage are scored together (`metrics.score_rows`). Returns per point (the
+    `QualityReport` fields as a list or None, error). ``visit(s, i, record)``
+    sees the record of stage s of each point i that entered it and raised no
+    error there: (probability, cumulative probability, the stage's children
+    as a level, and the first and last + 1 of the point's children: none for
+    a zero-probability herald). The loop keeps no record, and no level past
+    its stage."""
     count = len(configs)
     qualities: list[list | None] = [None] * count
     errors: list[Exception | None] = [None] * count
@@ -513,8 +515,8 @@ def run_batch(
             counts = STAGE_PATTERNS[kind]
             score = lambda lo, psi, _: norms.append(
                 sector_norms(psi, targets[owner[lo : lo + len(psi)]], *counts))
-        raw, totals, stage_errors, children, _, _ = _stage(processes, level, kind, score)
-        probability = np.bincount(owner, weights * raw / totals, count)
+        raw, totals, stage_errors, children, _, _, probability = _stage(
+            processes, level, kind, score)
         cumulative = cumulative * probability
         bounds = np.searchsorted(children[2], np.arange(count + 1)).tolist()
         for i, error in stage_errors.items():
@@ -660,11 +662,10 @@ def monte_carlo(config: ProtocolConfig, trials: int) -> MCReport:
             # a copy: a view would keep each chunk's whole outcome array alive
             parts.append(drawn[cell].copy())
 
-        _, weights, owner = level
-        raw, totals, errors, level, parent, n_c = _stage(processes, level, kind, visit)
+        _, _, errors, level, parent, n_c, probability = _stage(processes, level, kind, visit)
         if errors:
             raise errors[0]
-        cumulative = cumulative * np.bincount(owner, weights * raw / totals, 1)
+        cumulative = cumulative * probability
         alive = np.concatenate(parts)[parent, n_c]
         survival.append(int(alive.sum()))
     gain_sum, successes = 0.0, survival[-1]

@@ -9,7 +9,10 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import weakref
@@ -54,7 +57,7 @@ def csv_cell(value):
 
 
 def read_csv(path):
-    with open(path, newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
         return header, list(reader)
@@ -1374,6 +1377,28 @@ class TestOutputSchemas:
         header, _ = read_csv(tmp_path / "sweep.csv")
         assert header == ["beta_w", "p_w", *self.QUALITY,
                           "gain_squared", "succeeded", "error"]
+
+    def test_sweep_csv_is_utf8_whatever_the_locale(self, tmp_path):
+        """A sweep under an ASCII locale writes the bytes of a UTF-8 run: a
+        non-ASCII axis value, in its axis cell and in its point's error cell,
+        is encoded as UTF-8, not a traceback and a cut file."""
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"base": {"n_atoms": 20},
+                                    "axes": {"p_w": [0.001, "é"]}}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        written = []
+        for name, locale in [("utf8", {"PYTHONUTF8": "1"}),
+                             ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0"})]:
+            out = tmp_path / name
+            run = subprocess.run(
+                [sys.executable, "-m", "memamp.cli", "sweep", "--config", str(spec),
+                 "--out", str(out)],
+                env={**os.environ, **locale, "PYTHONPATH": src}, capture_output=True)
+            assert run.returncode == EXIT_PROTOCOL, run.stderr
+            assert b"Traceback" not in run.stderr
+            written.append((out / "sweep.csv").read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count("é".encode()) == 2
 
     def test_simulate_files(self, tmp_path):
         config = write_config(tmp_path, beta_w=1, truncation={"fock_c_max": 1})

@@ -22,6 +22,7 @@ from memamp.metrics import QualityReport
 from memamp import protocol
 from memamp.protocol import (
     ALPHA_FLOOR,
+    AmplificationReport,
     GainConvention,
     ProtocolConfig,
     StageKind,
@@ -618,6 +619,54 @@ def test_mc_success_probability_is_run_schedules(kwargs):
     except (MemampError, ValueError):
         reject()
     assert monte_carlo(config, 1).numeric_success_probability == expected
+
+
+def same_values(a, b) -> bool:
+    """Equal as floats, NaN equal to NaN, through JSON lists and objects."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_values(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_values, a, b))
+    return a == b or a != a and b != b
+
+
+def phase_flip_outcome(config):
+    """`simulate`'s report and `mc`'s at 10^4 trials, or the error either raises."""
+    try:
+        return run_schedule(config), monte_carlo(config, 10**4)
+    except (MemampError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kwargs=mc_configs(),
+       n_atoms=st.one_of(st.integers(4, 1000), st.integers(1000, 10**18)))
+def test_negated_alpha_flips_the_odd_levels_exactly(kwargs, n_atoms):
+    """Phase covariance at phi = pi, with no tolerance: negation is exact and
+    every step of a run is odd or even in the amplitudes. A run from -alpha
+    writes the values of alpha's run, `report.json` but its final state (its
+    stage rows are the `stages.csv` rows) and `mc_report.json`; each heralded
+    state is the other's with level k times (-1)^k, up to one global sign."""
+    try:
+        configs = [ProtocolConfig(**dict(kwargs, n_atoms=n_atoms, alpha=alpha))
+                   for alpha in (kwargs["alpha"], -kwargs["alpha"])]
+    except (MemampError, ValueError):
+        reject()
+    plus, minus = map(phase_flip_outcome, configs)
+    if not isinstance(plus[0], AmplificationReport):
+        assert minus == plus
+        return
+    (report, mc), (flipped, flipped_mc) = plus, minus
+    values, flipped_values = report.to_dict(), flipped.to_dict()
+    del values["final_state"], flipped_values["final_state"]
+    assert same_values(values, flipped_values)
+    assert same_values(mc.to_dict(), flipped_mc.to_dict())
+    for stage, flipped_stage in zip(report.stages, flipped.stages, strict=True):
+        assert (stage.state is None) == (flipped_stage.state is None)
+        if stage.state is not None:
+            parity = (-1.0) ** np.arange(len(stage.state))
+            assert (np.array_equal(flipped_stage.state, parity * stage.state)
+                    or np.array_equal(flipped_stage.state, -parity * stage.state))
 
 
 class TestCollectiveEnhancement:
