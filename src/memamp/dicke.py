@@ -76,7 +76,8 @@ def weak_coherent_rows(alpha: np.ndarray, size: int) -> np.ndarray:
     # a huge alpha from overflowing; for |alpha| <= 1 it divides by 1.0
     parts = pair.view(np.float64)  # re0, im0, re1, im1
     pair /= np.abs(parts).max(axis=1, keepdims=True)
-    # np.linalg.norm's sum, in its order, over the row's only nonzero levels
+    # the squared norm of the row's only nonzero levels, each square and each
+    # sum rounded on its own: (re0^2 + re1^2) + (im0^2 + im1^2)
     sq = parts**2
     pair /= np.sqrt((sq[:, 0] + sq[:, 2]) + (sq[:, 1] + sq[:, 3]))[:, None]
     amps = np.zeros((len(alpha), max(size, 2)), dtype=np.complex128)

@@ -2,8 +2,9 @@
 
 Symmetric k-excitation states are built by explicit permutation sums over
 bitmasks and the collective operators are applied as literal sums of
-single-atom flips. A state is a complex array of 2^N amplitudes; index m is a
-bitmask, little-endian: bit i set means atom i is excited. Everything the
+single-atom flips. A state is an array of 2^N amplitudes, real float64 or
+complex128, and each function keeps its input's dtype; index m is a bitmask,
+little-endian: bit i set means atom i is excited. Everything the
 closed forms in `dicke` claim can be re-derived here, at exponential cost, for
 small atom counts.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from .dicke import LadderDirection, ladder_coeff
 from .errors import ResourceGuardError
 
-#: Hard cap on the brute-force atom count: a 2^14-amplitude state is 256 KiB
+#: Hard cap on the brute-force atom count: a real 2^14-amplitude state is 128 KiB
 #: and every N up to it verifies in milliseconds. A guard, not a tunable.
 MAX_FULL_ATOMS = 14
 
@@ -49,13 +50,15 @@ def collective_apply(amps: np.ndarray, n_atoms: int, raising: bool) -> np.ndarra
 
     ``raising=True`` flips one atom g->s per term (bit 0 -> 1), else s->g.
     Each atom's flip is a strided copy: splitting the index as
-    (high, bit_i, low) turns the bitmask arithmetic into axis slicing.
+    (high, bit_i, low) turns the bitmask arithmetic into axis slicing. A real
+    state stays float64 and a complex one complex128.
     """
     size = 1 << n_atoms
-    amps = np.asarray(amps, dtype=np.complex128)
+    amps = np.asarray(amps)
+    amps = amps.astype(np.result_type(amps, np.float64), copy=False)
     if amps.shape != (size,):
         raise ValueError(f"expected shape ({size},), got {amps.shape}")
-    out = np.zeros(size, dtype=np.complex128)
+    out = np.zeros(size, dtype=amps.dtype)
     for i in range(n_atoms):
         shape = (1 << (n_atoms - 1 - i), 2, 1 << i)
         source = amps.reshape(shape)
@@ -64,7 +67,9 @@ def collective_apply(amps: np.ndarray, n_atoms: int, raising: bool) -> np.ndarra
             target[:, 1, :] += source[:, 0, :]
         else:
             target[:, 0, :] += source[:, 1, :]
-    out /= np.sqrt(n_atoms)
+    # complex / real divides by multiplying with the reciprocal (Smith's
+    # method), so one product gives both dtypes the same bits
+    out *= 1.0 / np.sqrt(n_atoms)
     return out
 
 
@@ -80,17 +85,25 @@ def project_to_dicke(amps: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.nda
 
     Returns ``(coeffs, residuals)``, both of length N + 1: ``coeffs[k] =
     <k,N|amps>`` and ``residuals[k]`` the norm of the part of sector k (the
-    bitmasks with k bits set) orthogonal to |k,N>.
+    bitmasks with k bits set) orthogonal to |k,N>. ``coeffs`` is float64 for
+    a real state and complex128 for a complex one.
     """
     counts = popcounts(n_atoms)
-    sums_re = np.bincount(counts, weights=amps.real, minlength=n_atoms + 1)
-    sums_im = np.bincount(counts, weights=amps.imag, minlength=n_atoms + 1)
+    complex_amps = np.iscomplexobj(amps)
+    sums = np.bincount(counts, weights=amps.real, minlength=n_atoms + 1)
+    if complex_amps:
+        sums = sums + 1j * np.bincount(counts, weights=amps.imag, minlength=n_atoms + 1)
     weights = _dicke_weights(n_atoms)
-    coeffs = weights * (sums_re + 1j * sums_im)
-    # residuals from the explicit out-of-subspace component; a norm-difference
+    coeffs = weights * sums
+    # residuals from the explicit out-of-subspace component, formed in place
+    # in the fitted array so no further 2^N array is held; a norm-difference
     # formula would lose half the working precision to cancellation
-    outside = amps - (coeffs * weights)[counts]
-    squares = outside.real**2 + outside.imag**2
+    outside = (coeffs * weights)[counts]
+    np.subtract(amps, outside, out=outside)
+    if complex_amps:
+        squares = outside.real**2 + outside.imag**2
+    else:
+        squares = np.square(outside, out=outside)
     residuals = np.sqrt(np.bincount(counts, weights=squares, minlength=n_atoms + 1))
     return coeffs, residuals
 
@@ -146,7 +159,7 @@ def verify_ladder(n_atoms: int) -> VerificationReport:
         raise ResourceGuardError(
             f"verify_ladder needs 2 <= N <= {MAX_FULL_ATOMS}, got {n_atoms}"
         )
-    source = _dicke_weights(n_atoms).astype(np.complex128)[popcounts(n_atoms)]
+    source = _dicke_weights(n_atoms)[popcounts(n_atoms)]
     images = {
         direction: project_to_dicke(
             collective_apply(source, n_atoms, direction is LadderDirection.RAISE),

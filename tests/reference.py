@@ -121,13 +121,17 @@ def zero_padded(psi, shape):
 
 def weak_coherent_rows_per_row(alpha, size):
     """`dicke.weak_coherent_rows` as a loop: each row scaled by its largest
-    real or imaginary part, then divided by its `np.linalg.norm`."""
+    real or imaginary part, then divided by its norm, summed in Python floats
+    as (re0^2 + re1^2) + (im0^2 + im1^2). Python rounds each product and each
+    sum on its own, where a BLAS dot product may fuse them, so the reference
+    does not depend on the CPU's BLAS kernel."""
     amps = np.zeros((len(alpha), max(size, 2)), dtype=np.complex128)
     amps[:, 0] = 1.0
     amps[:, 1] = alpha
     amps /= np.abs(amps.view(np.float64)).max(axis=1, keepdims=True)
     for row in amps:
-        row /= np.linalg.norm(row)
+        re0, im0, re1, im1 = row[:2].view(np.float64).tolist()
+        row /= math.sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
     return amps[:, :size]
 
 

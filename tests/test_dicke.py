@@ -366,6 +366,14 @@ class TestWeakCoherentState:
         expected = weak_coherent_rows_per_row(alpha, size)
         assert weak_coherent_rows(alpha, size).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_short_rows_match_the_per_row_norm_to_the_bit(self, size):
+        """A row of two or three levels, where a fused BLAS dot product of its
+        squares rounds differently from separately rounded ones."""
+        alpha = np.array([1.5 + 1.9j])
+        expected = weak_coherent_rows_per_row(alpha, size)
+        assert weak_coherent_rows(alpha, size).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("size", [1, 2, 9])
     @pytest.mark.parametrize("magnitude", [1e-320, 1e-310, 1e-160, 1e-8, 0.1, 1.0,
                                            7.5, 1e8, 1e160, 1e300])

@@ -1,7 +1,12 @@
 """Brute-force full-space checks of the symmetric-subspace algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from memamp import oracle
 from memamp.dicke import LadderDirection, ladder_coeff
@@ -72,6 +77,34 @@ class TestKernels:
     def test_collective_apply_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             collective_apply(np.zeros(5, dtype=complex), 2, raising=True)
+
+
+@st.composite
+def _real_states(draw):
+    """An atom count N = 1..10 and a real 2^N state whose squares, and their
+    sector sums, stay finite."""
+    n_atoms = draw(st.integers(min_value=1, max_value=10))
+    amps = draw(arrays(np.float64, 1 << n_atoms,
+                       elements=st.floats(min_value=-1e150, max_value=1e150)))
+    return n_atoms, amps
+
+
+class TestDtype:
+    @given(state=_real_states(), raising=st.booleans())
+    @settings(max_examples=300)
+    def test_real_state_gives_the_real_part_of_its_complex_run(self, state, raising):
+        n_atoms, amps = state
+        for apply in (lambda a: collective_apply(a, n_atoms, raising),
+                      lambda a: project_to_dicke(a, n_atoms)[0]):
+            real, cplx = apply(amps), apply(amps.astype(np.complex128))
+            assert real.dtype == np.float64
+            assert cplx.dtype == np.complex128
+            assert real.tobytes() == cplx.real.tobytes()
+            assert np.all(cplx.imag == 0.0)
+        residuals = project_to_dicke(amps, n_atoms)[1]
+        assert residuals.tobytes() == (
+            project_to_dicke(amps.astype(np.complex128), n_atoms)[1].tobytes()
+        )
 
 
 class TestBuildDickeFull:
@@ -230,6 +263,19 @@ class TestVerifyLadder:
         # one flip pass per direction over every level gives each entry the
         # numbers of its own level's pass, bit for bit
         assert verify_ladder(n_atoms).to_dict() == verify_ladder_per_level(n_atoms)
+
+    @pytest.mark.parametrize("n_atoms", [10, 12, 14])
+    def test_working_set_is_four_real_arrays(self, n_atoms):
+        # the real source, one image, its fitted part and bincount's intp copy
+        # of the popcounts: four float64-sized arrays of 2^N entries at most
+        verify_ladder(n_atoms)  # warm-up: the popcount table is cached
+        tracemalloc.start()
+        try:
+            verify_ladder(n_atoms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * 2**n_atoms + 8 * 1024
 
     def test_two_flip_passes_per_ensemble(self, monkeypatch):
         calls = []
